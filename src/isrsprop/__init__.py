@@ -41,7 +41,6 @@ from .multispan import (
     span_gain,
 )
 from .ode_oracle import (
-    PowerSpectrum,
     PropagationResult,
     SolverOptions,
     integrate_span,
@@ -62,6 +61,7 @@ from .profiles import (
     Band,
     ChannelGrid,
     FiberSpec,
+    PowerSpectrum,
     RamanGainModel,
     attenuation_at,
     build_channel_grid,

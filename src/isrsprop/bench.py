@@ -18,10 +18,11 @@ import numpy as np
 
 from .closedform import derive_params, power_profile
 from .errors import ConfigurationError
-from .ode_oracle import PowerSpectrum, SolverOptions, integrate_span
+from .ode_oracle import SolverOptions, integrate_span
 from .profiles import (
     AttenuationProfile,
     FiberSpec,
+    PowerSpectrum,
     RamanGainModel,
     build_channel_grid,
     default_attenuation,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import run_order_sweep, write_records_csv, write_summary_csv
+from .bench import _fmt, run_order_sweep, write_records_csv, write_summary_csv
 from .closedform import derive_params, power_profile
 from .config import RunConfig, parse_config
 from .errors import (
@@ -27,18 +27,13 @@ from .errors import (
 )
 from .inverse import TargetSpectrum, preemphasis_multispan, preemphasis_single_span
 from .multispan import propagate_multispan_closedform
-from .ode_oracle import PowerSpectrum, integrate_span, propagate_link_numerical
+from .ode_oracle import integrate_span, propagate_link_numerical
 from .osnr import target_osnr
+from .profiles import ChannelGrid
 
 
 def _dbm(watts):
     return 10.0 * np.log10(np.asarray(watts) / 1e-3)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
-    return str(value)
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
@@ -56,14 +51,16 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> N
             writer.writerow([_fmt(v) for v in row])
 
 
-def _spectrum_table(spectrum: PowerSpectrum) -> tuple[list[str], list[list]]:
-    grid = spectrum.grid
+def _channel_table(
+    grid: ChannelGrid, column: str, values_db: np.ndarray
+) -> tuple[list[str], list[list]]:
+    """One row per channel: index, frequency, band name and one dB value."""
     names = grid.band_names()
     rows = [
-        [i, grid.frequencies[i], names[i], float(_dbm(spectrum.powers[i]))]
-        for i in range(grid.n_channels)
+        [i, grid.frequencies[i], names[i], value]
+        for i, value in enumerate(values_db.tolist())
     ]
-    return ["channel", "frequency_thz", "band", "power_dbm"], rows
+    return ["channel", "frequency_thz", "band", column], rows
 
 
 def _longitudinal_table(spectra) -> tuple[list[str], list[list]]:
@@ -86,12 +83,14 @@ def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "launch")
     if cfg.link is not None:
         result = propagate_link_numerical(launch, cfg.link, cfg.solver)
+        spectra = result.longitudinal([r.spectra for r in result.span_results])
     else:
         fiber = _require(cfg, "fiber", "fiber")
         result = integrate_span(launch, fiber, cfg.solver)
-    head, rows = _longitudinal_table(result.spectra)
+        spectra = result.spectra
+    head, rows = _longitudinal_table(spectra)
     _write_table(out / f"{cfg.name}_solve_longitudinal.csv", head, rows, fmt)
-    head, rows = _spectrum_table(result.final)
+    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(result.final.powers))
     _write_table(out / f"{cfg.name}_solve_spectrum.csv", head, rows, fmt)
 
 
@@ -107,7 +106,7 @@ def cmd_closed_form(cfg: RunConfig, out: Path, fmt: str) -> None:
     ]
     head, rows = _longitudinal_table(spectra)
     _write_table(out / f"{cfg.name}_closedform_longitudinal.csv", head, rows, fmt)
-    head, rows = _spectrum_table(spectra[-1])
+    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(spectra[-1].powers))
     _write_table(out / f"{cfg.name}_closedform_spectrum.csv", head, rows, fmt)
 
 
@@ -115,19 +114,16 @@ def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "launch")
     link = _require(cfg, "link", "link")
     result = propagate_multispan_closedform(launch, link, cfg.order)
-    spectra = []
-    starts = link.span_starts()
-    for k, fiber in enumerate(link.spans):
-        zs = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
-        slope = fiber.raman.as_triangular().slope
-        for z in zs:
-            local = power_profile(result.span_inputs[k], result.params[k], slope, float(z))
-            spectra.append(PowerSpectrum(local.grid, local.powers, z=float(starts[k] + z)))
-    if link.receiver_boost:
-        spectra.append(result.final.scaled(1.0, z=float(starts[-1])))
-    head, rows = _longitudinal_table(spectra)
+    span_samples = [
+        [
+            power_profile(span_input, params, fiber.raman.as_triangular().slope, float(z))
+            for z in np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
+        ]
+        for span_input, params, fiber in zip(result.span_inputs, result.span_results, link.spans)
+    ]
+    head, rows = _longitudinal_table(result.longitudinal(span_samples))
     _write_table(out / f"{cfg.name}_multispan_longitudinal.csv", head, rows, fmt)
-    head, rows = _spectrum_table(result.final)
+    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(result.final.powers))
     _write_table(out / f"{cfg.name}_multispan_spectrum.csv", head, rows, fmt)
 
 
@@ -148,16 +144,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
     write_summary_csv(summaries, out / f"{cfg.name}_sweep_summary.csv")
 
 
-def _launch_table(launch: PowerSpectrum) -> tuple[list[str], list[list]]:
-    grid = launch.grid
-    names = grid.band_names()
-    rows = [
-        [i, grid.frequencies[i], names[i], float(_dbm(launch.powers[i]))]
-        for i in range(grid.n_channels)
-    ]
-    return ["channel", "frequency_thz", "band", "launch_power_dbm"], rows
-
-
 def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.launch_mode != "preemphasis" or cfg.preemph_target is None:
         raise ConfigurationError("preemph needs launch.mode == 'preemphasis' with a target")
@@ -173,7 +159,7 @@ def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:
         launch = preemphasis_single_span(
             target, fiber, cfg.order, total_launch_power=cfg.preemph_total_power
         )
-    head, rows = _launch_table(launch)
+    head, rows = _channel_table(launch.grid, "launch_power_dbm", _dbm(launch.powers))
     _write_table(out / f"{cfg.name}_preemph_launch.csv", head, rows, fmt)
 
 
@@ -204,19 +190,12 @@ def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
         reference_bandwidth=float(b_ref) * 1e-3 if b_ref is not None else None,
         rmse_in_db=bool(osnr_cfg.get("rmse_in_db", False)),
     )
-    head, rows = _launch_table(run.launch)
+    head, rows = _channel_table(grid, "launch_power_dbm", _dbm(run.launch.powers))
     _write_table(out / f"{cfg.name}_osnr_launch.csv", head, rows, fmt)
     hist_rows = [[i + 1, r] for i, r in enumerate(run.rmse_history)]
     _write_table(out / f"{cfg.name}_osnr_history.csv", ["iteration", "rmse"], hist_rows, fmt)
-    names = grid.band_names()
-    osnr_rows = [
-        [i, grid.frequencies[i], names[i], float(10.0 * np.log10(run.osnr[i]))]
-        for i in range(grid.n_channels)
-    ]
-    _write_table(
-        out / f"{cfg.name}_osnr_profile.csv",
-        ["channel", "frequency_thz", "band", "osnr_db"], osnr_rows, fmt,
-    )
+    head, rows = _channel_table(grid, "osnr_db", 10.0 * np.log10(run.osnr))
+    _write_table(out / f"{cfg.name}_osnr_profile.csv", head, rows, fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ode_oracle import PowerSpectrum
-from .profiles import AttenuationProfile, FiberSpec, attenuation_at
-
-
-def _freeze(array) -> np.ndarray:
-    out = np.asarray(array, dtype=float).copy()
-    out.flags.writeable = False
-    return out
+from .profiles import AttenuationProfile, FiberSpec, PowerSpectrum, _freeze, attenuation_at
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,6 @@ def _shaping_ref_from_arrays(
     alpha: np.ndarray,
     alpha0: float,
     order: int,
-    length: float,
     slope: float,
     z: float,
 ) -> float:
@@ -168,13 +160,7 @@ def gamma_ref(
         raise ConfigurationError("total launch power must be positive")
     alpha = attenuation_at(fiber.attenuation, launch.grid.frequencies)
     return _shaping_ref_from_arrays(
-        launch.powers,
-        np.asarray(shaping, dtype=float),
-        alpha,
-        alpha0,
-        order,
-        fiber.length,
-        slope,
+        launch.powers, np.asarray(shaping, dtype=float), alpha, alpha0, order, slope,
         fiber.length if z is None else z,
     )
 
@@ -193,7 +179,7 @@ def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> Cl
         ref = 0.0
     else:
         ref = _shaping_ref_from_arrays(
-            launch.powers, shaping, alpha, alpha0, order, fiber.length, tri.slope, fiber.length
+            launch.powers, shaping, alpha, alpha0, order, tri.slope, fiber.length
         )
     leff = -math.expm1(-alpha0 * fiber.length) / alpha0
     return ClosedFormParams(
@@ -230,7 +216,7 @@ def power_profile(
     if refresh_reference:
         ref = _shaping_ref_from_arrays(
             launch.powers, params.shaping, alpha, params.alpha0,
-            params.order, params.length, slope, z,
+            params.order, slope, z,
         )
     decay = -math.expm1(-params.alpha0 * z) / params.alpha0
     exponent = -alpha * z + slope * (ref - params.shaping) * params.total_launch_power * decay

@@ -18,12 +18,13 @@ from .bench import SweepConfig
 from .errors import ConfigurationError
 from .inverse import TargetSpectrum
 from .multispan import AmplifierSpec, LinkSpec
-from .ode_oracle import PowerSpectrum, SolverOptions
+from .ode_oracle import SolverOptions
 from .profiles import (
     AttenuationProfile,
     Band,
     ChannelGrid,
     FiberSpec,
+    PowerSpectrum,
     RamanGainModel,
     build_channel_grid,
     default_attenuation,

@@ -25,8 +25,7 @@ from .closedform import (
 )
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
-from .ode_oracle import PowerSpectrum
-from .profiles import ChannelGrid, FiberSpec, attenuation_at
+from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, attenuation_at
 
 
 @dataclass(frozen=True)
@@ -42,17 +41,14 @@ class TargetSpectrum:
     normalized: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
+        v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_channels,):
             raise ConfigurationError(
                 f"expected {self.grid.n_channels} target values, got shape {v.shape}"
             )
         if np.any(v <= 0):
             raise ConfigurationError("target values must be positive")
-        if self.normalized:
-            v /= v.mean()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _freeze(v / v.mean() if self.normalized else v))
 
     @classmethod
     def flat_shape(cls, grid: ChannelGrid) -> "TargetSpectrum":

@@ -1,4 +1,4 @@
-"""Closed-form propagation across multi-span links with in-line amplifiers.
+"""Multi-span links with in-line amplifiers, for the closed form and the oracle.
 
 The worst-case amplification model: each in-line amplifier applies one scalar
 gain restoring the total power to its span-input value, so spectral tilt is
@@ -9,14 +9,13 @@ and a fixed-gain policy are available as variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .closedform import ClosedFormParams, derive_params, power_profile
+from .closedform import derive_params, power_profile
 from .errors import ConfigurationError
-from .ode_oracle import PowerSpectrum
-from .profiles import FiberSpec
+from .profiles import FiberSpec, PowerSpectrum
 
 GAIN_POLICIES = ("restore-total-power", "restore-band-power", "fixed-gain")
 
@@ -89,10 +88,6 @@ class LinkSpec:
             receiver_boost=receiver_boost,
         )
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(s.length for s in self.spans))
-
     def span_starts(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum([s.length for s in self.spans])))
 
@@ -129,51 +124,58 @@ def boundary_gain(
 
 @dataclass(frozen=True)
 class MultiSpanResult:
-    """Per-span parameters, boundary gains and spectra for one closed-form run.
+    """Per-span model results, boundary gains and spectra for one link run.
 
-    ``gains[k]`` is the gain applied after span k (scalar or per-channel
-    array); ``final`` includes the receiver boost when the link has one,
-    while ``span_outputs[-1]`` never does.
+    ``span_results[k]`` is what the span model returned for span k: the
+    :class:`ClosedFormParams` of the closed form or the span-local
+    ``PropagationResult`` of the oracle.  ``gains[k]`` is the gain applied
+    after span k (scalar or per-channel array); ``final`` includes the
+    receiver boost when the link has one, while ``span_outputs[-1]`` never
+    does.
     """
 
     link: LinkSpec
-    params: tuple[ClosedFormParams, ...]
+    span_results: tuple
     gains: tuple
     span_inputs: tuple[PowerSpectrum, ...]
     span_outputs: tuple[PowerSpectrum, ...]
     final: PowerSpectrum
     boost_gain: float | None = None
 
-    def spectrum_at(self, z: float) -> PowerSpectrum:
-        """In-fiber profile at global position z (boost excluded)."""
+    def longitudinal(
+        self, span_samples: Sequence[Sequence[PowerSpectrum]]
+    ) -> list[PowerSpectrum]:
+        """Span-local samples shifted to link z, plus the receiver-boost sample.
+
+        Each boundary appears twice (end of a span, then the amplified start
+        of the next); the boost sample sits at the last sample's z.
+        """
         starts = self.link.span_starts()
-        if not 0.0 <= z <= starts[-1]:
-            raise ConfigurationError(f"z = {z} km outside the link [0, {starts[-1]}] km")
-        k = min(int(np.searchsorted(starts, z, side="right")) - 1, len(self.link.spans) - 1)
-        slope = self.link.spans[k].raman.as_triangular().slope
-        local = power_profile(self.span_inputs[k], self.params[k], slope, z - starts[k])
-        return PowerSpectrum(local.grid, local.powers, z=z)
-
-    def total_power_at(self, z: float) -> float:
-        starts = self.link.span_starts()
-        k = min(int(np.searchsorted(starts, z, side="right")) - 1, len(self.link.spans) - 1)
-        return self.params[k].total_power_at(z - starts[k])
+        spectra = [
+            PowerSpectrum(s.grid, s.powers, z=float(starts[k] + s.z))
+            for k, samples in enumerate(span_samples)
+            for s in samples
+        ]
+        if self.boost_gain is not None:
+            spectra.append(self.final.scaled(1.0, z=spectra[-1].z))
+        return spectra
 
 
-def propagate_multispan_closedform(
-    launch: PowerSpectrum, link: LinkSpec, order: int = 3
+def _propagate_link(
+    launch: PowerSpectrum,
+    link: LinkSpec,
+    run_span: Callable[[PowerSpectrum, FiberSpec], tuple],
 ) -> MultiSpanResult:
-    """Forward closed-form recursion over all spans of a link.
+    """The span-and-amplifier loop shared by the closed form and the oracle.
 
-    Every span's shaping values, alpha0 and reference shaping value are
-    re-derived from that span's own input spectrum, so heterogeneous spans
-    and accumulated tilt are handled naturally.
+    ``run_span(span_input, fiber)`` returns ``(span_result, span_output)``
+    for one span whose input sits at z = 0.
     """
     total_launch = launch.total_power
     band_targets = np.array(
         [launch.powers[launch.grid.band_index == i].sum() for i in range(len(launch.grid.bands))]
     )
-    params: list[ClosedFormParams] = []
+    span_results: list = []
     gains: list = []
     span_inputs: list[PowerSpectrum] = []
     span_outputs: list[PowerSpectrum] = []
@@ -181,9 +183,8 @@ def propagate_multispan_closedform(
     for k, fiber in enumerate(link.spans):
         current = PowerSpectrum(current.grid, current.powers, z=0.0)
         span_inputs.append(current)
-        p = derive_params(current, fiber, order)
-        params.append(p)
-        out = power_profile(current, p, fiber.raman.as_triangular().slope, fiber.length)
+        span_result, out = run_span(current, fiber)
+        span_results.append(span_result)
         span_outputs.append(out)
         if k < len(link.spans) - 1:
             gain = boundary_gain(link.amplifiers[k], out, total_launch, band_targets)
@@ -196,10 +197,28 @@ def propagate_multispan_closedform(
         final = final.scaled(boost)
     return MultiSpanResult(
         link=link,
-        params=tuple(params),
+        span_results=tuple(span_results),
         gains=tuple(gains),
         span_inputs=tuple(span_inputs),
         span_outputs=tuple(span_outputs),
         final=final,
         boost_gain=boost,
     )
+
+
+def propagate_multispan_closedform(
+    launch: PowerSpectrum, link: LinkSpec, order: int = 3
+) -> MultiSpanResult:
+    """Forward closed-form recursion over all spans of a link.
+
+    Every span's shaping values, alpha0 and reference shaping value are
+    re-derived from that span's own input spectrum, so heterogeneous spans
+    and accumulated tilt are handled naturally.
+    """
+
+    def closed_form_span(span_input: PowerSpectrum, fiber: FiberSpec):
+        params = derive_params(span_input, fiber, order)
+        slope = fiber.raman.as_triangular().slope
+        return params, power_profile(span_input, params, slope, fiber.length)
+
+    return _propagate_link(launch, link, closed_form_span)

@@ -15,55 +15,22 @@ truth the closed-form solution is validated against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalInstabilityError
-from .profiles import ChannelGrid, FiberSpec, attenuation_at, raman_gain_at
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .multispan import LinkSpec
+from .multispan import LinkSpec, MultiSpanResult, _propagate_link
+from .profiles import (
+    ChannelGrid,
+    FiberSpec,
+    PowerSpectrum,
+    _freeze,
+    attenuation_at,
+    raman_gain_at,
+)
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
-
-
-def _freeze(array) -> np.ndarray:
-    out = np.asarray(array, dtype=float).copy()
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class PowerSpectrum:
-    """Per-channel powers (W) at position ``z`` (km) on a shared grid."""
-
-    grid: ChannelGrid
-    powers: np.ndarray
-    z: float = 0.0
-
-    def __post_init__(self):
-        p = _freeze(self.powers)
-        if p.shape != (self.grid.n_channels,):
-            raise ConfigurationError(
-                f"expected {self.grid.n_channels} powers, got shape {p.shape}"
-            )
-        if np.any(p < 0):
-            raise ConfigurationError("channel powers must be non-negative")
-        object.__setattr__(self, "powers", p)
-
-    @property
-    def total_power(self) -> float:
-        return float(self.powers.sum())
-
-    def scaled(self, gain, z: float | None = None) -> "PowerSpectrum":
-        """New spectrum with powers multiplied by a scalar or per-channel gain."""
-        return PowerSpectrum(self.grid, self.powers * gain, self.z if z is None else z)
-
-    @classmethod
-    def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":
-        p = 10.0 ** (dbm_per_channel / 10.0) * 1e-3
-        return cls(grid, np.full(grid.n_channels, p), z)
 
 
 @dataclass(frozen=True)
@@ -105,10 +72,6 @@ class PropagationResult:
         z = np.array([s.z for s in spectra])
         tot = np.array([s.total_power for s in spectra])
         return cls(z_samples=z, spectra=spectra, total_power=tot)
-
-    @property
-    def launch(self) -> PowerSpectrum:
-        return self.spectra[0]
 
     @property
     def final(self) -> PowerSpectrum:
@@ -190,42 +153,17 @@ def integrate_span(
 
 
 def propagate_link_numerical(
-    launch: PowerSpectrum, link: "LinkSpec", options: SolverOptions = SolverOptions()
-) -> PropagationResult:
-    """Concatenated per-span integration with the link's amplifier policy.
+    launch: PowerSpectrum, link: LinkSpec, options: SolverOptions = SolverOptions()
+) -> MultiSpanResult:
+    """Per-span integration with the link's amplifier policy.
 
-    Amplifiers sit between spans; each boundary sample appears twice in the
-    result (end of a span, then the re-amplified start of the next).  When
-    ``link.receiver_boost`` is set a final total-power-restoring sample is
-    appended at z = L.
+    ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
+    z; ``result.longitudinal([r.spectra for r in result.span_results])``
+    lays the samples out along the link.
     """
-    from .multispan import boundary_gain  # deferred to avoid a module cycle
 
-    if not link.spans:
-        raise ConfigurationError("link must contain at least one span")
-    total_launch = launch.total_power
-    band_targets = _band_totals(launch)
-    spectra: list[PowerSpectrum] = []
-    z0 = 0.0
-    current = launch
-    for k, fiber in enumerate(link.spans):
-        res = integrate_span(current, fiber, options)
-        spectra.extend(
-            PowerSpectrum(s.grid, s.powers, z=z0 + s.z) for s in res.spectra
-        )
-        z0 += fiber.length
-        out = spectra[-1]
-        if k < len(link.spans) - 1:
-            gain = boundary_gain(link.amplifiers[k], out, total_launch, band_targets)
-            current = PowerSpectrum(out.grid, out.powers * gain, z=0.0)
-    if link.receiver_boost:
-        out = spectra[-1]
-        spectra.append(out.scaled(total_launch / out.total_power))
-    return PropagationResult.from_spectra(spectra)
+    def oracle_span(span_input: PowerSpectrum, fiber: FiberSpec):
+        span = integrate_span(span_input, fiber, options)
+        return span, span.final
 
-
-def _band_totals(spectrum: PowerSpectrum) -> np.ndarray:
-    idx = spectrum.grid.band_index
-    return np.array(
-        [spectrum.powers[idx == i].sum() for i in range(len(spectrum.grid.bands))]
-    )
+    return _propagate_link(launch, link, oracle_span)

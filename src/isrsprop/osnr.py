@@ -21,16 +21,9 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .inverse import TargetSpectrum, preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
-from .ode_oracle import PowerSpectrum
-from .profiles import PLANCK, ChannelGrid
+from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze
 
 ASE_FORMULAS = ("g-minus-1", "gnf-minus-1")
-
-
-def _freeze(array) -> np.ndarray:
-    out = np.asarray(array, dtype=float).copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,7 @@ def ase_from_result(
     reference_bandwidth: float | None = None,
     formula: str = "g-minus-1",
 ) -> NoiseSpectrum:
-    """Convenience wrapper calling :func:`ase_accumulate` on a closed-form run."""
+    """:func:`ase_accumulate` on a link run of either the closed form or the oracle."""
     return ase_accumulate(
         result.link, result.gains, result.span_inputs, result.final,
         reference_bandwidth, formula,

@@ -1,4 +1,4 @@
-"""Channel grids, band plans, attenuation profiles and Raman gain models.
+"""Channel grids, power spectra, band plans, attenuation and Raman gain models.
 
 Internal unit convention, used everywhere in this package:
 
@@ -165,6 +165,38 @@ class ChannelGrid:
     def band_names(self) -> list[str]:
         """Band name of every channel, in grid order."""
         return [self.bands[i].name for i in self.band_index]
+
+
+@dataclass(frozen=True)
+class PowerSpectrum:
+    """Per-channel powers (W) at position ``z`` (km) on a shared grid."""
+
+    grid: ChannelGrid
+    powers: np.ndarray
+    z: float = 0.0
+
+    def __post_init__(self):
+        p = _freeze(self.powers)
+        if p.shape != (self.grid.n_channels,):
+            raise ConfigurationError(
+                f"expected {self.grid.n_channels} powers, got shape {p.shape}"
+            )
+        if np.any(p < 0):
+            raise ConfigurationError("channel powers must be non-negative")
+        object.__setattr__(self, "powers", p)
+
+    @property
+    def total_power(self) -> float:
+        return float(self.powers.sum())
+
+    def scaled(self, gain, z: float | None = None) -> "PowerSpectrum":
+        """New spectrum with powers multiplied by a scalar or per-channel gain."""
+        return PowerSpectrum(self.grid, self.powers * gain, self.z if z is None else z)
+
+    @classmethod
+    def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":
+        p = 10.0 ** (dbm_per_channel / 10.0) * 1e-3
+        return cls(grid, np.full(grid.n_channels, p), z)
 
 
 def build_channel_grid(

@@ -40,7 +40,7 @@ from isrsprop import (
 )
 from isrsprop.cli import main as cli_main
 from isrsprop.closedform import shaping_function
-from isrsprop.osnr import ase_accumulate, osnr_profile
+from isrsprop.osnr import ase_from_result, osnr_profile
 
 TABLE1_DBM = -1.0
 NF = {"C": 5.5, "L": 6.0, "U": 5.0}
@@ -181,17 +181,7 @@ def test_criterion_8_osnr_targeting():
 
     def oracle_osnr(launch_spectrum):
         result = propagate_link_numerical(launch_spectrum, link)
-        # rebuild per-span inputs and boundary gains from the sampled run:
-        # span k occupies samples [51k, 51k+50], the boost sample is last
-        samples = list(result.spectra)
-        span_inputs = [samples[51 * k] for k in range(5)]
-        gains = [
-            samples[51 * (k + 1)].total_power / samples[51 * (k + 1) - 1].total_power
-            for k in range(4)
-        ]
-        final = samples[-1]
-        noise = ase_accumulate(link, gains, span_inputs, final)
-        return osnr_profile(final, noise)
+        return osnr_profile(result.final, ase_from_result(result))
 
     osnr_pre = oracle_osnr(run.launch)
     osnr_flat = oracle_osnr(launch)

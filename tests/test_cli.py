@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -99,6 +100,31 @@ class TestCommands:
         assert main(["preemph", "--config", str(pre), "--output", str(tmp_path)]) == 0
         lines = (tmp_path / "pre_preemph_launch.csv").read_text().splitlines()
         assert len(lines) == 82
+
+    def test_link_longitudinal_layout_with_boost(self, tmp_path):
+        # both link backends: 2 spans x (steps + 1) samples, each boundary
+        # twice, then the receiver-boost row at the link end
+        path = small_config(
+            tmp_path, name="boost", grid={"plan": "CL", "spacing_ghz": 50},
+            link={"span_lengths_km": [40.0, 60.0],
+                  "amplifier": {"gain_policy": "restore-band-power"},
+                  "receiver_boost": True},
+        )
+        tables = {}
+        for command in ("solve", "multispan"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 0
+            with open(tmp_path / f"boost_{command}_longitudinal.csv", newline="") as fh:
+                tables[command] = list(csv.DictReader(fh))
+        z_columns = {command: [r["z_km"] for r in rows] for command, rows in tables.items()}
+        assert z_columns["solve"] == z_columns["multispan"]
+        for rows in tables.values():
+            z = [float(r["z_km"]) for r in rows]
+            assert len(rows) == 2 * (20 + 1) + 1
+            assert z.count(40.0) == 2 and z[-2] == z[-1] == 100.0
+            assert float(rows[-1]["total_dbm"]) == pytest.approx(
+                float(rows[0]["total_dbm"]), abs=1e-6
+            )
+            assert float(rows[-2]["total_dbm"]) < float(rows[0]["total_dbm"]) - 1.0
 
     def test_sweep_csv(self, tmp_path):
         path = small_config(

@@ -29,6 +29,11 @@ def two_channel_grid(spacing=1.0):
     return build_channel_grid([Band("X", 192.0, 192.0 + 2 * spacing)], spacing)
 
 
+def link_samples(result):
+    """The oracle's span samples on link z, boundaries twice, boost sample last."""
+    return result.longitudinal([r.spectra for r in result.span_results])
+
+
 class TestDerivative:
     def test_zero_field_gives_zero_derivative(self, clu_grid, default_fiber_100):
         spectrum = PowerSpectrum(clu_grid, np.zeros(clu_grid.n_channels))
@@ -152,16 +157,15 @@ class TestPropagateLink:
         link = LinkSpec.uniform(fiber, 2)
         launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
         result = propagate_link_numerical(launch, link)
-        # the sample right after the first amplifier equals the launch
-        start_2 = result.spectra[51]
-        assert start_2.z == pytest.approx(50.0)
+        # the input of the second span, right after the first amplifier, equals the launch
+        start_2 = result.span_inputs[1]
         assert np.max(np.abs(start_2.powers / launch.powers - 1.0)) < 1e-12
 
     def test_span_start_totals_restored(self, clu_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(clu_grid, -1.0)
         link = LinkSpec.uniform(default_fiber_50, 5)
-        result = propagate_link_numerical(launch, link)
-        starts = [s for s in result.spectra[1:] if s.z in (50.0, 100.0, 150.0, 200.0)]
+        spectra = link_samples(propagate_link_numerical(launch, link))
+        starts = [s for s in spectra[1:] if s.z in (50.0, 100.0, 150.0, 200.0)]
         post_amp = [s for s in starts if s.total_power > 0.5 * launch.total_power]
         assert len(post_amp) == 4
         for s in post_amp:
@@ -172,13 +176,16 @@ class TestPropagateLink:
         link = LinkSpec.uniform(default_fiber_50, 2, receiver_boost=True)
         result = propagate_link_numerical(launch, link)
         assert result.final.total_power == pytest.approx(launch.total_power, rel=1e-12)
+        last = link_samples(result)[-1]
+        assert last.z == pytest.approx(100.0)
+        assert last.total_power == pytest.approx(launch.total_power, rel=1e-12)
 
     def test_band_restore_policy_keeps_band_totals(self, cl_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(cl_grid, -1.0)
         amp = AmplifierSpec(gain_policy="restore-band-power")
         link = LinkSpec.uniform(default_fiber_50, 2, amplifier=amp)
-        result = propagate_link_numerical(launch, link)
-        start_2 = result.spectra[51]
+        start_2 = link_samples(propagate_link_numerical(launch, link))[51]
+        assert start_2.z == pytest.approx(50.0)
         for b in range(len(cl_grid.bands)):
             sel = cl_grid.band_index == b
             assert start_2.powers[sel].sum() == pytest.approx(
