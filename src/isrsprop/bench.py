@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import derive_params, power_profile
-from .errors import ConfigurationError
-from .ode_oracle import SolverOptions, integrate_span
+from .errors import ConfigurationError, NumericalInstabilityError
+from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
     AttenuationProfile,
     FiberSpec,
@@ -100,43 +100,62 @@ class SweepSummary:
     mean_abs_error: float
 
 
-def _run_cell(args) -> list[SweepRecord]:
-    config, band, peak, power_dbm, length = args
+def _run_group(args) -> list[SweepRecord]:
+    """Records of every cell sharing one (band plan, Raman peak), in cell order.
+
+    The cells share the grid and the fiber model, hence the coupling matrix,
+    so the oracle integrates them as one batch; only the launch power and
+    the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
+    time over its cell count.
+    """
+    config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
     raman = RamanGainModel.triangular(
         peak=peak, peak_separation=config.raman_peak_separation, window=config.raman_window
     )
-    fiber = FiberSpec(attenuation=config.attenuation, raman=raman, length=length)
-    launch = PowerSpectrum.flat_dbm(grid, power_dbm)
+    fibers = [FiberSpec(attenuation=config.attenuation, raman=raman, length=length)
+              for _, length in cells]
+    launches = [PowerSpectrum.flat_dbm(grid, power_dbm) for power_dbm, _ in cells]
     options = SolverOptions(steps_per_span=config.steps_per_span)
-    records = []
     try:
         t0 = time.perf_counter()
-        oracle = integrate_span(launch, fiber, options).final
-        oracle_s = time.perf_counter() - t0
+        outputs, messages = _integrate_batch(
+            np.array([launch.powers for launch in launches]),
+            [length for _, length in cells],
+            _span_operator(grid, fibers[0], options),  # the span length plays no part
+            options.steps_per_span,
+        )
+        oracle_s = (time.perf_counter() - t0) / len(cells)
+        errors = [repr(NumericalInstabilityError(m)) if m else "" for m in messages]
     except Exception as exc:  # failed cells are recorded, the sweep continues
-        return [
-            SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
-                        0.0, 0.0, error=repr(exc))
-            for n in config.orders
-        ]
-    oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
-    for n in config.orders:
-        try:
-            t0 = time.perf_counter()
-            params = derive_params(launch, fiber, n)
-            closed = power_profile(launch, params, raman.slope, length)
-            closed_s = time.perf_counter() - t0
-            eps = total_power_error_ratio(closed, oracle)
-            dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())
-            records.append(
-                SweepRecord(band, peak, power_dbm, length, n, eps, dev, oracle_s, closed_s)
-            )
-        except Exception as exc:
-            records.append(
+        errors = [repr(exc)] * len(cells)
+    records = []
+    for b, ((power_dbm, length), launch, fiber) in enumerate(zip(cells, launches, fibers)):
+        if errors[b]:
+            records.extend(
                 SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
-                            oracle_s, 0.0, error=repr(exc))
+                            0.0, 0.0, error=errors[b])
+                for n in config.orders
             )
+            continue
+        oracle = PowerSpectrum(grid, outputs[b])
+        oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
+        for n in config.orders:
+            try:
+                t0 = time.perf_counter()
+                params = derive_params(launch, fiber, n)
+                closed = power_profile(launch, params, raman.slope, length)
+                closed_s = time.perf_counter() - t0
+                eps = total_power_error_ratio(closed, oracle)
+                dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())
+                records.append(
+                    SweepRecord(band, peak, power_dbm, length, n, eps, dev, oracle_s, closed_s)
+                )
+            except Exception as exc:
+                records.append(
+                    SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
+                                oracle_s, 0.0, error=repr(exc))
+                )
     return records
 
 
@@ -145,22 +164,25 @@ def run_order_sweep(
 ) -> tuple[list[SweepRecord], list[SweepSummary]]:
     """Run every cell of the sweep; cell order is fixed by the config axes.
 
-    ``workers > 1`` fans cells out to a process pool; results are collected
-    in config order either way, so output is deterministic.
+    Cells are integrated in (band plan, Raman peak) groups, contiguous in
+    cell order.  ``workers > 1`` fans the groups out to a process pool; the
+    batches are the same either way and results are collected in config
+    order, so output is deterministic.
     """
-    cells = [
-        (config, band, float(peak), float(power), float(length))
+    powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
+    lengths = config.axis(config.length_range_km, config.length_count)
+    groups = [
+        (config, band, float(peak),
+         [(float(power), float(length)) for power in powers for length in lengths])
         for band in config.band_plans
         for peak in config.axis(config.raman_peak_range, config.raman_peak_count)
-        for power in config.axis(config.launch_power_dbm_range, config.launch_power_count)
-        for length in config.axis(config.length_range_km, config.length_count)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell, cells, chunksize=4))
+            per_group = list(pool.map(_run_group, groups))
     else:
-        per_cell = [_run_cell(c) for c in cells]
-    records = [r for cell in per_cell for r in cell]
+        per_group = [_run_group(g) for g in groups]
+    records = [r for group in per_group for r in group]
     return records, summarize(records)
 
 

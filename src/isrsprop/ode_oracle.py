@@ -9,13 +9,15 @@ For channel i the power P_i(z) in W obeys
 with c = 1 when the photon-conversion correction is enabled and c = 0
 otherwise.  The integrator is classic fixed-step fourth-order Runge-Kutta so
 results are reproducible for a given step count; this module is the ground
-truth the closed-form solution is validated against.
+truth the closed-form solution is validated against.  It steps a (B, n)
+matrix of launches that share a grid and fiber model, one span length per
+row; :func:`integrate_span` is the one-row case that keeps every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,19 +105,40 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
     return k
 
 
+def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions):
+    """(K, alpha) of a grid and fiber model; the span length plays no part in either."""
+    alpha = attenuation_at(fiber.attenuation, grid.frequencies)
+    return _coupling_matrix(grid, fiber, options), alpha
+
+
 def isrs_derivative(
     spectrum: PowerSpectrum, fiber: FiberSpec, options: SolverOptions = SolverOptions()
 ) -> np.ndarray:
     """Per-channel dP/dz in W/km at the spectrum's position."""
-    alpha = attenuation_at(fiber.attenuation, spectrum.grid.frequencies)
-    k = _coupling_matrix(spectrum.grid, fiber, options)
+    k, alpha = _span_operator(spectrum.grid, fiber, options)
     p = spectrum.powers
     return p * (k @ p) - alpha * p
 
 
-def _rk4(p0: np.ndarray, deriv: Callable[[np.ndarray], np.ndarray], length: float, steps: int):
-    """Classic RK4 with fixed step length/steps; yields the state after each step."""
-    h = length / steps
+def _rk4(p0: np.ndarray, k: np.ndarray, alpha: np.ndarray, h: np.ndarray, steps: int):
+    """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
+
+    Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
+    Each stage is one stacked product ``K @ p_b`` over the rows, which numpy
+    hands to BLAS as one matrix-vector product per row: the arithmetic of a
+    one-row ``K @ p``, so a row's result is bit-identical whatever batch it
+    is in.  (A ``P @ K.T`` matrix product is faster but sums in another
+    order and moves the last bits.)  Yields ``(rows, p, unstable)`` after
+    each step: the batch indices of the rows still integrating, their state,
+    and the mask of those with a power below ``_NEGATIVE_FLOOR`` or not
+    finite (an overflowing launch).  Unstable rows leave the batch before
+    the next step; the others carry on.
+    """
+
+    def deriv(p):
+        return p * np.matmul(k, p[:, :, None])[:, :, 0] - alpha * p
+
+    rows = np.arange(p0.shape[0])
     p = p0.copy()
     for _ in range(steps):
         k1 = deriv(p)
@@ -123,33 +146,70 @@ def _rk4(p0: np.ndarray, deriv: Callable[[np.ndarray], np.ndarray], length: floa
         k3 = deriv(p + 0.5 * h * k2)
         k4 = deriv(p + h * k3)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield p
+        unstable = ~((p.min(axis=1) >= _NEGATIVE_FLOOR) & (p.max(axis=1) < np.inf))
+        yield rows, p, unstable
+        if unstable.any():
+            rows, p, h = rows[~unstable], p[~unstable], h[~unstable]
+
+
+def _instability_message(p: np.ndarray, z: float, steps: int) -> str:
+    kind = "negative" if p.min() < _NEGATIVE_FLOOR else "non-finite"
+    return f"{kind} channel power at z = {z:.3f} km; increase steps_per_span (currently {steps})"
+
+
+def _integrate_span(
+    launch: PowerSpectrum, length: float, operator: tuple[np.ndarray, np.ndarray], steps: int
+) -> PropagationResult:
+    """:func:`integrate_span` with the ``(K, alpha)`` pair of the grid and fiber model given."""
+    if launch.z != 0.0:
+        raise ConfigurationError("span integration expects a launch spectrum at z = 0")
+    k, alpha = operator
+    h = length / steps
+    spectra = [launch]
+    for i, (_, p, unstable) in enumerate(
+        _rk4(launch.powers[None, :], k, alpha, np.array([[h]]), steps)
+    ):
+        if unstable[0]:
+            raise NumericalInstabilityError(_instability_message(p[0], (i + 1) * h, steps))
+        # forgive sub-floor rounding only
+        spectra.append(PowerSpectrum(launch.grid, np.maximum(p[0], 0.0), z=(i + 1) * h))
+    return PropagationResult.from_spectra(spectra)
 
 
 def integrate_span(
     launch: PowerSpectrum, fiber: FiberSpec, options: SolverOptions = SolverOptions()
 ) -> PropagationResult:
-    """Integrate one span, returning all intermediate spectra including z=0 and z=L."""
-    if launch.z != 0.0:
-        raise ConfigurationError("span integration expects a launch spectrum at z = 0")
-    alpha = attenuation_at(fiber.attenuation, launch.grid.frequencies)
-    k = _coupling_matrix(launch.grid, fiber, options)
+    """Integrate one span, returning all intermediate spectra including z=0 and z=L.
 
-    def deriv(p):
-        return p * (k @ p) - alpha * p
+    The batched integrator with one row.
+    """
+    operator = _span_operator(launch.grid, fiber, options)
+    return _integrate_span(launch, fiber.length, operator, options.steps_per_span)
 
-    steps = options.steps_per_span
-    h = fiber.length / steps
-    spectra = [launch]
-    for i, p in enumerate(_rk4(launch.powers, deriv, fiber.length, steps)):
-        if p.min() < _NEGATIVE_FLOOR:
-            raise NumericalInstabilityError(
-                f"negative channel power at z = {(i + 1) * h:.3f} km; "
-                f"increase steps_per_span (currently {steps})"
-            )
-        p = np.maximum(p, 0.0)  # forgive sub-floor rounding only
-        spectra.append(PowerSpectrum(launch.grid, p, z=(i + 1) * h))
-    return PropagationResult.from_spectra(spectra)
+
+def _integrate_batch(
+    launch_powers: np.ndarray,
+    lengths: Sequence[float],
+    operator: tuple[np.ndarray, np.ndarray],
+    steps: int,
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Output powers of B launches through spans that share one ``(K, alpha)`` pair.
+
+    Row b of the (B, n) ``launch_powers`` (W) goes through a span
+    ``lengths[b]`` km long.  Returns the (B, n) output powers, each row
+    bit-identical to :func:`integrate_span`'s final powers, and one error
+    string per row: empty, or the message :func:`integrate_span` raises for
+    that launch, in which case the row's powers are NaN.
+    """
+    k, alpha = operator
+    h = np.asarray(lengths, dtype=float)[:, None] / steps
+    out = np.full(launch_powers.shape, np.nan)
+    errors = [""] * len(h)
+    for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, k, alpha, h, steps)):
+        for row, b in zip(p[unstable], rows[unstable]):
+            errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
+    out[rows[~unstable]] = np.maximum(p[~unstable], 0.0)  # the rows that finished
+    return out, tuple(errors)
 
 
 def propagate_link_numerical(
@@ -159,11 +219,17 @@ def propagate_link_numerical(
 
     ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
     z; ``result.longitudinal([r.spectra for r in result.span_results])``
-    lays the samples out along the link.
+    lays the samples out along the link.  K and alpha are built once per
+    distinct (Raman model, attenuation) pair of the link's spans.
     """
+    operators = {}
 
     def oracle_span(span_input: PowerSpectrum, fiber: FiberSpec):
-        span = integrate_span(span_input, fiber, options)
+        # identity keys: the link holds every model alive for the whole run
+        key = (id(fiber.raman), id(fiber.attenuation))
+        if key not in operators:
+            operators[key] = _span_operator(span_input.grid, fiber, options)
+        span = _integrate_span(span_input, fiber.length, operators[key], options.steps_per_span)
         return span, span.final
 
     return _propagate_link(launch, link, oracle_span)

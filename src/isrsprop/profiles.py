@@ -181,7 +181,12 @@ class PowerSpectrum:
             raise ConfigurationError(
                 f"expected {self.grid.n_channels} powers, got shape {p.shape}"
             )
-        if np.any(p < 0):
+        # min and max propagate NaN, so two reductions catch every bad value
+        # without another pass over the array: spectra are built in hot loops
+        lo, hi = p.min(), p.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigurationError("channel powers must be finite")
+        if lo < 0:
             raise ConfigurationError("channel powers must be non-negative")
         object.__setattr__(self, "powers", p)
 
@@ -449,8 +454,8 @@ class FiberSpec:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigurationError("fiber length must be positive")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ConfigurationError("fiber length must be positive and finite")
 
 
 def default_fiber(length: float = 100.0, peak: float = 0.4) -> FiberSpec:

@@ -10,6 +10,10 @@ from isrsprop import (
     total_power_error_ratio,
 )
 from isrsprop.bench import summarize, write_records_csv, write_summary_csv
+from isrsprop.closedform import derive_params, power_profile
+from isrsprop.errors import NumericalInstabilityError
+from isrsprop.ode_oracle import SolverOptions, integrate_span
+from isrsprop.profiles import FiberSpec, RamanGainModel, build_channel_grid
 
 
 class TestErrorRatio:
@@ -126,6 +130,61 @@ class TestSweep:
         assert lines[0].startswith("band,raman_peak,")
         assert len(lines) == 5
         assert len(sum_path.read_text().splitlines()) == 3
+
+
+def per_cell_reference(config):
+    """(band, peak, power, length, order, eps_p, max_deviation_db, error) per record,
+    one integrate_span call per cell."""
+    out = []
+    options = SolverOptions(steps_per_span=config.steps_per_span)
+    for band in config.band_plans:
+        grid = build_channel_grid(band, config.spacing)
+        for peak in config.axis(config.raman_peak_range, config.raman_peak_count):
+            raman = RamanGainModel.triangular(
+                peak=peak, peak_separation=config.raman_peak_separation,
+                window=config.raman_window,
+            )
+            for power in config.axis(config.launch_power_dbm_range, config.launch_power_count):
+                for length in config.axis(config.length_range_km, config.length_count):
+                    cell = (band, float(peak), float(power), float(length))
+                    fiber = FiberSpec(config.attenuation, raman, float(length))
+                    launch = PowerSpectrum.flat_dbm(grid, float(power))
+                    try:
+                        oracle = integrate_span(launch, fiber, options).final
+                    except NumericalInstabilityError as exc:
+                        out += [(*cell, n, np.nan, np.nan, repr(exc)) for n in config.orders]
+                        continue
+                    oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
+                    for n in config.orders:
+                        params = derive_params(launch, fiber, n)
+                        closed = power_profile(launch, params, raman.slope, float(length))
+                        closed_dbm = 10.0 * np.log10(closed.powers / 1e-3)
+                        dev = float(np.abs(closed_dbm - oracle_dbm).max())
+                        out.append((*cell, n, total_power_error_ratio(closed, oracle), dev, ""))
+    return out
+
+
+class TestBatchedSweep:
+    def test_records_match_per_cell_integration(self):
+        # the CL cells at 12 dBm go unstable at 8 steps, the rest of their group does not
+        config = SweepConfig(
+            band_plans=("C", "CL"), raman_peak_count=2,
+            launch_power_dbm_range=(-1.0, 12.0), launch_power_count=2,
+            length_range_km=(60.0, 150.0), length_count=2,
+            orders=(1, 4), steps_per_span=8,
+        )
+        records, _ = run_order_sweep(config)
+        expected = per_cell_reference(config)
+        assert len(records) == len(expected) == 32
+        assert sum(1 for e in expected if e[-1]) == 8
+        for r, (band, peak, power, length, order, eps, dev, error) in zip(records, expected):
+            assert (r.band, r.raman_peak, r.launch_power_dbm, r.length_km, r.order, r.error) == (
+                band, peak, power, length, order, error
+            )
+            if error:
+                assert np.isnan(r.eps_p) and np.isnan(r.max_deviation_db)
+            else:  # the batch rows are bit-identical to integrate_span
+                assert (r.eps_p, r.max_deviation_db) == (eps, dev)
 
 
 class TestFailedCells:

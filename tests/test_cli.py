@@ -48,6 +48,16 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(path)]) == 2
         assert "'Q'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-config", "solve"])
+    def test_non_finite_length_is_config_error(self, tmp_path, capsys, command):
+        path = small_config(tmp_path)
+        data = json.loads(path.read_text())
+        data["fiber"]["length_km"] = float("nan")
+        path.write_text(json.dumps(data))  # written as the JSON extension literal NaN
+        assert "NaN" in path.read_text()
+        assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+        assert "fiber length" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2
 

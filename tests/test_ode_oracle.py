@@ -18,6 +18,7 @@ from isrsprop import (
     isrs_derivative,
     propagate_link_numerical,
 )
+from isrsprop.ode_oracle import _integrate_batch, _span_operator
 from isrsprop.profiles import attenuation_at
 
 from conftest import constant_alpha_fiber, raman_free_fiber
@@ -144,6 +145,63 @@ class TestIntegrateSpan:
             integrate_span(launch, fiber, SolverOptions(steps_per_span=1))
 
 
+class TestIntegrateBatch:
+    """Each row of a batch is bit-identical to integrate_span on its own."""
+
+    @staticmethod
+    def mixed_launches(grid, count):
+        rng = np.random.default_rng(3)
+        ripple = rng.uniform(-0.5, 0.5, (count, grid.n_channels))
+        dbm = rng.uniform(-5.0, 2.0, count)[:, None] + ripple
+        return 1e-3 * 10.0 ** (dbm / 10.0), rng.uniform(40.0, 150.0, count)
+
+    @staticmethod
+    def single(grid, powers, fiber, length, options):
+        fiber = FiberSpec(fiber.attenuation, fiber.raman, length)
+        return integrate_span(PowerSpectrum(grid, powers), fiber, options).final.powers
+
+    @pytest.mark.parametrize(
+        "raman, options",
+        [
+            (RamanGainModel.triangular(peak=0.4), SolverOptions(steps_per_span=30)),
+            (RamanGainModel.triangular(peak=0.4),
+             SolverOptions(steps_per_span=30, photon_correction=True)),
+            (RamanGainModel.from_table([0.0, 7.0, 13.0, 14.5, 16.0], [0.0, 0.15, 0.42, 0.3, 0.0]),
+             SolverOptions(steps_per_span=30, raman_model="tabulated")),
+        ],
+        ids=["triangular", "photon-correction", "tabulated"],
+    )
+    def test_rows_match_integrate_span(self, cl_grid, raman, options):
+        powers, lengths = self.mixed_launches(cl_grid, 5)
+        fiber = FiberSpec(AttenuationProfile.constant_db(0.2), raman, 1.0)
+        operator = _span_operator(cl_grid, fiber, options)
+        out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
+        assert errors == ("",) * 5
+        for row, p, length in zip(out, powers, lengths):
+            np.testing.assert_array_equal(row, self.single(cl_grid, p, fiber, length, options))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_unstable_row_leaves_the_batch(self):
+        grid = two_channel_grid(10.0)
+        raman = RamanGainModel.triangular(slope=5.0, window=15.5)
+        fiber = FiberSpec(AttenuationProfile.constant(1e-12), raman, 100.0)
+        options = SolverOptions(steps_per_span=2)
+        # rows 1 and 3 are absurdly hot: one goes negative, the other overflows
+        powers = np.array([[1e-3, 1e-3], [5.0, 5.0], [2e-3, 1e-3], [1e200, 1e200]])
+        lengths = [30.0, 100.0, 60.0, 100.0]
+        out, errors = _integrate_batch(powers, lengths, _span_operator(grid, fiber, options), 2)
+        for b, kind in ((1, "negative"), (3, "non-finite")):
+            with pytest.raises(NumericalInstabilityError, match=f"^{kind}") as raised:
+                integrate_span(PowerSpectrum(grid, powers[b]), fiber, options)
+            assert errors[b] == str(raised.value)
+            assert np.all(np.isnan(out[b]))
+        for b in (0, 2):
+            assert errors[b] == ""
+            np.testing.assert_array_equal(
+                out[b], self.single(grid, powers[b], fiber, lengths[b], options)
+            )
+
+
 class TestPropagateLink:
     def test_single_span_equals_integrate_span(self, c_grid, default_fiber_100):
         launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
@@ -151,6 +209,27 @@ class TestPropagateLink:
         a = propagate_link_numerical(launch, link)
         b = integrate_span(launch, default_fiber_100)
         assert np.array_equal(a.final.powers, b.final.powers)
+
+    def test_coupling_matrix_built_once_per_fiber_model(
+        self, c_grid, default_fiber_50, monkeypatch
+    ):
+        from isrsprop import ode_oracle
+
+        calls = []
+        build = ode_oracle._coupling_matrix
+        monkeypatch.setattr(ode_oracle, "_coupling_matrix",
+                            lambda *args: calls.append(1) or build(*args))
+        launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
+        shared = LinkSpec.uniform(default_fiber_50, 3)
+        other = FiberSpec(default_fiber_50.attenuation, RamanGainModel.triangular(peak=0.3), 50.0)
+        mixed = LinkSpec(spans=(default_fiber_50, other, default_fiber_50),
+                         amplifiers=(AmplifierSpec(),) * 2)
+        propagate_link_numerical(launch, shared)
+        assert len(calls) == 1
+        result = propagate_link_numerical(launch, mixed)
+        assert len(calls) == 3
+        single = integrate_span(launch, default_fiber_50).final
+        np.testing.assert_array_equal(result.span_outputs[0].powers, single.powers)
 
     def test_flat_gain_exactly_undoes_flat_loss(self, c_grid):
         fiber = constant_alpha_fiber(0.2, 50.0, peak=0.0)

@@ -8,10 +8,14 @@ from isrsprop import (
     AttenuationProfile,
     Band,
     ConfigurationError,
+    FiberSpec,
+    PowerSpectrum,
     RamanGainModel,
     attenuation_at,
     build_channel_grid,
     convert_units,
+    default_attenuation,
+    default_raman,
     raman_gain_at,
 )
 
@@ -170,3 +174,21 @@ class TestAttenuation:
         out = attenuation_at(profile, np.array([192.0, 193.0, 194.0]))
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.04)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (-1e-3, "non-negative")],
+    )
+    def test_power_spectrum_rejects_bad_powers(self, bad, match):
+        grid = build_channel_grid("C")
+        powers = np.full(grid.n_channels, 1e-3)
+        powers[5] = bad
+        with pytest.raises(ConfigurationError, match=match):
+            PowerSpectrum(grid, powers)
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+    def test_fiber_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(ConfigurationError, match="fiber length"):
+            FiberSpec(default_attenuation(), default_raman(), length)
