@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Fingerprint every CLI output of a checkout, for byte-identity comparisons.
+
+Runs every shipped config under ``configs/`` through every subcommand, in
+csv and json, and writes ``OUT_DIR/manifest.json``: one SHA-256 per output
+file and one (exit code, stdout, stderr) per run.  The sweep's timing
+columns (``oracle_seconds``, ``closedform_seconds``) are dropped before
+hashing, since they change from run to run.
+
+To check that a change leaves every output as it was, fingerprint the parent
+and the change and diff the manifests:
+
+    git worktree add ../parent HEAD~1
+    python scripts/compare_outputs.py /tmp/before --repo ../parent
+    python scripts/compare_outputs.py /tmp/after
+    diff /tmp/before/manifest.json /tmp/after/manifest.json
+"""
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+SUBCOMMANDS = ("solve", "closed-form", "multispan", "sweep", "preemph", "osnr-target",
+               "validate-config")
+FORMATS = ("csv", "json")
+TIMING_FIELDS = ("oracle_seconds", "closedform_seconds")
+
+
+def _without_timing(path: Path) -> bytes:
+    """File bytes, with the sweep's timing columns removed."""
+    if "_sweep_" not in path.name:
+        return path.read_bytes()
+    if path.suffix == ".json":
+        records = json.loads(path.read_text())
+        for record in records:
+            for field in TIMING_FIELDS:
+                record.pop(field, None)
+        return json.dumps(records, indent=1).encode()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out_dir", type=Path, help="directory for the outputs and manifest.json")
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose code and configs are run (default: this one)")
+    args = parser.parse_args()
+    repo = args.repo.resolve()
+    out_dir = args.out_dir.resolve()
+
+    sys.path.insert(0, str(repo / "src"))
+    import isrsprop
+    from isrsprop.cli import main as cli_main
+
+    if not Path(isrsprop.__file__).resolve().is_relative_to(repo):
+        parser.error(f"imported isrsprop from {isrsprop.__file__}, not from {repo}")
+
+    # relative config paths keep the checkout's location out of messages
+    os.chdir(repo)
+    runs = {}
+    for config in sorted(Path("configs").glob("*.json")):
+        for command in SUBCOMMANDS:
+            for fmt in FORMATS:
+                run_dir = out_dir / "runs" / config.stem / command / fmt
+                argv = [command, "--config", str(config), "--output", str(run_dir),
+                        "--format", fmt]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = cli_main(argv)
+                    except Exception as exc:  # a crash is a result to compare too
+                        code, stderr = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
+                runs[f"{config.stem} {command} {fmt}"] = {
+                    "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                }
+                print(f"{code} {config.stem} {command} {fmt}", file=sys.stderr)
+    files = {
+        str(path.relative_to(out_dir)): hashlib.sha256(_without_timing(path)).hexdigest()
+        for path in sorted((out_dir / "runs").rglob("*")) if path.is_file()
+    }
+    manifest = {"runs": runs, "files": files}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    print(f"{len(runs)} runs, {len(files)} files -> {out_dir / 'manifest.json'}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -103,13 +103,18 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
+    return _attenuation_and_mean(launch, attenuation, order)[1]
+
+
+def _attenuation_and_mean(spectrum: PowerSpectrum, attenuation: AttenuationProfile, order: int):
+    """Per-channel alpha(f_i) and its order-n power mean weighted by the spectrum."""
     if order < 1:
         raise ConfigurationError("approximation order must be a positive integer")
-    total = launch.total_power
+    total = spectrum.total_power
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
-    alpha = attenuation_at(attenuation, launch.grid.frequencies)
-    return float((np.sum(alpha**order * launch.powers) / total) ** (1.0 / order))
+    alpha = attenuation_at(attenuation, spectrum.grid.frequencies)
+    return alpha, float((np.sum(alpha**order * spectrum.powers) / total) ** (1.0 / order))
 
 
 def _shaping_ref_from_arrays(
@@ -173,8 +178,7 @@ def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> Cl
     """
     tri = fiber.raman.as_triangular()
     shaping = shaping_function(launch, tri.window)
-    alpha0 = total_attenuation_coefficient(launch, fiber.attenuation, order)
-    alpha = attenuation_at(fiber.attenuation, launch.grid.frequencies)
+    alpha, alpha0 = _attenuation_and_mean(launch, fiber.attenuation, order)
     if tri.slope == 0.0:
         ref = 0.0
     else:

@@ -7,6 +7,7 @@ converted to internal linear units here.  See the README for the schema.
 from __future__ import annotations
 
 import csv
+import difflib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,44 @@ class RunConfig:
     refresh_reference: bool
 
 
+# Every key the parsers (and cli.cmd_osnr_target) read, per section.
+_KNOWN_KEYS = {
+    "config": ("name", "grid", "fiber", "link", "launch", "solver", "sweep", "order",
+               "osnr_target", "refresh_reference"),
+    "grid": ("plan", "spacing_thz", "spacing_ghz", "bands"),
+    "grid.bands": ("name", "f_low_thz", "f_high_thz"),
+    "fiber": ("length_km", "attenuation", "raman"),
+    "fiber.attenuation": ("kind", "db_per_km", "min_db_per_km", "vertex_thz",
+                          "curvature_db_per_km_per_thz2", "frequencies_thz"),
+    "fiber.raman": ("kind", "slope_per_w_per_km_per_thz", "peak_per_w_per_km",
+                    "peak_separation_thz", "window_thz", "separations_thz",
+                    "gain_per_w_per_km"),
+    "link": ("span_lengths_km", "amplifier", "receiver_boost"),
+    "link.amplifier": ("gain_policy", "gain_linear", "noise_figure_db"),
+    "launch": ("mode", "power_dbm_per_channel", "powers_dbm", "powers_dbm_file", "target",
+               "total_launch_power_dbm"),
+    "launch.target": ("shape", "power_dbm_per_channel", "values_dbm", "values", "normalized"),
+    "solver": ("steps_per_span", "photon_correction", "raman_model"),
+    "sweep": ("band_plans", "raman_peak_range", "raman_peak_count", "launch_power_dbm_range",
+              "launch_power_count", "length_range_km", "length_count", "orders",
+              "raman_window_thz", "raman_peak_separation_thz", "steps_per_span"),
+    "osnr_target": ("values_db", "shape", "total_launch_power_dbm", "reference_bandwidth_ghz",
+                    "step", "tolerance", "max_iterations", "rmse_in_db"),
+}
+
+
+def _check_keys(section, where: str) -> None:
+    """Reject a section that is not an object or holds a key nothing reads."""
+    if not isinstance(section, Mapping):
+        raise ConfigurationError(f"{where}: expected a JSON object")
+    known = _KNOWN_KEYS[where]
+    for key in section:
+        if key not in known:
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigurationError(f"{where}: unknown key {key!r}{hint}")
+
+
 def _require(section: Mapping, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"{where}: missing required key {key!r}")
@@ -71,12 +110,15 @@ def _parse_grid(section: Mapping | None) -> ChannelGrid | None:
     if section is None:
         return None
     where = "grid"
+    _check_keys(section, where)
     spacing = _grid_spacing(section)
     if "plan" in section:
         return build_channel_grid(section["plan"], spacing)
     if "bands" not in section:
         return None  # spacing-only grid section (sweep configs)
     bands = _require(section, "bands", where)
+    for b in bands:
+        _check_keys(b, "grid.bands")
     parsed = [
         Band(_require(b, "name", where), float(_require(b, "f_low_thz", where)),
              float(_require(b, "f_high_thz", where)))
@@ -88,6 +130,7 @@ def _parse_grid(section: Mapping | None) -> ChannelGrid | None:
 def _parse_attenuation(section: Mapping | None) -> AttenuationProfile:
     if section is None:
         return default_attenuation()
+    _check_keys(section, "fiber.attenuation")
     kind = _require(section, "kind", "fiber.attenuation")
     if kind == "constant":
         return AttenuationProfile.constant_db(float(_require(section, "db_per_km", "attenuation")))
@@ -108,6 +151,7 @@ def _parse_attenuation(section: Mapping | None) -> AttenuationProfile:
 def _parse_raman(section: Mapping | None) -> RamanGainModel:
     if section is None:
         return default_raman()
+    _check_keys(section, "fiber.raman")
     kind = _require(section, "kind", "fiber.raman")
     if kind == "triangular":
         return RamanGainModel.triangular(
@@ -127,6 +171,7 @@ def _parse_raman(section: Mapping | None) -> RamanGainModel:
 def _parse_fiber(section: Mapping | None, length_required: bool) -> FiberSpec | None:
     if section is None:
         return None
+    _check_keys(section, "fiber")
     attenuation = _parse_attenuation(section.get("attenuation"))
     raman = _parse_raman(section.get("raman"))
     length = section.get("length_km")
@@ -140,6 +185,7 @@ def _parse_fiber(section: Mapping | None, length_required: bool) -> FiberSpec | 
 def _parse_amplifier(section: Mapping | None) -> AmplifierSpec:
     if section is None:
         return AmplifierSpec()
+    _check_keys(section, "link.amplifier")
     return AmplifierSpec(
         gain_policy=section.get("gain_policy", "restore-total-power"),
         gain=section.get("gain_linear"),
@@ -152,6 +198,7 @@ def _parse_link(section: Mapping | None, fiber: FiberSpec | None) -> LinkSpec | 
         return None
     if fiber is None:
         raise ConfigurationError("link: needs a fiber section for span properties")
+    _check_keys(section, "link")
     lengths = _require(section, "span_lengths_km", "link")
     if not lengths:
         raise ConfigurationError("link: span_lengths_km must be non-empty")
@@ -191,6 +238,7 @@ def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, base_dir: P
         return None, None, None, None
     if grid is None:
         raise ConfigurationError("launch: needs a grid section")
+    _check_keys(section, "launch")
     mode = _require(section, "mode", "launch")
     if mode == "flat":
         dbm = float(_require(section, "power_dbm_per_channel", "launch"))
@@ -218,6 +266,7 @@ def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, base_dir: P
 
 
 def _parse_target(section: Mapping, grid: ChannelGrid) -> TargetSpectrum:
+    _check_keys(section, "launch.target")
     if section.get("shape") == "flat":
         if "power_dbm_per_channel" in section:
             return TargetSpectrum.absolute_dbm(
@@ -237,6 +286,7 @@ def _parse_target(section: Mapping, grid: ChannelGrid) -> TargetSpectrum:
 def _parse_solver(section: Mapping | None) -> SolverOptions:
     if section is None:
         return SolverOptions()
+    _check_keys(section, "solver")
     return SolverOptions(
         steps_per_span=int(section.get("steps_per_span", 50)),
         photon_correction=bool(section.get("photon_correction", False)),
@@ -247,6 +297,8 @@ def _parse_solver(section: Mapping | None) -> SolverOptions:
 def _parse_sweep(section: Mapping | None, attenuation: AttenuationProfile, spacing: float):
     if section is None:
         return None
+    _check_keys(section, "sweep")
+
     def pair(key, default):
         v = section.get(key, default)
         return (float(v[0]), float(v[1]))
@@ -285,6 +337,7 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
         default_name = "scenario"
     if not isinstance(data, Mapping):
         raise ConfigurationError("config root must be a JSON object")
+    _check_keys(data, "config")
 
     grid = _parse_grid(data.get("grid"))
     has_link = "link" in data
@@ -301,6 +354,7 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
         raise ConfigurationError("order must be a positive integer")
     osnr = data.get("osnr_target")
     if osnr is not None:
+        _check_keys(osnr, "osnr_target")
         if grid is None or link is None:
             raise ConfigurationError("osnr_target: needs grid and link sections")
         if "total_launch_power_dbm" not in osnr and (

@@ -18,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    ClosedFormParams,
-    shaping_function,
-    total_attenuation_coefficient,
-)
+from .closedform import ClosedFormParams, _attenuation_and_mean, shaping_function
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
-from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, attenuation_at
+from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,7 @@ def closedform_params_from_output(
         raise ConfigurationError("total output power must be positive")
     tri = fiber.raman.as_triangular()
     shaping = shaping_function(output, tri.window)
-    alpha0 = total_attenuation_coefficient(output, fiber.attenuation, order)
-    alpha = attenuation_at(fiber.attenuation, output.grid.frequencies)
+    alpha, alpha0 = _attenuation_and_mean(output, fiber.attenuation, order)
     weights = alpha**order * output.powers / (alpha0**order * total_out)
     ref = float(np.sum(weights * shaping)) if tri.slope != 0.0 else 0.0
     leff = -math.expm1(-alpha0 * fiber.length) / alpha0
@@ -98,20 +93,25 @@ def closedform_params_from_output(
     )
 
 
-def _launch_from_output(
-    output_powers: np.ndarray,
-    params: ClosedFormParams,
-    slope: float,
-) -> np.ndarray:
-    """Invert the closed form: launch powers realizing the given output."""
-    alpha = params.channel_attenuation
-    length = params.length
+def _inversion_terms(params: ClosedFormParams, slope: float):
+    """Shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))``; tilt None if Raman-free."""
+    attenuation = params.channel_attenuation * params.length
     if slope == 0.0:
-        return output_powers * np.exp(alpha * length)
-    # P_T(L)(e^{a0 L} - 1)/a0 written via the implied launch total for stability
-    decay = params.total_launch_power * params.effective_length
-    exponent = alpha * length - slope * (params.shaping_ref - params.shaping) * decay
-    return output_powers * np.exp(exponent)
+        return attenuation, None
+    return attenuation, slope * (params.shaping_ref - params.shaping)
+
+
+def _launch_from_output(output_powers: np.ndarray, terms, decay: float) -> np.ndarray:
+    """Invert the closed form: launch powers realizing the given output.
+
+    ``terms`` comes from :func:`_inversion_terms`; ``decay`` is
+    P_T(L)(e^{a0 L} - 1)/a0, written as the implied launch total P_T(0)
+    times L_eff for stability.
+    """
+    attenuation, tilt = terms
+    if tilt is None:
+        return output_powers * np.exp(attenuation)
+    return output_powers * np.exp(attenuation - tilt * decay)
 
 
 def preemphasis_single_span(
@@ -137,7 +137,8 @@ def preemphasis_single_span(
             )
         output = PowerSpectrum(target.grid, target.values, z=fiber.length)
         params = closedform_params_from_output(output, fiber, order)
-        launch = _launch_from_output(output.powers, params, slope)
+        decay = params.total_launch_power * params.effective_length
+        launch = _launch_from_output(output.powers, _inversion_terms(params, slope), decay)
         return PowerSpectrum(target.grid, launch, z=0.0)
 
     if total_launch_power is None or total_launch_power <= 0:
@@ -147,11 +148,17 @@ def preemphasis_single_span(
     shape_spectrum = PowerSpectrum(target.grid, shape, z=fiber.length)
     params_unit = closedform_params_from_output(shape_spectrum, fiber, order)
     alpha = params_unit.channel_attenuation
+    terms = _inversion_terms(params_unit, slope)
+    growth = math.exp(params_unit.alpha0 * fiber.length)
+
+    def launch_at(output_total: float) -> np.ndarray:
+        # P_T(0) first, then times L_eff: the order ClosedFormParams gave, so the
+        # bisection's sums and sign decisions do not move
+        decay = output_total * growth * params_unit.effective_length
+        return _launch_from_output(shape * output_total, terms, decay)
 
     def launch_total(output_total: float) -> float:
-        out = shape * output_total
-        params = _rescaled(params_unit, output_total, fiber.length)
-        return float(_launch_from_output(out, params, slope).sum())
+        return float(launch_at(output_total).sum())
 
     low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
     high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
@@ -190,23 +197,7 @@ def preemphasis_single_span(
             else:
                 u_high = u_mid
         root = math.exp(0.5 * (u_low + u_high))
-    params = _rescaled(params_unit, root, fiber.length)
-    launch = _launch_from_output(shape * root, params, slope)
-    return PowerSpectrum(target.grid, launch, z=0.0)
-
-
-def _rescaled(params_unit: ClosedFormParams, output_total: float, length: float) -> ClosedFormParams:
-    """Unit-total output parameters rescaled to an absolute output total."""
-    return ClosedFormParams(
-        alpha0=params_unit.alpha0,
-        order=params_unit.order,
-        shaping=params_unit.shaping,
-        shaping_ref=params_unit.shaping_ref,
-        effective_length=params_unit.effective_length,
-        total_launch_power=output_total * math.exp(params_unit.alpha0 * length),
-        length=length,
-        channel_attenuation=params_unit.channel_attenuation,
-    )
+    return PowerSpectrum(target.grid, launch_at(root), z=0.0)
 
 
 def preemphasis_multispan(

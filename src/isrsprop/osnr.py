@@ -51,13 +51,14 @@ class NoiseSpectrum:
 def _noise_figure_linear(grid: ChannelGrid, noise_figure_db) -> np.ndarray:
     if noise_figure_db is None:
         raise ConfigurationError("amplifier is missing noise figures for ASE tracking")
-    names = grid.band_names()
-    out = np.empty(grid.n_channels)
-    for i, name in enumerate(names):
+    # one conversion per band that holds channels, in grid order
+    per_band = np.zeros(len(grid.bands))
+    for i in dict.fromkeys(grid.band_index.tolist()):
+        name = grid.bands[i].name
         if name not in noise_figure_db:
             raise ConfigurationError(f"no noise figure configured for band {name!r}")
-        out[i] = 10.0 ** (noise_figure_db[name] / 10.0)
-    return out
+        per_band[i] = 10.0 ** (noise_figure_db[name] / 10.0)
+    return per_band[grid.band_index]
 
 
 def ase_injection(

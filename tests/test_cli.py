@@ -58,6 +58,35 @@ class TestValidateConfig:
         assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
         assert "fiber length" in capsys.readouterr().err
 
+    def test_mistyped_fiber_key_is_config_error(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        data = json.loads(path.read_text())
+        data["fiber"]["lenght_km"] = data["fiber"].pop("length_km")
+        path.write_text(json.dumps(data))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'lenght_km'" in err and "did you mean 'length_km'" in err
+
+    def test_mistyped_section_is_config_error(self, tmp_path, capsys):
+        path = small_config(tmp_path, solverr={"steps_per_span": 20})
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'solverr'" in err and "did you mean 'solver'" in err
+
+    def test_osnr_target_keys_read_by_the_cli_are_known(self, tmp_path, capsys):
+        path = CONFIG_DIR / "fig7_osnr_flat_clu.json"
+        data = json.loads(path.read_text())
+        data["osnr_target"].update(
+            values_db=[0.0] * 333, rmse_in_db=True, total_launch_power_dbm=24.0
+        )
+        edited = tmp_path / "fig7.json"
+        edited.write_text(json.dumps(data))
+        assert main(["validate-config", "--config", str(edited)]) == 0
+        data["osnr_target"]["rmse_in_dB"] = True
+        edited.write_text(json.dumps(data))
+        assert main(["validate-config", "--config", str(edited)]) == 2
+        assert "did you mean 'rmse_in_db'" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2
 

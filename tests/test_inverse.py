@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from isrsprop import (
     propagate_link_numerical,
     total_attenuation_coefficient,
 )
-from isrsprop.inverse import _launch_from_output
+from isrsprop.inverse import _inversion_terms, _launch_from_output
 from isrsprop.profiles import attenuation_at
 
 from conftest import constant_alpha_fiber, raman_free_fiber, to_db
@@ -91,7 +93,9 @@ class TestSingleSpanAbsolute:
         output = PowerSpectrum(clu_grid, target.values, z=100.0)
         params = closedform_params_from_output(output, default_fiber_100, 3)
         back = _launch_from_output(
-            target.values, params, default_fiber_100.raman.slope
+            target.values,
+            _inversion_terms(params, default_fiber_100.raman.slope),
+            params.total_launch_power * params.effective_length,
         )
         assert np.allclose(back, launch.powers, rtol=1e-14)
         forward = launch.powers * np.exp(
@@ -233,3 +237,89 @@ class TestMultiSpan:
         out = propagate_link_numerical(launch, link).final
         dev = np.abs(to_db(out.powers / out.total_power * c_grid.n_channels))
         assert dev.max() < 0.05
+
+
+class TestHoistedInversion:
+    """The bisection's hoisted exponent terms reproduce the full-parameter formula bit for bit."""
+
+    @staticmethod
+    def full_params_launch(output, params, slope, output_total):
+        # the inverted exponent with P_T(0) rebuilt for this output total
+        total_launch = output_total * math.exp(params.alpha0 * params.length)
+        decay = total_launch * params.effective_length
+        exponent = (
+            params.channel_attenuation * params.length
+            - slope * (params.shaping_ref - params.shaping) * decay
+        )
+        return output * np.exp(exponent)
+
+    def test_matches_full_params_formula(self, clu_grid, default_fiber_100, monkeypatch):
+        ripple = 1.0 + 0.3 * np.sin(np.linspace(0.0, 5.0 * np.pi, clu_grid.n_channels))
+        target = TargetSpectrum(clu_grid, ripple, normalized=True)
+        shape = target.shape()
+        fiber, total = default_fiber_100, 0.25
+        params = closedform_params_from_output(
+            PowerSpectrum(clu_grid, shape, z=fiber.length), fiber, 3
+        )
+        slope = fiber.raman.as_triangular().slope
+        terms = _inversion_terms(params, slope)
+        growth = math.exp(params.alpha0 * fiber.length)
+
+        # record the output total of the last evaluation, which is at the root
+        outputs = []
+
+        def spy(output_powers, terms, decay):
+            outputs.append(output_powers)
+            return _launch_from_output(output_powers, terms, decay)
+
+        monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
+        preemphasis_single_span(target, fiber, 3, total_launch_power=total)
+        root = float(outputs[-1][0] / shape[0])
+
+        alpha = params.channel_attenuation
+        low = total * math.exp(-float(alpha.max()) * fiber.length)
+        high = total * math.exp(-float(alpha.min()) * fiber.length)
+        assert low < root < high
+        for output_total in (low, high, root):
+            output = shape * output_total
+            decay = output_total * growth * params.effective_length
+            assert np.array_equal(
+                _launch_from_output(output, terms, decay),
+                self.full_params_launch(output, params, slope, output_total),
+            )
+
+    def test_every_bisection_step_matches_full_params_formula(self, default_fiber_100, monkeypatch):
+        # 64 channels and a flat shape: shape = 2**-6 exactly, so each step's
+        # output total T is recovered exactly from the output it was called with
+        grid = build_channel_grid([Band("X", 190.0, 193.2)], 0.05)
+        assert grid.n_channels == 64
+        target, fiber = TargetSpectrum.flat_shape(grid), default_fiber_100
+        params = closedform_params_from_output(
+            PowerSpectrum(grid, target.shape(), z=fiber.length), fiber, 3
+        )
+        slope = fiber.raman.as_triangular().slope
+        steps = []
+
+        def spy(output_powers, terms, decay):
+            launch = _launch_from_output(output_powers, terms, decay)
+            steps.append((output_powers, launch))
+            return launch
+
+        monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
+        preemphasis_single_span(target, fiber, 3, total_launch_power=0.05)
+        assert len(steps) > 30
+        for output, launch in steps:
+            output_total = output[0] * 64
+            assert np.array_equal(output, target.shape() * output_total)
+            assert np.array_equal(
+                launch, self.full_params_launch(output, params, slope, output_total)
+            )
+
+    def test_raman_free_fiber_is_attenuation_only(self, clu_grid):
+        fiber = raman_free_fiber(100.0)
+        output = PowerSpectrum.flat_dbm(clu_grid, -10.0)
+        params = closedform_params_from_output(output, fiber, 3)
+        decay = params.total_launch_power * params.effective_length
+        launch = _launch_from_output(output.powers, _inversion_terms(params, 0.0), decay)
+        alpha = attenuation_at(fiber.attenuation, clu_grid.frequencies)
+        assert np.array_equal(launch, output.powers * np.exp(alpha * 100.0))

@@ -21,7 +21,8 @@ from isrsprop import (
     propagate_multispan_closedform,
     target_osnr,
 )
-from isrsprop.profiles import PLANCK
+from isrsprop.osnr import _noise_figure_linear
+from isrsprop.profiles import PLANCK, ChannelGrid
 
 from conftest import constant_alpha_fiber
 
@@ -55,6 +56,33 @@ class TestAseInjection:
     def test_missing_band_rejected(self, cl_grid):
         with pytest.raises(ConfigurationError, match="band 'L'"):
             ase_injection(cl_grid, {"C": 5.5}, 10.0, 0.05)
+
+
+class TestNoiseFigureLinear:
+    @staticmethod
+    def per_channel(grid, noise_figure_db):
+        # one conversion per channel, by band name
+        return np.array([10.0 ** (noise_figure_db[name] / 10.0) for name in grid.band_names()])
+
+    @pytest.mark.parametrize("plan", ["CLU", "SCLU"])
+    def test_matches_per_channel_conversion(self, plan):
+        grid = build_channel_grid(plan)
+        nf = {"S": 6.5, **NF_TABLE1}
+        assert np.array_equal(_noise_figure_linear(grid, nf), self.per_channel(grid, nf))
+
+    def test_band_with_channels_needs_a_figure(self, clu_grid):
+        with pytest.raises(ConfigurationError, match="no noise figure configured for band 'L'"):
+            _noise_figure_linear(clu_grid, {"C": 5.5, "U": 5.0})
+
+    def test_band_without_channels_needs_no_figure(self):
+        # "B" is narrower than one channel slot, so it holds no channel
+        grid = ChannelGrid(
+            frequencies=190.025 + 0.05 * np.arange(10),
+            spacing=0.05,
+            bands=(Band("A", 190.0, 190.5), Band("B", 190.5, 190.52)),
+        )
+        assert set(grid.band_names()) == {"A"}
+        assert np.array_equal(_noise_figure_linear(grid, {"A": 5.0}), np.full(10, 10.0 ** 0.5))
 
 
 class TestAseAccumulate:
