@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Fingerprint every CLI output of a checkout, for byte-identity comparisons.
 
-Runs every shipped config under ``configs/`` through every subcommand, in
-csv and json, and writes ``OUT_DIR/manifest.json``: one SHA-256 per output
-file and one (exit code, stdout, stderr) per run.  The sweep's timing
-columns (``oracle_seconds``, ``closedform_seconds``) are dropped before
-hashing, since they change from run to run.
+Runs every config under ``configs/`` of the checkout that holds this script
+through every subcommand, in csv and json, and writes
+``OUT_DIR/manifest.json``: one SHA-256 per output file and one (exit code,
+stdout, stderr) per run.  ``--repo`` chooses only the code that runs, so two
+checkouts are compared on the same configs.  The sweep's timing columns
+(``oracle_seconds``, ``closedform_seconds``) are dropped before hashing,
+since they change from run to run.
 
 To check that a change leaves every output as it was, fingerprint the parent
 and the change and diff the manifests:
@@ -30,6 +32,7 @@ SUBCOMMANDS = ("solve", "closed-form", "multispan", "sweep", "preemph", "osnr-ta
                "validate-config")
 FORMATS = ("csv", "json")
 TIMING_FIELDS = ("oracle_seconds", "closedform_seconds")
+CHECKOUT = Path(__file__).resolve().parent.parent
 
 
 def _without_timing(path: Path) -> bytes:
@@ -52,8 +55,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir", type=Path, help="directory for the outputs and manifest.json")
-    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose code and configs are run (default: this one)")
+    parser.add_argument("--repo", type=Path, default=CHECKOUT,
+                        help="checkout whose code is run (default: this one)")
     args = parser.parse_args()
     repo = args.repo.resolve()
     out_dir = args.out_dir.resolve()
@@ -66,7 +69,7 @@ def main() -> int:
         parser.error(f"imported isrsprop from {isrsprop.__file__}, not from {repo}")
 
     # relative config paths keep the checkout's location out of messages
-    os.chdir(repo)
+    os.chdir(CHECKOUT)
     runs = {}
     for config in sorted(Path("configs").glob("*.json")):
         for command in SUBCOMMANDS:

@@ -6,7 +6,8 @@ Produces, under --output (default results/):
     single-span scenarios,
   * numerical + closed-form multi-span profiles,
   * the order-accuracy sweep records and box-plot summaries,
-  * the OSNR-targeting launch profile and convergence history.
+  * the OSNR-targeting launch profile and convergence history,
+  * the pre-emphasized launch spectra for a flat output shape.
 """
 
 import argparse
@@ -27,6 +28,8 @@ RUNS = [
     ("fig6_multi_span_clu.json", ["solve", "multispan"]),
     ("fig7_osnr_flat_clu.json", ["osnr-target"]),
     ("fig3_order_sweep.json", ["sweep"]),
+    ("preemph_single_span_clu.json", ["preemph"]),
+    ("preemph_multi_span_clu.json", ["preemph"]),
 ]
 
 

@@ -25,10 +25,8 @@ from .errors import (
     NumericalInstabilityError,
     RootBracketError,
 )
-from .inverse import TargetSpectrum, preemphasis_multispan, preemphasis_single_span
 from .multispan import propagate_multispan_closedform
 from .ode_oracle import integrate_span, propagate_link_numerical
-from .osnr import target_osnr
 from .profiles import ChannelGrid
 
 
@@ -37,7 +35,6 @@ def _dbm(watts):
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         records = [dict(zip(header, row)) for row in rows]
         path.with_suffix(".json").write_text(
@@ -75,17 +72,26 @@ def _longitudinal_table(spectra) -> tuple[list[str], list[list]]:
 def _require(cfg: RunConfig, attr: str, what: str):
     value = getattr(cfg, attr)
     if value is None:
-        raise ConfigurationError(f"this subcommand needs a {what} section in the config")
+        raise ConfigurationError(f"this subcommand needs {what} in the config")
     return value
 
 
+def _span_samples(span_input, params, fiber, cfg: RunConfig) -> list:
+    """Closed-form spectra at ``steps_per_span + 1`` evenly spaced z over one span."""
+    slope = fiber.raman.as_triangular().slope
+    return [
+        power_profile(span_input, params, slope, float(z), refresh_reference=cfg.refresh_reference)
+        for z in np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
+    ]
+
+
 def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
-    launch = _require(cfg, "launch", "launch")
+    launch = _require(cfg, "launch", "a launch section")
     if cfg.link is not None:
         result = propagate_link_numerical(launch, cfg.link, cfg.solver)
         spectra = result.longitudinal([r.spectra for r in result.span_results])
     else:
-        fiber = _require(cfg, "fiber", "fiber")
+        fiber = _require(cfg, "fiber", "fiber.length_km")
         result = integrate_span(launch, fiber, cfg.solver)
         spectra = result.spectra
     head, rows = _longitudinal_table(spectra)
@@ -95,15 +101,9 @@ def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def cmd_closed_form(cfg: RunConfig, out: Path, fmt: str) -> None:
-    launch = _require(cfg, "launch", "launch")
-    fiber = _require(cfg, "fiber", "fiber")
-    params = derive_params(launch, fiber, cfg.order)
-    slope = fiber.raman.as_triangular().slope
-    zs = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
-    spectra = [
-        power_profile(launch, params, slope, float(z), refresh_reference=cfg.refresh_reference)
-        for z in zs
-    ]
+    launch = _require(cfg, "launch", "a launch section")
+    fiber = _require(cfg, "fiber", "fiber.length_km")
+    spectra = _span_samples(launch, derive_params(launch, fiber, cfg.order), fiber, cfg)
     head, rows = _longitudinal_table(spectra)
     _write_table(out / f"{cfg.name}_closedform_longitudinal.csv", head, rows, fmt)
     head, rows = _channel_table(launch.grid, "power_dbm", _dbm(spectra[-1].powers))
@@ -111,15 +111,12 @@ def cmd_closed_form(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
-    launch = _require(cfg, "launch", "launch")
-    link = _require(cfg, "link", "link")
+    launch = _require(cfg, "launch", "a launch section")
+    link = _require(cfg, "link", "a link section")
     result = propagate_multispan_closedform(launch, link, cfg.order)
     span_samples = [
-        [
-            power_profile(span_input, params, fiber.raman.as_triangular().slope, float(z))
-            for z in np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
-        ]
-        for span_input, params, fiber in zip(result.span_inputs, result.span_results, link.spans)
+        _span_samples(*span, cfg)
+        for span in zip(result.span_inputs, result.span_results, link.spans)
     ]
     head, rows = _longitudinal_table(result.longitudinal(span_samples))
     _write_table(out / f"{cfg.name}_multispan_longitudinal.csv", head, rows, fmt)
@@ -128,7 +125,7 @@ def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
-    sweep = _require(cfg, "sweep", "sweep")
+    sweep = _require(cfg, "sweep", "a sweep section")
     records, summaries = run_order_sweep(sweep, workers=workers)
     if fmt == "json":
         rec_rows = [r.__dict__ for r in records]
@@ -139,57 +136,22 @@ def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
             json.dumps([s.__dict__ for s in summaries], indent=1, default=float) + "\n"
         )
         return
-    out.mkdir(parents=True, exist_ok=True)
     write_records_csv(records, out / f"{cfg.name}_sweep_records.csv")
     write_summary_csv(summaries, out / f"{cfg.name}_sweep_summary.csv")
 
 
 def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:
-    if cfg.launch_mode != "preemphasis" or cfg.preemph_target is None:
+    if cfg.preemph is None:
         raise ConfigurationError("preemph needs launch.mode == 'preemphasis' with a target")
-    target = cfg.preemph_target
-    if cfg.link is not None and len(cfg.link.spans) > 1:
-        if cfg.preemph_total_power is None:
-            raise ConfigurationError("multi-span pre-emphasis needs total_launch_power_dbm")
-        launch = preemphasis_multispan(target, cfg.link, cfg.preemph_total_power, cfg.order)
-    else:
-        fiber = cfg.fiber if cfg.link is None else cfg.link.spans[0]
-        if fiber is None:
-            raise ConfigurationError("preemph needs a fiber or link section")
-        launch = preemphasis_single_span(
-            target, fiber, cfg.order, total_launch_power=cfg.preemph_total_power
-        )
+    launch = cfg.preemph(order=cfg.order)
     head, rows = _channel_table(launch.grid, "launch_power_dbm", _dbm(launch.powers))
     _write_table(out / f"{cfg.name}_preemph_launch.csv", head, rows, fmt)
 
 
 def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
-    link = _require(cfg, "link", "link")
-    grid = _require(cfg, "grid", "grid")
-    osnr_cfg = _require(cfg, "osnr", "osnr_target")
-    if "values_db" in osnr_cfg:
-        values = 10.0 ** (np.asarray(osnr_cfg["values_db"], dtype=float) / 10.0)
-        target = TargetSpectrum(grid, values, normalized=True)
-    elif osnr_cfg.get("shape", "flat") == "flat":
-        target = TargetSpectrum.flat_shape(grid)
-    else:
-        raise ConfigurationError("osnr_target: expected shape='flat' or values_db")
-    if "total_launch_power_dbm" in osnr_cfg:
-        total = 10.0 ** (float(osnr_cfg["total_launch_power_dbm"]) / 10.0) * 1e-3
-    else:
-        total = _require(cfg, "launch", "launch").total_power
-    b_ref = osnr_cfg.get("reference_bandwidth_ghz")
-    run = target_osnr(
-        target,
-        link,
-        total,
-        step=float(osnr_cfg.get("step", 1.0)),
-        tolerance=float(osnr_cfg.get("tolerance", 1e-5)),
-        max_iterations=int(osnr_cfg.get("max_iterations", 50)),
-        order=cfg.order,
-        reference_bandwidth=float(b_ref) * 1e-3 if b_ref is not None else None,
-        rmse_in_db=bool(osnr_cfg.get("rmse_in_db", False)),
-    )
+    link = _require(cfg, "link", "a link section")
+    run = _require(cfg, "osnr", "a osnr_target section")(link, order=cfg.order)
+    grid = run.launch.grid
     head, rows = _channel_table(grid, "launch_power_dbm", _dbm(run.launch.powers))
     _write_table(out / f"{cfg.name}_osnr_launch.csv", head, rows, fmt)
     hist_rows = [[i + 1, r] for i, r in enumerate(run.rmse_history)]
@@ -205,16 +167,17 @@ def build_parser() -> argparse.ArgumentParser:
         "and frequency-dependent loss",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "fixed-step numerical power evolution"),
-        ("closed-form", "closed-form single-span profile"),
-        ("multispan", "closed-form multi-span propagation"),
-        ("sweep", "closed-form accuracy sweep vs the numerical solver"),
-        ("preemph", "launch pre-emphasis for a target output"),
-        ("osnr-target", "iterative pre-emphasis for a target OSNR shape"),
-        ("validate-config", "parse and validate a config file"),
+    for name, run, help_text in [
+        ("solve", cmd_solve, "fixed-step numerical power evolution"),
+        ("closed-form", cmd_closed_form, "closed-form single-span profile"),
+        ("multispan", cmd_multispan, "closed-form multi-span propagation"),
+        ("sweep", cmd_sweep, "closed-form accuracy sweep vs the numerical solver"),
+        ("preemph", cmd_preemph, "launch pre-emphasis for a target output"),
+        ("osnr-target", cmd_osnr_target, "iterative pre-emphasis for a target OSNR shape"),
+        ("validate-config", None, "parse and validate a config file"),
     ]:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--output", default=".", help="output directory (default: cwd)")
         p.add_argument("--steps", type=int, default=None, help="override steps per span")
@@ -235,23 +198,13 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, sweep=replace(cfg.sweep, steps_per_span=args.steps))
         if args.order is not None:
             cfg = replace(cfg, order=args.order)
-        out = Path(args.output)
-        if args.command == "validate-config":
+        if args.run is None:
             print(f"ok: {args.config} ({cfg.name})")
             return 0
+        out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "solve":
-            cmd_solve(cfg, out, args.format)
-        elif args.command == "closed-form":
-            cmd_closed_form(cfg, out, args.format)
-        elif args.command == "multispan":
-            cmd_multispan(cfg, out, args.format)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, out, args.format, args.workers)
-        elif args.command == "preemph":
-            cmd_preemph(cfg, out, args.format)
-        elif args.command == "osnr-target":
-            cmd_osnr_target(cfg, out, args.format)
+        extra = [args.workers] if args.command == "sweep" else []
+        args.run(cfg, out, args.format, *extra)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """JSON scenario configs: parsing, validation, unit conversion at the boundary.
 
 Config files use boundary units (THz, GHz, dB/km, dBm, dB); everything is
-converted to internal linear units here.  See the README for the schema.
+converted to internal linear units here, the only place that reads config
+data: every section becomes a checked library object.  See the README for the
+schema.
 """
 
 from __future__ import annotations
@@ -9,17 +11,20 @@ from __future__ import annotations
 import csv
 import difflib
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .bench import SweepConfig
 from .errors import ConfigurationError
-from .inverse import TargetSpectrum
+from .inverse import TargetSpectrum, preemphasis_multispan, preemphasis_single_span
 from .multispan import AmplifierSpec, LinkSpec
 from .ode_oracle import SolverOptions
+from .osnr import OsnrTargetRun, _check_iteration_settings, target_osnr
 from .profiles import (
     AttenuationProfile,
     Band,
@@ -28,6 +33,7 @@ from .profiles import (
     PowerSpectrum,
     RamanGainModel,
     build_channel_grid,
+    convert_units,
     default_attenuation,
     default_raman,
 )
@@ -35,24 +41,26 @@ from .profiles import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed scenario; sections are None when absent from the file."""
+    """A parsed scenario; sections are None when absent (``fiber`` also without length_km).
+
+    ``preemph`` and ``osnr`` are the pre-emphasis and ``target_osnr`` library calls with
+    their arguments bound: call ``preemph(order=...)`` and ``osnr(link, order=...)``.
+    """
 
     name: str
     grid: ChannelGrid | None
     fiber: FiberSpec | None
     link: LinkSpec | None
     launch: PowerSpectrum | None
-    launch_mode: str | None
-    preemph_target: TargetSpectrum | None
-    preemph_total_power: float | None
+    preemph: Callable[..., PowerSpectrum] | None
     solver: SolverOptions
     order: int
     sweep: SweepConfig | None
-    osnr: Mapping[str, Any] | None
+    osnr: Callable[..., OsnrTargetRun] | None
     refresh_reference: bool
 
 
-# Every key the parsers (and cli.cmd_osnr_target) read, per section.
+# Every key the parsers read, per section.
 _KNOWN_KEYS = {
     "config": ("name", "grid", "fiber", "link", "launch", "solver", "sweep", "order",
                "osnr_target", "refresh_reference"),
@@ -77,73 +85,91 @@ _KNOWN_KEYS = {
                     "step", "tolerance", "max_iterations", "rmse_in_db"),
 }
 
-
-def _check_keys(section, where: str) -> None:
-    """Reject a section that is not an object or holds a key nothing reads."""
-    if not isinstance(section, Mapping):
-        raise ConfigurationError(f"{where}: expected a JSON object")
-    known = _KNOWN_KEYS[where]
-    for key in section:
-        if key not in known:
-            close = difflib.get_close_matches(str(key), known, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigurationError(f"{where}: unknown key {key!r}{hint}")
+_REQUIRED = object()
 
 
-def _require(section: Mapping, key: str, where: str):
-    if key not in section:
-        raise ConfigurationError(f"{where}: missing required key {key!r}")
-    return section[key]
+class _Section(dict):
+    """One config object, its keys checked on entry and its values read by type.
+
+    ``where`` names it in errors and picks its ``_KNOWN_KEYS``; without an entry, any key.
+    """
+
+    def __init__(self, data, where: str):
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(f"{where}: expected a JSON object")
+        known = _KNOWN_KEYS.get(where)
+        for key in data if known else ():
+            if key not in known:
+                close = difflib.get_close_matches(str(key), known, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ConfigurationError(f"{where}: unknown key {key!r}{hint}")
+        super().__init__(data)
+        self.where = where
+
+    def require(self, key: str):
+        if key not in self:
+            raise ConfigurationError(f"{self.where}: missing required key {key!r}")
+        return self[key]
+
+    def number(self, key: str, default=_REQUIRED, *, count: bool = False, array: bool = False):
+        """The value as a finite float, an int if ``count``, a list of them if ``array``.
+
+        An absent key gives ``default``; strings, booleans, non-finite numbers and
+        non-integral counts are rejected with an error naming ``where.key``.
+        """
+        if key not in self:
+            return self.require(key) if default is _REQUIRED else default
+        value = self[key]
+        items = value if array and isinstance(value, list) else [value]
+        for x in items:
+            if (isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
+                    or (count and x != int(x)) or (array and x is value)):
+                kind = ("an integer" if count else "a finite number") + (" list" if array else "")
+                raise ConfigurationError(f"{self.where}.{key}: expected {kind}, got {x!r}")
+        convert = int if count else float
+        return [convert(x) for x in items] if array else convert(value)
+
+    def flag(self, key: str, default: bool = False) -> bool:
+        """The value as a JSON boolean; anything else is an error naming ``where.key``."""
+        value = self.get(key, default)
+        if not isinstance(value, bool):
+            raise ConfigurationError(f"{self.where}.{key}: expected true or false, got {value!r}")
+        return value
 
 
-def _grid_spacing(section: Mapping | None) -> float:
+def _parse_grid(section: Mapping | None) -> tuple[ChannelGrid | None, float]:
+    """The channel grid (None for a spacing-only section) and its spacing in THz."""
     if section is None:
-        return 0.05
-    if "spacing_thz" in section:
-        return float(section["spacing_thz"])
-    if "spacing_ghz" in section:
-        return float(section["spacing_ghz"]) * 1e-3
-    return 0.05
-
-
-def _parse_grid(section: Mapping | None) -> ChannelGrid | None:
-    if section is None:
-        return None
-    where = "grid"
-    _check_keys(section, where)
-    spacing = _grid_spacing(section)
-    if "plan" in section:
-        return build_channel_grid(section["plan"], spacing)
-    if "bands" not in section:
-        return None  # spacing-only grid section (sweep configs)
-    bands = _require(section, "bands", where)
-    for b in bands:
-        _check_keys(b, "grid.bands")
-    parsed = [
-        Band(_require(b, "name", where), float(_require(b, "f_low_thz", where)),
-             float(_require(b, "f_high_thz", where)))
-        for b in bands
-    ]
-    return build_channel_grid(parsed, spacing)
+        return None, 0.05
+    s = _Section(section, "grid")
+    spacing = s.number("spacing_thz") if "spacing_thz" in s else s.number("spacing_ghz", 50) * 1e-3
+    if "plan" in s:
+        return build_channel_grid(s.get("plan"), spacing), spacing
+    if "bands" not in s:
+        return None, spacing  # spacing-only grid section (sweep configs)
+    bands = s.get("bands")
+    if not isinstance(bands, list):
+        raise ConfigurationError("grid.bands: expected a list of band objects")
+    bands = [_Section(b, "grid.bands") for b in bands]
+    parsed = [Band(b.require("name"), b.number("f_low_thz"), b.number("f_high_thz")) for b in bands]
+    return build_channel_grid(parsed, spacing), spacing
 
 
 def _parse_attenuation(section: Mapping | None) -> AttenuationProfile:
     if section is None:
         return default_attenuation()
-    _check_keys(section, "fiber.attenuation")
-    kind = _require(section, "kind", "fiber.attenuation")
+    s = _Section(section, "fiber.attenuation")
+    kind = s.require("kind")
     if kind == "constant":
-        return AttenuationProfile.constant_db(float(_require(section, "db_per_km", "attenuation")))
+        return AttenuationProfile.constant_db(s.number("db_per_km"))
     if kind == "parabolic":
         return AttenuationProfile.parabolic_db(
-            float(_require(section, "min_db_per_km", "attenuation")),
-            float(_require(section, "vertex_thz", "attenuation")),
-            float(_require(section, "curvature_db_per_km_per_thz2", "attenuation")),
+            s.number("min_db_per_km"), s.number("vertex_thz"),
+            s.number("curvature_db_per_km_per_thz2"),
         )
     if kind == "tabulated":
         return AttenuationProfile.from_table(
-            _require(section, "frequencies_thz", "attenuation"),
-            _require(section, "db_per_km", "attenuation"),
+            s.number("frequencies_thz", array=True), s.number("db_per_km", array=True)
         )
     raise ConfigurationError(f"attenuation: unknown kind {kind!r}")
 
@@ -151,171 +177,194 @@ def _parse_attenuation(section: Mapping | None) -> AttenuationProfile:
 def _parse_raman(section: Mapping | None) -> RamanGainModel:
     if section is None:
         return default_raman()
-    _check_keys(section, "fiber.raman")
-    kind = _require(section, "kind", "fiber.raman")
+    s = _Section(section, "fiber.raman")
+    kind = s.require("kind")
     if kind == "triangular":
         return RamanGainModel.triangular(
-            slope=section.get("slope_per_w_per_km_per_thz"),
-            peak=section.get("peak_per_w_per_km"),
-            peak_separation=float(section.get("peak_separation_thz", 14.0)),
-            window=float(section.get("window_thz", 15.5)),
+            slope=s.number("slope_per_w_per_km_per_thz", None),
+            peak=s.number("peak_per_w_per_km", None),
+            peak_separation=s.number("peak_separation_thz", 14.0),
+            window=s.number("window_thz", 15.5),
         )
     if kind == "tabulated":
         return RamanGainModel.from_table(
-            _require(section, "separations_thz", "raman"),
-            _require(section, "gain_per_w_per_km", "raman"),
+            s.number("separations_thz", array=True), s.number("gain_per_w_per_km", array=True)
         )
     raise ConfigurationError(f"raman: unknown kind {kind!r}")
 
 
-def _parse_fiber(section: Mapping | None, length_required: bool) -> FiberSpec | None:
+def _parse_fiber(section: Mapping | None, length_required: bool):
+    """``(attenuation, raman)`` and the span they make, None without ``length_km``."""
     if section is None:
-        return None
-    _check_keys(section, "fiber")
-    attenuation = _parse_attenuation(section.get("attenuation"))
-    raman = _parse_raman(section.get("raman"))
-    length = section.get("length_km")
-    if length is None:
+        return None, None
+    s = _Section(section, "fiber")
+    models = (_parse_attenuation(s.get("attenuation")), _parse_raman(s.get("raman")))
+    if "length_km" not in s:
         if length_required:
             raise ConfigurationError("fiber: missing length_km")
-        return FiberSpec(attenuation=attenuation, raman=raman, length=1.0)
-    return FiberSpec(attenuation=attenuation, raman=raman, length=float(length))
+        return models, None
+    return models, FiberSpec(*models, length=s.number("length_km"))
 
 
 def _parse_amplifier(section: Mapping | None) -> AmplifierSpec:
     if section is None:
         return AmplifierSpec()
-    _check_keys(section, "link.amplifier")
+    s = _Section(section, "link.amplifier")
+    nf = s.get("noise_figure_db")
+    if nf is not None:
+        nf = _Section(nf, "link.amplifier.noise_figure_db")
+        nf = {band: nf.number(band) for band in nf}
     return AmplifierSpec(
-        gain_policy=section.get("gain_policy", "restore-total-power"),
-        gain=section.get("gain_linear"),
-        noise_figure_db=section.get("noise_figure_db"),
+        gain_policy=s.get("gain_policy", "restore-total-power"),
+        gain=s.number("gain_linear", None),
+        noise_figure_db=nf,
     )
 
 
-def _parse_link(section: Mapping | None, fiber: FiberSpec | None) -> LinkSpec | None:
+def _parse_link(section: Mapping | None, models) -> LinkSpec | None:
     if section is None:
         return None
-    if fiber is None:
+    if models is None:
         raise ConfigurationError("link: needs a fiber section for span properties")
-    _check_keys(section, "link")
-    lengths = _require(section, "span_lengths_km", "link")
-    if not lengths:
-        raise ConfigurationError("link: span_lengths_km must be non-empty")
-    spans = tuple(
-        FiberSpec(attenuation=fiber.attenuation, raman=fiber.raman, length=float(l))
-        for l in lengths
-    )
-    amp = _parse_amplifier(section.get("amplifier"))
-    return LinkSpec(
-        spans=spans,
-        amplifiers=tuple(amp for _ in range(len(spans) - 1)),
-        receiver_boost=bool(section.get("receiver_boost", False)),
+    s = _Section(section, "link")
+    lengths = s.number("span_lengths_km", array=True)
+    amp = _parse_amplifier(s.get("amplifier"))
+    return LinkSpec(  # checks that there is at least one span
+        spans=tuple(FiberSpec(*models, length=length) for length in lengths),
+        amplifiers=(amp,) * (len(lengths) - 1),
+        receiver_boost=s.flag("receiver_boost"),
     )
 
 
-def _load_power_table(path: Path, n_channels: int) -> np.ndarray:
+def _load_power_table(path: Path) -> list[float]:
     if not path.exists():
         raise ConfigurationError(f"launch: referenced file {path} does not exist")
-    if path.suffix == ".json":
-        values = json.loads(path.read_text())
-    else:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "power_dbm" not in reader.fieldnames:
-                raise ConfigurationError(f"launch: {path} needs a power_dbm column")
-            values = [float(row["power_dbm"]) for row in reader]
-    if len(values) != n_channels:
-        raise ConfigurationError(
-            f"launch: {path} holds {len(values)} powers, grid has {n_channels} channels"
-        )
-    return np.asarray(values, dtype=float)
+    try:
+        if path.suffix == ".json":
+            values = json.loads(path.read_text())
+        else:
+            with open(path, newline="") as fh:
+                values = [float(row["power_dbm"]) for row in csv.DictReader(fh)]
+    except KeyError:
+        raise ConfigurationError(f"launch: {path} needs a power_dbm column") from None
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"launch: {path}: {exc}") from None
+    return _Section({"powers_dbm_file": values}, "launch").number("powers_dbm_file", array=True)
 
 
-def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, base_dir: Path):
-    """Returns (launch spectrum, mode, preemph target, preemph total power)."""
+def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, link: LinkSpec | None,
+                  fiber: FiberSpec | None, base_dir: Path):
+    """Returns (launch spectrum, pre-emphasis call); pre-emphasis inverts the link or fiber."""
     if section is None:
-        return None, None, None, None
+        return None, None
     if grid is None:
         raise ConfigurationError("launch: needs a grid section")
-    _check_keys(section, "launch")
-    mode = _require(section, "mode", "launch")
+    s = _Section(section, "launch")
+    mode = s.require("mode")
     if mode == "flat":
-        dbm = float(_require(section, "power_dbm_per_channel", "launch"))
-        return PowerSpectrum.flat_dbm(grid, dbm), mode, None, None
+        return PowerSpectrum.flat_dbm(grid, s.number("power_dbm_per_channel")), None
     if mode == "table":
-        if "powers_dbm" in section:
-            dbm = np.asarray(section["powers_dbm"], dtype=float)
-            if dbm.size != grid.n_channels:
-                raise ConfigurationError(
-                    f"launch: {dbm.size} powers for {grid.n_channels} channels"
-                )
-        elif "powers_dbm_file" in section:
-            dbm = _load_power_table(base_dir / section["powers_dbm_file"], grid.n_channels)
+        if "powers_dbm" in s:
+            dbm = s.number("powers_dbm", array=True)
+        elif "powers_dbm_file" in s:
+            dbm = _load_power_table(base_dir / s.get("powers_dbm_file"))
         else:
             raise ConfigurationError("launch: table mode needs powers_dbm or powers_dbm_file")
-        watts = 10.0 ** (dbm / 10.0) * 1e-3
-        return PowerSpectrum(grid, watts), mode, None, None
+        return PowerSpectrum(grid, convert_units(dbm, "dBm", "W")), None
     if mode == "preemphasis":
-        target_sec = _require(section, "target", "launch")
-        target = _parse_target(target_sec, grid)
-        total = section.get("total_launch_power_dbm")
-        total_w = 10.0 ** (float(total) / 10.0) * 1e-3 if total is not None else None
-        return None, mode, target, total_w
+        target = _parse_target(s.require("target"), grid)
+        total = s.number("total_launch_power_dbm", None)
+        spans = link.spans if link is not None else (fiber,) if fiber is not None else ()
+        if not spans:
+            raise ConfigurationError("launch: pre-emphasis needs fiber.length_km or a link")
+        if target.normalized != (total is not None) or (len(spans) > 1 and not target.normalized):
+            raise ConfigurationError("launch: pre-emphasis needs a shape-only target with "
+                                     "total_launch_power_dbm, or an absolute one alone on one span")
+        total = None if total is None else convert_units(total, "dBm", "W")
+        if len(spans) > 1:
+            return None, partial(preemphasis_multispan, target, link, total)
+        return None, partial(preemphasis_single_span, target, spans[0], total_launch_power=total)
     raise ConfigurationError(f"launch: unknown mode {mode!r}")
 
 
 def _parse_target(section: Mapping, grid: ChannelGrid) -> TargetSpectrum:
-    _check_keys(section, "launch.target")
-    if section.get("shape") == "flat":
-        if "power_dbm_per_channel" in section:
-            return TargetSpectrum.absolute_dbm(
-                grid, np.full(grid.n_channels, float(section["power_dbm_per_channel"]))
-            )
-        return TargetSpectrum.flat_shape(grid)
-    if "values_dbm" in section:
-        return TargetSpectrum.absolute_dbm(grid, np.asarray(section["values_dbm"], dtype=float))
-    if "values" in section:
-        return TargetSpectrum(
-            grid, np.asarray(section["values"], dtype=float),
-            normalized=bool(section.get("normalized", True)),
-        )
+    s = _Section(section, "launch.target")
+    if s.get("shape") == "flat":
+        dbm = s.number("power_dbm_per_channel", None)
+        if dbm is None:
+            return TargetSpectrum.flat_shape(grid)
+        return TargetSpectrum.absolute_dbm(grid, np.full(grid.n_channels, dbm))
+    if "values_dbm" in s:
+        return TargetSpectrum.absolute_dbm(grid, s.number("values_dbm", array=True))
+    if "values" in s:
+        return TargetSpectrum(grid, s.number("values", array=True),
+                              normalized=s.flag("normalized", True))
     raise ConfigurationError("target: expected shape='flat', values_dbm or values")
 
 
 def _parse_solver(section: Mapping | None) -> SolverOptions:
     if section is None:
         return SolverOptions()
-    _check_keys(section, "solver")
+    s = _Section(section, "solver")
     return SolverOptions(
-        steps_per_span=int(section.get("steps_per_span", 50)),
-        photon_correction=bool(section.get("photon_correction", False)),
-        raman_model=section.get("raman_model", "triangular"),
+        steps_per_span=s.number("steps_per_span", 50, count=True),
+        photon_correction=s.flag("photon_correction"),
+        raman_model=s.get("raman_model", "triangular"),
     )
 
 
 def _parse_sweep(section: Mapping | None, attenuation: AttenuationProfile, spacing: float):
     if section is None:
         return None
-    _check_keys(section, "sweep")
+    s = _Section(section, "sweep")
 
     def pair(key, default):
-        v = section.get(key, default)
-        return (float(v[0]), float(v[1]))
+        bounds = s.number(key, default, array=True)
+        if len(bounds) != 2:
+            raise ConfigurationError(f"sweep.{key}: expected [low, high], got {bounds!r}")
+        return tuple(bounds)
     return SweepConfig(
-        band_plans=tuple(section.get("band_plans", ("C", "CL", "CLU", "SCLU"))),
+        band_plans=tuple(s.get("band_plans", ("C", "CL", "CLU", "SCLU"))),
         raman_peak_range=pair("raman_peak_range", (0.3, 0.4)),
-        raman_peak_count=int(section.get("raman_peak_count", 5)),
+        raman_peak_count=s.number("raman_peak_count", 5, count=True),
         launch_power_dbm_range=pair("launch_power_dbm_range", (-5.0, 0.0)),
-        launch_power_count=int(section.get("launch_power_count", 5)),
+        launch_power_count=s.number("launch_power_count", 5, count=True),
         length_range_km=pair("length_range_km", (50.0, 150.0)),
-        length_count=int(section.get("length_count", 5)),
-        orders=tuple(int(n) for n in section.get("orders", (1, 2, 3, 4, 5, 6))),
+        length_count=s.number("length_count", 5, count=True),
+        orders=tuple(s.number("orders", (1, 2, 3, 4, 5, 6), count=True, array=True)),
         spacing=spacing,
         attenuation=attenuation,
-        raman_window=float(section.get("raman_window_thz", 15.5)),
-        raman_peak_separation=float(section.get("raman_peak_separation_thz", 14.0)),
-        steps_per_span=int(section.get("steps_per_span", 50)),
+        raman_window=s.number("raman_window_thz", 15.5),
+        raman_peak_separation=s.number("raman_peak_separation_thz", 14.0),
+        steps_per_span=s.number("steps_per_span", 50, count=True),
+    )
+
+
+def _parse_osnr_target(section: Mapping, grid: ChannelGrid | None, link: LinkSpec | None,
+                       launch_total: float | None) -> Callable[..., OsnrTargetRun]:
+    """``launch_total`` is the flat launch's total, used when the section gives none."""
+    s = _Section(section, "osnr_target")
+    if grid is None or link is None:
+        raise ConfigurationError("osnr_target: needs grid and link sections")
+    if "values_db" in s:
+        values = convert_units(s.number("values_db", array=True), "dB", "linear")
+        target = TargetSpectrum(grid, values, normalized=True)
+    elif s.get("shape", "flat") == "flat":
+        target = TargetSpectrum.flat_shape(grid)
+    else:
+        raise ConfigurationError("osnr_target: expected shape='flat' or values_db")
+    if "total_launch_power_dbm" in s:
+        launch_total = convert_units(s.number("total_launch_power_dbm"), "dBm", "W")
+    elif launch_total is None:
+        raise ConfigurationError("osnr_target: needs total_launch_power_dbm")
+    b_ref = s.number("reference_bandwidth_ghz", None)
+    step, tolerance = s.number("step", 1.0), s.number("tolerance", 1e-5)
+    max_iterations = s.number("max_iterations", 50, count=True)
+    _check_iteration_settings(step, tolerance, max_iterations)
+    return partial(
+        target_osnr, target, total_launch_power=launch_total, step=step, tolerance=tolerance,
+        max_iterations=max_iterations, rmse_in_db=s.flag("rmse_in_db"),
+        reference_bandwidth=None if b_ref is None else b_ref * 1e-3,
     )
 
 
@@ -337,42 +386,33 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
         default_name = "scenario"
     if not isinstance(data, Mapping):
         raise ConfigurationError("config root must be a JSON object")
-    _check_keys(data, "config")
+    root = _Section(data, "config")
 
-    grid = _parse_grid(data.get("grid"))
-    has_link = "link" in data
-    needs_length = "launch" in data and not has_link and "sweep" not in data
-    fiber = _parse_fiber(data.get("fiber"), length_required=needs_length)
-    link = _parse_link(data.get("link"), fiber)
-    launch, mode, target, total_w = _parse_launch(data.get("launch"), grid, base_dir)
+    grid, spacing = _parse_grid(data.get("grid"))
+    needs_length = "launch" in data and "link" not in data and "sweep" not in data
+    models, fiber = _parse_fiber(data.get("fiber"), length_required=needs_length)
+    link = _parse_link(data.get("link"), models)
+    launch, preemph = _parse_launch(data.get("launch"), grid, link, fiber, base_dir)
     solver = _parse_solver(data.get("solver"))
-    spacing = grid.spacing if grid is not None else _grid_spacing(data.get("grid"))
-    attenuation = fiber.attenuation if fiber is not None else default_attenuation()
-    sweep = _parse_sweep(data.get("sweep"), attenuation, spacing)
-    order = int(data.get("order", 3))
+    sweep = _parse_sweep(data.get("sweep"), models[0] if models else default_attenuation(),
+                         spacing)
+    order = root.number("order", 3, count=True)
     if order < 1:
         raise ConfigurationError("order must be a positive integer")
     osnr = data.get("osnr_target")
     if osnr is not None:
-        _check_keys(osnr, "osnr_target")
-        if grid is None or link is None:
-            raise ConfigurationError("osnr_target: needs grid and link sections")
-        if "total_launch_power_dbm" not in osnr and (
-            "launch" not in data or data["launch"].get("mode") != "flat"
-        ):
-            raise ConfigurationError("osnr_target: needs total_launch_power_dbm")
+        flat = launch is not None and data["launch"]["mode"] == "flat"
+        osnr = _parse_osnr_target(osnr, grid, link, launch.total_power if flat else None)
     return RunConfig(
         name=str(data.get("name", default_name)),
         grid=grid,
         fiber=fiber,
         link=link,
         launch=launch,
-        launch_mode=mode,
-        preemph_target=target,
-        preemph_total_power=total_w,
+        preemph=preemph,
         solver=solver,
         order=order,
         sweep=sweep,
         osnr=osnr,
-        refresh_reference=bool(data.get("refresh_reference", False)),
+        refresh_reference=root.flag("refresh_reference"),
     )

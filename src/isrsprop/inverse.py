@@ -21,7 +21,7 @@ import numpy as np
 from .closedform import ClosedFormParams, _attenuation_and_mean, shaping_function
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
-from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze
+from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class TargetSpectrum:
 
     @classmethod
     def absolute_dbm(cls, grid: ChannelGrid, dbm) -> "TargetSpectrum":
-        watts = 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) * 1e-3
+        watts = convert_units(np.asarray(dbm, dtype=float), "dBm", "W")
         return cls(grid, np.broadcast_to(watts, (grid.n_channels,)).copy(), normalized=False)
 
     def shape(self) -> np.ndarray:

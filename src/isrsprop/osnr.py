@@ -177,8 +177,7 @@ def target_osnr(
     :class:`ConvergenceError` carrying the RMSE history when the iteration
     cap is reached.
     """
-    if step <= 0 or tolerance <= 0:
-        raise ConfigurationError("step and tolerance must be positive")
+    _check_iteration_settings(step, tolerance, max_iterations)
     if not target.normalized:
         raise ConfigurationError("OSNR targets are shape-only; build the target with normalized=True")
     grid = target.grid
@@ -209,6 +208,13 @@ def target_osnr(
         f"iterations (last {history[-1]:.3e})",
         history,
     )
+
+
+def _check_iteration_settings(step: float, tolerance: float, max_iterations: int) -> None:
+    if not (step > 0 and tolerance > 0):
+        raise ConfigurationError("step and tolerance must be positive")
+    if max_iterations < 1:
+        raise ConfigurationError("max_iterations must be >= 1")
 
 
 def _normalize(values: np.ndarray, in_db: bool) -> np.ndarray:

@@ -7,8 +7,9 @@ Internal unit convention, used everywhere in this package:
 * power in W,
 * attenuation as Napierian coefficient in 1/km.
 
-dB, dBm and dB/km appear only at I/O boundaries (config files, CSV output)
-and are converted through :func:`convert_units`.
+dB, dBm and dB/km appear only at I/O boundaries (config files, CSV output).
+Config inputs in those units (powers, targets, attenuation) are converted
+through :func:`convert_units`, which the dBm constructors here also use.
 """
 
 from __future__ import annotations
@@ -200,8 +201,7 @@ class PowerSpectrum:
 
     @classmethod
     def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":
-        p = 10.0 ** (dbm_per_channel / 10.0) * 1e-3
-        return cls(grid, np.full(grid.n_channels, p), z)
+        return cls(grid, np.full(grid.n_channels, convert_units(dbm_per_channel, "dBm", "W")), z)
 
 
 def build_channel_grid(

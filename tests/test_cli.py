@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isrsprop.cli import main
 from isrsprop.config import parse_config
@@ -37,7 +40,7 @@ class TestValidateConfig:
     def test_all_shipped_configs_validate(self, capsys):
         for cfg in ALL_CONFIGS:
             assert main(["validate-config", "--config", str(cfg)]) == 0
-        assert len(ALL_CONFIGS) == 8
+        assert len(ALL_CONFIGS) == 10
 
     def test_bad_bandwidth_names_band(self, tmp_path, capsys):
         path = small_config(
@@ -56,7 +59,7 @@ class TestValidateConfig:
         path.write_text(json.dumps(data))  # written as the JSON extension literal NaN
         assert "NaN" in path.read_text()
         assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
-        assert "fiber length" in capsys.readouterr().err
+        assert "fiber.length_km" in capsys.readouterr().err
 
     def test_mistyped_fiber_key_is_config_error(self, tmp_path, capsys):
         path = small_config(tmp_path)
@@ -87,6 +90,68 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(edited)]) == 2
         assert "did you mean 'rmse_in_db'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["osnr_target"].update(shape="tilted"),
+            lambda d: d["osnr_target"].update(values_db=[0.0] * 5),
+            lambda d: d["osnr_target"].update(step=float("nan")),
+            lambda d: d["osnr_target"].update(max_iterations=0),
+            lambda d: d.update(order="x"),
+            lambda d: d["solver"].update(steps_per_span="x"),
+            lambda d: d["solver"].update(steps_per_span=2.5),
+            lambda d: d["grid"].update(spacing_ghz=float("nan")),
+            lambda d: d["solver"].update(photon_correction="false"),
+            lambda d: d["link"].update(receiver_boost=1),
+            lambda d: d["link"]["amplifier"]["noise_figure_db"].update(C=float("inf")),
+            lambda d: d["link"].update(span_lengths_km=[]),
+        ],
+        ids=["shape-tilted", "values_db-5", "step-nan", "max_iterations-0", "order-x",
+             "steps-x", "steps-2.5", "spacing-nan", "photon_correction-str", "boost-int",
+             "noise_figure-inf", "span_lengths-empty"],
+    )
+    def test_validate_config_rejects_what_osnr_target_rejects(self, tmp_path, capsys, edit):
+        # validate-config rejects what osnr-target would reject, with one line
+        data = json.loads((CONFIG_DIR / "fig7_osnr_flat_clu.json").read_text())
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate-config", "osnr-target"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "launch",
+        [
+            {"mode": "preemphasis", "target": {"shape": "flat"}},
+            {"mode": "preemphasis", "target": {"shape": "flat", "power_dbm_per_channel": 0.0},
+             "total_launch_power_dbm": 20.0},
+        ],
+    )
+    def test_preemphasis_total_rules(self, tmp_path, capsys, launch):
+        path = small_config(tmp_path, launch=launch)
+        for command in ("validate-config", "preemph"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+            assert "total_launch_power_dbm" in capsys.readouterr().err
+
+    def test_multi_span_preemphasis_needs_a_shape_target(self, tmp_path, capsys):
+        path = small_config(
+            tmp_path, link={"span_lengths_km": [40.0, 40.0]},
+            launch={"mode": "preemphasis", "target": {"values_dbm": [0.0] * 81}},
+        )
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert "shape-only target" in capsys.readouterr().err
+
+    def test_osnr_target_section_becomes_target_osnr_arguments(self):
+        cfg = parse_config(CONFIG_DIR / "fig7_osnr_flat_clu.json")
+        target, = cfg.osnr.args
+        assert target.normalized and target.grid is cfg.grid
+        assert cfg.osnr.keywords == {
+            "total_launch_power": cfg.launch.total_power, "step": 1.0, "tolerance": 1e-5,
+            "max_iterations": 20, "rmse_in_db": False, "reference_bandwidth": 0.05,
+        }
+
     def test_missing_file(self, capsys):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == 2
 
@@ -98,6 +163,34 @@ class TestValidateConfig:
 
 
 class TestCommands:
+    def test_closed_form_needs_a_fiber_length(self, tmp_path, capsys):
+        # a fiber without length_km is no 1 km stand-in span
+        cfg = CONFIG_DIR / "fig6_multi_span_clu.json"
+        assert main(["closed-form", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+        assert "fiber.length_km" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_closed_form_and_one_span_multispan_sample_alike(self, tmp_path):
+        # both commands share one span sampler, refresh_reference included
+        path = small_config(tmp_path, grid={"plan": "CLU", "spacing_ghz": 50},
+                            refresh_reference=True)
+        data = json.loads(path.read_text())
+        data["link"] = {"span_lengths_km": [data["fiber"].pop("length_km")]}
+        data["name"] = "one_span"
+        (tmp_path / "one_span.json").write_text(json.dumps(data))
+        assert main(["closed-form", "--config", str(path), "--output", str(tmp_path)]) == 0
+        assert main(["multispan", "--config", str(tmp_path / "one_span.json"),
+                     "--output", str(tmp_path)]) == 0
+        closed = (tmp_path / "small_closedform_longitudinal.csv").read_text()
+        multi = (tmp_path / "one_span_multispan_longitudinal.csv").read_text()
+        assert closed == multi
+        refresh_off = tmp_path / "off"
+        data["refresh_reference"] = False
+        (tmp_path / "one_span.json").write_text(json.dumps(data))
+        assert main(["multispan", "--config", str(tmp_path / "one_span.json"),
+                     "--output", str(refresh_off)]) == 0
+        assert (refresh_off / "one_span_multispan_longitudinal.csv").read_text() != multi
+
     def test_closed_form_spectrum_has_one_row_per_channel(self, tmp_path):
         cfg = CONFIG_DIR / "fig4_single_span_clu.json"
         assert main(["closed-form", "--config", str(cfg), "--output", str(tmp_path)]) == 0
@@ -233,6 +326,21 @@ class TestCommands:
         assert main(["solve", "--config", str(path), "--output", str(tmp_path)]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("cols.csv", "channel,power\n0,-1.0\n", "needs a power_dbm column"),
+            ("cell.csv", "channel,power_dbm\n0,abc\n", "could not convert"),
+            ("nan.json", "[-1.0, NaN]", "launch.powers_dbm_file"),
+        ],
+        ids=["no-column", "non-numeric", "nan"],
+    )
+    def test_bad_launch_table_file_is_config_error(self, tmp_path, capsys, name, text, message):
+        (tmp_path / name).write_text(text)
+        path = small_config(tmp_path, launch={"mode": "table", "powers_dbm_file": name})
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -259,6 +367,8 @@ class TestShippedScenarios:
             ("fig5d_single_span_sclu.json", ("closed-form", "solve")),
             ("fig6_multi_span_clu.json", ("multispan", "solve")),
             ("fig7_osnr_flat_clu.json", ("osnr-target",)),
+            ("preemph_single_span_clu.json", ("preemph",)),
+            ("preemph_multi_span_clu.json", ("preemph",)),
         ],
     )
     def test_runs_to_success(self, tmp_path, config, commands):
@@ -321,3 +431,63 @@ class TestConfigKinds:
         cfg = parse_config(path)
         assert cfg.fiber.attenuation.kind == "constant"
         assert main(["closed-form", "--config", str(path), "--output", str(tmp_path)]) == 0
+
+
+def _leaves(node, path=()):
+    """(path, value) of every number, boolean and list in a parsed JSON config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        yield path, node
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    elif isinstance(node, (bool, int, float)):
+        yield path, node
+
+
+def _fig7_with_values_db():
+    data = json.loads((CONFIG_DIR / "fig7_osnr_flat_clu.json").read_text())
+    data["osnr_target"]["values_db"] = [0.01 * (i % 7) for i in range(333)]
+    return data
+
+
+PROPERTY_CONFIGS = [
+    json.loads((CONFIG_DIR / name).read_text())
+    for name in ("fig4_single_span_clu.json", "fig7_osnr_flat_clu.json",
+                 "preemph_single_span_clu.json", "preemph_multi_span_clu.json")
+] + [_fig7_with_values_db()]
+BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), "1.0", "x", True, False]
+BAD_FLAGS = ["false", "true", 0, 1, 0.0]
+
+
+@st.composite
+def _broken_config(draw):
+    """A shipped config with one leaf mistyped, made non-finite or resized."""
+    data = json.loads(json.dumps(draw(st.sampled_from(PROPERTY_CONFIGS))))
+    path, value = draw(st.sampled_from(list(_leaves(data))))
+    if isinstance(value, list):
+        # a link takes any positive span count; every other list here is sized
+        sizes = [0] if path[-1] == "span_lengths_km" else [0, len(value) - 1, len(value) + 1]
+        size = draw(st.sampled_from(sizes))
+        bad = (value * 2)[:size]
+    else:
+        bad = draw(st.sampled_from(BAD_FLAGS if isinstance(value, bool) else BAD_NUMBERS))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    return data
+
+
+class TestBadValueProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=_broken_config())
+    def test_validate_config_exits_2_with_one_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("bad") / "bad.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["validate-config", "--config", str(path)])
+        assert code == 2
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1

@@ -229,3 +229,20 @@ class TestTargetOsnr:
         target = TargetSpectrum.absolute_dbm(c_grid, np.full(c_grid.n_channels, 20.0))
         with pytest.raises(ConfigurationError, match="shape-only"):
             target_osnr(target, osnr_link(default_fiber_50, 2), 0.064)
+
+    @pytest.mark.parametrize(
+        "settings,match",
+        [
+            ({"step": float("nan")}, "step and tolerance"),
+            ({"tolerance": float("nan")}, "step and tolerance"),
+            ({"step": 0.0}, "step and tolerance"),
+            ({"max_iterations": 0}, "max_iterations"),
+            ({"max_iterations": -1}, "max_iterations"),
+        ],
+    )
+    def test_bad_iteration_settings_rejected(self, c_grid, default_fiber_50, settings, match):
+        # max_iterations < 1 used to fail with an IndexError on an empty history,
+        # and a NaN step or tolerance slipped past a `<= 0` check
+        target = TargetSpectrum.flat_shape(c_grid)
+        with pytest.raises(ConfigurationError, match=match):
+            target_osnr(target, osnr_link(default_fiber_50, 2), 0.064, **settings)
