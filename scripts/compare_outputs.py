@@ -9,13 +9,15 @@ checkouts are compared on the same configs.  The sweep's timing columns
 (``oracle_seconds``, ``closedform_seconds``) are dropped before hashing,
 since they change from run to run.
 
-To check that a change leaves every output as it was, fingerprint the parent
-and the change and diff the manifests:
+With ``--against OLD/manifest.json`` the script then compares the new
+manifest with the old one, prints each run whose exit code, stdout or stderr
+differs and each file whose hash differs (or that only one side wrote), and
+exits 1 if there is any.  To check that a change leaves every output as it
+was, fingerprint the parent, then the change against it:
 
     git worktree add ../parent HEAD~1
     python scripts/compare_outputs.py /tmp/before --repo ../parent
-    python scripts/compare_outputs.py /tmp/after
-    diff /tmp/before/manifest.json /tmp/after/manifest.json
+    python scripts/compare_outputs.py /tmp/after --against /tmp/before/manifest.json
 """
 
 import argparse
@@ -51,12 +53,34 @@ def _without_timing(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
+def _differences(old: dict, new: dict) -> list[str]:
+    """One line per run or file that differs between two manifests."""
+    out = []
+    for name in sorted(old["runs"].keys() | new["runs"].keys()):
+        before, after = old["runs"].get(name), new["runs"].get(name)
+        if before is None or after is None:
+            out.append(f"run {name}: only in the {'new' if before is None else 'old'} manifest")
+            continue
+        fields = [k for k in ("exit", "stdout", "stderr") if before[k] != after[k]]
+        if fields:
+            out.append(f"run {name}: {', '.join(fields)} differ")
+    for name in sorted(old["files"].keys() | new["files"].keys()):
+        before, after = old["files"].get(name), new["files"].get(name)
+        if before is None or after is None:
+            out.append(f"file {name}: only in the {'new' if before is None else 'old'} manifest")
+        elif before != after:
+            out.append(f"file {name}: hash differs")
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out_dir", type=Path, help="directory for the outputs and manifest.json")
     parser.add_argument("--repo", type=Path, default=CHECKOUT,
                         help="checkout whose code is run (default: this one)")
+    parser.add_argument("--against", type=Path, metavar="MANIFEST",
+                        help="manifest.json to compare with; exit 1 on any difference")
     args = parser.parse_args()
     repo = args.repo.resolve()
     out_dir = args.out_dir.resolve()
@@ -94,7 +118,13 @@ def main() -> int:
     manifest = {"runs": runs, "files": files}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"{len(runs)} runs, {len(files)} files -> {out_dir / 'manifest.json'}", file=sys.stderr)
-    return 0
+    if args.against is None:
+        return 0
+    differences = _differences(json.loads(args.against.read_text()), manifest)
+    for line in differences:
+        print(line)
+    print(f"{len(differences)} differences against {args.against}", file=sys.stderr)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ box-plot convention (median, quartiles, 1.5 IQR whiskers).
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +66,11 @@ class SweepConfig:
                 raise ConfigurationError("sweep axis counts must be >= 1")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
+        # every cell builds this model at its own peak; building the lowest one
+        # here rejects a bad peak, peak separation or window before any cell runs
+        RamanGainModel.triangular(peak=min(self.raman_peak_range),
+                                  peak_separation=self.raman_peak_separation,
+                                  window=self.raman_window)
 
     def axis(self, bounds: tuple[float, float], count: int) -> np.ndarray:
         return np.linspace(bounds[0], bounds[1], count)
@@ -231,17 +239,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_QUOTE_OR_BREAK = re.compile('["\r\n]')
+
+
+def _csv_lines(header, rows):
+    """Yield the CSV lines of a table, header first, each ending in CRLF.
+
+    The text is what ``csv.writer`` writes for ``[_fmt(v) for v in row]``.
+    Each distinct tuple of cell types gets one cached ``%`` format (``%.9g``
+    for float subclasses, ``%s`` otherwise) applied to the whole row.  Only
+    a row that needs quoting goes through ``csv.writer``: a text cell holds
+    a comma, a quote or a line break, or the row is one text cell (``[""]``
+    is written ``""``).  Lines are yielded one at a time, so a large table
+    is never held as one string.
+    """
+    formats = {}
+    buffer = io.StringIO()
+    quoting = csv.writer(buffer)
+    for row in itertools.chain((header,), rows):
+        cells = tuple(row)
+        types = tuple(map(type, cells))
+        pattern = formats.get(types)
+        if pattern is None:
+            specs = ["%.9g" if issubclass(t, float) else "%s" for t in types]
+            pattern = formats[types] = (",".join(specs), "%s" in specs)
+        fmt, has_text = pattern
+        line = fmt % cells
+        # a %.9g float never holds a comma, a quote or a line break
+        if has_text and (len(cells) == 1 or line.count(",") != len(cells) - 1
+                         or _QUOTE_OR_BREAK.search(line)):
+            quoting.writerow([_fmt(v) for v in cells])
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+        else:
+            yield line + "\r\n"
+
+
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
+    rows = ([getattr(r, c) for c in _RECORD_COLUMNS] for r in records)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, c)) for c in _RECORD_COLUMNS])
+        fh.writelines(_csv_lines(_RECORD_COLUMNS, rows))
 
 
 def write_summary_csv(summaries: Sequence[SweepSummary], path) -> None:
+    rows = ([getattr(s, c) for c in _SUMMARY_COLUMNS] for s in summaries)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for s in summaries:
-            writer.writerow([_fmt(getattr(s, c)) for c in _SUMMARY_COLUMNS])
+        fh.writelines(_csv_lines(_SUMMARY_COLUMNS, rows))

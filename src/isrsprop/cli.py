@@ -8,7 +8,6 @@ error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import _fmt, run_order_sweep, write_records_csv, write_summary_csv
+from .bench import _csv_lines, run_order_sweep, write_records_csv, write_summary_csv
 from .closedform import derive_params, power_profile
 from .config import RunConfig, parse_config
 from .errors import (
@@ -42,10 +41,7 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> N
         )
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.writelines(_csv_lines(header, rows))
 
 
 def _channel_table(

@@ -26,6 +26,7 @@ from .multispan import AmplifierSpec, LinkSpec
 from .ode_oracle import SolverOptions
 from .osnr import OsnrTargetRun, _check_iteration_settings, target_osnr
 from .profiles import (
+    BAND_PLANS,
     AttenuationProfile,
     Band,
     ChannelGrid,
@@ -137,6 +138,15 @@ class _Section(dict):
         return value
 
 
+def _plan_name(value, where: str) -> str:
+    """A named band plan; anything else is an error naming ``where`` and the plans."""
+    if isinstance(value, str) and value in BAND_PLANS:
+        return value
+    raise ConfigurationError(
+        f"{where}: unknown band plan {value!r}; expected one of {sorted(BAND_PLANS)}"
+    )
+
+
 def _parse_grid(section: Mapping | None) -> tuple[ChannelGrid | None, float]:
     """The channel grid (None for a spacing-only section) and its spacing in THz."""
     if section is None:
@@ -144,7 +154,7 @@ def _parse_grid(section: Mapping | None) -> tuple[ChannelGrid | None, float]:
     s = _Section(section, "grid")
     spacing = s.number("spacing_thz") if "spacing_thz" in s else s.number("spacing_ghz", 50) * 1e-3
     if "plan" in s:
-        return build_channel_grid(s.get("plan"), spacing), spacing
+        return build_channel_grid(_plan_name(s["plan"], "grid.plan"), spacing), spacing
     if "bands" not in s:
         return None, spacing  # spacing-only grid section (sweep configs)
     bands = s.get("bands")
@@ -323,8 +333,11 @@ def _parse_sweep(section: Mapping | None, attenuation: AttenuationProfile, spaci
         if len(bounds) != 2:
             raise ConfigurationError(f"sweep.{key}: expected [low, high], got {bounds!r}")
         return tuple(bounds)
+    plans = s.get("band_plans", ["C", "CL", "CLU", "SCLU"])
+    if not isinstance(plans, list):
+        raise ConfigurationError(f"sweep.band_plans: expected a list of plan names, got {plans!r}")
     return SweepConfig(
-        band_plans=tuple(s.get("band_plans", ("C", "CL", "CLU", "SCLU"))),
+        band_plans=tuple(_plan_name(plan, "sweep.band_plans") for plan in plans),
         raman_peak_range=pair("raman_peak_range", (0.3, 0.4)),
         raman_peak_count=s.number("raman_peak_count", 5, count=True),
         launch_power_dbm_range=pair("launch_power_dbm_range", (-5.0, 0.0)),
@@ -358,13 +371,13 @@ def _parse_osnr_target(section: Mapping, grid: ChannelGrid | None, link: LinkSpe
     elif launch_total is None:
         raise ConfigurationError("osnr_target: needs total_launch_power_dbm")
     b_ref = s.number("reference_bandwidth_ghz", None)
+    b_ref = None if b_ref is None else b_ref * 1e-3
     step, tolerance = s.number("step", 1.0), s.number("tolerance", 1e-5)
     max_iterations = s.number("max_iterations", 50, count=True)
-    _check_iteration_settings(step, tolerance, max_iterations)
+    _check_iteration_settings(step, tolerance, max_iterations, b_ref)
     return partial(
         target_osnr, target, total_launch_power=launch_total, step=step, tolerance=tolerance,
-        max_iterations=max_iterations, rmse_in_db=s.flag("rmse_in_db"),
-        reference_bandwidth=None if b_ref is None else b_ref * 1e-3,
+        max_iterations=max_iterations, rmse_in_db=s.flag("rmse_in_db"), reference_bandwidth=b_ref,
     )
 
 

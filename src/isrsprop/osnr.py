@@ -177,7 +177,7 @@ def target_osnr(
     :class:`ConvergenceError` carrying the RMSE history when the iteration
     cap is reached.
     """
-    _check_iteration_settings(step, tolerance, max_iterations)
+    _check_iteration_settings(step, tolerance, max_iterations, reference_bandwidth)
     if not target.normalized:
         raise ConfigurationError("OSNR targets are shape-only; build the target with normalized=True")
     grid = target.grid
@@ -210,11 +210,16 @@ def target_osnr(
     )
 
 
-def _check_iteration_settings(step: float, tolerance: float, max_iterations: int) -> None:
+def _check_iteration_settings(step: float, tolerance: float, max_iterations: int,
+                              reference_bandwidth: float | None = None) -> None:
     if not (step > 0 and tolerance > 0):
         raise ConfigurationError("step and tolerance must be positive")
     if max_iterations < 1:
         raise ConfigurationError("max_iterations must be >= 1")
+    if reference_bandwidth is not None and not reference_bandwidth > 0:
+        raise ConfigurationError(
+            f"the OSNR reference bandwidth must be positive, got {reference_bandwidth!r} THz"
+        )
 
 
 def _normalize(values: np.ndarray, in_db: bool) -> np.ndarray:

@@ -397,6 +397,10 @@ class RamanGainModel:
         if slope is None:
             if peak is None:
                 raise ConfigurationError("triangular gain needs a slope or a peak value")
+            if not (math.isfinite(peak_separation) and peak_separation > 0):
+                raise ConfigurationError(
+                    f"triangular gain needs a finite peak separation > 0 THz, got {peak_separation!r}"
+                )
             slope = peak / peak_separation
         return cls(kind="triangular", slope=slope, window=window)
 

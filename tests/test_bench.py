@@ -1,6 +1,11 @@
+import csv
+import dataclasses
+import io
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from isrsprop import (
     ConfigurationError,
@@ -9,7 +14,13 @@ from isrsprop import (
     run_order_sweep,
     total_power_error_ratio,
 )
-from isrsprop.bench import summarize, write_records_csv, write_summary_csv
+from isrsprop.bench import (
+    SweepRecord,
+    _csv_lines,
+    summarize,
+    write_records_csv,
+    write_summary_csv,
+)
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
@@ -204,3 +215,76 @@ class TestFailedCells:
         assert records[0].error != ""
         assert np.isnan(records[0].eps_p)
         assert summaries == []
+
+
+def csv_writer_reference(header, rows) -> str:
+    """The table as csv.writer writes it with each cell formatted by
+    ``f"{v:.9g}"`` for floats and ``str`` otherwise, the writers' old path."""
+    def fmt(value):
+        return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buffer.getvalue()
+
+
+QUOTING_TEXT = st.text(alphabet='ab ,"\r\n%', max_size=6)
+# one strategy per cell type, so a row's strategies fix its cell types
+CELL_KINDS = [
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308, -1e308]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    QUOTING_TEXT,
+    st.text(max_size=4),
+]
+
+
+@st.composite
+def tables(draw):
+    """A header and rows drawn from a few cell-type patterns, so that one
+    table reuses a pattern, switches to another and back."""
+    patterns = draw(st.lists(st.lists(st.sampled_from(CELL_KINDS), max_size=5),
+                             min_size=1, max_size=3))
+    rows = [[draw(kind) for kind in pattern]
+            for pattern in draw(st.lists(st.sampled_from(patterns), max_size=8))]
+    return draw(st.lists(QUOTING_TEXT, max_size=5)), rows
+
+
+class TestCsvLines:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tables())
+    def test_matches_csv_writer(self, table):
+        header, rows = table
+        assert "".join(_csv_lines(header, rows)) == csv_writer_reference(header, rows)
+
+    @pytest.mark.parametrize("row", [[""], ["a,b"], ["a"], ['"'], [], ["", ""], [1.5, "x\ny"]])
+    def test_quoting_edge_rows(self, row):
+        for header, rows in ((row, []), (["h"], [row, [0.1, 2], row])):
+            assert "".join(_csv_lines(header, rows)) == csv_writer_reference(header, rows)
+
+    def test_records_with_an_instability_error(self, tmp_path):
+        message = "negative channel power at z = 1.500 km; increase steps_per_span (currently 8)"
+        nan = float("nan")
+        records = [
+            SweepRecord("C", 0.4, -1.0, 100.0, 3, 1.0001, 0.0125, 0.002, 0.0004),
+            SweepRecord("CL", 0.35, 12.0, 150.0, 3, nan, nan, 0.0, 0.0,
+                        error=repr(NumericalInstabilityError(message))),
+            SweepRecord("CL", 0.35, 12.0, 150.0, 4, nan, nan, 0.0, 0.0,
+                        error=repr(ValueError("bad cell, 'quoted', \"twice\"\nagain"))),
+            SweepRecord("C", np.float64(0.3), -5.0, 50.0, np.int64(6), np.float64(0.99), 0.5,
+                        1e-3, 2e-4),
+        ]
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        header = [f.name for f in dataclasses.fields(SweepRecord)]
+        rows = [[getattr(r, c) for c in header] for r in records]
+        assert path.read_bytes() == csv_writer_reference(header, rows).encode()
+        with open(path, newline="") as fh:
+            assert [row[-1] for row in csv.reader(fh)][1:] == [r.error for r in records]

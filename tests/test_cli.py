@@ -105,21 +105,51 @@ class TestValidateConfig:
             lambda d: d["link"].update(receiver_boost=1),
             lambda d: d["link"]["amplifier"]["noise_figure_db"].update(C=float("inf")),
             lambda d: d["link"].update(span_lengths_km=[]),
+            lambda d: d["fiber"]["raman"].update(peak_separation_thz=0),
+            lambda d: d["grid"].update(plan=5),
+            lambda d: d["grid"].update(plan=["C"]),
+            lambda d: d["osnr_target"].update(reference_bandwidth_ghz=-50),
+            lambda d: d["osnr_target"].update(reference_bandwidth_ghz=0),
         ],
         ids=["shape-tilted", "values_db-5", "step-nan", "max_iterations-0", "order-x",
              "steps-x", "steps-2.5", "spacing-nan", "photon_correction-str", "boost-int",
-             "noise_figure-inf", "span_lengths-empty"],
+             "noise_figure-inf", "span_lengths-empty", "peak_separation-0", "plan-int",
+             "plan-list", "reference_bandwidth-negative", "reference_bandwidth-0"],
     )
     def test_validate_config_rejects_what_osnr_target_rejects(self, tmp_path, capsys, edit):
-        # validate-config rejects what osnr-target would reject, with one line
+        # validate-config rejects what osnr-target would reject, with the same one line
         data = json.loads((CONFIG_DIR / "fig7_osnr_flat_clu.json").read_text())
         edit(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
+        errors = []
         for command in ("validate-config", "osnr-target"):
             assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("config error: ") and err.count("\n") == 1
+            errors.append(capsys.readouterr().err)
+            assert errors[-1].startswith("config error: ") and errors[-1].count("\n") == 1
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            ({"raman_peak_separation_thz": 0}, "peak separation"),
+            ({"raman_window_thz": 0}, "window > 0"),
+            ({"raman_peak_range": [-0.4, 0.4]}, "slope >= 0"),
+            ({"band_plans": ["C", 5]}, "sweep.band_plans: unknown band plan 5"),
+            ({"band_plans": ["C", "X"]}, "sweep.band_plans: unknown band plan 'X'"),
+            ({"band_plans": "CLU"}, "sweep.band_plans: expected a list"),
+        ],
+        ids=["peak_separation-0", "window-0", "peak-negative", "plan-int", "plan-unknown",
+             "plans-string"],
+    )
+    def test_sweep_section_is_checked_before_any_cell_runs(self, tmp_path, capsys, edit, match):
+        data = json.loads((CONFIG_DIR / "fig3_order_sweep.json").read_text())
+        data["sweep"].update(edit)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and match in err
 
     @pytest.mark.parametrize(
         "launch",

@@ -238,6 +238,8 @@ class TestTargetOsnr:
             ({"step": 0.0}, "step and tolerance"),
             ({"max_iterations": 0}, "max_iterations"),
             ({"max_iterations": -1}, "max_iterations"),
+            ({"reference_bandwidth": -0.05}, "reference bandwidth"),
+            ({"reference_bandwidth": 0.0}, "reference bandwidth"),
         ],
     )
     def test_bad_iteration_settings_rejected(self, c_grid, default_fiber_50, settings, match):

@@ -114,6 +114,11 @@ class TestRamanGain:
     def test_zero_separation(self):
         assert raman_gain_at(RamanGainModel.triangular(peak=0.4), 0.0) == 0.0
 
+    @pytest.mark.parametrize("separation", [0.0, -14.0, math.inf, math.nan])
+    def test_peak_separation_must_be_finite_and_positive(self, separation):
+        with pytest.raises(ConfigurationError, match="peak separation"):
+            RamanGainModel.triangular(peak=0.4, peak_separation=separation)
+
     def test_negative_separation_rejected(self):
         with pytest.raises(ValueError, match="order the frequencies"):
             raman_gain_at(RamanGainModel.triangular(peak=0.4), -1.0)
