@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import derive_params, power_profile
+from .closedform import _params_by_order, derive_params, power_profile
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -66,6 +67,14 @@ class SweepConfig:
                 raise ConfigurationError("sweep axis counts must be >= 1")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
+        if any(order < 1 for order in self.orders):
+            raise ConfigurationError(f"sweep orders must be >= 1, got {self.orders}")
+        if self.steps_per_span < 1:
+            raise ConfigurationError("sweep steps_per_span must be >= 1")
+        if not all(math.isfinite(km) and km > 0 for km in self.length_range_km):
+            raise ConfigurationError(
+                f"sweep span lengths must be finite and > 0, got {self.length_range_km}"
+            )
         # every cell builds this model at its own peak; building the lowest one
         # here rejects a bad peak, peak separation or window before any cell runs
         RamanGainModel.triangular(peak=min(self.raman_peak_range),
@@ -114,7 +123,10 @@ def _run_group(args) -> list[SweepRecord]:
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
     the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.
+    time over its cell count.  A cell derives its closed-form parameters for
+    every order at once, since most of them do not depend on the order; its
+    ``closedform_seconds`` at an order is that time over the order count
+    plus the order's own profile.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -148,12 +160,21 @@ def _run_group(args) -> list[SweepRecord]:
             continue
         oracle = PowerSpectrum(grid, outputs[b])
         oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
-        for n in config.orders:
+        try:
+            t0 = time.perf_counter()
+            by_order = _params_by_order(launch, fiber, config.orders)
+            shared_s = (time.perf_counter() - t0) / len(config.orders)
+        except Exception:
+            # derive each order alone, so a failure of one order's own terms
+            # fails that order only, and an order-free failure fails each alike
+            by_order, shared_s = (None,) * len(config.orders), 0.0
+        for n, params in zip(config.orders, by_order):
             try:
                 t0 = time.perf_counter()
-                params = derive_params(launch, fiber, n)
+                if params is None:
+                    params = derive_params(launch, fiber, n)
                 closed = power_profile(launch, params, raman.slope, length)
-                closed_s = time.perf_counter() - t0
+                closed_s = shared_s + (time.perf_counter() - t0)
                 eps = total_power_error_ratio(closed, oracle)
                 dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())
                 records.append(

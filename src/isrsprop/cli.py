@@ -156,6 +156,17 @@ def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
     _write_table(out / f"{cfg.name}_osnr_profile.csv", head, rows, fmt)
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an int, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isrsprop",
@@ -180,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None, help="override approximation order")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "sweep":
-            p.add_argument("--workers", type=int, default=1, help="parallel sweep processes")
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           help="parallel sweep processes")
     return parser
 
 

@@ -103,18 +103,19 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
-    return _attenuation_and_mean(launch, attenuation, order)[1]
+    return _attenuation_and_means(launch, attenuation, (order,))[1][0]
 
 
-def _attenuation_and_mean(spectrum: PowerSpectrum, attenuation: AttenuationProfile, order: int):
-    """Per-channel alpha(f_i) and its order-n power mean weighted by the spectrum."""
-    if order < 1:
+def _attenuation_and_means(spectrum: PowerSpectrum, attenuation: AttenuationProfile, orders):
+    """Per-channel alpha(f_i) and its power mean of each order, weighted by the spectrum."""
+    if any(order < 1 for order in orders):
         raise ConfigurationError("approximation order must be a positive integer")
     total = spectrum.total_power
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
     alpha = attenuation_at(attenuation, spectrum.grid.frequencies)
-    return alpha, float((np.sum(alpha**order * spectrum.powers) / total) ** (1.0 / order))
+    return alpha, [float((np.sum(alpha**order * spectrum.powers) / total) ** (1.0 / order))
+                   for order in orders]
 
 
 def _shaping_ref_from_arrays(
@@ -176,26 +177,42 @@ def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> Cl
     A tabulated Raman model is coerced to its triangular fit (the closed form
     is parameterized by a slope and window only).
     """
+    return _params_by_order(launch, fiber, (order,))[0]
+
+
+def _params_by_order(
+    launch: PowerSpectrum, fiber: FiberSpec, orders: tuple[int, ...]
+) -> tuple[ClosedFormParams, ...]:
+    """:func:`derive_params` at each of ``orders``, the order-free terms derived once.
+
+    The shaping values, the per-channel alpha and the launch total do not
+    depend on the order; alpha0, the reference shaping value and the
+    effective length do.  Raises if any order's parameters cannot be derived.
+    """
     tri = fiber.raman.as_triangular()
     shaping = shaping_function(launch, tri.window)
-    alpha, alpha0 = _attenuation_and_mean(launch, fiber.attenuation, order)
-    if tri.slope == 0.0:
-        ref = 0.0
-    else:
-        ref = _shaping_ref_from_arrays(
-            launch.powers, shaping, alpha, alpha0, order, tri.slope, fiber.length
-        )
-    leff = -math.expm1(-alpha0 * fiber.length) / alpha0
-    return ClosedFormParams(
-        alpha0=alpha0,
-        order=order,
-        shaping=shaping,
-        shaping_ref=ref,
-        effective_length=leff,
-        total_launch_power=launch.total_power,
-        length=fiber.length,
-        channel_attenuation=alpha,
-    )
+    alpha, means = _attenuation_and_means(launch, fiber.attenuation, orders)
+    total = launch.total_power
+    out = []
+    for order, alpha0 in zip(orders, means):
+        if tri.slope == 0.0:
+            ref = 0.0
+        else:
+            ref = _shaping_ref_from_arrays(
+                launch.powers, shaping, alpha, alpha0, order, tri.slope, fiber.length
+            )
+        leff = -math.expm1(-alpha0 * fiber.length) / alpha0
+        out.append(ClosedFormParams(
+            alpha0=alpha0,
+            order=order,
+            shaping=shaping,
+            shaping_ref=ref,
+            effective_length=leff,
+            total_launch_power=total,
+            length=fiber.length,
+            channel_attenuation=alpha,
+        ))
+    return tuple(out)
 
 
 def power_profile(

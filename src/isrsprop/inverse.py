@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormParams, _attenuation_and_mean, shaping_function
+from .closedform import ClosedFormParams, _attenuation_and_means, shaping_function
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
@@ -77,7 +77,7 @@ def closedform_params_from_output(
         raise ConfigurationError("total output power must be positive")
     tri = fiber.raman.as_triangular()
     shaping = shaping_function(output, tri.window)
-    alpha, alpha0 = _attenuation_and_mean(output, fiber.attenuation, order)
+    alpha, (alpha0,) = _attenuation_and_means(output, fiber.attenuation, (order,))
     weights = alpha**order * output.powers / (alpha0**order * total_out)
     ref = float(np.sum(weights * shaping)) if tri.slope != 0.0 else 0.0
     leff = -math.expm1(-alpha0 * fiber.length) / alpha0

@@ -11,7 +11,10 @@ otherwise.  The integrator is classic fixed-step fourth-order Runge-Kutta so
 results are reproducible for a given step count; this module is the ground
 truth the closed-form solution is validated against.  It steps a (B, n)
 matrix of launches that share a grid and fiber model, one span length per
-row; :func:`integrate_span` is the one-row case that keeps every step.
+row; :func:`integrate_span` is the one-row case that keeps every step.  Each
+RK4 stage applies the coupling matrix in row panels of at most 1 MiB, so a
+panel stays in cache while it is applied to every row of the batch, and each
+output power is the same BLAS dot product as one whole-matrix ``K @ p``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .profiles import (
 )
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
+_PANEL_BYTES = 1 << 20  # bytes of K applied to a whole batch at once; stays in a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -124,19 +128,33 @@ def _rk4(p0: np.ndarray, k: np.ndarray, alpha: np.ndarray, h: np.ndarray, steps:
     """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
 
     Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
-    Each stage is one stacked product ``K @ p_b`` over the rows, which numpy
-    hands to BLAS as one matrix-vector product per row: the arithmetic of a
-    one-row ``K @ p``, so a row's result is bit-identical whatever batch it
-    is in.  (A ``P @ K.T`` matrix product is faster but sums in another
-    order and moves the last bits.)  Yields ``(rows, p, unstable)`` after
-    each step: the batch indices of the rows still integrating, their state,
-    and the mask of those with a power below ``_NEGATIVE_FLOOR`` or not
-    finite (an overflowing launch).  Unstable rows leave the batch before
-    the next step; the others carry on.
+    Each stage forms ``K @ p_b`` for every row b in row panels of K: the
+    most rows that fit in ``_PANEL_BYTES``, rounded down to a multiple of
+    32, so K is one panel up to 352 channels and SCLU's 528 take three (a
+    one-row batch always takes one).  A panel is one stacked product, which
+    numpy hands to BLAS as one matrix-vector product per row, and it stays
+    in cache from row to row where the whole SCLU K (2.2 MB) would stream
+    from memory once per row.  OpenBLAS forms each output as the dot
+    product of a row of K with ``p_b``, grouping rows in fours from the
+    first row of a call; every panel starts at a multiple of 32, so each
+    power is bit-identical to a one-row, whole-matrix ``K @ p``, whatever
+    batch or panel it is in.  (A ``P @ K.T`` matrix product is faster but
+    sums in another order and moves the last bits.)
+    Yields ``(rows, p, unstable)`` after each step: the batch indices of the
+    rows still integrating, their state, and the mask of those with a power
+    below ``_NEGATIVE_FLOOR`` or not finite (an overflowing launch).
+    Unstable rows leave the batch before the next step; the others carry on.
     """
+    n = k.shape[0]
+    # one row reads all of K once per stage however it is cut: only a batch reuses a panel
+    size = n if len(p0) == 1 else max(32, _PANEL_BYTES // (k.itemsize * n) // 32 * 32)
+    panels = [(slice(i, i + size), k[i:i + size]) for i in range(0, n, size)]
 
     def deriv(p):
-        return p * np.matmul(k, p[:, :, None])[:, :, 0] - alpha * p
+        kp = np.empty_like(p)
+        for cols, panel in panels:
+            kp[:, cols] = np.matmul(panel, p[:, :, None])[:, :, 0]
+        return p * kp - alpha * p
 
     rows = np.arange(p0.shape[0])
     p = p0.copy()

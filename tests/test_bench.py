@@ -167,7 +167,11 @@ def per_cell_reference(config):
                         continue
                     oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
                     for n in config.orders:
-                        params = derive_params(launch, fiber, n)
+                        try:
+                            params = derive_params(launch, fiber, n)
+                        except Exception as exc:
+                            out.append((*cell, n, np.nan, np.nan, repr(exc)))
+                            continue
                         closed = power_profile(launch, params, raman.slope, float(length))
                         closed_dbm = 10.0 * np.log10(closed.powers / 1e-3)
                         dev = float(np.abs(closed_dbm - oracle_dbm).max())
@@ -176,6 +180,18 @@ def per_cell_reference(config):
 
 
 class TestBatchedSweep:
+    @staticmethod
+    def assert_records_match(records, expected):
+        assert len(records) == len(expected)
+        for r, (band, peak, power, length, order, eps, dev, error) in zip(records, expected):
+            assert (r.band, r.raman_peak, r.launch_power_dbm, r.length_km, r.order, r.error) == (
+                band, peak, power, length, order, error
+            )
+            if error:
+                assert np.isnan(r.eps_p) and np.isnan(r.max_deviation_db)
+            else:  # the batch rows are bit-identical to integrate_span
+                assert (r.eps_p, r.max_deviation_db) == (eps, dev)
+
     def test_records_match_per_cell_integration(self):
         # the CL cells at 12 dBm go unstable at 8 steps, the rest of their group does not
         config = SweepConfig(
@@ -186,16 +202,34 @@ class TestBatchedSweep:
         )
         records, _ = run_order_sweep(config)
         expected = per_cell_reference(config)
-        assert len(records) == len(expected) == 32
+        assert len(records) == 32
         assert sum(1 for e in expected if e[-1]) == 8
-        for r, (band, peak, power, length, order, eps, dev, error) in zip(records, expected):
-            assert (r.band, r.raman_peak, r.launch_power_dbm, r.length_km, r.order, r.error) == (
-                band, peak, power, length, order, error
-            )
-            if error:
-                assert np.isnan(r.eps_p) and np.isnan(r.max_deviation_db)
-            else:  # the batch rows are bit-identical to integrate_span
-                assert (r.eps_p, r.max_deviation_db) == (eps, dev)
+        self.assert_records_match(records, expected)
+
+    def test_sclu_records_match_per_cell_and_per_order_derivation(self):
+        # SCLU's coupling matrix is applied in three row panels, and each
+        # cell derives all six orders' closed-form parameters at once
+        config = SweepConfig(
+            band_plans=("SCLU",), raman_peak_range=(0.35, 0.35), raman_peak_count=1,
+            launch_power_dbm_range=(-4.0, 0.0), launch_power_count=2,
+            length_range_km=(60.0, 150.0), length_count=2, steps_per_span=8,
+        )
+        records, _ = run_order_sweep(config)
+        expected = per_cell_reference(config)
+        assert len(records) == 24 and not any(e[-1] for e in expected)
+        self.assert_records_match(records, expected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_an_order_that_fails_alone_fails_only_itself(self):
+        # alpha ** 300 underflows, so order 300 has no alpha0; orders 1 and 3 still derive
+        config = SweepConfig(
+            band_plans=("C",), raman_peak_count=1, launch_power_count=1, length_count=1,
+            orders=(1, 300, 3), steps_per_span=8,
+        )
+        records, _ = run_order_sweep(config)
+        expected = per_cell_reference(config)
+        assert [bool(e[-1]) for e in expected] == [False, True, False]
+        self.assert_records_match(records, expected)
 
 
 class TestFailedCells:

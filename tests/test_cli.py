@@ -138,18 +138,26 @@ class TestValidateConfig:
             ({"band_plans": ["C", 5]}, "sweep.band_plans: unknown band plan 5"),
             ({"band_plans": ["C", "X"]}, "sweep.band_plans: unknown band plan 'X'"),
             ({"band_plans": "CLU"}, "sweep.band_plans: expected a list"),
+            ({"steps_per_span": 0}, "sweep steps_per_span must be >= 1"),
+            ({"orders": [3, 0]}, "sweep orders must be >= 1"),
+            ({"length_range_km": [-50.0, 100.0]}, "sweep span lengths must be finite and > 0"),
         ],
         ids=["peak_separation-0", "window-0", "peak-negative", "plan-int", "plan-unknown",
-             "plans-string"],
+             "plans-string", "steps-0", "order-0", "length-negative"],
     )
     def test_sweep_section_is_checked_before_any_cell_runs(self, tmp_path, capsys, edit, match):
+        # validate-config rejects what sweep would reject, with the same one line
         data = json.loads((CONFIG_DIR / "fig3_order_sweep.json").read_text())
         data["sweep"].update(edit)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        assert main(["validate-config", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and match in err
+        errors = []
+        for command in ("validate-config", "sweep"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert errors[-1].startswith("config error: ") and errors[-1].count("\n") == 1
+            assert match in errors[-1]
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize(
         "launch",
@@ -299,6 +307,16 @@ class TestCommands:
         assert main(["sweep", "--config", str(path), "--output", str(tmp_path)]) == 0
         recs = (tmp_path / "sw_sweep_records.csv").read_text().splitlines()
         assert len(recs) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        path = small_config(tmp_path, name="sw", sweep={"band_plans": ["C"]})
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path), "--output", str(tmp_path),
+                  f"--workers={workers}"])
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sw_sweep_records.csv").exists()
 
     def test_osnr_target_outputs(self, tmp_path):
         path = small_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from isrsprop import (
     AttenuationProfile,
     Band,
+    ClosedFormParams,
     ConfigurationError,
     FiberSpec,
     PowerSpectrum,
@@ -20,7 +22,8 @@ from isrsprop import (
     shaping_function,
     total_attenuation_coefficient,
 )
-from isrsprop.profiles import attenuation_at
+from isrsprop.closedform import _params_by_order
+from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, to_db
 
@@ -306,3 +309,26 @@ class TestPowerProfile:
         assert params.total_power_at(100.0) == pytest.approx(
             clu_launch.total_power * math.exp(-params.alpha0 * 100.0)
         )
+
+
+class TestParamsByOrder:
+    """The orders derived together equal each order derived alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "raman",
+        [
+            RamanGainModel.triangular(peak=0.4),
+            RamanGainModel.triangular(slope=0.0),
+            RamanGainModel.from_table([0.0, 7.0, 13.0, 14.5, 16.0], [0.0, 0.15, 0.42, 0.3, 0.0]),
+        ],
+        ids=["triangular", "raman-free", "tabulated"],
+    )
+    def test_equals_derive_params_at_each_order(self, clu_grid, raman):
+        ripple = np.random.default_rng(5).uniform(-1.0, 1.0, clu_grid.n_channels)
+        launch = PowerSpectrum(clu_grid, 1e-3 * 10.0 ** ((-1.0 + ripple) / 10.0))
+        fiber = FiberSpec(default_attenuation(), raman, 80.0)
+        orders = (1, 2, 3, 4, 5, 6)
+        for n, params in zip(orders, _params_by_order(launch, fiber, orders), strict=True):
+            alone = derive_params(launch, fiber, n)
+            for f in dataclasses.fields(ClosedFormParams):
+                assert np.array_equal(getattr(params, f.name), getattr(alone, f.name)), f.name

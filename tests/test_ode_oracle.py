@@ -6,6 +6,8 @@ import pytest
 from isrsprop import (
     AmplifierSpec,
     AttenuationProfile,
+    Band,
+    ChannelGrid,
     ConfigurationError,
     FiberSpec,
     LinkSpec,
@@ -19,7 +21,7 @@ from isrsprop import (
     propagate_link_numerical,
 )
 from isrsprop.ode_oracle import _integrate_batch, _span_operator
-from isrsprop.profiles import attenuation_at
+from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, raman_free_fiber
 
@@ -179,6 +181,48 @@ class TestIntegrateBatch:
         assert errors == ("",) * 5
         for row, p, length in zip(out, powers, lengths):
             np.testing.assert_array_equal(row, self.single(cl_grid, p, fiber, length, options))
+
+    @staticmethod
+    def unpanelled(powers, lengths, operator, steps):
+        """The batch through RK4 with one whole-matrix stacked ``K @ p`` per stage."""
+        k, alpha = operator
+        h = np.asarray(lengths)[:, None] / steps
+
+        def deriv(p):
+            return p * np.matmul(k, p[:, :, None])[:, :, 0] - alpha * p
+
+        p = powers.copy()
+        for _ in range(steps):
+            k1 = deriv(p)
+            k2 = deriv(p + 0.5 * h * k1)
+            k3 = deriv(p + 0.5 * h * k2)
+            k4 = deriv(p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.maximum(p, 0.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            build_channel_grid("SCLU"),  # 528 channels: panels of 224, 224 and 80 rows
+            # 397 and 354 channels: a 352-row panel, then 45 rows or 2
+            *(ChannelGrid(190.0 + 0.05 * (np.arange(n) + 0.5), 0.05,
+                          (Band("X", 190.0, 190.0 + 0.05 * n),)) for n in (397, 354)),
+        ],
+        ids=["SCLU", "397-channels", "354-channels"],
+    )
+    def test_multi_panel_rows_match_one_whole_matrix_product(self, grid):
+        # each panel starts at a multiple of 32 rows, so BLAS sums every power
+        # as it does in one K @ p; a BLAS that groups rows otherwise fails here
+        options = SolverOptions(steps_per_span=8)
+        powers, lengths = self.mixed_launches(grid, 4)
+        fiber = FiberSpec(default_attenuation(), RamanGainModel.triangular(peak=0.35), 1.0)
+        operator = _span_operator(grid, fiber, options)
+        out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
+        assert errors == ("",) * 4
+        reference = self.unpanelled(powers, lengths, operator, options.steps_per_span)
+        for row, expected, p, length in zip(out, reference, powers, lengths):
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, self.single(grid, p, fiber, length, options))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_unstable_row_leaves_the_batch(self):
