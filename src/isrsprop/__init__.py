@@ -16,7 +16,6 @@ from .bench import (
 from .closedform import (
     ClosedFormParams,
     derive_params,
-    gamma_ref,
     power_profile,
     shaping_function,
     total_attenuation_coefficient,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import _params_by_order, derive_params, power_profile
+from .closedform import _span_params, _span_terms, power_profile
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -123,10 +123,11 @@ def _run_group(args) -> list[SweepRecord]:
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
     the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.  A cell derives its closed-form parameters for
-    every order at once, since most of them do not depend on the order; its
-    ``closedform_seconds`` at an order is that time over the order count
-    plus the order's own profile.
+    time over its cell count.  A cell derives its order-free closed-form
+    terms once; its ``closedform_seconds`` at an order is that time over the
+    order count plus the order's own parameters and profile.  An order-free
+    failure is recorded on every order of the cell, an order's own failure
+    only on that order.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -162,18 +163,19 @@ def _run_group(args) -> list[SweepRecord]:
         oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
         try:
             t0 = time.perf_counter()
-            by_order = _params_by_order(launch, fiber, config.orders)
+            terms = _span_terms(launch, fiber)
             shared_s = (time.perf_counter() - t0) / len(config.orders)
-        except Exception:
-            # derive each order alone, so a failure of one order's own terms
-            # fails that order only, and an order-free failure fails each alike
-            by_order, shared_s = (None,) * len(config.orders), 0.0
-        for n, params in zip(config.orders, by_order):
+        except Exception as exc:  # an order-free failure fails every order alike
+            records.extend(
+                SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
+                            oracle_s, 0.0, error=repr(exc))
+                for n in config.orders
+            )
+            continue
+        for n in config.orders:
             try:
                 t0 = time.perf_counter()
-                if params is None:
-                    params = derive_params(launch, fiber, n)
-                closed = power_profile(launch, params, raman.slope, length)
+                closed = power_profile(launch, _span_params(terms, n), raman.slope, length)
                 closed_s = shared_s + (time.perf_counter() - t0)
                 eps = total_power_error_ratio(closed, oracle)
                 dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())

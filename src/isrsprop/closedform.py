@@ -9,8 +9,10 @@ value of the tilt-free reference frequency chosen so the total output power
 balances, and a0 an order-n power mean of the attenuation weighted by the
 launch spectrum.  The total power is modeled as P_T(z) = P_T(0) e^{-a0 z}.
 
-Everything here is derived from the launch spectrum; the output-derived
-inverse forms live in :mod:`isrsprop.inverse`.
+One private builder turns a spectrum and a fiber into these parameters: from
+the launch spectrum here, and from the output spectrum for the inverse forms
+in :mod:`isrsprop.inverse`.  A Raman-free span (slope 0) needs no special
+case: its tilt term is zero and the profile is pure attenuation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class ClosedFormParams:
     order             power-mean order n used for alpha0
     shaping           per-channel shaping values, THz
     shaping_ref       shaping value at the tilt-free reference frequency, THz
-                      (0.0 on the Raman-free path where it is unused)
+                      (on a Raman-free span, the weighted-mean limit of the
+                      balance; the slope makes it drop out of the profile)
     effective_length  (1 - e^{-alpha0 L}) / alpha0, km
     total_launch_power  P_T(0), W
     length            span length L, km
@@ -103,19 +106,17 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
-    return _attenuation_and_means(launch, attenuation, (order,))[1][0]
+    alpha = attenuation_at(attenuation, launch.grid.frequencies)
+    return _power_mean(alpha, launch.powers, launch.total_power, order)
 
 
-def _attenuation_and_means(spectrum: PowerSpectrum, attenuation: AttenuationProfile, orders):
-    """Per-channel alpha(f_i) and its power mean of each order, weighted by the spectrum."""
-    if any(order < 1 for order in orders):
+def _power_mean(alpha: np.ndarray, powers: np.ndarray, total: float, order: int) -> float:
+    """Order-n power mean of ``alpha`` weighted by ``powers``, whose sum is ``total``."""
+    if order < 1:
         raise ConfigurationError("approximation order must be a positive integer")
-    total = spectrum.total_power
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
-    alpha = attenuation_at(attenuation, spectrum.grid.frequencies)
-    return alpha, [float((np.sum(alpha**order * spectrum.powers) / total) ** (1.0 / order))
-                   for order in orders]
+    return float((np.sum(alpha**order * powers) / total) ** (1.0 / order))
 
 
 def _shaping_ref_from_arrays(
@@ -127,48 +128,22 @@ def _shaping_ref_from_arrays(
     slope: float,
     z: float,
 ) -> float:
-    """log-sum-exp evaluation of the tilt-free reference shaping value at z."""
+    """Reference shaping value (THz) that balances the modeled total power at z.
+
+    Computed with max-subtracted log-sum-exp so large slope * P_T * L_eff
+    products do not overflow.
+    """
     total = powers.sum()
     weights = alpha**order * powers / (alpha0**order * total)
     leff_z = -math.expm1(-alpha0 * z) / alpha0
     scale = slope * total * leff_z
     if scale == 0.0:
-        # z -> 0 limit: the balance reduces to the weighted mean shaping value
+        # z -> 0 or slope -> 0 limit: the balance reduces to the weighted mean shaping value
         return float(np.sum(weights * shaping))
     exponent = (alpha0 - alpha) * z - slope * shaping * total * leff_z
     m = exponent.max()
     log_sum = m + math.log(np.sum(weights * np.exp(exponent - m)))
     return -log_sum / scale
-
-
-def gamma_ref(
-    launch: PowerSpectrum,
-    shaping: np.ndarray,
-    alpha0: float,
-    order: int,
-    fiber: FiberSpec,
-    slope: float,
-    z: float | None = None,
-) -> float:
-    """Reference shaping value (THz) that conserves the modeled total power.
-
-    Evaluated at z = L by default; pass ``z`` for the higher-fidelity mode
-    that tracks the balance point along the span.  Computed with
-    max-subtracted log-sum-exp so large slope * P_T * L_eff products do not
-    overflow.
-    """
-    if slope == 0.0:
-        raise ConfigurationError(
-            "reference shaping value is undefined without Raman coupling; "
-            "use the attenuation-only path"
-        )
-    if launch.total_power <= 0:
-        raise ConfigurationError("total launch power must be positive")
-    alpha = attenuation_at(fiber.attenuation, launch.grid.frequencies)
-    return _shaping_ref_from_arrays(
-        launch.powers, np.asarray(shaping, dtype=float), alpha, alpha0, order, slope,
-        fiber.length if z is None else z,
-    )
 
 
 def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> ClosedFormParams:
@@ -177,42 +152,40 @@ def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> Cl
     A tabulated Raman model is coerced to its triangular fit (the closed form
     is parameterized by a slope and window only).
     """
-    return _params_by_order(launch, fiber, (order,))[0]
+    return _span_params(_span_terms(launch, fiber), order)
 
 
-def _params_by_order(
-    launch: PowerSpectrum, fiber: FiberSpec, orders: tuple[int, ...]
-) -> tuple[ClosedFormParams, ...]:
-    """:func:`derive_params` at each of ``orders``, the order-free terms derived once.
-
-    The shaping values, the per-channel alpha and the launch total do not
-    depend on the order; alpha0, the reference shaping value and the
-    effective length do.  Raises if any order's parameters cannot be derived.
-    """
+def _span_terms(spectrum: PowerSpectrum, fiber: FiberSpec) -> tuple:
+    """The order-free terms ``(powers, total, shaping, alpha, slope, length)`` of a span."""
     tri = fiber.raman.as_triangular()
-    shaping = shaping_function(launch, tri.window)
-    alpha, means = _attenuation_and_means(launch, fiber.attenuation, orders)
-    total = launch.total_power
-    out = []
-    for order, alpha0 in zip(orders, means):
-        if tri.slope == 0.0:
-            ref = 0.0
-        else:
-            ref = _shaping_ref_from_arrays(
-                launch.powers, shaping, alpha, alpha0, order, tri.slope, fiber.length
-            )
-        leff = -math.expm1(-alpha0 * fiber.length) / alpha0
-        out.append(ClosedFormParams(
-            alpha0=alpha0,
-            order=order,
-            shaping=shaping,
-            shaping_ref=ref,
-            effective_length=leff,
-            total_launch_power=total,
-            length=fiber.length,
-            channel_attenuation=alpha,
-        ))
-    return tuple(out)
+    shaping = shaping_function(spectrum, tri.window)
+    alpha = attenuation_at(fiber.attenuation, spectrum.grid.frequencies)
+    return spectrum.powers, spectrum.total_power, shaping, alpha, tri.slope, fiber.length
+
+
+def _span_params(terms: tuple, order: int, at: float = 0.0) -> ClosedFormParams:
+    """One order's parameters from the :func:`_span_terms` of a spectrum known at z = ``at``.
+
+    ``at`` is 0 for a launch spectrum and L for an output spectrum.  alpha0 is
+    the spectrum-weighted power mean of alpha, the reference shaping value
+    balances the modeled total power at z = L, a distance L - at from the
+    spectrum (at the output itself it is the weighted mean shaping value),
+    and the launch total is P_T(at) e^{alpha0 at}.
+    """
+    powers, total, shaping, alpha, slope, length = terms
+    alpha0 = _power_mean(alpha, powers, total, order)
+    ref = _shaping_ref_from_arrays(powers, shaping, alpha, alpha0, order, slope, length - at)
+    leff = -math.expm1(-alpha0 * length) / alpha0
+    return ClosedFormParams(
+        alpha0=alpha0,
+        order=order,
+        shaping=shaping,
+        shaping_ref=ref,
+        effective_length=leff,
+        total_launch_power=total * math.exp(alpha0 * at),
+        length=length,
+        channel_attenuation=alpha,
+    )
 
 
 def power_profile(
@@ -231,8 +204,6 @@ def power_profile(
     if not 0.0 <= z <= params.length:
         raise ConfigurationError(f"z = {z} km outside the span [0, {params.length}] km")
     alpha = params.channel_attenuation
-    if slope == 0.0:
-        return PowerSpectrum(launch.grid, launch.powers * np.exp(-alpha * z), z=z)
     ref = params.shaping_ref
     if refresh_reference:
         ref = _shaping_ref_from_arrays(

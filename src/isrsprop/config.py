@@ -60,6 +60,10 @@ class RunConfig:
     osnr: Callable[..., OsnrTargetRun] | None
     refresh_reference: bool
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ConfigurationError("order must be a positive integer")
+
 
 # Every key the parsers read, per section.
 _KNOWN_KEYS = {
@@ -410,8 +414,6 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
     sweep = _parse_sweep(data.get("sweep"), models[0] if models else default_attenuation(),
                          spacing)
     order = root.number("order", 3, count=True)
-    if order < 1:
-        raise ConfigurationError("order must be a positive integer")
     osnr = data.get("osnr_target")
     if osnr is not None:
         flat = launch is not None and data["launch"]["mode"] == "flat"

@@ -1,8 +1,8 @@
 """Launch-power pre-emphasis: invert the closed form for a target output.
 
 The span parameters (shaping values, effective attenuation, tilt-free
-reference) can all be estimated from the output spectrum instead of the
-launch; inserting them into the inverted profile
+reference) come from the output spectrum instead of the launch, through the
+forward closed form's builder; inserting them into the inverted profile
 
     P_i(0) = P_i(L) * exp(alpha_i L - c_r (G_ref - G_i) P_T(L) (e^{a0 L} - 1) / a0)
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormParams, _attenuation_and_means, shaping_function
+from .closedform import ClosedFormParams, _span_params, _span_terms
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
@@ -65,40 +65,22 @@ def closedform_params_from_output(
 ) -> ClosedFormParams:
     """Span parameters estimated from the output spectrum.
 
-    The shaping values use the same discretization as the forward direction
-    (they are modeled as position-independent); alpha0 becomes the
-    output-weighted power mean and the reference shaping value its weighted
-    mean over the shaping profile.  ``total_launch_power`` is stored as the
-    model-implied P_T(L) e^{alpha0 L} so the forward profile formula inverts
+    The forward builder applied to the output, which sits at z = L: the
+    shaping values use the same discretization (they are modeled as
+    position-independent), alpha0 becomes the output-weighted power mean, the
+    reference shaping value is balanced at the output itself (its weighted
+    mean over the shaping profile), and ``total_launch_power`` is the
+    model-implied P_T(L) e^{alpha0 L}, so the forward profile formula inverts
     exactly with these parameters.
     """
-    total_out = output.total_power
-    if total_out <= 0:
+    if output.total_power <= 0:
         raise ConfigurationError("total output power must be positive")
-    tri = fiber.raman.as_triangular()
-    shaping = shaping_function(output, tri.window)
-    alpha, (alpha0,) = _attenuation_and_means(output, fiber.attenuation, (order,))
-    weights = alpha**order * output.powers / (alpha0**order * total_out)
-    ref = float(np.sum(weights * shaping)) if tri.slope != 0.0 else 0.0
-    leff = -math.expm1(-alpha0 * fiber.length) / alpha0
-    return ClosedFormParams(
-        alpha0=alpha0,
-        order=order,
-        shaping=shaping,
-        shaping_ref=ref,
-        effective_length=leff,
-        total_launch_power=total_out * math.exp(alpha0 * fiber.length),
-        length=fiber.length,
-        channel_attenuation=alpha,
-    )
+    return _span_params(_span_terms(output, fiber), order, at=fiber.length)
 
 
 def _inversion_terms(params: ClosedFormParams, slope: float):
-    """Shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))``; tilt None if Raman-free."""
-    attenuation = params.channel_attenuation * params.length
-    if slope == 0.0:
-        return attenuation, None
-    return attenuation, slope * (params.shaping_ref - params.shaping)
+    """Shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))``."""
+    return params.channel_attenuation * params.length, slope * (params.shaping_ref - params.shaping)
 
 
 def _launch_from_output(output_powers: np.ndarray, terms, decay: float) -> np.ndarray:
@@ -109,8 +91,6 @@ def _launch_from_output(output_powers: np.ndarray, terms, decay: float) -> np.nd
     times L_eff for stability.
     """
     attenuation, tilt = terms
-    if tilt is None:
-        return output_powers * np.exp(attenuation)
     return output_powers * np.exp(attenuation - tilt * decay)
 
 

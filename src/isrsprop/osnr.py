@@ -23,9 +23,6 @@ from .inverse import TargetSpectrum, preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
 from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze
 
-ASE_FORMULAS = ("g-minus-1", "gnf-minus-1")
-
-
 @dataclass(frozen=True)
 class NoiseSpectrum:
     """Per-channel ASE power (W) in a reference bandwidth, at position z."""
@@ -66,22 +63,17 @@ def ase_injection(
     noise_figure_db,
     gain,
     reference_bandwidth: float,
-    formula: str = "g-minus-1",
 ) -> np.ndarray:
     """Per-channel ASE power (W) injected by one amplification stage.
 
-    Default single-stage convention h f NF (G - 1) B_ref; the alternative
-    h f (G NF - 1) B_ref is selectable.  ``gain`` may be a scalar or a
-    per-channel array; ``reference_bandwidth`` is in THz.
+    Single-stage convention h f NF (G - 1) B_ref.  ``gain`` may be a scalar
+    or a per-channel array; ``reference_bandwidth`` is in THz.
     """
-    if formula not in ASE_FORMULAS:
-        raise ConfigurationError(f"unknown ASE formula {formula!r}; expected one of {ASE_FORMULAS}")
     nf = _noise_figure_linear(grid, noise_figure_db)
     g = np.broadcast_to(np.asarray(gain, dtype=float), (grid.n_channels,))
     f_hz = grid.frequencies * 1e12
     b_hz = reference_bandwidth * 1e12
-    factor = g * nf - 1.0 if formula == "gnf-minus-1" else nf * (g - 1.0)
-    return PLANCK * f_hz * np.maximum(factor, 0.0) * b_hz
+    return PLANCK * f_hz * np.maximum(nf * (g - 1.0), 0.0) * b_hz
 
 
 def ase_accumulate(
@@ -90,7 +82,6 @@ def ase_accumulate(
     span_inputs: Sequence[PowerSpectrum],
     final: PowerSpectrum,
     reference_bandwidth: float | None = None,
-    formula: str = "g-minus-1",
 ) -> NoiseSpectrum:
     """Accumulated ASE at the link end for a given signal evolution.
 
@@ -106,7 +97,7 @@ def ase_accumulate(
     noise = np.zeros(grid.n_channels)
     for k, gain in enumerate(gains):
         amp = link.amplifiers[k]
-        injected = ase_injection(grid, amp.noise_figure_db, gain, b_ref, formula)
+        injected = ase_injection(grid, amp.noise_figure_db, gain, b_ref)
         entry = span_inputs[k + 1].powers
         if np.any(entry <= 0):
             raise ConfigurationError("signal vanishes at a span input; ASE ratio undefined")
@@ -115,14 +106,11 @@ def ase_accumulate(
 
 
 def ase_from_result(
-    result: MultiSpanResult,
-    reference_bandwidth: float | None = None,
-    formula: str = "g-minus-1",
+    result: MultiSpanResult, reference_bandwidth: float | None = None
 ) -> NoiseSpectrum:
     """:func:`ase_accumulate` on a link run of either the closed form or the oracle."""
     return ase_accumulate(
-        result.link, result.gains, result.span_inputs, result.final,
-        reference_bandwidth, formula,
+        result.link, result.gains, result.span_inputs, result.final, reference_bandwidth
     )
 
 
@@ -162,7 +150,6 @@ def target_osnr(
     max_iterations: int = 50,
     order: int = 3,
     reference_bandwidth: float | None = None,
-    formula: str = "g-minus-1",
     rmse_in_db: bool = False,
 ) -> OsnrTargetRun:
     """Launch pre-emphasis that realizes a normalized OSNR shape at link end.
@@ -189,7 +176,7 @@ def target_osnr(
         span_target = TargetSpectrum(grid, shape, normalized=True)
         launch = preemphasis_multispan(span_target, link, total_launch_power, order)
         result = propagate_multispan_closedform(launch, link, order)
-        noise = ase_from_result(result, reference_bandwidth, formula)
+        noise = ase_from_result(result, reference_bandwidth)
         osnr = osnr_profile(result.final, noise)
         rmse = float(
             np.sqrt(np.mean((_normalize(osnr, rmse_in_db) - _normalize(goal, rmse_in_db)) ** 2))

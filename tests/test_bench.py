@@ -231,6 +231,21 @@ class TestBatchedSweep:
         assert [bool(e[-1]) for e in expected] == [False, True, False]
         self.assert_records_match(records, expected)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_an_order_free_failure_fails_every_order_of_its_cell_only(self):
+        # -4000 dBm underflows to 0 W: the oracle integrates the zeros, then the
+        # shaping function has no total power, for every order of that cell alike
+        config = SweepConfig(
+            band_plans=("C",), raman_peak_count=1,
+            launch_power_dbm_range=(-4000.0, -1.0), launch_power_count=2, length_count=1,
+            orders=(1, 3), steps_per_span=8,
+        )
+        records, _ = run_order_sweep(config)
+        expected = per_cell_reference(config)
+        failed = repr(ConfigurationError("shaping function needs positive total power"))
+        assert [e[-1] for e in expected] == [failed, failed, "", ""]
+        self.assert_records_match(records, expected)
+
 
 class TestFailedCells:
     def test_unstable_cell_is_recorded_and_sweep_continues(self):

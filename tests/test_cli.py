@@ -159,6 +159,21 @@ class TestValidateConfig:
             assert match in errors[-1]
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_order_flag_below_one_is_config_error(self, tmp_path, capsys, order):
+        # --order is checked like the config's order, by every subcommand alike
+        for command, name in [("validate-config", "fig4_single_span_clu"),
+                              ("solve", "fig4_single_span_clu"),
+                              ("closed-form", "fig4_single_span_clu"),
+                              ("multispan", "fig6_multi_span_clu"),
+                              ("preemph", "preemph_single_span_clu"),
+                              ("osnr-target", "fig7_osnr_flat_clu")]:
+            argv = [command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                    "--output", str(tmp_path), "--order", order]
+            assert main(argv) == 2, command
+            assert capsys.readouterr().err == "config error: order must be a positive integer\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "launch",
         [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,12 @@ from isrsprop import (
     SolverOptions,
     build_channel_grid,
     derive_params,
-    gamma_ref,
     integrate_span,
     power_profile,
     shaping_function,
     total_attenuation_coefficient,
 )
-from isrsprop.closedform import _params_by_order
+from isrsprop.closedform import _span_params, _span_terms
 from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, to_db
@@ -185,9 +185,7 @@ class TestGammaRef:
     def test_small_power_limit_is_band_center(self, c_grid):
         fiber = constant_alpha_fiber(0.2, 100.0)
         launch = PowerSpectrum(c_grid, np.full(c_grid.n_channels, 1e-12))
-        gamma = shaping_function(launch, WINDOW)
-        a0 = total_attenuation_coefficient(launch, fiber.attenuation, 3)
-        ref = gamma_ref(launch, gamma, a0, 3, fiber, slope=0.4 / 14.0)
+        ref = derive_params(launch, fiber, 3).shaping_ref
         band_center_offset = c_grid.frequencies.mean() - c_grid.f_min
         assert ref == pytest.approx(band_center_offset, abs=c_grid.spacing)
 
@@ -207,7 +205,9 @@ class TestGammaRef:
         def deviation(slope):
             leff = (1 - math.exp(-a0 * length)) / a0
             eps = slope * total * leff
-            ref = gamma_ref(launch, gamma, a0, order, default_fiber_100, slope)
+            raman = RamanGainModel.triangular(slope=slope)
+            fiber = FiberSpec(default_fiber_100.attenuation, raman, length)
+            ref = derive_params(launch, fiber, order).shaping_ref
             return abs(ref - (-math.log(a_const) / eps + b_const))
 
         d1 = deviation(1e-3)
@@ -218,10 +218,18 @@ class TestGammaRef:
         assert d3 < 0.6 * d2
         assert d3 < 1e-2
 
-    def test_zero_slope_rejected(self, c_launch, default_fiber_100):
-        gamma = shaping_function(c_launch, WINDOW)
-        with pytest.raises(ConfigurationError, match="attenuation-only"):
-            gamma_ref(c_launch, gamma, 0.05, 3, default_fiber_100, slope=0.0)
+    def test_zero_slope_is_the_weighted_mean_shaping_value(self, clu_grid, default_fiber_100):
+        ripple = np.random.default_rng(7).uniform(-1.0, 1.0, clu_grid.n_channels)
+        launch = PowerSpectrum(clu_grid, 1e-3 * 10.0 ** ((-1.0 + ripple) / 10.0))
+        fiber = FiberSpec(default_fiber_100.attenuation, RamanGainModel.triangular(slope=0.0),
+                          default_fiber_100.length)
+        alpha = attenuation_at(fiber.attenuation, clu_grid.frequencies)
+        gamma = shaping_function(launch, WINDOW)
+        for order in (1, 3, 6):
+            a0 = total_attenuation_coefficient(launch, fiber.attenuation, order)
+            weights = alpha**order * launch.powers / (a0**order * launch.total_power)
+            ref = derive_params(launch, fiber, order).shaping_ref
+            assert ref == pytest.approx(float(np.sum(weights * gamma)), rel=1e-14)
 
     def test_balances_total_power_for_constant_alpha(self, clu_grid):
         # with constant attenuation the reference makes the closed-form total exact
@@ -241,13 +249,16 @@ class TestPowerProfile:
         assert np.array_equal(out.powers, clu_launch.powers)
 
     def test_raman_free_path_is_pure_attenuation(self, clu_launch, default_fiber_100):
+        # the tilt term is exactly zero, so the general exponent is -alpha z bit for bit
         fiber = FiberSpec(
             default_fiber_100.attenuation, RamanGainModel.triangular(slope=0.0), 100.0
         )
-        params = derive_params(clu_launch, fiber, 3)
-        out = power_profile(clu_launch, params, 0.0, 70.0)
         alpha = attenuation_at(fiber.attenuation, clu_launch.grid.frequencies)
-        assert np.allclose(out.powers, clu_launch.powers * np.exp(-alpha * 70.0), rtol=1e-14)
+        for order in (1, 3, 6):
+            params = derive_params(clu_launch, fiber, order)
+            for z, refresh in itertools.product((0.0, 13.7, 70.0, 100.0), (False, True)):
+                out = power_profile(clu_launch, params, 0.0, z, refresh_reference=refresh)
+                assert np.array_equal(out.powers, clu_launch.powers * np.exp(-alpha * z))
 
     def test_outside_span_rejected(self, clu_launch, default_fiber_100):
         params = derive_params(clu_launch, default_fiber_100, 3)
@@ -312,7 +323,7 @@ class TestPowerProfile:
 
 
 class TestParamsByOrder:
-    """The orders derived together equal each order derived alone, bit for bit."""
+    """One set of order-free terms serves every order, bit for bit as derived alone."""
 
     @pytest.mark.parametrize(
         "raman",
@@ -327,8 +338,9 @@ class TestParamsByOrder:
         ripple = np.random.default_rng(5).uniform(-1.0, 1.0, clu_grid.n_channels)
         launch = PowerSpectrum(clu_grid, 1e-3 * 10.0 ** ((-1.0 + ripple) / 10.0))
         fiber = FiberSpec(default_attenuation(), raman, 80.0)
-        orders = (1, 2, 3, 4, 5, 6)
-        for n, params in zip(orders, _params_by_order(launch, fiber, orders), strict=True):
+        terms = _span_terms(launch, fiber)
+        for n in (1, 2, 3, 4, 5, 6):
+            params = _span_params(terms, n)
             alone = derive_params(launch, fiber, n)
             for f in dataclasses.fields(ClosedFormParams):
                 assert np.array_equal(getattr(params, f.name), getattr(alone, f.name)), f.name

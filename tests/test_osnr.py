@@ -47,12 +47,6 @@ class TestAseInjection:
         out = ase_injection(c_grid, {"C": 5.5}, gain=1.0, reference_bandwidth=0.05)
         assert np.all(out == 0.0)
 
-    def test_alternative_formula(self):
-        grid = build_channel_grid([Band("C", 192.975, 193.025)], 0.05)
-        out = ase_injection(grid, {"C": 5.5}, 10.0, 0.05, formula="gnf-minus-1")
-        expected = PLANCK * 193e12 * (10.0 * 10**0.55 - 1.0) * 50e9
-        assert out[0] == pytest.approx(expected, rel=1e-12)
-
     def test_missing_band_rejected(self, cl_grid):
         with pytest.raises(ConfigurationError, match="band 'L'"):
             ase_injection(cl_grid, {"C": 5.5}, 10.0, 0.05)
