@@ -14,7 +14,6 @@ import itertools
 import math
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +27,7 @@ from .profiles import (
     FiberSpec,
     PowerSpectrum,
     RamanGainModel,
+    _same_grid,
     build_channel_grid,
     default_attenuation,
 )
@@ -35,7 +35,7 @@ from .profiles import (
 
 def total_power_error_ratio(closedform_out: PowerSpectrum, oracle_out: PowerSpectrum) -> float:
     """Closed-form total output power over the oracle's (unity when exact)."""
-    if closedform_out.grid.n_channels != oracle_out.grid.n_channels:
+    if not _same_grid(closedform_out.grid, oracle_out.grid):
         raise ConfigurationError("spectra must share a grid")
     denom = oracle_out.total_power
     if denom <= 0:
@@ -209,6 +209,9 @@ def run_order_sweep(
         for peak in config.axis(config.raman_peak_range, config.raman_peak_count)
     ]
     if workers > 1:
+        # imported here: the pool's import costs every process, and only this uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_group = list(pool.map(_run_group, groups))
     else:

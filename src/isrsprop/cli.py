@@ -8,6 +8,7 @@ error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -167,14 +168,13 @@ def _worker_count(text: str) -> int:
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isrsprop",
-        description="Wideband WDM power evolution under Raman power transfer "
-        "and frequency-dependent loss",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, run, help_text in [
+def _subcommands() -> tuple:
+    """``(name, command function or None, help)`` of every subcommand.
+
+    Built on each call, so a function rebound on this module (a tracer, a
+    test's monkeypatch) is the one that runs.
+    """
+    return (
         ("solve", cmd_solve, "fixed-step numerical power evolution"),
         ("closed-form", cmd_closed_form, "closed-form single-span profile"),
         ("multispan", cmd_multispan, "closed-form multi-span propagation"),
@@ -182,9 +182,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("preemph", cmd_preemph, "launch pre-emphasis for a target output"),
         ("osnr-target", cmd_osnr_target, "iterative pre-emphasis for a target OSNR shape"),
         ("validate-config", None, "parse and validate a config file"),
-    ]:
+    )
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every :func:`main` call shares
+    it.  It holds subcommand names only; :func:`main` looks up the command
+    function at each call.
+    """
+    parser = argparse.ArgumentParser(
+        prog="isrsprop",
+        description="Wideband WDM power evolution under Raman power transfer "
+        "and frequency-dependent loss",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, _, help_text in _subcommands():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--output", default=".", help="output directory (default: cwd)")
         p.add_argument("--steps", type=int, default=None, help="override steps per span")
@@ -206,13 +222,14 @@ def main(argv=None) -> int:
                 cfg = replace(cfg, sweep=replace(cfg.sweep, steps_per_span=args.steps))
         if args.order is not None:
             cfg = replace(cfg, order=args.order)
-        if args.run is None:
+        run = {name: command for name, command, _ in _subcommands()}[args.command]
+        if run is None:
             print(f"ok: {args.config} ({cfg.name})")
             return 0
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
         extra = [args.workers] if args.command == "sweep" else []
-        args.run(cfg, out, args.format, *extra)
+        run(cfg, out, args.format, *extra)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,13 +17,21 @@ case: its tilt term is zero and the profile is pure attenuation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .profiles import AttenuationProfile, FiberSpec, PowerSpectrum, _freeze, attenuation_at
+from .profiles import (
+    AttenuationProfile,
+    FiberSpec,
+    PowerSpectrum,
+    _channel_attenuation,
+    _freeze,
+    attenuation_at,
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,10 @@ def shaping_function(launch: PowerSpectrum, window: float) -> np.ndarray:
     with m = floor(window/B_s), m' = ceil(window/B_s) and out-of-range
     channels contributing zero; the shaping value of channel i is the
     cumulative sum of beta_j * B_s / P_T over j <= i.
+
+    The gather indices depend only on the channel count, m and m', so they
+    come from a small cache keyed by those three ints (:func:`_window_indices`);
+    each call only gathers from the running sum and the powers.
     """
     p = launch.powers
     total = p.sum()
@@ -90,16 +102,35 @@ def shaping_function(launch: PowerSpectrum, window: float) -> np.ndarray:
         raise ConfigurationError("shaping function needs positive total power")
     bs = launch.grid.spacing
     n = p.size
-    m = math.floor(window / bs)
-    m_up = math.ceil(window / bs)
-    half_width = m_up - 1  # strict |k - j| < window/bs
+    win_high, win_low, upper, lower = _window_indices(
+        n, math.floor(window / bs), math.ceil(window / bs)
+    )
     csum = np.concatenate(([0.0], np.cumsum(p)))
-    j = np.arange(n)
-    win_power = csum[np.minimum(j + half_width + 1, n)] - csum[np.maximum(j - half_width, 0)]
-    upper = np.where(j + m < n, p[np.minimum(j + m, n - 1)], 0.0)
-    lower = np.where(j - m_up >= 0, p[np.maximum(j - m_up, 0)], 0.0)
-    beta = win_power - (window / bs) * (upper + lower)
+    # index n of the zero-padded powers stands for an out-of-range channel
+    padded = np.concatenate((p, [0.0]))
+    beta = csum[win_high] - csum[win_low] - (window / bs) * (padded[upper] + padded[lower])
     return np.cumsum(beta) * bs / total
+
+
+@functools.lru_cache(maxsize=64)
+def _window_indices(n: int, m: int, m_up: int) -> tuple[np.ndarray, ...]:
+    """Read-only gather indices of :func:`shaping_function` for n channels.
+
+    ``(win_high, win_low, upper, lower)``: the running-sum indices bounding
+    each channel's strict window |k - j| < window/B_s, then the channels
+    j + m and j - m', with n marking one that lies outside the grid.
+    """
+    half_width = m_up - 1  # strict |k - j| < window/bs
+    j = np.arange(n)
+    indices = (
+        np.minimum(j + half_width + 1, n),
+        np.maximum(j - half_width, 0),
+        np.where(j + m < n, j + m, n),
+        np.where(j - m_up >= 0, j - m_up, n),
+    )
+    for index in indices:
+        index.flags.writeable = False
+    return indices
 
 
 def total_attenuation_coefficient(
@@ -159,7 +190,7 @@ def _span_terms(spectrum: PowerSpectrum, fiber: FiberSpec) -> tuple:
     """The order-free terms ``(powers, total, shaping, alpha, slope, length)`` of a span."""
     tri = fiber.raman.as_triangular()
     shaping = shaping_function(spectrum, tri.window)
-    alpha = attenuation_at(fiber.attenuation, spectrum.grid.frequencies)
+    alpha = _channel_attenuation(spectrum.grid, fiber.attenuation)
     return spectrum.powers, spectrum.total_power, shaping, alpha, tri.slope, fiber.length
 
 

@@ -83,15 +83,24 @@ def _inversion_terms(params: ClosedFormParams, slope: float):
     return params.channel_attenuation * params.length, slope * (params.shaping_ref - params.shaping)
 
 
-def _launch_from_output(output_powers: np.ndarray, terms, decay: float) -> np.ndarray:
+def _launch_from_output(
+    output_powers: np.ndarray, terms, decay: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Invert the closed form: launch powers realizing the given output.
 
     ``terms`` comes from :func:`_inversion_terms`; ``decay`` is
     P_T(L)(e^{a0 L} - 1)/a0, written as the implied launch total P_T(0)
-    times L_eff for stability.
+    times L_eff for stability.  The launch, ``output_powers * exp(attenuation
+    - tilt * decay)``, is written into ``out`` (a new array by default), which
+    must not be ``output_powers``, and returned.
     """
     attenuation, tilt = terms
-    return output_powers * np.exp(attenuation - tilt * decay)
+    if out is None:
+        out = np.empty_like(output_powers)
+    np.multiply(tilt, decay, out)
+    np.subtract(attenuation, out, out)
+    np.exp(out, out)
+    return np.multiply(output_powers, out, out)
 
 
 def preemphasis_single_span(
@@ -107,7 +116,10 @@ def preemphasis_single_span(
     ``total_launch_power``; the implied output total is then the root of a
     scalar fixed-point condition, solved by bisection on its logarithm over
     the attenuation-only bracket [P_T0 e^{-max(alpha) L}, P_T0 e^{-min(alpha) L}]
-    to 1e-12 relative.
+    to 1e-12 relative.  Every root-find evaluation writes the trial output and
+    its launch into two buffers allocated once per call, through
+    :func:`_launch_from_output` with ``out``, so the bisection allocates no
+    arrays.
     """
     slope = fiber.raman.as_triangular().slope
     if not target.normalized:
@@ -130,15 +142,19 @@ def preemphasis_single_span(
     alpha = params_unit.channel_attenuation
     terms = _inversion_terms(params_unit, slope)
     growth = math.exp(params_unit.alpha0 * fiber.length)
+    output = np.empty_like(shape)
+    launch = np.empty_like(shape)
 
     def launch_at(output_total: float) -> np.ndarray:
         # P_T(0) first, then times L_eff: the order ClosedFormParams gave, so the
         # bisection's sums and sign decisions do not move
         decay = output_total * growth * params_unit.effective_length
-        return _launch_from_output(shape * output_total, terms, decay)
+        np.multiply(shape, output_total, output)
+        return _launch_from_output(output, terms, decay, out=launch)
 
     def launch_total(output_total: float) -> float:
-        return float(launch_at(output_total).sum())
+        # the pairwise sum .sum() runs, without its Python-level wrapper
+        return float(np.add.reduce(launch_at(output_total)))
 
     low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
     high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .inverse import TargetSpectrum, preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
-from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze
+from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze, _same_grid
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
@@ -116,7 +116,7 @@ def ase_from_result(
 
 def osnr_profile(signal: PowerSpectrum, noise: NoiseSpectrum) -> np.ndarray:
     """Per-channel linear OSNR in the noise's reference bandwidth."""
-    if signal.grid is not noise.grid and signal.grid.n_channels != noise.grid.n_channels:
+    if not _same_grid(signal.grid, noise.grid):
         raise ConfigurationError("signal and noise must share a grid")
     if np.any(noise.ase_powers <= 0):
         raise ConfigurationError("OSNR is undefined where the ASE power is zero")

@@ -112,6 +112,9 @@ class ChannelGrid:
     spacing: float
     bands: tuple[Band, ...]
     band_index: np.ndarray = field(init=False)
+    # (profile, read-only alpha(f_i)) of the last attenuation profile evaluated
+    # on this grid, see _channel_attenuation
+    _attenuation: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = _freeze(self.frequencies)
@@ -202,6 +205,11 @@ class PowerSpectrum:
     @classmethod
     def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":
         return cls(grid, np.full(grid.n_channels, convert_units(dbm_per_channel, "dBm", "W")), z)
+
+
+def _same_grid(a: ChannelGrid, b: ChannelGrid) -> bool:
+    """True when two grids are one object, or have equal spacing and frequencies."""
+    return a is b or (a.spacing == b.spacing and np.array_equal(a.frequencies, b.frequencies))
 
 
 def build_channel_grid(
@@ -340,6 +348,20 @@ def attenuation_at(profile: AttenuationProfile, f):
     if np.any(out <= 0):
         raise ConfigurationError("attenuation profile is non-positive at a requested frequency")
     return float(out[0]) if scalar else out
+
+
+def _channel_attenuation(grid: ChannelGrid, profile: AttenuationProfile) -> np.ndarray:
+    """Read-only ``attenuation_at(profile, grid.frequencies)``, kept on the grid.
+
+    The grid holds the values of the last profile asked for, and that
+    profile itself, so the identity check cannot match a later object that
+    reuses a freed profile's id.
+    """
+    cached = grid._attenuation
+    if cached is None or cached[0] is not profile:
+        cached = (profile, _freeze(attenuation_at(profile, grid.frequencies)))
+        object.__setattr__(grid, "_attenuation", cached)
+    return cached[1]
 
 
 def default_attenuation() -> AttenuationProfile:

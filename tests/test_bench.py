@@ -24,7 +24,7 @@ from isrsprop.bench import (
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
-from isrsprop.profiles import FiberSpec, RamanGainModel, build_channel_grid
+from isrsprop.profiles import Band, FiberSpec, RamanGainModel, build_channel_grid
 
 
 class TestErrorRatio:
@@ -57,6 +57,25 @@ class TestErrorRatio:
         b = PowerSpectrum(c_grid, np.zeros(c_grid.n_channels))
         with pytest.raises(ConfigurationError, match="positive"):
             total_power_error_ratio(a, b)
+
+    def test_grids_must_place_the_same_channels(self):
+        # one channel at 193.25 THz on a 500 GHz and on a 250 GHz grid, and
+        # two 81-channel grids 3 THz apart: equal counts, other channels
+        wide = build_channel_grid([Band("X", 193.0, 193.5)], 0.5)
+        narrow = build_channel_grid([Band("X", 193.125, 193.375)], 0.25)
+        assert np.array_equal(wide.frequencies, narrow.frequencies)
+        c = build_channel_grid("C")
+        shifted = build_channel_grid([Band("C", 194.70, 198.75)], c.spacing)
+        assert shifted.n_channels == c.n_channels
+        for a, b in ((wide, narrow), (c, shifted)):
+            pa = PowerSpectrum(a, np.full(a.n_channels, 1e-4))
+            pb = PowerSpectrum(b, np.full(b.n_channels, 1e-4))
+            with pytest.raises(ConfigurationError, match="share a grid"):
+                total_power_error_ratio(pa, pb)
+        rebuilt = PowerSpectrum(build_channel_grid("C"), np.full(c.n_channels, 1e-4))
+        assert total_power_error_ratio(PowerSpectrum(c, 1.01 * rebuilt.powers), rebuilt) == (
+            pytest.approx(1.01)
+        )
 
 
 SMALL = SweepConfig(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isrsprop.cli import main
+from isrsprop.cli import build_parser, main
 from isrsprop.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -415,6 +415,63 @@ class TestDeterminism:
         for name in ("small_closedform_spectrum.csv", "small_closedform_longitudinal.csv",
                      "small_solve_spectrum.csv", "small_solve_longitudinal.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its path relative to ``root``."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestOneProcessManyCalls:
+    """The parser and the span-term caches are shared by every call in a process."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path):
+        path = small_config(tmp_path)
+        runs = [
+            ("plain", []),
+            ("flagged", ["--order", "1", "--steps", "4", "--format", "json"]),
+            ("steps", ["--steps", "7"]),
+        ]
+        first, second = {}, {}
+        for k, trees in enumerate((first, second)):
+            for name, flags in runs:
+                out = tmp_path / f"{name}-{k}"
+                assert main(["closed-form", "--config", str(path), "--output", str(out),
+                             *flags]) == 0
+                trees[name] = tree_bytes(out)
+        assert first == second
+        assert sorted(first["plain"]) == ["small_closedform_longitudinal.csv",
+                                          "small_closedform_spectrum.csv"]
+        assert sorted(first["flagged"]) == ["small_closedform_longitudinal.json",
+                                            "small_closedform_spectrum.json"]
+        rows = {name: first[name]["small_closedform_longitudinal.csv"].count(b"\n")
+                for name in ("plain", "steps")}
+        assert rows == {"plain": 1 + 21, "steps": 1 + 8}  # header + steps + 1 samples
+        args = build_parser().parse_args(["solve", "--config", str(path)])
+        assert (args.order, args.steps, args.format) == (None, None, "csv")
+
+    def test_repeated_runs_write_identical_files(self, tmp_path):
+        runs = [
+            ("osnr-target", "fig7_osnr_flat_clu.json", []),
+            ("preemph", "preemph_multi_span_clu.json", []),
+        ]
+        between = [
+            ("closed-form", "fig5d_single_span_sclu.json", ["--order", "6", "--format", "json"]),
+            ("preemph", "preemph_single_span_clu.json", ["--order", "1"]),
+            ("osnr-target", "fig7_osnr_flat_clu.json", ["--order", "2"]),
+        ]
+        trees = []
+        for k, sequence in enumerate((runs, between, runs)):
+            out = tmp_path / str(k)
+            for command, config, flags in sequence:
+                assert main([command, "--config", str(CONFIG_DIR / config),
+                             "--output", str(out), *flags]) == 0
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[2]
+        assert len(trees[0]) == 4  # three OSNR tables and one launch table
 
 
 class TestShippedScenarios:

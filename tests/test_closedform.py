@@ -344,3 +344,87 @@ class TestParamsByOrder:
             alone = derive_params(launch, fiber, n)
             for f in dataclasses.fields(ClosedFormParams):
                 assert np.array_equal(getattr(params, f.name), getattr(alone, f.name)), f.name
+
+
+def shaping_reference(launch, window):
+    """shaping_function with its gather indices rebuilt on every call."""
+    p = launch.powers
+    total = p.sum()
+    bs = launch.grid.spacing
+    n = p.size
+    m = math.floor(window / bs)
+    m_up = math.ceil(window / bs)
+    half_width = m_up - 1
+    csum = np.concatenate(([0.0], np.cumsum(p)))
+    j = np.arange(n)
+    win_power = csum[np.minimum(j + half_width + 1, n)] - csum[np.maximum(j - half_width, 0)]
+    upper = np.where(j + m < n, p[np.minimum(j + m, n - 1)], 0.0)
+    lower = np.where(j - m_up >= 0, p[np.maximum(j - m_up, 0)], 0.0)
+    beta = win_power - (window / bs) * (upper + lower)
+    return np.cumsum(beta) * bs / total
+
+
+def rippled(grid, seed):
+    ripple = np.random.default_rng(seed).uniform(-1.5, 1.5, grid.n_channels)
+    return PowerSpectrum(grid, 1e-3 * 10.0 ** ((-1.0 + ripple) / 10.0))
+
+
+class TestCachedWindowIndices:
+    """Gather indices cached per (n, m, m') reproduce the per-call formula bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid,window",
+        [
+            (build_channel_grid("C"), WINDOW),
+            (build_channel_grid("CLU"), WINDOW),
+            (build_channel_grid("SCLU"), WINDOW),
+            (build_channel_grid("CLU"), 0.03),  # window below the spacing: m = 0, m' = 1
+            (build_channel_grid("CLU"), 1.0),  # an exact multiple: m = m' = 20
+            (build_channel_grid("C"), 0.05),  # one spacing: m = m' = 1
+            (build_channel_grid([Band("X", 190.0, 190.5)], 0.05), WINDOW),  # m >= n
+            (build_channel_grid([Band("X", 193.0, 193.05)], 0.05), WINDOW),  # one channel
+            (build_channel_grid([Band("X", 193.0, 193.05)], 0.05), 0.03),
+        ],
+        ids=["C", "CLU", "SCLU", "below-spacing", "exact-multiple", "one-spacing",
+             "m-beyond-n", "one-channel", "one-channel-narrow"],
+    )
+    def test_matches_per_call_indices(self, grid, window):
+        for seed in (0, 1):  # the second call takes the cached indices
+            launch = rippled(grid, seed)
+            assert np.array_equal(shaping_function(launch, window),
+                                  shaping_reference(launch, window))
+
+    def test_grids_sharing_a_key_share_nothing_else(self):
+        # a shifted C grid has the same (n, m, m') but other powers
+        c = build_channel_grid("C")
+        shifted = build_channel_grid([Band("C", 194.70, 198.75)], c.spacing)
+        for grid, seed in ((c, 2), (shifted, 3), (c, 4)):
+            launch = rippled(grid, seed)
+            assert np.array_equal(shaping_function(launch, WINDOW),
+                                  shaping_reference(launch, WINDOW))
+
+
+class TestChannelAttenuation:
+    """The per-channel alpha kept on a grid follows the attenuation profile asked for."""
+
+    def test_alternating_profiles_on_one_grid(self, clu_grid):
+        profiles = [
+            default_attenuation(),
+            AttenuationProfile.constant_db(0.2),
+            AttenuationProfile.from_table([175.0, 195.0, 210.0], [0.25, 0.19, 0.22]),
+            default_attenuation(),  # equal values, another object
+        ]
+        launch = rippled(clu_grid, 6)
+        for attenuation in profiles + profiles[::-1]:
+            fiber = FiberSpec(attenuation, RamanGainModel.triangular(peak=0.4), 80.0)
+            alpha = _span_terms(launch, fiber)[3]
+            assert np.array_equal(alpha, attenuation_at(attenuation, clu_grid.frequencies))
+            assert not alpha.flags.writeable
+
+    def test_a_rejected_profile_is_rejected_every_time(self, clu_grid):
+        # a table that does not cover the grid fails, and nothing is kept for it
+        narrow = AttenuationProfile.from_table([190.0, 195.0], [0.2, 0.2])
+        fiber = FiberSpec(narrow, RamanGainModel.triangular(peak=0.4), 80.0)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="outside tabulated attenuation"):
+                derive_params(rippled(clu_grid, 7), fiber)

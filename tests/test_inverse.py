@@ -265,12 +265,13 @@ class TestHoistedInversion:
         terms = _inversion_terms(params, slope)
         growth = math.exp(params.alpha0 * fiber.length)
 
-        # record the output total of the last evaluation, which is at the root
+        # record the output total of the last evaluation, which is at the root;
+        # the root-find reuses its buffers, so keep a copy
         outputs = []
 
-        def spy(output_powers, terms, decay):
-            outputs.append(output_powers)
-            return _launch_from_output(output_powers, terms, decay)
+        def spy(output_powers, terms, decay, out=None):
+            outputs.append(output_powers.copy())
+            return _launch_from_output(output_powers, terms, decay, out=out)
 
         monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
         preemphasis_single_span(target, fiber, 3, total_launch_power=total)
@@ -300,9 +301,9 @@ class TestHoistedInversion:
         slope = fiber.raman.as_triangular().slope
         steps = []
 
-        def spy(output_powers, terms, decay):
-            launch = _launch_from_output(output_powers, terms, decay)
-            steps.append((output_powers, launch))
+        def spy(output_powers, terms, decay, out=None):
+            launch = _launch_from_output(output_powers, terms, decay, out=out)
+            steps.append((output_powers.copy(), launch.copy()))
             return launch
 
         monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
@@ -323,3 +324,106 @@ class TestHoistedInversion:
         launch = _launch_from_output(output.powers, _inversion_terms(params, 0.0), decay)
         alpha = attenuation_at(fiber.attenuation, clu_grid.frequencies)
         assert np.array_equal(launch, output.powers * np.exp(alpha * 100.0))
+
+
+def bisection_reference(target, fiber, order, total_launch_power):
+    """The shape-only root-find with fresh arrays at every evaluation.
+
+    Returns the launch powers, the number of evaluations and the number of
+    bracket expansions.
+    """
+    slope = fiber.raman.as_triangular().slope
+    shape = target.shape()
+    params = closedform_params_from_output(
+        PowerSpectrum(target.grid, shape, z=fiber.length), fiber, order
+    )
+    alpha = params.channel_attenuation
+    attenuation = alpha * params.length
+    tilt = slope * (params.shaping_ref - params.shaping)
+    growth = math.exp(params.alpha0 * fiber.length)
+    evaluations = 0
+
+    def launch_at(output_total):
+        nonlocal evaluations
+        evaluations += 1
+        decay = output_total * growth * params.effective_length
+        return shape * output_total * np.exp(attenuation - tilt * decay)
+
+    def f(output_total):
+        return float(launch_at(output_total).sum()) - total_launch_power
+
+    low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
+    high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
+    f_low, f_high = f(low), f(high)
+    expansions = 0
+    while f_low > 0 and expansions < 60:
+        low /= 4.0
+        f_low = f(low)
+        expansions += 1
+    while f_high < 0 and expansions < 60:
+        high *= 4.0
+        f_high = f(high)
+        expansions += 1
+    if f_low == 0.0 or low == high:
+        root = low
+    elif f_high == 0.0:
+        root = high
+    else:
+        assert (f_low < 0) != (f_high < 0)
+        u_low, u_high = math.log(low), math.log(high)
+        while u_high - u_low > 1e-12:
+            u_mid = 0.5 * (u_low + u_high)
+            f_mid = f(math.exp(u_mid))
+            if f_mid == 0.0:
+                u_low = u_high = u_mid
+                break
+            if (f_mid < 0) == (f_low < 0):
+                u_low, f_low = u_mid, f_mid
+            else:
+                u_high = u_mid
+        root = math.exp(0.5 * (u_low + u_high))
+    return launch_at(root), evaluations, expansions
+
+
+class TestRootFindBuffers:
+    """The root-find in reused buffers repeats the allocating bisection bit for bit."""
+
+    @staticmethod
+    def solve_counting(monkeypatch, target, fiber, order, total):
+        calls = []
+
+        def spy(output_powers, terms, decay, out=None):
+            calls.append(out is not None)
+            return _launch_from_output(output_powers, terms, decay, out=out)
+
+        monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
+        launch = preemphasis_single_span(target, fiber, order, total_launch_power=total)
+        return launch, calls
+
+    @pytest.mark.parametrize("plan", ["CLU", "SCLU"])
+    @pytest.mark.parametrize("length", [50.0, 100.0])
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_matches_allocating_bisection(self, monkeypatch, plan, length, order):
+        grid = build_channel_grid(plan)
+        x = np.linspace(0.0, 1.0, grid.n_channels)
+        ripple = 1.0 + 0.25 * np.sin(2.0 * np.pi * 3.0 * x + 0.4) + 0.1 * np.cos(7.0 * x)
+        target = TargetSpectrum(grid, ripple, normalized=True)
+        fiber = FiberSpec(AttenuationProfile.parabolic_db(0.19, 193.5, 1e-4),
+                          RamanGainModel.triangular(peak=0.4), length)
+        total = grid.n_channels * 10.0 ** (-0.1) * 1e-3  # -1 dBm per channel
+        launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
+        expected, evaluations, _ = bisection_reference(target, fiber, order, total)
+        assert np.array_equal(launch.powers, expected)
+        assert len(calls) == evaluations and all(calls)
+
+    def test_matches_allocating_bisection_after_bracket_expansion(self, monkeypatch, clu_grid):
+        # flat loss leaves a one-point bracket that the tilt's convexity excess
+        # pushes off the root, so the low end is widened
+        fiber = constant_alpha_fiber(0.2, 100.0)
+        target = TargetSpectrum(clu_grid, np.linspace(0.5, 2.0, clu_grid.n_channels),
+                                normalized=True)
+        launch, calls = self.solve_counting(monkeypatch, target, fiber, 3, 1.0)
+        expected, evaluations, expansions = bisection_reference(target, fiber, 3, 1.0)
+        assert expansions > 0
+        assert np.array_equal(launch.powers, expected)
+        assert len(calls) == evaluations

@@ -156,6 +156,20 @@ class TestOsnrProfile:
         with pytest.raises(ConfigurationError, match="undefined"):
             osnr_profile(signal, noise)
 
+    def test_grids_must_place_the_same_channels(self, c_grid):
+        n = c_grid.n_channels
+        signal = PowerSpectrum(c_grid, np.full(n, 1e-4))
+        rebuilt = build_channel_grid("C")  # another object, the same channels
+        assert rebuilt is not c_grid
+        noise = NoiseSpectrum(rebuilt, np.full(n, 1e-8), z=0.0, reference_bandwidth=0.05)
+        assert np.allclose(osnr_profile(signal, noise), 1e4)
+        # as many channels, 3 THz higher
+        shifted = build_channel_grid([Band("C", 194.70, 198.75)], c_grid.spacing)
+        assert shifted.n_channels == n
+        noise = NoiseSpectrum(shifted, np.full(n, 1e-8), z=0.0, reference_bandwidth=0.05)
+        with pytest.raises(ConfigurationError, match="share a grid"):
+            osnr_profile(signal, noise)
+
 
 class TestReceiverBoostNeutrality:
     def test_osnr_invariant_to_boost(self, clu_grid, default_fiber_50):
