@@ -27,6 +27,7 @@ RUNS = [
     ("fig5d_single_span_sclu.json", ["closed-form"]),
     ("fig6_multi_span_clu.json", ["solve", "multispan"]),
     ("fig7_osnr_flat_clu.json", ["osnr-target"]),
+    ("osnr_rippled_clu.json", ["osnr-target"]),
     ("fig3_order_sweep.json", ["sweep"]),
     ("preemph_single_span_clu.json", ["preemph"]),
     ("preemph_multi_span_clu.json", ["preemph"]),

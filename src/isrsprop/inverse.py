@@ -8,7 +8,10 @@ forward closed form's builder; inserting them into the inverted profile
 
 yields the launch that realizes an arbitrary output.  Absolute targets are
 inverted directly; shape-only targets with a constrained launch total are
-solved by a bracketed bisection for the implied output total.
+solved for the implied output total by a Newton-guided bisection: a bracketed
+bisection in log space whose midpoints are decided by comparison with a
+Newton root wherever a monotonicity check and a floating-point guard band
+prove the comparison gives the sign an evaluation would.
 """
 
 from __future__ import annotations
@@ -22,6 +25,22 @@ from .closedform import ClosedFormParams, _span_params, _span_terms
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
+
+# The shape-only root-find bisects u = log T (T the output total) down to a
+# 1e-12 wide interval.  Its launch total S(u) is computed with a relative error
+# eta of a few ulp per unit of the largest |exponent| (alpha_i L - tilt_i decay)
+# plus log2(n) ulp for the pairwise sum; against extended precision, eta stays
+# below 1e-15 for exponents under 10 (the 50-100 km spans of the shipped
+# configs), 2e-14 under 100 and 9e-14 under 600.  Where d log S / du >= 1 (see
+# preemphasis_single_span) the computed sign of S - P_T0 is exact at every u
+# farther than eta from the root, and a Newton root whose |log(S / P_T0)| is at
+# most _NEWTON_TOL lies within _NEWTON_TOL + eta of it.  A midpoint farther
+# than _ROOT_GUARD from the Newton root is therefore more than 1.8e-13 - eta
+# from the root, which exceeds every eta above, and its side is decided by
+# comparison; only midpoints inside the band are evaluated.
+_ROOT_GUARD = 2e-13
+_NEWTON_TOL = 2e-14
+_NEWTON_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -112,13 +131,30 @@ def preemphasis_single_span(
     """Launch spectrum whose span output matches the target.
 
     Absolute targets (``normalized=False``) are inverted directly and
-    ``total_launch_power`` must be omitted.  Shape-only targets require
-    ``total_launch_power``; the implied output total is then the root of a
-    scalar fixed-point condition, solved by bisection on its logarithm over
-    the attenuation-only bracket [P_T0 e^{-max(alpha) L}, P_T0 e^{-min(alpha) L}]
-    to 1e-12 relative.  Every root-find evaluation writes the trial output and
-    its launch into two buffers allocated once per call, through
-    :func:`_launch_from_output` with ``out``, so the bisection allocates no
+    ``total_launch_power`` must be omitted.  Shape-only targets require a
+    positive, finite ``total_launch_power``; the implied output total T is
+    then the root of the launch-total condition S(T) = P_T0, found on
+    u = log T over the attenuation-only bracket
+    [P_T0 e^{-max(alpha) L}, P_T0 e^{-min(alpha) L}] (widened while it misses
+    the root) by a Newton-guided bisection to 1e-12 in u.
+
+    In u, d log S/du = 1 - decay(u) <tilt>, where <tilt> is the
+    launch-weighted mean of the inversion tilt.  Its derivative with respect
+    to the decay is -Var(tilt) <= 0 and the decay grows with u, so <tilt> <= 0
+    at the final lower bracket end (the monotonicity check) makes log S
+    increasing with slope >= 1 and convex over the whole bracket, with a
+    single sign change.  Newton from the upper end then descends onto the
+    root, and the bisection is replayed step by step: a midpoint farther than
+    a guard band of 2e-13 from the Newton root (argued from the rounding of
+    the launch total beside ``_ROOT_GUARD``) takes the side the comparison
+    gives, and only midpoints inside the band are evaluated, so the root and
+    the launch are bit for bit those of the plain bisection.  When the check
+    fails, or Newton leaves the bracket, meets a non-positive slope or does
+    not converge, every midpoint is evaluated.
+
+    Every evaluation, Newton's included, writes the trial output and its
+    launch into two buffers allocated once per call, through
+    :func:`_launch_from_output` with ``out``, so the root-find allocates no
     arrays.
     """
     slope = fiber.raman.as_triangular().slope
@@ -133,43 +169,68 @@ def preemphasis_single_span(
         launch = _launch_from_output(output.powers, _inversion_terms(params, slope), decay)
         return PowerSpectrum(target.grid, launch, z=0.0)
 
-    if total_launch_power is None or total_launch_power <= 0:
-        raise ConfigurationError("shape-only targets need a positive total_launch_power")
+    if total_launch_power is None or not 0 < total_launch_power < math.inf:
+        raise ConfigurationError(
+            "shape-only targets need a positive, finite total_launch_power, "
+            f"got {total_launch_power!r}"
+        )
     shape = target.shape()
     # Shaping values, alpha0 and the reference are scale-free: derive once.
     shape_spectrum = PowerSpectrum(target.grid, shape, z=fiber.length)
     params_unit = closedform_params_from_output(shape_spectrum, fiber, order)
     alpha = params_unit.channel_attenuation
     terms = _inversion_terms(params_unit, slope)
+    tilt = terms[1]
     growth = math.exp(params_unit.alpha0 * fiber.length)
     output = np.empty_like(shape)
     launch = np.empty_like(shape)
 
-    def launch_at(output_total: float) -> np.ndarray:
+    def decay_at(output_total: float) -> float:
         # P_T(0) first, then times L_eff: the order ClosedFormParams gave, so the
         # bisection's sums and sign decisions do not move
-        decay = output_total * growth * params_unit.effective_length
-        np.multiply(shape, output_total, output)
-        return _launch_from_output(output, terms, decay, out=launch)
+        return output_total * growth * params_unit.effective_length
 
-    def launch_total(output_total: float) -> float:
-        # the pairwise sum .sum() runs, without its Python-level wrapper
-        return float(np.add.reduce(launch_at(output_total)))
+    def launch_at(output_total: float) -> np.ndarray:
+        np.multiply(shape, output_total, output)
+        return _launch_from_output(output, terms, decay_at(output_total), out=launch)
+
+    def excess(output_total: float) -> tuple[float, float]:
+        # S - P_T0, by the pairwise sum .sum() runs without its Python-level
+        # wrapper, and the tilt-weighted launch total sum(tilt_i P_i(0))
+        p = launch_at(output_total)
+        return float(np.add.reduce(p)) - total_launch_power, float(np.dot(tilt, p))
+
+    def newton_root(u_low: float, u_high: float, f: float, tilted: float) -> float | None:
+        # Newton on log(S / P_T0) from u_high, where S - P_T0 = f > 0; None when
+        # a step leaves (u_low, u_high), meets a slope <= 0 or does not converge
+        u = u_high
+        for _ in range(_NEWTON_STEPS):
+            residual = math.log1p(f / total_launch_power)
+            if abs(residual) <= _NEWTON_TOL:
+                return u
+            derivative = 1.0 - decay_at(math.exp(u)) * tilted / (f + total_launch_power)
+            if not derivative > 0.0:
+                return None
+            u -= residual / derivative
+            if not u_low < u < u_high:
+                return None
+            f, tilted = excess(math.exp(u))
+        return None
 
     low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
     high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
-    f_low = launch_total(low) - total_launch_power
-    f_high = launch_total(high) - total_launch_power
+    f_low, tilted_low = excess(low)
+    f_high, tilted_high = excess(high)
     # The attenuation-only bracket can miss the root when the tilt-induced
     # convexity excess outweighs the attenuation spread; widen geometrically.
     expansions = 0
     while f_low > 0 and expansions < 60:
         low /= 4.0
-        f_low = launch_total(low) - total_launch_power
+        f_low, tilted_low = excess(low)
         expansions += 1
     while f_high < 0 and expansions < 60:
         high *= 4.0
-        f_high = launch_total(high) - total_launch_power
+        f_high, tilted_high = excess(high)
         expansions += 1
     if f_low == 0.0 or low == high:
         root = low
@@ -182,9 +243,15 @@ def preemphasis_single_span(
         )
     else:
         u_low, u_high = math.log(low), math.log(high)
+        newton = None
+        if f_low < 0 and tilted_low <= 0.0:
+            newton = newton_root(u_low, u_high, f_high, tilted_high)
         while u_high - u_low > 1e-12:
             u_mid = 0.5 * (u_low + u_high)
-            f_mid = launch_total(math.exp(u_mid)) - total_launch_power
+            if newton is not None and abs(u_mid - newton) > _ROOT_GUARD:
+                f_mid = u_mid - newton  # the sign S - P_T0 has at u_mid
+            else:
+                f_mid = excess(math.exp(u_mid))[0]
             if f_mid == 0.0:
                 u_low = u_high = u_mid
                 break

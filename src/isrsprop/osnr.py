@@ -69,7 +69,11 @@ def ase_injection(
     Single-stage convention h f NF (G - 1) B_ref.  ``gain`` may be a scalar
     or a per-channel array; ``reference_bandwidth`` is in THz.
     """
-    nf = _noise_figure_linear(grid, noise_figure_db)
+    return _injected(grid, _noise_figure_linear(grid, noise_figure_db), gain, reference_bandwidth)
+
+
+def _injected(grid: ChannelGrid, nf: np.ndarray, gain, reference_bandwidth: float) -> np.ndarray:
+    """:func:`ase_injection` with the per-channel linear noise figures ``nf``."""
     g = np.broadcast_to(np.asarray(gain, dtype=float), (grid.n_channels,))
     f_hz = grid.frequencies * 1e12
     b_hz = reference_bandwidth * 1e12
@@ -95,9 +99,15 @@ def ase_accumulate(
         raise ConfigurationError("gains/span_inputs inconsistent with the link")
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
     noise = np.zeros(grid.n_channels)
+    # per-channel noise figures, built once per distinct mapping (the link
+    # holds every mapping for the whole call, so their ids stay unique)
+    nf_by_mapping: dict[int, np.ndarray] = {}
     for k, gain in enumerate(gains):
-        amp = link.amplifiers[k]
-        injected = ase_injection(grid, amp.noise_figure_db, gain, b_ref)
+        mapping = link.amplifiers[k].noise_figure_db
+        nf = nf_by_mapping.get(id(mapping))
+        if nf is None:
+            nf = nf_by_mapping[id(mapping)] = _noise_figure_linear(grid, mapping)
+        injected = _injected(grid, nf, gain, b_ref)
         entry = span_inputs[k + 1].powers
         if np.any(entry <= 0):
             raise ConfigurationError("signal vanishes at a span input; ASE ratio undefined")

@@ -40,7 +40,7 @@ class TestValidateConfig:
     def test_all_shipped_configs_validate(self, capsys):
         for cfg in ALL_CONFIGS:
             assert main(["validate-config", "--config", str(cfg)]) == 0
-        assert len(ALL_CONFIGS) == 10
+        assert len(ALL_CONFIGS) == 11
 
     def test_bad_bandwidth_names_band(self, tmp_path, capsys):
         path = small_config(

@@ -21,6 +21,7 @@ from isrsprop import (
     preemphasis_multispan,
     preemphasis_single_span,
     propagate_link_numerical,
+    target_osnr,
     total_attenuation_coefficient,
 )
 from isrsprop.inverse import _inversion_terms, _launch_from_output
@@ -155,6 +156,18 @@ class TestSingleSpanShapeMode:
         target = TargetSpectrum.flat_shape(clu_grid)
         with pytest.raises(ConfigurationError, match="total_launch_power"):
             preemphasis_single_span(target, default_fiber_100, 3)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, 0.0, -0.1])
+    def test_shape_mode_rejects_a_non_finite_or_non_positive_total(
+        self, clu_grid, default_fiber_50, total
+    ):
+        target = TargetSpectrum.flat_shape(clu_grid)
+        link = LinkSpec.uniform(default_fiber_50, 2)
+        with pytest.raises(ConfigurationError, match="positive, finite total_launch_power"):
+            preemphasis_single_span(target, default_fiber_50, 3, total_launch_power=total)
+        for solve in (preemphasis_multispan, target_osnr):
+            with pytest.raises(ConfigurationError, match="positive, finite total_launch_power"):
+                solve(target, link, total)
 
     def test_round_trip_self_consistency_narrowband(self, c_grid, default_fiber_100):
         # within the coupling window the shaping values are shape-independent,
@@ -308,7 +321,8 @@ class TestHoistedInversion:
 
         monkeypatch.setattr("isrsprop.inverse._launch_from_output", spy)
         preemphasis_single_span(target, fiber, 3, total_launch_power=0.05)
-        assert len(steps) > 30
+        # the two bracket ends and at least one Newton step
+        assert len(steps) >= 3
         for output, launch in steps:
             output_total = output[0] * 64
             assert np.array_equal(output, target.shape() * output_total)
@@ -414,7 +428,7 @@ class TestRootFindBuffers:
         launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
         expected, evaluations, _ = bisection_reference(target, fiber, order, total)
         assert np.array_equal(launch.powers, expected)
-        assert len(calls) == evaluations and all(calls)
+        assert len(calls) < evaluations and all(calls)
 
     def test_matches_allocating_bisection_after_bracket_expansion(self, monkeypatch, clu_grid):
         # flat loss leaves a one-point bracket that the tilt's convexity excess
@@ -425,5 +439,43 @@ class TestRootFindBuffers:
         launch, calls = self.solve_counting(monkeypatch, target, fiber, 3, 1.0)
         expected, evaluations, expansions = bisection_reference(target, fiber, 3, 1.0)
         assert expansions > 0
+        assert np.array_equal(launch.powers, expected)
+        assert len(calls) < evaluations
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        plan=st.sampled_from(["CLU", "SCLU"]),
+        length=st.floats(50.0, 150.0),
+        order=st.integers(1, 6),
+        tilted=st.booleans(),
+        depth_db=st.floats(0.0, 3.0),
+        dbm=st.floats(-5.0, 6.0),
+    )
+    def test_newton_guided_root_matches_bisection(self, plan, length, order, tilted, depth_db,
+                                                  dbm):
+        grid = build_channel_grid(plan)
+        x = np.linspace(-1.0, 1.0, grid.n_channels)
+        profile_db = depth_db * (x if tilted else np.sin(2.0 * np.pi * 2.5 * x + 0.3))
+        target = TargetSpectrum(grid, 10.0 ** (0.1 * profile_db), normalized=True)
+        fiber = FiberSpec(AttenuationProfile.parabolic_db(0.19, 193.5, 1e-4),
+                          RamanGainModel.triangular(peak=0.4), length)
+        total = grid.n_channels * 10.0 ** (0.1 * dbm) * 1e-3
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
+        expected, evaluations, _ = bisection_reference(target, fiber, order, total)
+        assert np.array_equal(launch.powers, expected)
+        assert len(calls) < evaluations
+
+    def test_unproven_monotonicity_evaluates_every_midpoint(self, monkeypatch, clu_grid):
+        # a steep low-frequency loss edge puts the launch weight on the
+        # positive-tilt channels, so the monotonicity check fails at the lower
+        # bracket end; the check reuses the bracket's evaluations, so the plain
+        # bisection's count is kept exactly
+        edge = AttenuationProfile.from_table([179.0, 184.0, 196.0], [0.6, 0.2, 0.2])
+        fiber = FiberSpec(edge, RamanGainModel.triangular(peak=0.4), 100.0)
+        target = TargetSpectrum.flat_shape(clu_grid)
+        total = clu_grid.n_channels * 1e-3
+        launch, calls = self.solve_counting(monkeypatch, target, fiber, 3, total)
+        expected, evaluations, _ = bisection_reference(target, fiber, 3, total)
         assert np.array_equal(launch.powers, expected)
         assert len(calls) == evaluations

@@ -130,6 +130,35 @@ class TestAseAccumulate:
         with pytest.raises(ConfigurationError, match="inconsistent"):
             ase_accumulate(link, result.gains[:1], result.span_inputs, result.final)
 
+    def test_noise_figures_built_once_per_mapping(self, clu_grid, default_fiber_50, monkeypatch):
+        # three amplifiers share one mapping and one has its own: two builds,
+        # and the noise of the per-amplifier ase_injection sum bit for bit
+        shared = AmplifierSpec(noise_figure_db=NF_TABLE1)
+        other = AmplifierSpec(noise_figure_db={"C": 5.0, "L": 5.5, "U": 6.0})
+        link = LinkSpec(spans=(default_fiber_50,) * 5, amplifiers=(shared, other, shared, shared))
+        result = propagate_multispan_closedform(PowerSpectrum.flat_dbm(clu_grid, -1.0), link, 3)
+        expected = np.zeros(clu_grid.n_channels)
+        for amp, gain, entry in zip(link.amplifiers, result.gains, result.span_inputs[1:]):
+            injected = ase_injection(clu_grid, amp.noise_figure_db, gain, clu_grid.spacing)
+            expected += injected * (result.final.powers / entry.powers)
+        builds = []
+
+        def spy(grid, noise_figure_db):
+            builds.append(noise_figure_db)
+            return _noise_figure_linear(grid, noise_figure_db)
+
+        monkeypatch.setattr("isrsprop.osnr._noise_figure_linear", spy)
+        assert np.array_equal(ase_from_result(result).ase_powers, expected)
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("nf, match", [(None, "missing noise figures"),
+                                           ({"C": 5.5, "U": 5.0}, "band 'L'")])
+    def test_amplifier_noise_figures_are_checked(self, clu_grid, default_fiber_50, nf, match):
+        link = LinkSpec.uniform(default_fiber_50, 2, amplifier=AmplifierSpec(noise_figure_db=nf))
+        result = propagate_multispan_closedform(PowerSpectrum.flat_dbm(clu_grid, -1.0), link, 3)
+        with pytest.raises(ConfigurationError, match=match):
+            ase_from_result(result)
+
 
 class TestOsnrProfile:
     def test_ratio_definition(self, c_grid):
