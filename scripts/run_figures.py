@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from isrsprop.cli import main as cli_main
+from isrsprop.cli import _worker_count, main as cli_main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,7 +37,8 @@ RUNS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default="results", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="sweep parallelism")
+    parser.add_argument("--workers", type=_worker_count, default=1,
+                        help="sweep parallelism, at least 1")
     parser.add_argument("--skip-sweep", action="store_true")
     args = parser.parse_args()
 

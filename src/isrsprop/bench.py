@@ -138,6 +138,12 @@ def _run_group(args) -> list[SweepRecord]:
               for _, length in cells]
     launches = [PowerSpectrum.flat_dbm(grid, power_dbm) for power_dbm, _ in cells]
     options = SolverOptions(steps_per_span=config.steps_per_span)
+
+    def failed(power_dbm, length, n, oracle_seconds, error) -> SweepRecord:
+        nan = float("nan")
+        return SweepRecord(band, peak, power_dbm, length, n, nan, nan, oracle_seconds, 0.0,
+                           error=error)
+
     try:
         t0 = time.perf_counter()
         outputs, messages = _integrate_batch(
@@ -153,11 +159,7 @@ def _run_group(args) -> list[SweepRecord]:
     records = []
     for b, ((power_dbm, length), launch, fiber) in enumerate(zip(cells, launches, fibers)):
         if errors[b]:
-            records.extend(
-                SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
-                            0.0, 0.0, error=errors[b])
-                for n in config.orders
-            )
+            records.extend(failed(power_dbm, length, n, 0.0, errors[b]) for n in config.orders)
             continue
         oracle = PowerSpectrum(grid, outputs[b])
         oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
@@ -167,9 +169,7 @@ def _run_group(args) -> list[SweepRecord]:
             shared_s = (time.perf_counter() - t0) / len(config.orders)
         except Exception as exc:  # an order-free failure fails every order alike
             records.extend(
-                SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
-                            oracle_s, 0.0, error=repr(exc))
-                for n in config.orders
+                failed(power_dbm, length, n, oracle_s, repr(exc)) for n in config.orders
             )
             continue
         for n in config.orders:
@@ -183,10 +183,7 @@ def _run_group(args) -> list[SweepRecord]:
                     SweepRecord(band, peak, power_dbm, length, n, eps, dev, oracle_s, closed_s)
                 )
             except Exception as exc:
-                records.append(
-                    SweepRecord(band, peak, power_dbm, length, n, float("nan"), float("nan"),
-                                oracle_s, 0.0, error=repr(exc))
-                )
+                records.append(failed(power_dbm, length, n, oracle_s, repr(exc)))
     return records
 
 

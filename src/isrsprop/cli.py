@@ -1,8 +1,9 @@
 """Command line driver: scenario configs in, plot-ready CSV/JSON tables out.
 
 Subcommands: solve (fixed-step oracle), closed-form, multispan, sweep,
-preemph, osnr-target, validate-config.  Exit codes: 0 success, 2 config
-error, 3 numerical error.
+preemph, osnr-target, validate-config.  solve and closed-form run a config
+without a link as a one-span link of its fiber.  Exit codes: 0 success,
+2 config error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import _csv_lines, run_order_sweep, write_records_csv, write_summary_csv
-from .closedform import derive_params, power_profile
+from .closedform import power_profile
 from .config import RunConfig, parse_config
 from .errors import (
     ConfigurationError,
@@ -25,8 +26,8 @@ from .errors import (
     NumericalInstabilityError,
     RootBracketError,
 )
-from .multispan import propagate_multispan_closedform
-from .ode_oracle import integrate_span, propagate_link_numerical
+from .multispan import LinkSpec, propagate_multispan_closedform
+from .ode_oracle import propagate_link_numerical
 from .profiles import ChannelGrid
 
 
@@ -82,43 +83,42 @@ def _span_samples(span_input, params, fiber, cfg: RunConfig) -> list:
     ]
 
 
+def _one_span_link(cfg: RunConfig) -> LinkSpec:
+    return LinkSpec((_require(cfg, "fiber", "fiber.length_km"),))
+
+
+def _write_propagation(cfg: RunConfig, out: Path, fmt: str, kind: str, result, samples) -> None:
+    """``<kind>_longitudinal`` from span-local samples, ``<kind>_spectrum`` from the link end."""
+    head, rows = _longitudinal_table(result.longitudinal(samples))
+    _write_table(out / f"{cfg.name}_{kind}_longitudinal.csv", head, rows, fmt)
+    head, rows = _channel_table(result.final.grid, "power_dbm", _dbm(result.final.powers))
+    _write_table(out / f"{cfg.name}_{kind}_spectrum.csv", head, rows, fmt)
+
+
 def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "a launch section")
-    if cfg.link is not None:
-        result = propagate_link_numerical(launch, cfg.link, cfg.solver)
-        spectra = result.longitudinal([r.spectra for r in result.span_results])
-    else:
-        fiber = _require(cfg, "fiber", "fiber.length_km")
-        result = integrate_span(launch, fiber, cfg.solver)
-        spectra = result.spectra
-    head, rows = _longitudinal_table(spectra)
-    _write_table(out / f"{cfg.name}_solve_longitudinal.csv", head, rows, fmt)
-    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(result.final.powers))
-    _write_table(out / f"{cfg.name}_solve_spectrum.csv", head, rows, fmt)
+    link = cfg.link if cfg.link is not None else _one_span_link(cfg)
+    result = propagate_link_numerical(launch, link, cfg.solver)
+    _write_propagation(cfg, out, fmt, "solve", result, [r.spectra for r in result.span_results])
+
+
+def _closed_form_link(cfg: RunConfig, out: Path, fmt: str, kind: str, launch, link) -> None:
+    result = propagate_multispan_closedform(launch, link, cfg.order)
+    samples = [
+        _span_samples(*span, cfg)
+        for span in zip(result.span_inputs, result.span_results, link.spans)
+    ]
+    _write_propagation(cfg, out, fmt, kind, result, samples)
 
 
 def cmd_closed_form(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "a launch section")
-    fiber = _require(cfg, "fiber", "fiber.length_km")
-    spectra = _span_samples(launch, derive_params(launch, fiber, cfg.order), fiber, cfg)
-    head, rows = _longitudinal_table(spectra)
-    _write_table(out / f"{cfg.name}_closedform_longitudinal.csv", head, rows, fmt)
-    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(spectra[-1].powers))
-    _write_table(out / f"{cfg.name}_closedform_spectrum.csv", head, rows, fmt)
+    _closed_form_link(cfg, out, fmt, "closedform", launch, _one_span_link(cfg))
 
 
 def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "a launch section")
-    link = _require(cfg, "link", "a link section")
-    result = propagate_multispan_closedform(launch, link, cfg.order)
-    span_samples = [
-        _span_samples(*span, cfg)
-        for span in zip(result.span_inputs, result.span_results, link.spans)
-    ]
-    head, rows = _longitudinal_table(result.longitudinal(span_samples))
-    _write_table(out / f"{cfg.name}_multispan_longitudinal.csv", head, rows, fmt)
-    head, rows = _channel_table(launch.grid, "power_dbm", _dbm(result.final.powers))
-    _write_table(out / f"{cfg.name}_multispan_spectrum.csv", head, rows, fmt)
+    _closed_form_link(cfg, out, fmt, "multispan", launch, _require(cfg, "link", "a link section"))
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:

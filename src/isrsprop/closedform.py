@@ -128,9 +128,7 @@ def _window_indices(n: int, m: int, m_up: int) -> tuple[np.ndarray, ...]:
         np.where(j + m < n, j + m, n),
         np.where(j - m_up >= 0, j - m_up, n),
     )
-    for index in indices:
-        index.flags.writeable = False
-    return indices
+    return tuple(_freeze(index, dtype=int) for index in indices)
 
 
 def total_attenuation_coefficient(

@@ -217,49 +217,52 @@ def preemphasis_single_span(
             f, tilted = excess(math.exp(u))
         return None
 
-    low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
-    high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
-    f_low, tilted_low = excess(low)
-    f_high, tilted_high = excess(high)
-    # The attenuation-only bracket can miss the root when the tilt-induced
-    # convexity excess outweighs the attenuation spread; widen geometrically.
-    expansions = 0
-    while f_low > 0 and expansions < 60:
-        low /= 4.0
+    # a trial launch may overflow to inf at the upper bracket end: that only
+    # tells the search which side it is on, so the root-find stays quiet
+    with np.errstate(over="ignore"):
+        low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
+        high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
         f_low, tilted_low = excess(low)
-        expansions += 1
-    while f_high < 0 and expansions < 60:
-        high *= 4.0
         f_high, tilted_high = excess(high)
-        expansions += 1
-    if f_low == 0.0 or low == high:
-        root = low
-    elif f_high == 0.0:
-        root = high
-    elif (f_low < 0) == (f_high < 0):
-        raise RootBracketError(
-            "launch-total condition does not change sign over the "
-            "scanned output-power bracket", low, high,
-        )
-    else:
-        u_low, u_high = math.log(low), math.log(high)
-        newton = None
-        if f_low < 0 and tilted_low <= 0.0:
-            newton = newton_root(u_low, u_high, f_high, tilted_high)
-        while u_high - u_low > 1e-12:
-            u_mid = 0.5 * (u_low + u_high)
-            if newton is not None and abs(u_mid - newton) > _ROOT_GUARD:
-                f_mid = u_mid - newton  # the sign S - P_T0 has at u_mid
-            else:
-                f_mid = excess(math.exp(u_mid))[0]
-            if f_mid == 0.0:
-                u_low = u_high = u_mid
-                break
-            if (f_mid < 0) == (f_low < 0):
-                u_low, f_low = u_mid, f_mid
-            else:
-                u_high = u_mid
-        root = math.exp(0.5 * (u_low + u_high))
+        # The attenuation-only bracket can miss the root when the tilt-induced
+        # convexity excess outweighs the attenuation spread; widen geometrically.
+        expansions = 0
+        while f_low > 0 and expansions < 60:
+            low /= 4.0
+            f_low, tilted_low = excess(low)
+            expansions += 1
+        while f_high < 0 and expansions < 60:
+            high *= 4.0
+            f_high, tilted_high = excess(high)
+            expansions += 1
+        if f_low == 0.0 or low == high:
+            root = low
+        elif f_high == 0.0:
+            root = high
+        elif (f_low < 0) == (f_high < 0):
+            raise RootBracketError(
+                "launch-total condition does not change sign over the "
+                "scanned output-power bracket", low, high,
+            )
+        else:
+            u_low, u_high = math.log(low), math.log(high)
+            newton = None
+            if f_low < 0 and tilted_low <= 0.0:
+                newton = newton_root(u_low, u_high, f_high, tilted_high)
+            while u_high - u_low > 1e-12:
+                u_mid = 0.5 * (u_low + u_high)
+                if newton is not None and abs(u_mid - newton) > _ROOT_GUARD:
+                    f_mid = u_mid - newton  # the sign S - P_T0 has at u_mid
+                else:
+                    f_mid = excess(math.exp(u_mid))[0]
+                if f_mid == 0.0:
+                    u_low = u_high = u_mid
+                    break
+                if (f_mid < 0) == (f_low < 0):
+                    u_low, f_low = u_mid, f_mid
+                else:
+                    u_high = u_mid
+            root = math.exp(0.5 * (u_low + u_high))
     return PowerSpectrum(target.grid, launch_at(root), z=0.0)
 
 

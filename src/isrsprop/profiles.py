@@ -76,8 +76,9 @@ def convert_units(value, src: str, dst: str):
     raise ConfigurationError(f"unsupported unit conversion {src!r} -> {dst!r}")
 
 
-def _freeze(array) -> np.ndarray:
-    out = np.asarray(array, dtype=float).copy()
+def _freeze(array, dtype=float) -> np.ndarray:
+    """A read-only copy of ``array`` as ``dtype``."""
+    out = np.asarray(array, dtype=dtype).copy()
     out.flags.writeable = False
     return out
 
@@ -148,7 +149,7 @@ class ChannelGrid:
                 f"channel count {freqs.size} does not fill the plan "
                 f"({self.total_bandwidth:.6f} THz at {self.spacing} THz spacing)"
             )
-        object.__setattr__(self, "band_index", _freeze(index).astype(int))
+        object.__setattr__(self, "band_index", _freeze(index, dtype=int))
 
     @property
     def n_channels(self) -> int:
@@ -215,7 +216,6 @@ def _same_grid(a: ChannelGrid, b: ChannelGrid) -> bool:
 def build_channel_grid(
     band_plan: str | Sequence[Band] | Sequence[tuple[str, float, float]],
     spacing: float = DEFAULT_SPACING,
-    band_edges: Mapping[str, tuple[float, float]] | None = None,
 ) -> ChannelGrid:
     """Build a channel grid from a named plan or explicit band edges.
 
@@ -227,14 +227,13 @@ def build_channel_grid(
     if spacing <= 0:
         raise ConfigurationError("spacing must be positive")
     if isinstance(band_plan, str):
-        edges = band_edges or DEFAULT_BAND_EDGES
         try:
             names = BAND_PLANS[band_plan]
         except KeyError:
             raise ConfigurationError(
                 f"unknown band plan {band_plan!r}; expected one of {sorted(BAND_PLANS)}"
             ) from None
-        bands = [Band(n, *edges[n]) for n in names]
+        bands = [Band(n, *DEFAULT_BAND_EDGES[n]) for n in names]
     else:
         bands = [b if isinstance(b, Band) else Band(*b) for b in band_plan]
     bands.sort(key=lambda b: b.f_low)
@@ -433,12 +432,6 @@ class RamanGainModel:
             sample_separations=np.asarray(separations_thz, dtype=float),
             sample_gains=np.asarray(gains, dtype=float),
         )
-
-    @property
-    def peak(self) -> float:
-        if self.kind == "triangular":
-            return self.slope * min(14.0, self.window)
-        return float(self.sample_gains.max())
 
     def as_triangular(self, window: float = 15.5) -> "RamanGainModel":
         """Triangular fit anchored at the tabulated peak; identity if already triangular."""

@@ -224,7 +224,7 @@ class TestCommands:
         assert not list(tmp_path.iterdir())
 
     def test_closed_form_and_one_span_multispan_sample_alike(self, tmp_path):
-        # both commands share one span sampler, refresh_reference included
+        # both commands run one link path, refresh_reference included
         path = small_config(tmp_path, grid={"plan": "CLU", "spacing_ghz": 50},
                             refresh_reference=True)
         data = json.loads(path.read_text())
@@ -237,6 +237,15 @@ class TestCommands:
         closed = (tmp_path / "small_closedform_longitudinal.csv").read_text()
         multi = (tmp_path / "one_span_multispan_longitudinal.csv").read_text()
         assert closed == multi
+        for kind in ("longitudinal", "spectrum"):
+            assert ((tmp_path / f"small_closedform_{kind}.csv").read_bytes()
+                    == (tmp_path / f"one_span_multispan_{kind}.csv").read_bytes())
+        # solve runs a fiber config as the one-span link of its fiber
+        for config in (path, tmp_path / "one_span.json"):
+            assert main(["solve", "--config", str(config), "--output", str(tmp_path)]) == 0
+        for kind in ("longitudinal", "spectrum"):
+            assert ((tmp_path / f"small_solve_{kind}.csv").read_bytes()
+                    == (tmp_path / f"one_span_solve_{kind}.csv").read_bytes())
         refresh_off = tmp_path / "off"
         data["refresh_reference"] = False
         (tmp_path / "one_span.json").write_text(json.dumps(data))

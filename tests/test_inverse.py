@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,23 @@ class TestSingleSpanShapeMode:
         for solve in (preemphasis_multispan, target_osnr):
             with pytest.raises(ConfigurationError, match="positive, finite total_launch_power"):
                 solve(target, link, total)
+
+    def test_overflowing_bracket_end_stays_quiet(self, clu_grid):
+        # at +6 dBm/ch behind a 1.0 dB/km loss edge the trial launch at the
+        # bracket's upper end overflows to inf; that only orders the bracket,
+        # so no overflow warning may reach the caller and the root is the same
+        edge = AttenuationProfile.from_table([179.0, 184.0, 196.0], [1.0, 0.2, 0.2])
+        fiber = FiberSpec(edge, RamanGainModel.triangular(peak=0.4), 100.0)
+        target = TargetSpectrum.flat_shape(clu_grid)
+        total = PowerSpectrum.flat_dbm(clu_grid, 6.0).total_power
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            allowed = preemphasis_single_span(target, fiber, 3, total_launch_power=total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = preemphasis_single_span(target, fiber, 3, total_launch_power=total)
+        assert np.array_equal(strict.powers, allowed.powers)
+        assert np.all(np.isfinite(strict.powers))
 
     def test_round_trip_self_consistency_narrowband(self, c_grid, default_fiber_100):
         # within the coupling window the shaping values are shape-independent,

@@ -56,6 +56,12 @@ class TestChannelGrid:
         counts = {b: names.count(b) for b in ("U", "L", "C")}
         assert counts == {"U": 110, "L": 142, "C": 81}
 
+    def test_band_index_is_read_only(self):
+        grid = build_channel_grid("CL", 0.05)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.band_index[0] = 1
+        assert grid.band_index.dtype.kind == "i"
+
     def test_non_contiguous_bands_rejected(self):
         with pytest.raises(ConfigurationError, match="not contiguous"):
             build_channel_grid([Band("A", 190.0, 191.0), Band("B", 191.5, 192.0)], 0.05)
