@@ -14,8 +14,8 @@ import itertools
 import math
 import re
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -245,17 +245,6 @@ def summarize(records: Sequence[SweepRecord]) -> list[SweepSummary]:
     return out
 
 
-_RECORD_COLUMNS = (
-    "band", "raman_peak", "launch_power_dbm", "length_km", "order",
-    "eps_p", "max_deviation_db", "oracle_seconds", "closedform_seconds", "error",
-)
-
-_SUMMARY_COLUMNS = (
-    "band", "order", "count", "median", "q1", "q3",
-    "whisker_low", "whisker_high", "outlier_count", "mean_abs_error",
-)
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
@@ -299,13 +288,17 @@ def _csv_lines(header, rows):
             yield line + "\r\n"
 
 
+def _dataclass_table(cls, items) -> tuple[list[str], Iterator[list]]:
+    """Header and lazily built rows of ``cls`` instances, one column per field."""
+    header = [f.name for f in fields(cls)]
+    return header, ([getattr(item, name) for name in header] for item in items)
+
+
 def write_records_csv(records: Sequence[SweepRecord], path) -> None:
-    rows = ([getattr(r, c) for c in _RECORD_COLUMNS] for r in records)
     with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines(_RECORD_COLUMNS, rows))
+        fh.writelines(_csv_lines(*_dataclass_table(SweepRecord, records)))
 
 
 def write_summary_csv(summaries: Sequence[SweepSummary], path) -> None:
-    rows = ([getattr(s, c) for c in _SUMMARY_COLUMNS] for s in summaries)
     with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines(_SUMMARY_COLUMNS, rows))
+        fh.writelines(_csv_lines(*_dataclass_table(SweepSummary, summaries)))

@@ -17,7 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import _csv_lines, run_order_sweep, write_records_csv, write_summary_csv
+from .bench import (
+    SweepRecord,
+    SweepSummary,
+    _csv_lines,
+    _dataclass_table,
+    run_order_sweep,
+    write_records_csv,
+    write_summary_csv,
+)
 from .closedform import power_profile
 from .config import RunConfig, parse_config
 from .errors import (
@@ -74,13 +82,18 @@ def _require(cfg: RunConfig, attr: str, what: str):
     return value
 
 
-def _span_samples(span_input, params, fiber, cfg: RunConfig) -> list:
-    """Closed-form spectra at ``steps_per_span + 1`` evenly spaced z over one span."""
+def _span_samples(span_input, params, fiber, span_output, cfg: RunConfig) -> list:
+    """Closed-form spectra at ``steps_per_span + 1`` evenly spaced z over one span.
+
+    The z = L sample is the link run's ``span_output``, the same spectrum with or
+    without ``refresh_reference`` (``np.linspace`` ends exactly at L).
+    """
     slope = fiber.raman.as_triangular().slope
+    z_before_end = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)[:-1]
     return [
         power_profile(span_input, params, slope, float(z), refresh_reference=cfg.refresh_reference)
-        for z in np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
-    ]
+        for z in z_before_end
+    ] + [span_output]
 
 
 def _one_span_link(cfg: RunConfig) -> LinkSpec:
@@ -106,7 +119,7 @@ def _closed_form_link(cfg: RunConfig, out: Path, fmt: str, kind: str, launch, li
     result = propagate_multispan_closedform(launch, link, cfg.order)
     samples = [
         _span_samples(*span, cfg)
-        for span in zip(result.span_inputs, result.span_results, link.spans)
+        for span in zip(result.span_inputs, result.span_results, link.spans, result.span_outputs)
     ]
     _write_propagation(cfg, out, fmt, kind, result, samples)
 
@@ -125,13 +138,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
     sweep = _require(cfg, "sweep", "a sweep section")
     records, summaries = run_order_sweep(sweep, workers=workers)
     if fmt == "json":
-        rec_rows = [r.__dict__ for r in records]
-        (out / f"{cfg.name}_sweep_records.json").write_text(
-            json.dumps(rec_rows, indent=1, default=float) + "\n"
-        )
-        (out / f"{cfg.name}_sweep_summary.json").write_text(
-            json.dumps([s.__dict__ for s in summaries], indent=1, default=float) + "\n"
-        )
+        for kind, cls, items in (("records", SweepRecord, records),
+                                 ("summary", SweepSummary, summaries)):
+            _write_table(out / f"{cfg.name}_sweep_{kind}.json", *_dataclass_table(cls, items), fmt)
         return
     write_records_csv(records, out / f"{cfg.name}_sweep_records.csv")
     write_summary_csv(summaries, out / f"{cfg.name}_sweep_summary.csv")

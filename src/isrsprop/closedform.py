@@ -30,7 +30,7 @@ from .profiles import (
     PowerSpectrum,
     _channel_attenuation,
     _freeze,
-    attenuation_at,
+    convert_units,
 )
 
 
@@ -135,7 +135,7 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
-    alpha = attenuation_at(attenuation, launch.grid.frequencies)
+    alpha = _channel_attenuation(launch.grid, attenuation)
     return _power_mean(alpha, launch.powers, launch.total_power, order)
 
 
@@ -199,10 +199,17 @@ def _span_params(terms: tuple, order: int, at: float = 0.0) -> ClosedFormParams:
     the spectrum-weighted power mean of alpha, the reference shaping value
     balances the modeled total power at z = L, a distance L - at from the
     spectrum (at the output itself it is the weighted mean shaping value),
-    and the launch total is P_T(at) e^{alpha0 at}.
+    and the launch total is P_T(at) e^{alpha0 at}; a span whose loss makes that
+    factor overflow is a :class:`ConfigurationError`.
     """
     powers, total, shaping, alpha, slope, length = terms
     alpha0 = _power_mean(alpha, powers, total, order)
+    try:
+        growth = math.exp(alpha0 * at)
+    except OverflowError:
+        loss_db = convert_units(alpha0, "1/km", "dB/km") * at
+        raise ConfigurationError(f"span loss of {loss_db:.6g} dB over {length:g} km is too "
+                                 "large to invert: the launch total it implies overflows") from None
     ref = _shaping_ref_from_arrays(powers, shaping, alpha, alpha0, order, slope, length - at)
     leff = -math.expm1(-alpha0 * length) / alpha0
     return ClosedFormParams(
@@ -211,7 +218,7 @@ def _span_params(terms: tuple, order: int, at: float = 0.0) -> ClosedFormParams:
         shaping=shaping,
         shaping_ref=ref,
         effective_length=leff,
-        total_launch_power=total * math.exp(alpha0 * at),
+        total_launch_power=total * growth,
         length=length,
         channel_attenuation=alpha,
     )

@@ -90,13 +90,23 @@ _KNOWN_KEYS = {
                     "step", "tolerance", "max_iterations", "rmse_in_db"),
 }
 
+# Keys that give one value in alternative ways; a section sets at most one of each group.
+_ALTERNATIVES = {
+    "grid": (("spacing_thz", "spacing_ghz"),),
+    "fiber.raman": (("slope_per_w_per_km_per_thz", "peak_per_w_per_km"),),
+    "launch": (("powers_dbm", "powers_dbm_file"),),
+    "launch.target": (("shape", "values_dbm", "values"),),
+    "osnr_target": (("values_db", "shape"),),
+}
+
 _REQUIRED = object()
 
 
 class _Section(dict):
     """One config object, its keys checked on entry and its values read by type.
 
-    ``where`` names it in errors and picks its ``_KNOWN_KEYS``; without an entry, any key.
+    ``where`` names it in errors and picks its ``_KNOWN_KEYS`` (without an entry, any
+    key) and its ``_ALTERNATIVES``.
     """
 
     def __init__(self, data, where: str):
@@ -108,6 +118,10 @@ class _Section(dict):
                 close = difflib.get_close_matches(str(key), known, n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise ConfigurationError(f"{where}: unknown key {key!r}{hint}")
+        for group in _ALTERNATIVES.get(where, ()):
+            given = [key for key in group if key in data]
+            if len(given) > 1:
+                raise ConfigurationError(f"{where}: {given[0]!r} and {given[1]!r} are alternatives")
         super().__init__(data)
         self.where = where
 

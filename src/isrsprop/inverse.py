@@ -90,7 +90,8 @@ def closedform_params_from_output(
     reference shaping value is balanced at the output itself (its weighted
     mean over the shaping profile), and ``total_launch_power`` is the
     model-implied P_T(L) e^{alpha0 L}, so the forward profile formula inverts
-    exactly with these parameters.
+    exactly with these parameters.  A span whose loss makes e^{alpha0 L}
+    overflow raises :class:`ConfigurationError` naming that loss.
     """
     if output.total_power <= 0:
         raise ConfigurationError("total output power must be positive")

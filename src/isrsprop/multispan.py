@@ -111,15 +111,16 @@ def boundary_gain(
         return span_gain(span_output, total_launch_power)
     if amplifier.gain_policy == "fixed-gain":
         return amplifier.gain
-    idx = span_output.grid.band_index
-    gains = np.empty(span_output.grid.n_channels)
-    for i in range(len(span_output.grid.bands)):
-        sel = idx == i
-        band_out = span_output.powers[sel].sum()
-        if band_out <= 0:
-            raise ConfigurationError("band output power must be positive")
-        gains[sel] = band_targets[i] / band_out
-    return gains
+    band_out = _band_totals(span_output)
+    if np.any(band_out <= 0):
+        raise ConfigurationError("band output power must be positive")
+    return (band_targets / band_out)[span_output.grid.band_index]
+
+
+def _band_totals(spectrum: PowerSpectrum) -> np.ndarray:
+    """Total power (W) of each band of the spectrum's grid, in band order."""
+    idx = spectrum.grid.band_index
+    return np.array([spectrum.powers[idx == i].sum() for i in range(len(spectrum.grid.bands))])
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,7 @@ def _propagate_link(
     for one span whose input sits at z = 0.
     """
     total_launch = launch.total_power
-    band_targets = np.array(
-        [launch.powers[launch.grid.band_index == i].sum() for i in range(len(launch.grid.bands))]
-    )
+    band_targets = _band_totals(launch)
     span_results: list = []
     gains: list = []
     span_inputs: list[PowerSpectrum] = []
@@ -193,7 +192,7 @@ def _propagate_link(
     final = span_outputs[-1]
     boost = None
     if link.receiver_boost:
-        boost = total_launch / final.total_power
+        boost = span_gain(final, total_launch)
         final = final.scaled(boost)
     return MultiSpanResult(
         link=link,

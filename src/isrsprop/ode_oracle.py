@@ -30,8 +30,7 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
-    _freeze,
-    attenuation_at,
+    _channel_attenuation,
     raman_gain_at,
 )
 
@@ -62,22 +61,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Spectra sampled along z, plus the total power at each sample."""
+    """Spectra sampled along z, each carrying its own z and total power."""
 
-    z_samples: np.ndarray
     spectra: tuple[PowerSpectrum, ...]
-    total_power: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_samples", _freeze(self.z_samples))
-        object.__setattr__(self, "total_power", _freeze(self.total_power))
-
-    @classmethod
-    def from_spectra(cls, spectra: Sequence[PowerSpectrum]) -> "PropagationResult":
-        spectra = tuple(spectra)
-        z = np.array([s.z for s in spectra])
-        tot = np.array([s.total_power for s in spectra])
-        return cls(z_samples=z, spectra=spectra, total_power=tot)
 
     @property
     def final(self) -> PowerSpectrum:
@@ -110,9 +96,8 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
 
 
 def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions):
-    """(K, alpha) of a grid and fiber model; the span length plays no part in either."""
-    alpha = attenuation_at(fiber.attenuation, grid.frequencies)
-    return _coupling_matrix(grid, fiber, options), alpha
+    """(K, read-only alpha) of a grid and fiber model; the span length plays no part in either."""
+    return _coupling_matrix(grid, fiber, options), _channel_attenuation(grid, fiber.attenuation)
 
 
 def isrs_derivative(
@@ -191,7 +176,7 @@ def _integrate_span(
             raise NumericalInstabilityError(_instability_message(p[0], (i + 1) * h, steps))
         # forgive sub-floor rounding only
         spectra.append(PowerSpectrum(launch.grid, np.maximum(p[0], 0.0), z=(i + 1) * h))
-    return PropagationResult.from_spectra(spectra)
+    return PropagationResult(tuple(spectra))
 
 
 def integrate_span(

@@ -135,16 +135,11 @@ def osnr_profile(signal: PowerSpectrum, noise: NoiseSpectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OsnrTargetRun:
-    """Outcome of the iterative OSNR-shape targeting loop."""
+    """Outcome of a converged OSNR-shape targeting loop; one that does not converge raises."""
 
-    target: np.ndarray
-    step: float
-    tolerance: float
-    max_iterations: int
     rmse_history: tuple[float, ...]
     launch: PowerSpectrum
     osnr: np.ndarray
-    converged: bool
 
     @property
     def iterations(self) -> int:
@@ -193,11 +188,7 @@ def target_osnr(
         )
         history.append(rmse)
         if rmse < tolerance:
-            return OsnrTargetRun(
-                target=_freeze(goal), step=step, tolerance=tolerance,
-                max_iterations=max_iterations, rmse_history=tuple(history),
-                launch=launch, osnr=_freeze(osnr), converged=True,
-            )
+            return OsnrTargetRun(rmse_history=tuple(history), launch=launch, osnr=_freeze(osnr))
         shape = shape * (goal / osnr) ** step
         shape /= shape.sum()
     raise ConvergenceError(

@@ -79,6 +79,7 @@ class TestValidateConfig:
     def test_osnr_target_keys_read_by_the_cli_are_known(self, tmp_path, capsys):
         path = CONFIG_DIR / "fig7_osnr_flat_clu.json"
         data = json.loads(path.read_text())
+        del data["osnr_target"]["shape"]  # values_db is its alternative
         data["osnr_target"].update(
             values_db=[0.0] * 333, rmse_in_db=True, total_launch_power_dbm=24.0
         )
@@ -195,6 +196,40 @@ class TestValidateConfig:
         )
         assert main(["validate-config", "--config", str(path)]) == 2
         assert "shape-only target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,keys",
+        [
+            ({"grid": {"plan": "C", "spacing_ghz": 50, "spacing_thz": 0.05}},
+             ("spacing_thz", "spacing_ghz")),
+            ({"fiber": {"length_km": 80.0, "raman": {
+                "kind": "triangular", "peak_per_w_per_km": 0.4,
+                "slope_per_w_per_km_per_thz": 0.03}}},
+             ("slope_per_w_per_km_per_thz", "peak_per_w_per_km")),
+            ({"launch": {"mode": "table", "powers_dbm": [0.0] * 81,
+                         "powers_dbm_file": "missing.csv"}},
+             ("powers_dbm", "powers_dbm_file")),
+            ({"link": {"span_lengths_km": [40.0, 40.0],
+                       "amplifier": {"noise_figure_db": {"C": 5.5}}},
+              "osnr_target": {"values_db": [0.0] * 81, "shape": "flat"}},
+             ("values_db", "shape")),
+            ({"launch": {"mode": "preemphasis", "total_launch_power_dbm": 19.0,
+                         "target": {"shape": "flat", "values_dbm": [0.0] * 81}}},
+             ("shape", "values_dbm")),
+            ({"launch": {"mode": "preemphasis", "total_launch_power_dbm": 19.0,
+                         "target": {"shape": "flat", "values": [1.0] * 81}}},
+             ("shape", "values")),
+        ],
+        ids=["grid-spacing", "raman-slope-peak", "launch-powers", "osnr-values-shape",
+             "target-shape-values_dbm", "target-shape-values"],
+    )
+    def test_alternative_keys_are_exclusive(self, tmp_path, capsys, overrides, keys):
+        # each config would validate with either key alone; both is one line naming the two
+        path = small_config(tmp_path, **overrides)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{keys[0]!r} and {keys[1]!r} are alternatives" in err
 
     def test_osnr_target_section_becomes_target_osnr_arguments(self):
         cfg = parse_config(CONFIG_DIR / "fig7_osnr_flat_clu.json")
@@ -368,6 +403,40 @@ class TestCommands:
         data = json.loads((tmp_path / "small_closedform_spectrum.json").read_text())
         assert len(data) == 81
         assert set(data[0]) == {"channel", "frequency_thz", "band", "power_dbm"}
+
+    @pytest.mark.parametrize(
+        "command,name,edit",
+        [
+            ("preemph", "preemph_single_span_clu",
+             lambda d: d["fiber"].update(length_km=20000.0)),
+            ("preemph", "preemph_multi_span_clu",
+             lambda d: d["link"]["span_lengths_km"].__setitem__(0, 20000.0)),
+            ("osnr-target", "fig7_osnr_flat_clu",
+             lambda d: d["link"]["span_lengths_km"].__setitem__(0, 20000.0)),
+        ],
+        ids=["preemph-single", "preemph-multi", "osnr-target"],
+    )
+    def test_inverse_of_an_overflowing_span_loss_is_config_error(
+        self, tmp_path, capsys, command, name, edit
+    ):
+        # e^{alpha0 L} of a 20000 km span overflows a float
+        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        edit(data)
+        path = tmp_path / "lossy.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: span loss of ") and err.count("\n") == 1
+        assert "dB over 20000 km is too large to invert" in err
+
+    def test_receiver_boost_of_a_vanished_output_is_config_error(self, tmp_path, capsys):
+        # the output of a 20000 km span underflows to 0 W, which no gain restores
+        data = json.loads((CONFIG_DIR / "fig6_multi_span_clu.json").read_text())
+        data["link"].update(span_lengths_km=[20000.0], receiver_boost=True)
+        path = tmp_path / "vanish.json"
+        path.write_text(json.dumps(data))
+        assert main(["multispan", "--config", str(path), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: span output power must be positive\n"
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # absurd launch power destabilizes the fixed-step integrator

@@ -141,6 +141,12 @@ class TestPropagateMultispan:
             assert result.boost_gain is not None and result.boost_gain > 1.0, backend
             assert result.span_outputs[-1].total_power < clu_launch.total_power, backend
 
+    def test_receiver_boost_of_a_vanished_output_is_rejected(self, clu_launch, default_fiber_50):
+        fiber = FiberSpec(default_fiber_50.attenuation, default_fiber_50.raman, 20000.0)
+        link = LinkSpec((fiber,), receiver_boost=True)
+        with pytest.raises(ConfigurationError, match="span output power must be positive"):
+            propagate_multispan_closedform(clu_launch, link, 3)
+
     def test_band_restore_policy(self, cl_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(cl_grid, -1.0)
         amp = AmplifierSpec(gain_policy="restore-band-power")

@@ -218,7 +218,6 @@ class TestTargetOsnr:
         link = osnr_link(fiber, 2)
         target = TargetSpectrum.flat_shape(c_grid)
         run = target_osnr(target, link, total_launch_power=0.064)
-        assert run.converged
         assert run.iterations <= 2
         assert run.rmse_history[-1] < 1e-12
 
@@ -226,7 +225,6 @@ class TestTargetOsnr:
         target = TargetSpectrum.flat_shape(clu_grid)
         total = PowerSpectrum.flat_dbm(clu_grid, -1.0).total_power
         run = target_osnr(target, osnr_link(default_fiber_50, 5), total)
-        assert run.converged
         assert run.iterations <= 20
         assert run.rmse_history[-1] < 1e-5
         # unit-step iteration contracts monotonically on this scenario
@@ -260,7 +258,7 @@ class TestTargetOsnr:
         link = osnr_link(fiber, 2)
         target = TargetSpectrum.flat_shape(c_grid)
         run = target_osnr(target, link, 0.064, rmse_in_db=True)
-        assert run.converged
+        assert run.rmse_history[-1] < 1e-5  # the default tolerance
 
     def test_absolute_target_rejected(self, c_grid, default_fiber_50):
         target = TargetSpectrum.absolute_dbm(c_grid, np.full(c_grid.n_channels, 20.0))
