@@ -36,6 +36,12 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+def _replace_shape_with_values_db(data, values_db):
+    # values_db and shape are alternatives, so a config sets only one of them
+    del data["osnr_target"]["shape"]
+    data["osnr_target"]["values_db"] = values_db
+
+
 class TestValidateConfig:
     def test_all_shipped_configs_validate(self, capsys):
         for cfg in ALL_CONFIGS:
@@ -79,10 +85,8 @@ class TestValidateConfig:
     def test_osnr_target_keys_read_by_the_cli_are_known(self, tmp_path, capsys):
         path = CONFIG_DIR / "fig7_osnr_flat_clu.json"
         data = json.loads(path.read_text())
-        del data["osnr_target"]["shape"]  # values_db is its alternative
-        data["osnr_target"].update(
-            values_db=[0.0] * 333, rmse_in_db=True, total_launch_power_dbm=24.0
-        )
+        _replace_shape_with_values_db(data, [0.0] * 333)
+        data["osnr_target"].update(rmse_in_db=True, total_launch_power_dbm=24.0)
         edited = tmp_path / "fig7.json"
         edited.write_text(json.dumps(data))
         assert main(["validate-config", "--config", str(edited)]) == 0
@@ -95,7 +99,7 @@ class TestValidateConfig:
         "edit",
         [
             lambda d: d["osnr_target"].update(shape="tilted"),
-            lambda d: d["osnr_target"].update(values_db=[0.0] * 5),
+            lambda d: _replace_shape_with_values_db(d, [0.0] * 5),
             lambda d: d["osnr_target"].update(step=float("nan")),
             lambda d: d["osnr_target"].update(max_iterations=0),
             lambda d: d.update(order="x"),
@@ -129,6 +133,8 @@ class TestValidateConfig:
             errors.append(capsys.readouterr().err)
             assert errors[-1].startswith("config error: ") and errors[-1].count("\n") == 1
         assert errors[0] == errors[1]
+        if "values_db" in data["osnr_target"]:
+            assert "expected 333 target values, got shape (5,)" in errors[0]
 
     @pytest.mark.parametrize(
         "edit,match",
@@ -646,7 +652,7 @@ def _leaves(node, path=()):
 
 def _fig7_with_values_db():
     data = json.loads((CONFIG_DIR / "fig7_osnr_flat_clu.json").read_text())
-    data["osnr_target"]["values_db"] = [0.01 * (i % 7) for i in range(333)]
+    _replace_shape_with_values_db(data, [0.01 * (i % 7) for i in range(333)])
     return data
 
 
