@@ -2,7 +2,9 @@
 """Fingerprint every CLI output of a checkout, for byte-identity comparisons.
 
 Runs every config under ``configs/`` of the checkout that holds this script
-through every subcommand, in csv and json, and writes
+through every subcommand, in csv and json, and through every subcommand that
+reads the approximation order again at ``--order 1`` and ``--order 6`` (csv,
+runs named ``csv-order1`` and ``csv-order6``), and writes
 ``OUT_DIR/manifest.json``: one SHA-256 per output file and one (exit code,
 stdout, stderr) per run.  ``--repo`` chooses only the code that runs, so two
 checkouts are compared on the same configs.  The sweep's timing columns
@@ -33,6 +35,9 @@ from pathlib import Path
 SUBCOMMANDS = ("solve", "closed-form", "multispan", "sweep", "preemph", "osnr-target",
                "validate-config")
 FORMATS = ("csv", "json")
+# subcommands whose outputs depend on the order, and the orders they run at besides the config's
+ORDER_SUBCOMMANDS = ("closed-form", "multispan", "preemph", "osnr-target")
+EXTRA_ORDERS = (1, 6)
 TIMING_FIELDS = ("oracle_seconds", "closedform_seconds")
 CHECKOUT = Path(__file__).resolve().parent.parent
 
@@ -96,21 +101,22 @@ def main() -> int:
     os.chdir(CHECKOUT)
     runs = {}
     for config in sorted(Path("configs").glob("*.json")):
-        for command in SUBCOMMANDS:
-            for fmt in FORMATS:
-                run_dir = out_dir / "runs" / config.stem / command / fmt
-                argv = [command, "--config", str(config), "--output", str(run_dir),
-                        "--format", fmt]
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    try:
-                        code = cli_main(argv)
-                    except Exception as exc:  # a crash is a result to compare too
-                        code, stderr = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
-                runs[f"{config.stem} {command} {fmt}"] = {
-                    "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
-                }
-                print(f"{code} {config.stem} {command} {fmt}", file=sys.stderr)
+        variants = [(command, fmt, fmt, []) for command in SUBCOMMANDS for fmt in FORMATS]
+        variants += [(command, "csv", f"csv-order{order}", ["--order", str(order)])
+                     for command in ORDER_SUBCOMMANDS for order in EXTRA_ORDERS]
+        for command, fmt, variant, extra in variants:
+            run_dir = out_dir / "runs" / config.stem / command / variant
+            argv = [command, "--config", str(config), "--output", str(run_dir),
+                    "--format", fmt, *extra]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = cli_main(argv)
+                except Exception as exc:  # a crash is a result to compare too
+                    code, stderr = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
+            name = f"{config.stem} {command} {variant}"
+            runs[name] = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+            print(f"{code} {name}", file=sys.stderr)
     files = {
         str(path.relative_to(out_dir)): hashlib.sha256(_without_timing(path)).hexdigest()
         for path in sorted((out_dir / "runs").rglob("*")) if path.is_file()

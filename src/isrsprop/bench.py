@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .closedform import _span_params, _span_terms, power_profile
+from .closedform import _profile, _shaping, _span_constants, _span_params
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -123,11 +123,11 @@ def _run_group(args) -> list[SweepRecord]:
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
     the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.  A cell derives its order-free closed-form
-    terms once; its ``closedform_seconds`` at an order is that time over the
-    order count plus the order's own parameters and profile.  An order-free
-    failure is recorded on every order of the cell, an order's own failure
-    only on that order.
+    time over its cell count.  A cell builds its per-order span constants
+    and its order-free shaping values once; its ``closedform_seconds`` at an
+    order is that time over the order count plus the order's own parameters
+    and profile.  An order-free failure is recorded on every order of the
+    cell, an order's own failure only on that order.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -163,19 +163,26 @@ def _run_group(args) -> list[SweepRecord]:
             continue
         oracle = PowerSpectrum(grid, outputs[b])
         oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
+        p = launch.powers
         try:
             t0 = time.perf_counter()
-            terms = _span_terms(launch, fiber)
+            constants = [_span_constants(grid, fiber, n) for n in config.orders]
+            c = constants[0]  # the shaping values do not depend on the order
+            total = p.sum()
+            shaping = _shaping(p, total, c.window, c.spacing, c.indices)
             shared_s = (time.perf_counter() - t0) / len(config.orders)
         except Exception as exc:  # an order-free failure fails every order alike
             records.extend(
                 failed(power_dbm, length, n, oracle_s, repr(exc)) for n in config.orders
             )
             continue
-        for n in config.orders:
+        for n, c in zip(config.orders, constants):
             try:
                 t0 = time.perf_counter()
-                closed = power_profile(launch, _span_params(terms, n), raman.slope, length)
+                alpha0, ref, _, growth = _span_params(p, total, shaping, c)
+                closed = PowerSpectrum(grid, _profile(p, c.alpha_length, shaping, ref,
+                                                      float(total * growth), alpha0,
+                                                      c.slope, length), z=length)
                 closed_s = shared_s + (time.perf_counter() - t0)
                 eps = total_power_error_ratio(closed, oracle)
                 dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())

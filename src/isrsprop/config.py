@@ -106,7 +106,9 @@ class _Section(dict):
     """One config object, its keys checked on entry and its values read by type.
 
     ``where`` names it in errors and picks its ``_KNOWN_KEYS`` (without an entry, any
-    key) and its ``_ALTERNATIVES``.
+    key) and its ``_ALTERNATIVES``.  The section records every key it hands out; used
+    as a context manager, it rejects on a clean exit each given key that was never
+    read, a key that the chosen kind or mode ignores.
     """
 
     def __init__(self, data, where: str):
@@ -124,6 +126,27 @@ class _Section(dict):
                 raise ConfigurationError(f"{where}: {given[0]!r} and {given[1]!r} are alternatives")
         super().__init__(data)
         self.where = where
+        self._read: set = set()
+
+    def __enter__(self) -> "_Section":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for key in self:
+                if key not in self._read:
+                    raise ConfigurationError(
+                        f"{self.where}.{key}: not read with the other keys given "
+                        "(this kind or mode ignores it)"
+                    )
+
+    def __getitem__(self, key):
+        self._read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._read.add(key)
+        return super().get(key, default)
 
     def require(self, key: str):
         if key not in self:
@@ -169,84 +192,92 @@ def _parse_grid(section: Mapping | None) -> tuple[ChannelGrid | None, float]:
     """The channel grid (None for a spacing-only section) and its spacing in THz."""
     if section is None:
         return None, 0.05
-    s = _Section(section, "grid")
-    spacing = s.number("spacing_thz") if "spacing_thz" in s else s.number("spacing_ghz", 50) * 1e-3
-    if "plan" in s:
-        return build_channel_grid(_plan_name(s["plan"], "grid.plan"), spacing), spacing
-    if "bands" not in s:
-        return None, spacing  # spacing-only grid section (sweep configs)
-    bands = s.get("bands")
-    if not isinstance(bands, list):
-        raise ConfigurationError("grid.bands: expected a list of band objects")
-    bands = [_Section(b, "grid.bands") for b in bands]
-    parsed = [Band(b.require("name"), b.number("f_low_thz"), b.number("f_high_thz")) for b in bands]
-    return build_channel_grid(parsed, spacing), spacing
+    with _Section(section, "grid") as s:
+        if "spacing_thz" in s:
+            spacing = s.number("spacing_thz")
+        else:
+            spacing = s.number("spacing_ghz", 50) * 1e-3
+        if "plan" in s:
+            return build_channel_grid(_plan_name(s["plan"], "grid.plan"), spacing), spacing
+        if "bands" not in s:
+            return None, spacing  # spacing-only grid section (sweep configs)
+        bands = s.get("bands")
+        if not isinstance(bands, list):
+            raise ConfigurationError("grid.bands: expected a list of band objects")
+        parsed = []
+        for band in bands:
+            with _Section(band, "grid.bands") as b:
+                parsed.append(
+                    Band(b.require("name"), b.number("f_low_thz"), b.number("f_high_thz"))
+                )
+        return build_channel_grid(parsed, spacing), spacing
 
 
 def _parse_attenuation(section: Mapping | None) -> AttenuationProfile:
     if section is None:
         return default_attenuation()
-    s = _Section(section, "fiber.attenuation")
-    kind = s.require("kind")
-    if kind == "constant":
-        return AttenuationProfile.constant_db(s.number("db_per_km"))
-    if kind == "parabolic":
-        return AttenuationProfile.parabolic_db(
-            s.number("min_db_per_km"), s.number("vertex_thz"),
-            s.number("curvature_db_per_km_per_thz2"),
-        )
-    if kind == "tabulated":
-        return AttenuationProfile.from_table(
-            s.number("frequencies_thz", array=True), s.number("db_per_km", array=True)
-        )
-    raise ConfigurationError(f"attenuation: unknown kind {kind!r}")
+    with _Section(section, "fiber.attenuation") as s:
+        kind = s.require("kind")
+        if kind == "constant":
+            return AttenuationProfile.constant_db(s.number("db_per_km"))
+        if kind == "parabolic":
+            return AttenuationProfile.parabolic_db(
+                s.number("min_db_per_km"), s.number("vertex_thz"),
+                s.number("curvature_db_per_km_per_thz2"),
+            )
+        if kind == "tabulated":
+            return AttenuationProfile.from_table(
+                s.number("frequencies_thz", array=True), s.number("db_per_km", array=True)
+            )
+        raise ConfigurationError(f"attenuation: unknown kind {kind!r}")
 
 
 def _parse_raman(section: Mapping | None) -> RamanGainModel:
     if section is None:
         return default_raman()
-    s = _Section(section, "fiber.raman")
-    kind = s.require("kind")
-    if kind == "triangular":
-        return RamanGainModel.triangular(
-            slope=s.number("slope_per_w_per_km_per_thz", None),
-            peak=s.number("peak_per_w_per_km", None),
-            peak_separation=s.number("peak_separation_thz", 14.0),
-            window=s.number("window_thz", 15.5),
-        )
-    if kind == "tabulated":
-        return RamanGainModel.from_table(
-            s.number("separations_thz", array=True), s.number("gain_per_w_per_km", array=True)
-        )
-    raise ConfigurationError(f"raman: unknown kind {kind!r}")
+    with _Section(section, "fiber.raman") as s:
+        kind = s.require("kind")
+        if kind == "triangular":
+            return RamanGainModel.triangular(
+                slope=s.number("slope_per_w_per_km_per_thz", None),
+                peak=s.number("peak_per_w_per_km", None),
+                peak_separation=s.number("peak_separation_thz", 14.0),
+                window=s.number("window_thz", 15.5),
+            )
+        if kind == "tabulated":
+            return RamanGainModel.from_table(
+                s.number("separations_thz", array=True), s.number("gain_per_w_per_km", array=True)
+            )
+        raise ConfigurationError(f"raman: unknown kind {kind!r}")
 
 
 def _parse_fiber(section: Mapping | None, length_required: bool):
     """``(attenuation, raman)`` and the span they make, None without ``length_km``."""
     if section is None:
         return None, None
-    s = _Section(section, "fiber")
-    models = (_parse_attenuation(s.get("attenuation")), _parse_raman(s.get("raman")))
-    if "length_km" not in s:
-        if length_required:
-            raise ConfigurationError("fiber: missing length_km")
-        return models, None
-    return models, FiberSpec(*models, length=s.number("length_km"))
+    with _Section(section, "fiber") as s:
+        models = (_parse_attenuation(s.get("attenuation")), _parse_raman(s.get("raman")))
+        if "length_km" not in s:
+            if length_required:
+                raise ConfigurationError("fiber: missing length_km")
+            return models, None
+        return models, FiberSpec(*models, length=s.number("length_km"))
 
 
 def _parse_amplifier(section: Mapping | None) -> AmplifierSpec:
     if section is None:
         return AmplifierSpec()
-    s = _Section(section, "link.amplifier")
-    nf = s.get("noise_figure_db")
-    if nf is not None:
-        nf = _Section(nf, "link.amplifier.noise_figure_db")
-        nf = {band: nf.number(band) for band in nf}
-    return AmplifierSpec(
-        gain_policy=s.get("gain_policy", "restore-total-power"),
-        gain=s.number("gain_linear", None),
-        noise_figure_db=nf,
-    )
+    with _Section(section, "link.amplifier") as s:
+        nf = s.get("noise_figure_db")
+        if nf is not None:
+            nf = _Section(nf, "link.amplifier.noise_figure_db")
+            nf = {band: nf.number(band) for band in nf}
+        policy = s.get("gain_policy", "restore-total-power")
+        return AmplifierSpec(
+            gain_policy=policy,
+            gain=s.number("gain_linear", None) if policy == "fixed-gain" else None,
+            noise_figure_db=nf,
+        )
 
 
 def _parse_link(section: Mapping | None, models) -> LinkSpec | None:
@@ -254,14 +285,14 @@ def _parse_link(section: Mapping | None, models) -> LinkSpec | None:
         return None
     if models is None:
         raise ConfigurationError("link: needs a fiber section for span properties")
-    s = _Section(section, "link")
-    lengths = s.number("span_lengths_km", array=True)
-    amp = _parse_amplifier(s.get("amplifier"))
-    return LinkSpec(  # checks that there is at least one span
-        spans=tuple(FiberSpec(*models, length=length) for length in lengths),
-        amplifiers=(amp,) * (len(lengths) - 1),
-        receiver_boost=s.flag("receiver_boost"),
-    )
+    with _Section(section, "link") as s:
+        lengths = s.number("span_lengths_km", array=True)
+        amp = _parse_amplifier(s.get("amplifier"))
+        return LinkSpec(  # checks that there is at least one span
+            spans=tuple(FiberSpec(*models, length=length) for length in lengths),
+            amplifiers=(amp,) * (len(lengths) - 1),
+            receiver_boost=s.flag("receiver_boost"),
+        )
 
 
 def _load_power_table(path: Path) -> list[float]:
@@ -287,116 +318,122 @@ def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, link: LinkS
         return None, None
     if grid is None:
         raise ConfigurationError("launch: needs a grid section")
-    s = _Section(section, "launch")
-    mode = s.require("mode")
-    if mode == "flat":
-        return PowerSpectrum.flat_dbm(grid, s.number("power_dbm_per_channel")), None
-    if mode == "table":
-        if "powers_dbm" in s:
-            dbm = s.number("powers_dbm", array=True)
-        elif "powers_dbm_file" in s:
-            dbm = _load_power_table(base_dir / s.get("powers_dbm_file"))
-        else:
-            raise ConfigurationError("launch: table mode needs powers_dbm or powers_dbm_file")
-        return PowerSpectrum(grid, convert_units(dbm, "dBm", "W")), None
-    if mode == "preemphasis":
-        target = _parse_target(s.require("target"), grid)
-        total = s.number("total_launch_power_dbm", None)
-        spans = link.spans if link is not None else (fiber,) if fiber is not None else ()
-        if not spans:
-            raise ConfigurationError("launch: pre-emphasis needs fiber.length_km or a link")
-        if target.normalized != (total is not None) or (len(spans) > 1 and not target.normalized):
-            raise ConfigurationError("launch: pre-emphasis needs a shape-only target with "
-                                     "total_launch_power_dbm, or an absolute one alone on one span")
-        total = None if total is None else convert_units(total, "dBm", "W")
-        if len(spans) > 1:
-            return None, partial(preemphasis_multispan, target, link, total)
-        return None, partial(preemphasis_single_span, target, spans[0], total_launch_power=total)
-    raise ConfigurationError(f"launch: unknown mode {mode!r}")
+    with _Section(section, "launch") as s:
+        mode = s.require("mode")
+        if mode == "flat":
+            return PowerSpectrum.flat_dbm(grid, s.number("power_dbm_per_channel")), None
+        if mode == "table":
+            if "powers_dbm" in s:
+                dbm = s.number("powers_dbm", array=True)
+            elif "powers_dbm_file" in s:
+                dbm = _load_power_table(base_dir / s.get("powers_dbm_file"))
+            else:
+                raise ConfigurationError("launch: table mode needs powers_dbm or powers_dbm_file")
+            return PowerSpectrum(grid, convert_units(dbm, "dBm", "W")), None
+        if mode == "preemphasis":
+            target = _parse_target(s.require("target"), grid)
+            total = s.number("total_launch_power_dbm", None)
+            spans = link.spans if link is not None else (fiber,) if fiber is not None else ()
+            if not spans:
+                raise ConfigurationError("launch: pre-emphasis needs fiber.length_km or a link")
+            if target.normalized != (total is not None) or (len(spans) > 1
+                                                            and not target.normalized):
+                raise ConfigurationError(
+                    "launch: pre-emphasis needs a shape-only target with "
+                    "total_launch_power_dbm, or an absolute one alone on one span"
+                )
+            total = None if total is None else convert_units(total, "dBm", "W")
+            if len(spans) > 1:
+                return None, partial(preemphasis_multispan, target, link, total)
+            return None, partial(preemphasis_single_span, target, spans[0],
+                                 total_launch_power=total)
+        raise ConfigurationError(f"launch: unknown mode {mode!r}")
 
 
 def _parse_target(section: Mapping, grid: ChannelGrid) -> TargetSpectrum:
-    s = _Section(section, "launch.target")
-    if s.get("shape") == "flat":
-        dbm = s.number("power_dbm_per_channel", None)
-        if dbm is None:
-            return TargetSpectrum.flat_shape(grid)
-        return TargetSpectrum.absolute_dbm(grid, np.full(grid.n_channels, dbm))
-    if "values_dbm" in s:
-        return TargetSpectrum.absolute_dbm(grid, s.number("values_dbm", array=True))
-    if "values" in s:
-        return TargetSpectrum(grid, s.number("values", array=True),
-                              normalized=s.flag("normalized", True))
-    raise ConfigurationError("target: expected shape='flat', values_dbm or values")
+    with _Section(section, "launch.target") as s:
+        if s.get("shape") == "flat":
+            dbm = s.number("power_dbm_per_channel", None)
+            if dbm is None:
+                return TargetSpectrum.flat_shape(grid)
+            return TargetSpectrum.absolute_dbm(grid, np.full(grid.n_channels, dbm))
+        if "values_dbm" in s:
+            return TargetSpectrum.absolute_dbm(grid, s.number("values_dbm", array=True))
+        if "values" in s:
+            return TargetSpectrum(grid, s.number("values", array=True),
+                                  normalized=s.flag("normalized", True))
+        raise ConfigurationError("target: expected shape='flat', values_dbm or values")
 
 
 def _parse_solver(section: Mapping | None) -> SolverOptions:
     if section is None:
         return SolverOptions()
-    s = _Section(section, "solver")
-    return SolverOptions(
-        steps_per_span=s.number("steps_per_span", 50, count=True),
-        photon_correction=s.flag("photon_correction"),
-        raman_model=s.get("raman_model", "triangular"),
-    )
+    with _Section(section, "solver") as s:
+        return SolverOptions(
+            steps_per_span=s.number("steps_per_span", 50, count=True),
+            photon_correction=s.flag("photon_correction"),
+            raman_model=s.get("raman_model", "triangular"),
+        )
 
 
 def _parse_sweep(section: Mapping | None, attenuation: AttenuationProfile, spacing: float):
     if section is None:
         return None
-    s = _Section(section, "sweep")
-
-    def pair(key, default):
-        bounds = s.number(key, default, array=True)
-        if len(bounds) != 2:
-            raise ConfigurationError(f"sweep.{key}: expected [low, high], got {bounds!r}")
-        return tuple(bounds)
-    plans = s.get("band_plans", ["C", "CL", "CLU", "SCLU"])
-    if not isinstance(plans, list):
-        raise ConfigurationError(f"sweep.band_plans: expected a list of plan names, got {plans!r}")
-    return SweepConfig(
-        band_plans=tuple(_plan_name(plan, "sweep.band_plans") for plan in plans),
-        raman_peak_range=pair("raman_peak_range", (0.3, 0.4)),
-        raman_peak_count=s.number("raman_peak_count", 5, count=True),
-        launch_power_dbm_range=pair("launch_power_dbm_range", (-5.0, 0.0)),
-        launch_power_count=s.number("launch_power_count", 5, count=True),
-        length_range_km=pair("length_range_km", (50.0, 150.0)),
-        length_count=s.number("length_count", 5, count=True),
-        orders=tuple(s.number("orders", (1, 2, 3, 4, 5, 6), count=True, array=True)),
-        spacing=spacing,
-        attenuation=attenuation,
-        raman_window=s.number("raman_window_thz", 15.5),
-        raman_peak_separation=s.number("raman_peak_separation_thz", 14.0),
-        steps_per_span=s.number("steps_per_span", 50, count=True),
-    )
+    with _Section(section, "sweep") as s:
+        def pair(key, default):
+            bounds = s.number(key, default, array=True)
+            if len(bounds) != 2:
+                raise ConfigurationError(f"sweep.{key}: expected [low, high], got {bounds!r}")
+            return tuple(bounds)
+        plans = s.get("band_plans", ["C", "CL", "CLU", "SCLU"])
+        if not isinstance(plans, list):
+            raise ConfigurationError(
+                f"sweep.band_plans: expected a list of plan names, got {plans!r}"
+            )
+        return SweepConfig(
+            band_plans=tuple(_plan_name(plan, "sweep.band_plans") for plan in plans),
+            raman_peak_range=pair("raman_peak_range", (0.3, 0.4)),
+            raman_peak_count=s.number("raman_peak_count", 5, count=True),
+            launch_power_dbm_range=pair("launch_power_dbm_range", (-5.0, 0.0)),
+            launch_power_count=s.number("launch_power_count", 5, count=True),
+            length_range_km=pair("length_range_km", (50.0, 150.0)),
+            length_count=s.number("length_count", 5, count=True),
+            orders=tuple(s.number("orders", (1, 2, 3, 4, 5, 6), count=True, array=True)),
+            spacing=spacing,
+            attenuation=attenuation,
+            raman_window=s.number("raman_window_thz", 15.5),
+            raman_peak_separation=s.number("raman_peak_separation_thz", 14.0),
+            steps_per_span=s.number("steps_per_span", 50, count=True),
+        )
 
 
 def _parse_osnr_target(section: Mapping, grid: ChannelGrid | None, link: LinkSpec | None,
                        launch_total: float | None) -> Callable[..., OsnrTargetRun]:
     """``launch_total`` is the flat launch's total, used when the section gives none."""
-    s = _Section(section, "osnr_target")
-    if grid is None or link is None:
-        raise ConfigurationError("osnr_target: needs grid and link sections")
-    if "values_db" in s:
-        values = convert_units(s.number("values_db", array=True), "dB", "linear")
-        target = TargetSpectrum(grid, values, normalized=True)
-    elif s.get("shape", "flat") == "flat":
-        target = TargetSpectrum.flat_shape(grid)
-    else:
-        raise ConfigurationError("osnr_target: expected shape='flat' or values_db")
-    if "total_launch_power_dbm" in s:
-        launch_total = convert_units(s.number("total_launch_power_dbm"), "dBm", "W")
-    elif launch_total is None:
-        raise ConfigurationError("osnr_target: needs total_launch_power_dbm")
-    b_ref = s.number("reference_bandwidth_ghz", None)
-    b_ref = None if b_ref is None else b_ref * 1e-3
-    step, tolerance = s.number("step", 1.0), s.number("tolerance", 1e-5)
-    max_iterations = s.number("max_iterations", 50, count=True)
-    _check_iteration_settings(step, tolerance, max_iterations, b_ref)
-    return partial(
-        target_osnr, target, total_launch_power=launch_total, step=step, tolerance=tolerance,
-        max_iterations=max_iterations, rmse_in_db=s.flag("rmse_in_db"), reference_bandwidth=b_ref,
-    )
+    with _Section(section, "osnr_target") as s:
+        if grid is None or link is None:
+            raise ConfigurationError("osnr_target: needs grid and link sections")
+        if "values_db" in s:
+            values = convert_units(s.number("values_db", array=True), "dB", "linear")
+            target = TargetSpectrum(grid, values, normalized=True)
+        elif s.get("shape", "flat") == "flat":
+            target = TargetSpectrum.flat_shape(grid)
+        else:
+            raise ConfigurationError("osnr_target: expected shape='flat' or values_db")
+        if "total_launch_power_dbm" in s:
+            launch_total = convert_units(s.number("total_launch_power_dbm"), "dBm", "W")
+        elif launch_total is None:
+            raise ConfigurationError("osnr_target: needs total_launch_power_dbm")
+        b_ref = s.number("reference_bandwidth_ghz", None)
+        b_ref = None if b_ref is None else b_ref * 1e-3
+        step, tolerance = s.number("step", 1.0), s.number("tolerance", 1e-5)
+        max_iterations = s.number("max_iterations", 50, count=True)
+        _check_iteration_settings(step, tolerance, max_iterations, b_ref)
+        return partial(
+            target_osnr, target, total_launch_power=launch_total, step=step,
+            tolerance=tolerance, max_iterations=max_iterations, rmse_in_db=s.flag("rmse_in_db"),
+            reference_bandwidth=b_ref,
+        )
 
 
 def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
@@ -417,31 +454,30 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
         default_name = "scenario"
     if not isinstance(data, Mapping):
         raise ConfigurationError("config root must be a JSON object")
-    root = _Section(data, "config")
-
-    grid, spacing = _parse_grid(data.get("grid"))
-    needs_length = "launch" in data and "link" not in data and "sweep" not in data
-    models, fiber = _parse_fiber(data.get("fiber"), length_required=needs_length)
-    link = _parse_link(data.get("link"), models)
-    launch, preemph = _parse_launch(data.get("launch"), grid, link, fiber, base_dir)
-    solver = _parse_solver(data.get("solver"))
-    sweep = _parse_sweep(data.get("sweep"), models[0] if models else default_attenuation(),
-                         spacing)
-    order = root.number("order", 3, count=True)
-    osnr = data.get("osnr_target")
-    if osnr is not None:
-        flat = launch is not None and data["launch"]["mode"] == "flat"
-        osnr = _parse_osnr_target(osnr, grid, link, launch.total_power if flat else None)
-    return RunConfig(
-        name=str(data.get("name", default_name)),
-        grid=grid,
-        fiber=fiber,
-        link=link,
-        launch=launch,
-        preemph=preemph,
-        solver=solver,
-        order=order,
-        sweep=sweep,
-        osnr=osnr,
-        refresh_reference=root.flag("refresh_reference"),
-    )
+    with _Section(data, "config") as root:
+        grid, spacing = _parse_grid(root.get("grid"))
+        needs_length = "launch" in root and "link" not in root and "sweep" not in root
+        models, fiber = _parse_fiber(root.get("fiber"), length_required=needs_length)
+        link = _parse_link(root.get("link"), models)
+        launch, preemph = _parse_launch(root.get("launch"), grid, link, fiber, base_dir)
+        solver = _parse_solver(root.get("solver"))
+        sweep = _parse_sweep(root.get("sweep"), models[0] if models else default_attenuation(),
+                             spacing)
+        order = root.number("order", 3, count=True)
+        osnr = root.get("osnr_target")
+        if osnr is not None:
+            flat = launch is not None and data["launch"]["mode"] == "flat"
+            osnr = _parse_osnr_target(osnr, grid, link, launch.total_power if flat else None)
+        return RunConfig(
+            name=str(root.get("name", default_name)),
+            grid=grid,
+            fiber=fiber,
+            link=link,
+            launch=launch,
+            preemph=preemph,
+            solver=solver,
+            order=order,
+            sweep=sweep,
+            osnr=osnr,
+            refresh_reference=root.flag("refresh_reference"),
+        )

@@ -12,6 +12,12 @@ solved for the implied output total by a Newton-guided bisection: a bracketed
 bisection in log space whose midpoints are decided by comparison with a
 Newton root wherever a monotonicity check and a floating-point guard band
 prove the comparison gives the sign an evaluation would.
+
+Each public call builds the per-span constants of
+:func:`isrsprop.closedform._span_constants` once per distinct span, and the
+inversion runs on plain arrays: the multi-span recursion makes no target,
+spectrum or parameter object per span, while every check those objects made
+still runs on the arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormParams, _span_params, _span_terms
+from .closedform import (
+    ClosedFormParams,
+    _closed_form_params,
+    _link_constants,
+    _shaping,
+    _span_constants,
+    _span_params,
+)
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
@@ -61,8 +74,7 @@ class TargetSpectrum:
             raise ConfigurationError(
                 f"expected {self.grid.n_channels} target values, got shape {v.shape}"
             )
-        if np.any(v <= 0):
-            raise ConfigurationError("target values must be positive")
+        self._check(v)
         object.__setattr__(self, "values", _freeze(v / v.mean() if self.normalized else v))
 
     @classmethod
@@ -73,6 +85,12 @@ class TargetSpectrum:
     def absolute_dbm(cls, grid: ChannelGrid, dbm) -> "TargetSpectrum":
         watts = convert_units(np.asarray(dbm, dtype=float), "dBm", "W")
         return cls(grid, np.broadcast_to(watts, (grid.n_channels,)).copy(), normalized=False)
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
+        """Reject target values that are not positive."""
+        if (values <= 0).any():
+            raise ConfigurationError("target values must be positive")
 
     def shape(self) -> np.ndarray:
         """Values rescaled to unit sum."""
@@ -93,14 +111,32 @@ def closedform_params_from_output(
     exactly with these parameters.  A span whose loss makes e^{alpha0 L}
     overflow raises :class:`ConfigurationError` naming that loss.
     """
-    if output.total_power <= 0:
+    p = output.powers
+    total = p.sum()
+    _check_output_total(total)
+    constants = _span_constants(output.grid, fiber, order)
+    return _closed_form_params(p, total, constants, at=fiber.length)
+
+
+def _check_output_total(total) -> None:
+    if total <= 0:
         raise ConfigurationError("total output power must be positive")
-    return _span_params(_span_terms(output, fiber), order, at=fiber.length)
 
 
-def _inversion_terms(params: ClosedFormParams, slope: float):
-    """Shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))``."""
-    return params.channel_attenuation * params.length, slope * (params.shaping_ref - params.shaping)
+def _inversion(output_powers: np.ndarray, constants) -> tuple:
+    """``(total, growth, effective_length, terms)`` of the span that ends in ``output_powers``.
+
+    The builder's parameters from the output: ``total`` is its sum, the
+    implied launch total is ``total * growth`` and ``terms`` are the
+    shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))`` that
+    :func:`_launch_from_output` takes.
+    """
+    c = constants
+    total = output_powers.sum()
+    _check_output_total(total)
+    shaping = _shaping(output_powers, total, c.window, c.spacing, c.indices)
+    _, ref, leff, growth = _span_params(output_powers, total, shaping, c, at=c.length)
+    return total, growth, leff, (c.alpha_length, c.slope * (ref - shaping))
 
 
 def _launch_from_output(
@@ -108,7 +144,7 @@ def _launch_from_output(
 ) -> np.ndarray:
     """Invert the closed form: launch powers realizing the given output.
 
-    ``terms`` comes from :func:`_inversion_terms`; ``decay`` is
+    ``terms`` comes from :func:`_inversion`; ``decay`` is
     P_T(L)(e^{a0 L} - 1)/a0, written as the implied launch total P_T(0)
     times L_eff for stability.  The launch, ``output_powers * exp(attenuation
     - tilt * decay)``, is written into ``out`` (a new array by default), which
@@ -158,38 +194,49 @@ def preemphasis_single_span(
     :func:`_launch_from_output` with ``out``, so the root-find allocates no
     arrays.
     """
-    slope = fiber.raman.as_triangular().slope
     if not target.normalized:
         if total_launch_power is not None:
             raise ConfigurationError(
                 "absolute targets fix the launch total; drop total_launch_power"
             )
         output = PowerSpectrum(target.grid, target.values, z=fiber.length)
-        params = closedform_params_from_output(output, fiber, order)
-        decay = params.total_launch_power * params.effective_length
-        launch = _launch_from_output(output.powers, _inversion_terms(params, slope), decay)
+        constants = _span_constants(target.grid, fiber, order)
+        total, growth, leff, terms = _inversion(output.powers, constants)
+        launch = _launch_from_output(output.powers, terms, total * growth * leff)
         return PowerSpectrum(target.grid, launch, z=0.0)
+    _check_launch_total(total_launch_power)
+    constants = _span_constants(target.grid, fiber, order)
+    return PowerSpectrum(target.grid, _invert_shape(target.shape(), constants,
+                                                    total_launch_power), z=0.0)
 
+
+def _check_launch_total(total_launch_power) -> None:
     if total_launch_power is None or not 0 < total_launch_power < math.inf:
         raise ConfigurationError(
             "shape-only targets need a positive, finite total_launch_power, "
             f"got {total_launch_power!r}"
         )
-    shape = target.shape()
+
+
+def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np.ndarray:
+    """Launch powers (checked like a spectrum's) realizing the unit-sum output ``shape``.
+
+    The shape-only root-find of :func:`preemphasis_single_span` for the span
+    of ``constants``.
+    """
+    PowerSpectrum._check(shape)
     # Shaping values, alpha0 and the reference are scale-free: derive once.
-    shape_spectrum = PowerSpectrum(target.grid, shape, z=fiber.length)
-    params_unit = closedform_params_from_output(shape_spectrum, fiber, order)
-    alpha = params_unit.channel_attenuation
-    terms = _inversion_terms(params_unit, slope)
+    _, growth, leff, terms = _inversion(shape, constants)
+    alpha = constants.alpha
+    length = constants.length
     tilt = terms[1]
-    growth = math.exp(params_unit.alpha0 * fiber.length)
     output = np.empty_like(shape)
     launch = np.empty_like(shape)
 
     def decay_at(output_total: float) -> float:
         # P_T(0) first, then times L_eff: the order ClosedFormParams gave, so the
         # bisection's sums and sign decisions do not move
-        return output_total * growth * params_unit.effective_length
+        return output_total * growth * leff
 
     def launch_at(output_total: float) -> np.ndarray:
         np.multiply(shape, output_total, output)
@@ -221,8 +268,8 @@ def preemphasis_single_span(
     # a trial launch may overflow to inf at the upper bracket end: that only
     # tells the search which side it is on, so the root-find stays quiet
     with np.errstate(over="ignore"):
-        low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
-        high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
+        low = total_launch_power * math.exp(-float(alpha.max()) * length)
+        high = total_launch_power * math.exp(-float(alpha.min()) * length)
         f_low, tilted_low = excess(low)
         f_high, tilted_high = excess(high)
         # The attenuation-only bracket can miss the root when the tilt-induced
@@ -264,7 +311,9 @@ def preemphasis_single_span(
                 else:
                     u_high = u_mid
             root = math.exp(0.5 * (u_low + u_high))
-    return PowerSpectrum(target.grid, launch_at(root), z=0.0)
+    powers = launch_at(root)
+    PowerSpectrum._check(powers)
+    return powers
 
 
 def preemphasis_multispan(
@@ -279,20 +328,20 @@ def preemphasis_multispan(
     same total, so only normalized targets are meaningful here.  Each span is
     inverted with the single-span shape solver under that constraint; the
     span's input shape is the previous span's output shape (scalar gains do
-    not reshape).  The returned launch is scaled to ``total_launch_power``
-    exactly.
+    not reshape), renormalized and checked as a shape-only target would be.
+    The returned launch is scaled to ``total_launch_power`` exactly.
     """
     if not target.normalized:
         raise ConfigurationError(
             "multi-span pre-emphasis targets a shape; absolute output powers "
             "cannot be realized under per-span total-power restoration"
         )
+    _check_launch_total(total_launch_power)
     shape = target.shape()
-    launch = None
-    for fiber in reversed(link.spans):
-        span_target = TargetSpectrum(target.grid, shape, normalized=True)
-        launch = preemphasis_single_span(
-            span_target, fiber, order, total_launch_power=total_launch_power
-        )
-        shape = launch.powers / launch.total_power
-    return launch.scaled(total_launch_power / launch.total_power)
+    for constants in reversed(_link_constants(target.grid, link.spans, order)):
+        # the unit-sum shape of TargetSpectrum(grid, shape, normalized=True)
+        TargetSpectrum._check(shape)
+        values = shape / shape.mean()
+        launch = _invert_shape(values / values.sum(), constants, total_launch_power)
+        shape = launch / launch.sum()
+    return PowerSpectrum(target.grid, launch * (total_launch_power / launch.sum()), z=0.0)

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .closedform import derive_params, power_profile
+from .closedform import _closed_form_params, _link_constants, _profile
 from .errors import ConfigurationError
 from .profiles import FiberSpec, PowerSpectrum
 
@@ -103,12 +103,16 @@ def span_gain(span_output: PowerSpectrum, total_launch_power: float) -> float:
 def boundary_gain(
     amplifier: AmplifierSpec,
     span_output: PowerSpectrum,
-    total_launch_power: float,
-    band_targets: np.ndarray,
+    restoring_gain: float,
+    band_targets: np.ndarray | None,
 ):
-    """Per-channel linear gain applied at a span boundary (scalar broadcast)."""
+    """Per-channel linear gain applied at a span boundary (scalar broadcast).
+
+    ``restoring_gain`` is the output's :func:`span_gain`; ``band_targets``
+    the launch's band totals, needed only by a restore-band-power amplifier.
+    """
     if amplifier.gain_policy == "restore-total-power":
-        return span_gain(span_output, total_launch_power)
+        return restoring_gain
     if amplifier.gain_policy == "fixed-gain":
         return amplifier.gain
     band_out = _band_totals(span_output)
@@ -165,34 +169,39 @@ class MultiSpanResult:
 def _propagate_link(
     launch: PowerSpectrum,
     link: LinkSpec,
-    run_span: Callable[[PowerSpectrum, FiberSpec], tuple],
+    run_span: Callable[[PowerSpectrum, int], tuple],
 ) -> MultiSpanResult:
     """The span-and-amplifier loop shared by the closed form and the oracle.
 
-    ``run_span(span_input, fiber)`` returns ``(span_result, span_output)``
-    for one span whose input sits at z = 0.
+    ``run_span(span_input, k)`` returns ``(span_result, span_output)`` for
+    span k, whose input sits at z = 0.  A span output without power is a
+    :class:`ConfigurationError` on every link, since neither its gain nor
+    its dB values exist.
     """
     total_launch = launch.total_power
-    band_targets = _band_totals(launch)
+    band_targets = None
+    if any(amp.gain_policy == "restore-band-power" for amp in link.amplifiers):
+        band_targets = _band_totals(launch)
     span_results: list = []
     gains: list = []
     span_inputs: list[PowerSpectrum] = []
     span_outputs: list[PowerSpectrum] = []
-    current = launch
-    for k, fiber in enumerate(link.spans):
-        current = PowerSpectrum(current.grid, current.powers, z=0.0)
+    current = PowerSpectrum(launch.grid, launch.powers, z=0.0)
+    last = len(link.spans) - 1
+    for k in range(last + 1):
         span_inputs.append(current)
-        span_result, out = run_span(current, fiber)
+        span_result, out = run_span(current, k)
         span_results.append(span_result)
         span_outputs.append(out)
-        if k < len(link.spans) - 1:
-            gain = boundary_gain(link.amplifiers[k], out, total_launch, band_targets)
+        restoring = span_gain(out, total_launch)
+        if k < last:
+            gain = boundary_gain(link.amplifiers[k], out, restoring, band_targets)
             gains.append(gain)
-            current = out.scaled(gain)
+            current = out.scaled(gain, z=0.0)
     final = span_outputs[-1]
     boost = None
     if link.receiver_boost:
-        boost = span_gain(final, total_launch)
+        boost = restoring
         final = final.scaled(boost)
     return MultiSpanResult(
         link=link,
@@ -212,12 +221,18 @@ def propagate_multispan_closedform(
 
     Every span's shaping values, alpha0 and reference shaping value are
     re-derived from that span's own input spectrum, so heterogeneous spans
-    and accumulated tilt are handled naturally.
+    and accumulated tilt are handled naturally.  The per-span constants are
+    built once per call for each distinct span.
     """
+    grid = launch.grid
+    constants = _link_constants(grid, link.spans, order)
 
-    def closed_form_span(span_input: PowerSpectrum, fiber: FiberSpec):
-        params = derive_params(span_input, fiber, order)
-        slope = fiber.raman.as_triangular().slope
-        return params, power_profile(span_input, params, slope, fiber.length)
+    def closed_form_span(span_input: PowerSpectrum, k: int):
+        c = constants[k]
+        p = span_input.powers
+        params = _closed_form_params(p, p.sum(), c)
+        out = _profile(p, c.alpha_length, params.shaping, params.shaping_ref,
+                       params.total_launch_power, params.alpha0, c.slope, c.length)
+        return params, PowerSpectrum(grid, out, z=c.length)
 
     return _propagate_link(launch, link, closed_form_span)

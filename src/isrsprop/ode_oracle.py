@@ -227,7 +227,8 @@ def propagate_link_numerical(
     """
     operators = {}
 
-    def oracle_span(span_input: PowerSpectrum, fiber: FiberSpec):
+    def oracle_span(span_input: PowerSpectrum, k: int):
+        fiber = link.spans[k]
         # identity keys: the link holds every model alive for the whole run
         key = (id(fiber.raman), id(fiber.attenuation))
         if key not in operators:

@@ -9,6 +9,15 @@ contribution of stage k at the link end is simply
 
 A receiver boost rescales signal and noise identically and injects nothing,
 which makes the end-of-link OSNR independent of the boost gain.
+
+Each iteration of :func:`target_osnr` is one :func:`preemphasis_multispan`
+and one :func:`propagate_multispan_closedform` call, and each of those builds
+the closed form's per-span constants once per distinct span
+(:func:`isrsprop.closedform._span_constants`).  The photon energies, the
+reference bandwidth and the normalized goal are computed once per
+:func:`target_osnr` call, the noise figures once at its first ASE
+evaluation; every check of :func:`ase_accumulate` and :func:`osnr_profile`
+still runs on every iteration.
 """
 
 from __future__ import annotations
@@ -69,15 +78,37 @@ def ase_injection(
     Single-stage convention h f NF (G - 1) B_ref.  ``gain`` may be a scalar
     or a per-channel array; ``reference_bandwidth`` is in THz.
     """
-    return _injected(grid, _noise_figure_linear(grid, noise_figure_db), gain, reference_bandwidth)
-
-
-def _injected(grid: ChannelGrid, nf: np.ndarray, gain, reference_bandwidth: float) -> np.ndarray:
-    """:func:`ase_injection` with the per-channel linear noise figures ``nf``."""
     g = np.broadcast_to(np.asarray(gain, dtype=float), (grid.n_channels,))
-    f_hz = grid.frequencies * 1e12
-    b_hz = reference_bandwidth * 1e12
-    return PLANCK * f_hz * np.maximum(nf * (g - 1.0), 0.0) * b_hz
+    return _injected(_photon_energy(grid), _noise_figure_linear(grid, noise_figure_db), g,
+                     reference_bandwidth * 1e12)
+
+
+def _photon_energy(grid: ChannelGrid) -> np.ndarray:
+    """h f of every channel, J."""
+    return PLANCK * (grid.frequencies * 1e12)
+
+
+def _injected(hf: np.ndarray, nf: np.ndarray, gain, b_hz: float) -> np.ndarray:
+    """:func:`ase_injection` from the photon energies ``hf``, linear noise figures ``nf``
+    and reference bandwidth ``b_hz`` in Hz."""
+    return hf * np.maximum(nf * (gain - 1.0), 0.0) * b_hz
+
+
+def _amplifier_noise_figures(grid: ChannelGrid, link: LinkSpec) -> list[np.ndarray]:
+    """Per-channel linear noise figures of every in-line amplifier of the link.
+
+    Built once per distinct mapping; the link holds every mapping for the
+    whole call, so their ids stay unique.
+    """
+    nf_by_mapping: dict[int, np.ndarray] = {}
+    out = []
+    for amplifier in link.amplifiers:
+        mapping = amplifier.noise_figure_db
+        nf = nf_by_mapping.get(id(mapping))
+        if nf is None:
+            nf = nf_by_mapping[id(mapping)] = _noise_figure_linear(grid, mapping)
+        out.append(nf)
+    return out
 
 
 def ase_accumulate(
@@ -98,21 +129,22 @@ def ase_accumulate(
     if len(span_inputs) != len(link.spans) or len(gains) != len(link.spans) - 1:
         raise ConfigurationError("gains/span_inputs inconsistent with the link")
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
-    noise = np.zeros(grid.n_channels)
-    # per-channel noise figures, built once per distinct mapping (the link
-    # holds every mapping for the whole call, so their ids stay unique)
-    nf_by_mapping: dict[int, np.ndarray] = {}
-    for k, gain in enumerate(gains):
-        mapping = link.amplifiers[k].noise_figure_db
-        nf = nf_by_mapping.get(id(mapping))
-        if nf is None:
-            nf = nf_by_mapping[id(mapping)] = _noise_figure_linear(grid, mapping)
-        injected = _injected(grid, nf, gain, b_ref)
-        entry = span_inputs[k + 1].powers
-        if np.any(entry <= 0):
-            raise ConfigurationError("signal vanishes at a span input; ASE ratio undefined")
-        noise += injected * (final.powers / entry)
+    noise = _ase(_photon_energy(grid), _amplifier_noise_figures(grid, link), b_ref * 1e12,
+                 gains, span_inputs, final.powers)
     return NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref)
+
+
+def _ase(hf: np.ndarray, nfs: Sequence[np.ndarray], b_hz: float, gains: Sequence,
+         span_inputs: Sequence[PowerSpectrum], final: np.ndarray) -> np.ndarray:
+    """Link-end ASE powers: each stage's injection times the signal's ratio final / entry."""
+    noise = np.zeros(final.size)
+    for nf, gain, entry in zip(nfs, gains, span_inputs[1:]):
+        injected = _injected(hf, nf, gain, b_hz)
+        entry = entry.powers
+        if (entry <= 0).any():
+            raise ConfigurationError("signal vanishes at a span input; ASE ratio undefined")
+        noise += injected * (final / entry)
+    return noise
 
 
 def ase_from_result(
@@ -174,6 +206,12 @@ def target_osnr(
         raise ConfigurationError("OSNR targets are shape-only; build the target with normalized=True")
     grid = target.grid
     goal = target.values
+    # what no iteration changes: the ASE factors of ase_accumulate and the normalized goal;
+    # the noise figures are checked where ase_accumulate checks them, after the first run
+    b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
+    hf, b_hz = _photon_energy(grid), b_ref * 1e12
+    nfs = None
+    goal_normalized = _normalize(goal, rmse_in_db)
 
     shape = goal / goal.sum()
     history: list[float] = []
@@ -181,11 +219,12 @@ def target_osnr(
         span_target = TargetSpectrum(grid, shape, normalized=True)
         launch = preemphasis_multispan(span_target, link, total_launch_power, order)
         result = propagate_multispan_closedform(launch, link, order)
-        noise = ase_from_result(result, reference_bandwidth)
-        osnr = osnr_profile(result.final, noise)
-        rmse = float(
-            np.sqrt(np.mean((_normalize(osnr, rmse_in_db) - _normalize(goal, rmse_in_db)) ** 2))
-        )
+        final = result.final
+        if nfs is None:
+            nfs = _amplifier_noise_figures(grid, link)
+        noise = _ase(hf, nfs, b_hz, result.gains, result.span_inputs, final.powers)
+        osnr = osnr_profile(final, NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref))
+        rmse = float(np.sqrt(np.mean((_normalize(osnr, rmse_in_db) - goal_normalized) ** 2)))
         history.append(rmse)
         if rmse < tolerance:
             return OsnrTargetRun(rmse_history=tuple(history), launch=launch, osnr=_freeze(osnr))

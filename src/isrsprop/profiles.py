@@ -186,14 +186,19 @@ class PowerSpectrum:
             raise ConfigurationError(
                 f"expected {self.grid.n_channels} powers, got shape {p.shape}"
             )
+        self._check(p)
+        object.__setattr__(self, "powers", p)
+
+    @staticmethod
+    def _check(powers: np.ndarray) -> None:
+        """Reject channel powers that are not finite or are negative."""
         # min and max propagate NaN, so two reductions catch every bad value
         # without another pass over the array: spectra are built in hot loops
-        lo, hi = p.min(), p.max()
+        lo, hi = powers.min(), powers.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError("channel powers must be finite")
         if lo < 0:
             raise ConfigurationError("channel powers must be non-negative")
-        object.__setattr__(self, "powers", p)
 
     @property
     def total_power(self) -> float:

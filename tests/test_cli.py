@@ -237,6 +237,35 @@ class TestValidateConfig:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"{keys[0]!r} and {keys[1]!r} are alternatives" in err
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"launch": {"mode": "flat", "power_dbm_per_channel": -1.0,
+                         "powers_dbm": [0.0] * 81}},
+             "launch.powers_dbm"),
+            ({"launch": {"mode": "preemphasis",
+                         "target": {"values_dbm": [0.0] * 81, "normalized": True}}},
+             "launch.target.normalized"),
+            ({"fiber": {"length_km": 80.0, "attenuation": {
+                "kind": "constant", "db_per_km": 0.2, "vertex_thz": 193.5}}},
+             "fiber.attenuation.vertex_thz"),
+            ({"link": {"span_lengths_km": [40.0, 40.0], "amplifier": {
+                "gain_policy": "restore-total-power", "gain_linear": 10.0}}},
+             "link.amplifier.gain_linear"),
+            ({"grid": {"plan": "C", "bands": [
+                {"name": "C", "f_low_thz": 191.7, "f_high_thz": 195.75}]}},
+             "grid.bands"),
+        ],
+        ids=["flat-launch-powers", "absolute-target-normalized", "constant-loss-vertex",
+             "restoring-amplifier-gain", "plan-and-bands"],
+    )
+    def test_keys_the_chosen_kind_ignores_are_rejected(self, tmp_path, capsys, overrides, key):
+        # each config validates without the key; with it, one line names section.key
+        path = small_config(tmp_path, **overrides)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: not read") and err.count("\n") == 1
+
     def test_osnr_target_section_becomes_target_osnr_arguments(self):
         cfg = parse_config(CONFIG_DIR / "fig7_osnr_flat_clu.json")
         target, = cfg.osnr.args
@@ -443,6 +472,17 @@ class TestCommands:
         path.write_text(json.dumps(data))
         assert main(["multispan", "--config", str(path), "--output", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: span output power must be positive\n"
+
+    def test_a_vanished_output_without_boost_is_config_error(self, tmp_path, capsys):
+        # no gain needs the 0 W output, but its dB values do not exist
+        data = json.loads((CONFIG_DIR / "fig6_multi_span_clu.json").read_text())
+        data["link"].update(span_lengths_km=[20000.0], receiver_boost=False)
+        path = tmp_path / "vanish.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["multispan", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: span output power must be positive\n"
+        assert not any(out.iterdir())
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # absurd launch power destabilizes the fixed-step integrator

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from isrsprop import (
     AttenuationProfile,
     Band,
-    ClosedFormParams,
     ConfigurationError,
     FiberSpec,
     PowerSpectrum,
@@ -22,7 +20,7 @@ from isrsprop import (
     shaping_function,
     total_attenuation_coefficient,
 )
-from isrsprop.closedform import _span_params, _span_terms
+from isrsprop.closedform import _shaping, _span_constants, _span_params
 from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, to_db
@@ -323,7 +321,7 @@ class TestPowerProfile:
 
 
 class TestParamsByOrder:
-    """One set of order-free terms serves every order, bit for bit as derived alone."""
+    """One set of shaping values serves every order, bit for bit as derived alone."""
 
     @pytest.mark.parametrize(
         "raman",
@@ -338,12 +336,18 @@ class TestParamsByOrder:
         ripple = np.random.default_rng(5).uniform(-1.0, 1.0, clu_grid.n_channels)
         launch = PowerSpectrum(clu_grid, 1e-3 * 10.0 ** ((-1.0 + ripple) / 10.0))
         fiber = FiberSpec(default_attenuation(), raman, 80.0)
-        terms = _span_terms(launch, fiber)
+        p = launch.powers
+        total = p.sum()
+        c = _span_constants(clu_grid, fiber, 1)
+        shaping = _shaping(p, total, c.window, c.spacing, c.indices)
         for n in (1, 2, 3, 4, 5, 6):
-            params = _span_params(terms, n)
+            alpha0, ref, leff, growth = _span_params(p, total, shaping,
+                                                     _span_constants(clu_grid, fiber, n))
             alone = derive_params(launch, fiber, n)
-            for f in dataclasses.fields(ClosedFormParams):
-                assert np.array_equal(getattr(params, f.name), getattr(alone, f.name)), f.name
+            assert np.array_equal(shaping, alone.shaping)
+            assert (alpha0, ref, leff, total * growth) == (
+                alone.alpha0, alone.shaping_ref, alone.effective_length, alone.total_launch_power
+            )
 
 
 def shaping_reference(launch, window):
@@ -414,10 +418,9 @@ class TestChannelAttenuation:
             AttenuationProfile.from_table([175.0, 195.0, 210.0], [0.25, 0.19, 0.22]),
             default_attenuation(),  # equal values, another object
         ]
-        launch = rippled(clu_grid, 6)
         for attenuation in profiles + profiles[::-1]:
             fiber = FiberSpec(attenuation, RamanGainModel.triangular(peak=0.4), 80.0)
-            alpha = _span_terms(launch, fiber)[3]
+            alpha = _span_constants(clu_grid, fiber, 3).alpha
             assert np.array_equal(alpha, attenuation_at(attenuation, clu_grid.frequencies))
             assert not alpha.flags.writeable
 

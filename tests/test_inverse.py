@@ -25,10 +25,15 @@ from isrsprop import (
     target_osnr,
     total_attenuation_coefficient,
 )
-from isrsprop.inverse import _inversion_terms, _launch_from_output
+from isrsprop.inverse import _launch_from_output
 from isrsprop.profiles import attenuation_at
 
 from conftest import constant_alpha_fiber, raman_free_fiber, to_db
+
+
+def inversion_terms(params, slope):
+    """The shape-fixed exponent parts ``(alpha_i L, slope (G_ref - G_i))`` of ``params``."""
+    return params.channel_attenuation * params.length, slope * (params.shaping_ref - params.shaping)
 
 
 class TestParamsFromOutput:
@@ -96,7 +101,7 @@ class TestSingleSpanAbsolute:
         params = closedform_params_from_output(output, default_fiber_100, 3)
         back = _launch_from_output(
             target.values,
-            _inversion_terms(params, default_fiber_100.raman.slope),
+            inversion_terms(params, default_fiber_100.raman.slope),
             params.total_launch_power * params.effective_length,
         )
         assert np.allclose(back, launch.powers, rtol=1e-14)
@@ -293,7 +298,7 @@ class TestHoistedInversion:
             PowerSpectrum(clu_grid, shape, z=fiber.length), fiber, 3
         )
         slope = fiber.raman.as_triangular().slope
-        terms = _inversion_terms(params, slope)
+        terms = inversion_terms(params, slope)
         growth = math.exp(params.alpha0 * fiber.length)
 
         # record the output total of the last evaluation, which is at the root;
@@ -353,7 +358,7 @@ class TestHoistedInversion:
         output = PowerSpectrum.flat_dbm(clu_grid, -10.0)
         params = closedform_params_from_output(output, fiber, 3)
         decay = params.total_launch_power * params.effective_length
-        launch = _launch_from_output(output.powers, _inversion_terms(params, 0.0), decay)
+        launch = _launch_from_output(output.powers, inversion_terms(params, 0.0), decay)
         alpha = attenuation_at(fiber.attenuation, clu_grid.frequencies)
         assert np.array_equal(launch, output.powers * np.exp(alpha * 100.0))
 

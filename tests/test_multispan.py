@@ -147,6 +147,17 @@ class TestPropagateMultispan:
         with pytest.raises(ConfigurationError, match="span output power must be positive"):
             propagate_multispan_closedform(clu_launch, link, 3)
 
+    @pytest.mark.parametrize("policy", ["restore-total-power", "restore-band-power", "fixed-gain"])
+    def test_a_vanished_output_is_rejected_on_every_link(self, clu_launch, default_fiber_50,
+                                                          policy):
+        # no boost, and a middle span whose output underflows to 0 W
+        lossy = FiberSpec(default_fiber_50.attenuation, default_fiber_50.raman, 20000.0)
+        amp = AmplifierSpec(gain_policy=policy, gain=10.0 if policy == "fixed-gain" else None)
+        for spans in ((lossy,), (default_fiber_50, lossy, default_fiber_50)):
+            link = LinkSpec(spans, (amp,) * (len(spans) - 1))
+            with pytest.raises(ConfigurationError, match="span output power must be positive"):
+                propagate_multispan_closedform(clu_launch, link, 3)
+
     def test_band_restore_policy(self, cl_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(cl_grid, -1.0)
         amp = AmplifierSpec(gain_policy="restore-band-power")
