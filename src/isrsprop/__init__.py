@@ -66,7 +66,6 @@ from .profiles import (
     build_channel_grid,
     convert_units,
     default_attenuation,
-    default_fiber,
     default_raman,
     raman_gain_at,
 )

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,12 +44,21 @@ def _dbm(watts):
     return 10.0 * np.log10(np.asarray(watts) / 1e-3)
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
+def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) -> None:
+    """Write ``rows`` as CSV, or as ``.json`` records, taking one row at a time.
+
+    The JSON text is ``json.dumps(records, indent=1)``'s, written record by
+    record (JSON strings hold no raw line break, so indenting a record's
+    lines by one space nests it in the list).
+    """
     if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        path.with_suffix(".json").write_text(
-            json.dumps(records, indent=1, default=float) + "\n"
-        )
+        encode = json.JSONEncoder(indent=1, default=float).encode
+        with open(path.with_suffix(".json"), "w") as fh:
+            opening = "[\n "
+            for row in rows:
+                fh.write(opening + encode(dict(zip(header, row))).replace("\n", "\n "))
+                opening = ",\n "
+            fh.write("[]\n" if opening == "[\n " else "\n]\n")
         return
     with open(path, "w", newline="") as fh:
         fh.writelines(_csv_lines(header, rows))
@@ -66,12 +76,11 @@ def _channel_table(
     return ["channel", "frequency_thz", "band", column], rows
 
 
-def _longitudinal_table(spectra) -> tuple[list[str], list[list]]:
+def _longitudinal_table(spectra) -> tuple[list[str], Iterator[list]]:
+    """Header and rows of z samples; each row is built as the writer takes it."""
     grid = spectra[0].grid
     header = ["z_km"] + [f"p_dbm_{f:.4f}" for f in grid.frequencies] + ["total_dbm"]
-    rows = []
-    for s in spectra:
-        rows.append([s.z, *(_dbm(s.powers).tolist()), float(_dbm(s.total_power))])
+    rows = ([s.z, *(_dbm(s.powers).tolist()), float(_dbm(s.total_power))] for s in spectra)
     return header, rows
 
 
@@ -140,7 +149,10 @@ def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
     if fmt == "json":
         for kind, cls, items in (("records", SweepRecord, records),
                                  ("summary", SweepSummary, summaries)):
-            _write_table(out / f"{cfg.name}_sweep_{kind}.json", *_dataclass_table(cls, items), fmt)
+            head, rows = _dataclass_table(cls, items)
+            # the CSV's 9 significant digits, so last-bit noise moves neither format
+            rows = ([float("%.9g" % v) if isinstance(v, float) else v for v in row] for row in rows)
+            _write_table(out / f"{cfg.name}_sweep_{kind}.json", head, rows, fmt)
         return
     write_records_csv(records, out / f"{cfg.name}_sweep_records.csv")
     write_summary_csv(summaries, out / f"{cfg.name}_sweep_summary.csv")

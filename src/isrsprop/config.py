@@ -21,7 +21,12 @@ import numpy as np
 
 from .bench import SweepConfig
 from .errors import ConfigurationError
-from .inverse import TargetSpectrum, preemphasis_multispan, preemphasis_single_span
+from .inverse import (
+    TargetSpectrum,
+    _check_total_restoring,
+    preemphasis_multispan,
+    preemphasis_single_span,
+)
 from .multispan import AmplifierSpec, LinkSpec
 from .ode_oracle import SolverOptions
 from .osnr import OsnrTargetRun, _check_iteration_settings, target_osnr
@@ -344,6 +349,7 @@ def _parse_launch(section: Mapping | None, grid: ChannelGrid | None, link: LinkS
                 )
             total = None if total is None else convert_units(total, "dBm", "W")
             if len(spans) > 1:
+                _check_total_restoring(link)
                 return None, partial(preemphasis_multispan, target, link, total)
             return None, partial(preemphasis_single_span, target, spans[0],
                                  total_launch_power=total)

@@ -330,7 +330,31 @@ def preemphasis_multispan(
     span's input shape is the previous span's output shape (scalar gains do
     not reshape), renormalized and checked as a shape-only target would be.
     The returned launch is scaled to ``total_launch_power`` exactly.
+
+    The recursion models no other amplifier, so a link with an in-line
+    amplifier whose policy is not ``restore-total-power`` raises
+    :class:`ConfigurationError` (the launch it would give misses the target
+    shape by tens of dB).
     """
+    _check_total_restoring(link)
+    return _preemphasis_multispan(target, link, total_launch_power, order)
+
+
+def _check_total_restoring(link: LinkSpec) -> None:
+    """Reject a link whose in-line amplifiers do not all restore the span-input total."""
+    for k, amp in enumerate(link.amplifiers, start=1):
+        if amp.gain_policy != "restore-total-power":
+            raise ConfigurationError(
+                "multi-span pre-emphasis models restore-total-power amplifiers only; "
+                f"the amplifier at boundary {k} (after span {k}) is {amp.gain_policy!r}"
+            )
+
+
+# perfbench counts OSNR iterations as calls of this name, its leading underscore dropped
+def _preemphasis_multispan(
+    target: TargetSpectrum, link: LinkSpec, total_launch_power: float, order: int
+) -> PowerSpectrum:
+    """:func:`preemphasis_multispan` on any link, its amplifier policies unchecked."""
     if not target.normalized:
         raise ConfigurationError(
             "multi-span pre-emphasis targets a shape; absolute output powers "

@@ -10,8 +10,11 @@ contribution of stage k at the link end is simply
 A receiver boost rescales signal and noise identically and injects nothing,
 which makes the end-of-link OSNR independent of the boost gain.
 
-Each iteration of :func:`target_osnr` is one :func:`preemphasis_multispan`
-and one :func:`propagate_multispan_closedform` call, and each of those builds
+Each iteration of :func:`target_osnr` is one backward recursion of
+:func:`preemphasis_multispan` and one :func:`propagate_multispan_closedform`
+call.  The recursion runs without the pre-emphasis check that every in-line
+amplifier restores the span-input total: the forward run applies the link's
+own amplifier policy, so the loop is open to every policy.  Each call builds
 the closed form's per-span constants once per distinct span
 (:func:`isrsprop.closedform._span_constants`).  The photon energies, the
 reference bandwidth and the normalized goal are computed once per
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .inverse import TargetSpectrum, preemphasis_multispan
+from .inverse import TargetSpectrum, _preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
 from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze, _same_grid
 
@@ -217,7 +220,7 @@ def target_osnr(
     history: list[float] = []
     for _ in range(max_iterations):
         span_target = TargetSpectrum(grid, shape, normalized=True)
-        launch = preemphasis_multispan(span_target, link, total_launch_power, order)
+        launch = _preemphasis_multispan(span_target, link, total_launch_power, order)
         result = propagate_multispan_closedform(launch, link, order)
         final = result.final
         if nfs is None:

@@ -454,14 +454,29 @@ class RamanGainModel:
 def raman_gain_at(model: RamanGainModel, df):
     """Gain efficiency in 1/W/km at separation ``df`` >= 0 (THz, scalar or array)."""
     scalar = np.isscalar(df)
-    df = np.atleast_1d(np.asarray(df, dtype=float))
+    df = np.atleast_1d(np.array(df, dtype=float))  # a copy: the gain overwrites it
     if np.any(df < 0):
         raise ValueError("Raman gain is defined for non-negative separations; order the frequencies")
-    if model.kind == "triangular":
-        out = np.where(df <= model.window, model.slope * df, 0.0)
-    else:
-        out = np.interp(df, model.sample_separations, model.sample_gains, left=0.0, right=0.0)
+    out = _raman_gain_in_place(model, df)
     return float(out[0]) if scalar else out
+
+
+def _raman_gain_in_place(model: RamanGainModel, separations: np.ndarray) -> np.ndarray:
+    """Overwrite float separations >= 0 (THz) with their gain in 1/W/km and return them.
+
+    Triangular: ``slope * df`` where ``df <= window``, +0.0 beyond, with one
+    boolean mask of the array's shape as the only temporary.  A tabulated
+    model interpolates into one temporary of the array's size.
+    """
+    if model.kind == "triangular":
+        outside = separations <= model.window
+        np.logical_not(outside, out=outside)
+        separations *= model.slope
+        np.copyto(separations, 0.0, where=outside)
+    else:
+        separations[...] = np.interp(separations, model.sample_separations, model.sample_gains,
+                                     left=0.0, right=0.0)
+    return separations
 
 
 def default_raman(peak: float = 0.4) -> RamanGainModel:
@@ -480,7 +495,3 @@ class FiberSpec:
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0):
             raise ConfigurationError("fiber length must be positive and finite")
-
-
-def default_fiber(length: float = 100.0, peak: float = 0.4) -> FiberSpec:
-    return FiberSpec(attenuation=default_attenuation(), raman=default_raman(peak), length=length)

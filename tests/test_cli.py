@@ -3,10 +3,14 @@ import csv
 import io
 import json
 from pathlib import Path
+from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isrsprop import cli
+from isrsprop.bench import _csv_lines
 from isrsprop.cli import build_parser, main
 from isrsprop.config import parse_config
 
@@ -204,6 +208,28 @@ class TestValidateConfig:
         assert "shape-only target" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "amplifier",
+        [{"gain_policy": "restore-band-power"}, {"gain_policy": "fixed-gain", "gain_linear": 11.0}],
+        ids=["restore-band-power", "fixed-gain"],
+    )
+    def test_multi_span_preemphasis_needs_total_restoring_amplifiers(
+        self, tmp_path, capsys, amplifier
+    ):
+        # the backward recursion models only restore-total-power amplifiers
+        data = json.loads((CONFIG_DIR / "preemph_multi_span_clu.json").read_text())
+        data["link"]["amplifier"] = amplifier
+        path = tmp_path / "preemph_other_policy.json"
+        path.write_text(json.dumps(data))
+        for command in ("validate-config", "preemph"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: multi-span pre-emphasis models restore-total-power amplifiers "
+                "only; the amplifier at boundary 1 (after span 1) is "
+                f"{amplifier['gain_policy']!r}\n"
+            )
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
         "overrides,keys",
         [
             ({"grid": {"plan": "C", "spacing_ghz": 50, "spacing_thz": 0.05}},
@@ -389,6 +415,84 @@ class TestCommands:
                 float(rows[0]["total_dbm"]), abs=1e-6
             )
             assert float(rows[-2]["total_dbm"]) < float(rows[0]["total_dbm"]) - 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_longitudinal_rows_stream_into_the_list_built_bytes(self, tmp_path, monkeypatch, fmt):
+        # the writer takes the z rows one at a time and writes what building the
+        # whole row list and dumping it at once wrote
+        path = small_config(tmp_path, link={"span_lengths_km": [40.0, 30.0]})
+        commands = ("solve", "multispan")
+        for command in commands:
+            assert main([command, "--config", str(path), "--output", str(tmp_path / "streamed"),
+                         "--format", fmt]) == 0
+        _, rows = cli._longitudinal_table([parse_config(path).launch])
+        assert isinstance(rows, Iterator)
+
+        def list_built_table(spectra):
+            grid = spectra[0].grid
+            header = ["z_km"] + [f"p_dbm_{f:.4f}" for f in grid.frequencies] + ["total_dbm"]
+            rows = []
+            for s in spectra:
+                rows.append([s.z, *(cli._dbm(s.powers).tolist()), float(cli._dbm(s.total_power))])
+            return header, rows
+
+        def dumping_writer(path, header, rows, fmt):
+            if fmt == "json":
+                records = [dict(zip(header, row)) for row in rows]
+                path.with_suffix(".json").write_text(
+                    json.dumps(records, indent=1, default=float) + "\n")
+            else:
+                with open(path, "w", newline="") as fh:
+                    fh.write("".join(_csv_lines(header, list(rows))))
+
+        monkeypatch.setattr(cli, "_longitudinal_table", list_built_table)
+        monkeypatch.setattr(cli, "_write_table", dumping_writer)
+        for command in commands:
+            assert main([command, "--config", str(path), "--output", str(tmp_path / "listed"),
+                         "--format", fmt]) == 0
+        for command in commands:
+            name = f"small_{command}_longitudinal.{fmt}"
+            streamed = (tmp_path / "streamed" / name).read_bytes()
+            assert streamed == (tmp_path / "listed" / name).read_bytes()
+            assert len(streamed.splitlines()) > 2 * 21
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [[0.5, "C", 3]], [[float("nan"), 'say "a,\nb"', np.float64(-0.0)],
+                               [np.int64(7), "", float("inf")]]],
+        ids=["empty", "one-row", "edge-values"],
+    )
+    def test_json_table_is_json_dumps_of_its_records(self, tmp_path, rows):
+        header = ["a", "b", "c"]
+        cli._write_table(tmp_path / "t.csv", header, iter(rows), "json")
+        records = [dict(zip(header, row)) for row in rows]
+        expected = json.dumps(records, indent=1, default=float) + "\n"
+        assert (tmp_path / "t.json").read_text() == expected
+
+    def test_sweep_json_holds_the_csv_values(self, tmp_path):
+        # both formats round floats to 9 significant digits; timing differs run to run
+        path = small_config(
+            tmp_path, name="sw",
+            sweep={"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
+                   "length_count": 1, "orders": [1, 3], "steps_per_span": 20},
+        )
+        for fmt in ("csv", "json"):
+            assert main(["sweep", "--config", str(path), "--output", str(tmp_path),
+                         "--format", fmt]) == 0
+        for kind in ("records", "summary"):
+            with open(tmp_path / f"sw_sweep_{kind}.csv", newline="") as fh:
+                table = list(csv.DictReader(fh))
+            records = json.loads((tmp_path / f"sw_sweep_{kind}.json").read_text())
+            assert len(records) == len(table) > 1
+            for record, row in zip(records, table):
+                assert list(record) == list(row)
+                for key, value in record.items():
+                    if key in ("oracle_seconds", "closedform_seconds"):
+                        continue
+                    if isinstance(value, str):
+                        assert value == row[key]
+                    else:
+                        assert value == float(row[key]), (kind, key)
 
     def test_sweep_csv(self, tmp_path):
         path = small_config(

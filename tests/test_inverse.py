@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isrsprop import (
+    AmplifierSpec,
     AttenuationProfile,
     Band,
     ConfigurationError,
@@ -250,6 +251,23 @@ class TestMultiSpan:
         target = TargetSpectrum.absolute_dbm(clu_grid, np.full(clu_grid.n_channels, -10.0))
         with pytest.raises(ConfigurationError, match="shape"):
             preemphasis_multispan(target, link, 0.26, 3)
+
+    @pytest.mark.parametrize(
+        "amplifier",
+        [AmplifierSpec(gain_policy="restore-band-power"),
+         AmplifierSpec(gain_policy="fixed-gain", gain=10 ** 1.1)],
+        ids=["restore-band-power", "fixed-gain"],
+    )
+    def test_amplifiers_that_do_not_restore_the_total_are_rejected(
+        self, clu_grid, default_fiber_50, amplifier
+    ):
+        # the recursion assumes every span input has the launch total; on 5 x 50 km
+        # its launch missed the target shape by 25.3 dB (band power) and 40.4 dB (fixed gain)
+        link = LinkSpec(spans=(default_fiber_50,) * 3, amplifiers=(AmplifierSpec(), amplifier))
+        policy = amplifier.gain_policy
+        with pytest.raises(ConfigurationError,
+                           match=rf"boundary 2 \(after span 2\) is '{policy}'$"):
+            preemphasis_multispan(TargetSpectrum.flat_shape(clu_grid), link, 0.26, 3)
 
     def test_five_span_oracle_round_trip(self, clu_grid, default_fiber_50):
         # per-span output-derived parameters accumulate mismatch against the

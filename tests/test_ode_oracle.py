@@ -20,8 +20,8 @@ from isrsprop import (
     isrs_derivative,
     propagate_link_numerical,
 )
-from isrsprop.ode_oracle import _integrate_batch, _span_operator
-from isrsprop.profiles import attenuation_at, default_attenuation
+from isrsprop.ode_oracle import _coupling_matrix, _integrate_batch, _span_operator
+from isrsprop.profiles import attenuation_at, default_attenuation, default_raman, raman_gain_at
 
 from conftest import constant_alpha_fiber, raman_free_fiber
 
@@ -78,6 +78,46 @@ class TestDerivative:
         assert not alpha.flags.writeable
         assert np.array_equal(alpha, attenuation_at(default_fiber_100.attenuation,
                                                     clu_grid.frequencies))
+
+
+def elementwise_coupling_matrix(grid, fiber, options):
+    """K from one full-size array per step: differences, gains, signs, photon ratios."""
+    f = grid.frequencies
+    model = fiber.raman.as_triangular() if options.raman_model == "triangular" else fiber.raman
+    df = f[None, :] - f[:, None]
+    g = raman_gain_at(model, np.abs(df))
+    k = np.where(df > 0, g, -g)
+    np.fill_diagonal(k, 0.0)
+    if options.photon_correction:
+        ratio = np.where(df < 0, f[:, None] / f[None, :], 1.0)
+        k = k * ratio
+    return k
+
+
+# peaks at 13.2 THz and ends inside the 15.5 THz window, so its triangular fit differs
+TABULATED_RAMAN = RamanGainModel.from_table([0.0, 5.0, 13.2, 15.0, 16.0], [0.0, 0.1, 0.4, 0.1, 0.0])
+
+
+class TestCouplingMatrix:
+    @pytest.mark.parametrize("spacing", [0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("plan", ["C", "CL", "CLU", "SCL", "SCLU"])
+    def test_equals_the_elementwise_formula(self, plan, spacing):
+        # the in-place build must give every entry's bits, signed zeros included
+        # (+0.0 above the diagonal and -0.0 below it outside the window)
+        grid = build_channel_grid(plan, spacing)
+        cases = [(default_raman(0.4), "triangular"), (TABULATED_RAMAN, "tabulated"),
+                 (TABULATED_RAMAN, "triangular"),
+                 (RamanGainModel.triangular(slope=0.0), "triangular")]
+        for raman, raman_model in cases:
+            fiber = FiberSpec(default_attenuation(), raman, 50.0)
+            for photon_correction in (False, True):
+                options = SolverOptions(photon_correction=photon_correction,
+                                        raman_model=raman_model)
+                k = _coupling_matrix(grid, fiber, options)
+                ref = elementwise_coupling_matrix(grid, fiber, options)
+                case = (raman.kind, raman_model, photon_correction)
+                assert np.array_equal(k, ref), case
+                assert np.array_equal(np.signbit(k), np.signbit(ref)), case
 
 
 class TestIntegrateSpan:

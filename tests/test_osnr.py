@@ -243,6 +243,21 @@ class TestTargetOsnr:
             target_osnr(target, osnr_link(default_fiber_50, 5), total, max_iterations=3)
         assert len(err.value.history) == 3
 
+    @pytest.mark.parametrize(
+        "amplifier",
+        [AmplifierSpec(gain_policy="restore-band-power", noise_figure_db=NF_TABLE1),
+         AmplifierSpec(gain_policy="fixed-gain", gain=10 ** 1.1, noise_figure_db=NF_TABLE1)],
+        ids=["restore-band-power", "fixed-gain"],
+    )
+    def test_policies_pre_emphasis_rejects_are_targeted(self, clu_grid, default_fiber_50,
+                                                        amplifier):
+        # the forward run applies the link's own policy, so the loop corrects what the
+        # backward recursion does not model (8 and 9 iterations)
+        link = LinkSpec.uniform(default_fiber_50, 3, amplifier=amplifier, receiver_boost=True)
+        total = PowerSpectrum.flat_dbm(clu_grid, -1.0).total_power
+        run = target_osnr(TargetSpectrum.flat_shape(clu_grid), link, total)
+        assert run.rmse_history[-1] < 1e-5 and run.iterations <= 10
+
     def test_noise_free_link_is_rejected(self, c_grid):
         lossless = FiberSpec(
             AttenuationProfile.constant(1e-12), RamanGainModel.triangular(slope=0.0), 50.0

@@ -140,6 +140,15 @@ class TestRamanGain:
             lam * raman_gain_at(model, df), abs=1e-15
         )
 
+    @pytest.mark.parametrize("model", [RamanGainModel.triangular(peak=0.4, window=15.5),
+                                       RamanGainModel.from_table([0.0, 10.0, 15.0], [0.0, 0.3, 0.0])])
+    def test_array_gain_leaves_its_argument_as_it_was(self, model):
+        df = np.array([0.0, 5.0, 15.5, 15.5 + 1e-12, 20.0])
+        before = df.copy()
+        gain = raman_gain_at(model, df)
+        assert np.array_equal(df, before)
+        assert np.array_equal(gain, [raman_gain_at(model, float(x)) for x in df])
+
     def test_tabulated_interpolates_and_clamps(self):
         model = RamanGainModel.from_table([0.0, 10.0, 15.0], [0.0, 0.3, 0.0])
         assert raman_gain_at(model, 5.0) == pytest.approx(0.15)
