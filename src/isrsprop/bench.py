@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .closedform import _profile, _shaping, _span_constants, _span_params
+from .closedform import _link_constants, _profile, _shaping, _span_params
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -65,6 +65,8 @@ class SweepConfig:
         for count in (self.raman_peak_count, self.launch_power_count, self.length_count):
             if count < 1:
                 raise ConfigurationError("sweep axis counts must be >= 1")
+        if not self.band_plans:
+            raise ConfigurationError("sweep needs at least one band plan")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
         if any(order < 1 for order in self.orders):
@@ -123,11 +125,11 @@ def _run_group(args) -> list[SweepRecord]:
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
     the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.  A cell builds its per-order span constants
-    and its order-free shaping values once; its ``closedform_seconds`` at an
-    order is that time over the order count plus the order's own parameters
-    and profile.  An order-free failure is recorded on every order of the
-    cell, an order's own failure only on that order.
+    time over its cell count.  The group builds its span constants once per
+    order and span length, each cell its shaping values once; a cell's
+    ``closedform_seconds`` at an order is its share of both over the order
+    count plus the order's own parameters and profile.  A failure is recorded
+    on every record it concerns: the group's, the cell's or the order's.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -146,18 +148,20 @@ def _run_group(args) -> list[SweepRecord]:
 
     try:
         t0 = time.perf_counter()
+        cell_constants = list(zip(*(_link_constants(grid, fibers, n) for n in config.orders)))
+        constants_s = (time.perf_counter() - t0) / len(cells)
         outputs, messages = _integrate_batch(
             np.array([launch.powers for launch in launches]),
             [length for _, length in cells],
             _span_operator(grid, fibers[0], options),  # the span length plays no part
             options.steps_per_span,
         )
-        oracle_s = (time.perf_counter() - t0) / len(cells)
+        oracle_s = (time.perf_counter() - t0) / len(cells) - constants_s
         errors = [repr(NumericalInstabilityError(m)) if m else "" for m in messages]
     except Exception as exc:  # failed cells are recorded, the sweep continues
         errors = [repr(exc)] * len(cells)
     records = []
-    for b, ((power_dbm, length), launch, fiber) in enumerate(zip(cells, launches, fibers)):
+    for b, ((power_dbm, length), launch) in enumerate(zip(cells, launches)):
         if errors[b]:
             records.extend(failed(power_dbm, length, n, 0.0, errors[b]) for n in config.orders)
             continue
@@ -166,17 +170,16 @@ def _run_group(args) -> list[SweepRecord]:
         p = launch.powers
         try:
             t0 = time.perf_counter()
-            constants = [_span_constants(grid, fiber, n) for n in config.orders]
-            c = constants[0]  # the shaping values do not depend on the order
+            c = cell_constants[b][0]  # the shaping values do not depend on the order
             total = p.sum()
             shaping = _shaping(p, total, c.window, c.spacing, c.indices)
-            shared_s = (time.perf_counter() - t0) / len(config.orders)
+            shared_s = (constants_s + time.perf_counter() - t0) / len(config.orders)
         except Exception as exc:  # an order-free failure fails every order alike
             records.extend(
                 failed(power_dbm, length, n, oracle_s, repr(exc)) for n in config.orders
             )
             continue
-        for n, c in zip(config.orders, constants):
+        for n, c in zip(config.orders, cell_constants[b]):
             try:
                 t0 = time.perf_counter()
                 alpha0, ref, _, growth = _span_params(p, total, shaping, c)

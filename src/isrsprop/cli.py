@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,11 +37,21 @@ from .errors import (
 )
 from .multispan import LinkSpec, propagate_multispan_closedform
 from .ode_oracle import propagate_link_numerical
-from .profiles import ChannelGrid
+from .profiles import ChannelGrid, PowerSpectrum
 
 
 def _dbm(watts):
     return 10.0 * np.log10(np.asarray(watts) / 1e-3)
+
+
+def _dbm_path(path: Path, spectra: Sequence[PowerSpectrum]) -> Path:
+    """``path``, once no channel of the ``spectra`` it tabulates in dBm is at 0 W (no dBm value)."""
+    for s in spectra:
+        i = s.powers.argmin()  # powers are >= 0: the first channel at 0 W, if there is one
+        if s.powers[i] == 0.0:
+            raise ConfigurationError(f"{path.stem}: channel {i} ({s.grid.frequencies[i]:.4f} THz) "
+                                     f"is at 0 W at z = {s.z:g} km, which has no dBm value")
+    return path
 
 
 def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) -> None:
@@ -111,8 +121,9 @@ def _one_span_link(cfg: RunConfig) -> LinkSpec:
 
 def _write_propagation(cfg: RunConfig, out: Path, fmt: str, kind: str, result, samples) -> None:
     """``<kind>_longitudinal`` from span-local samples, ``<kind>_spectrum`` from the link end."""
-    head, rows = _longitudinal_table(result.longitudinal(samples))
-    _write_table(out / f"{cfg.name}_{kind}_longitudinal.csv", head, rows, fmt)
+    spectra = result.longitudinal(samples)  # the link's end among them, so both tables are checked
+    head, rows = _longitudinal_table(spectra)
+    _write_table(_dbm_path(out / f"{cfg.name}_{kind}_longitudinal.csv", spectra), head, rows, fmt)
     head, rows = _channel_table(result.final.grid, "power_dbm", _dbm(result.final.powers))
     _write_table(out / f"{cfg.name}_{kind}_spectrum.csv", head, rows, fmt)
 
@@ -162,16 +173,16 @@ def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.preemph is None:
         raise ConfigurationError("preemph needs launch.mode == 'preemphasis' with a target")
     launch = cfg.preemph(order=cfg.order)
-    head, rows = _channel_table(launch.grid, "launch_power_dbm", _dbm(launch.powers))
-    _write_table(out / f"{cfg.name}_preemph_launch.csv", head, rows, fmt)
+    path = _dbm_path(out / f"{cfg.name}_preemph_launch.csv", [launch])
+    _write_table(path, *_channel_table(launch.grid, "launch_power_dbm", _dbm(launch.powers)), fmt)
 
 
 def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
     link = _require(cfg, "link", "a link section")
     run = _require(cfg, "osnr", "a osnr_target section")(link, order=cfg.order)
     grid = run.launch.grid
-    head, rows = _channel_table(grid, "launch_power_dbm", _dbm(run.launch.powers))
-    _write_table(out / f"{cfg.name}_osnr_launch.csv", head, rows, fmt)
+    path = _dbm_path(out / f"{cfg.name}_osnr_launch.csv", [run.launch])
+    _write_table(path, *_channel_table(grid, "launch_power_dbm", _dbm(run.launch.powers)), fmt)
     hist_rows = [[i + 1, r] for i, r in enumerate(run.rmse_history)]
     _write_table(out / f"{cfg.name}_osnr_history.csv", ["iteration", "rmse"], hist_rows, fmt)
     head, rows = _channel_table(grid, "osnr_db", 10.0 * np.log10(run.osnr))

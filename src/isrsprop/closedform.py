@@ -16,10 +16,10 @@ case: its tilt term is zero and the profile is pure attenuation.
 
 What depends only on the grid, the fiber and the order (Raman slope and
 window, the shaping function's gather indices, alpha_i, alpha_i^n and
-alpha_i L) is built once per public call and span by :func:`_span_constants`;
-the builder (:func:`_shaping`, :func:`_span_params`, :func:`_profile`) then
-works on plain arrays and sums each spectrum once.  Every check of
-:class:`ClosedFormParams` and of the spectra still runs on those arrays.
+alpha_i L) is built once per public call and distinct span by
+:func:`_span_constants`; no grid keeps it.  The builder (:func:`_shaping`,
+:func:`_span_params`, :func:`_profile`) works on plain arrays, sums each spectrum
+once and runs every check of :class:`ClosedFormParams` and of the spectra.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
-    _channel_attenuation,
     _freeze,
+    attenuation_at,
     convert_units,
 )
 
@@ -92,7 +92,7 @@ class _SpanConstants(NamedTuple):
     """What the closed form of one span needs besides the spectrum, for one grid and order.
 
     ``indices`` are the :func:`_window_indices` of the Raman window on the
-    grid; ``alpha`` is the read-only alpha_i of the grid, ``alpha_n`` is
+    grid; ``alpha`` is the read-only alpha(f_i) of the fiber, ``alpha_n`` is
     alpha_i^n and ``alpha_length`` is alpha_i L.
     """
 
@@ -108,7 +108,7 @@ class _SpanConstants(NamedTuple):
 
 
 def _span_constants(grid: ChannelGrid, fiber: FiberSpec, order: int) -> _SpanConstants:
-    """The per-span constants of ``fiber`` on ``grid`` at ``order``.
+    """The per-span constants of ``fiber`` on ``grid`` at ``order``, alpha_i evaluated afresh.
 
     A tabulated Raman model is coerced to its triangular fit (the closed form
     is parameterized by a slope and window only).
@@ -117,7 +117,7 @@ def _span_constants(grid: ChannelGrid, fiber: FiberSpec, order: int) -> _SpanCon
     bs = grid.spacing
     indices = _window_indices(grid.n_channels, math.floor(tri.window / bs),
                               math.ceil(tri.window / bs))
-    alpha = _channel_attenuation(grid, fiber.attenuation)
+    alpha = _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
     return _SpanConstants(tri.slope, tri.window, bs, indices, alpha, alpha**order,
                           alpha * fiber.length, fiber.length, order)
 
@@ -203,7 +203,7 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
-    alpha = _channel_attenuation(launch.grid, attenuation)
+    alpha = attenuation_at(attenuation, launch.grid.frequencies)
     return _power_mean(alpha**order * launch.powers, launch.total_power, order)
 
 

@@ -66,6 +66,9 @@ class RunConfig:
     refresh_reference: bool
 
     def __post_init__(self):
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigurationError(f"config.name: expected a plain file-name stem, got {name!r}")
         if self.order < 1:
             raise ConfigurationError("order must be a positive integer")
 
@@ -311,7 +314,7 @@ def _load_power_table(path: Path) -> list[float]:
                 values = [float(row["power_dbm"]) for row in csv.DictReader(fh)]
     except KeyError:
         raise ConfigurationError(f"launch: {path} needs a power_dbm column") from None
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigurationError(f"launch: {path}: {exc}") from None
     return _Section({"powers_dbm_file": values}, "launch").number("powers_dbm_file", array=True)
 
@@ -446,10 +449,10 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
     """Parse a config dict or JSON file into validated internal objects."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
         try:
             data = json.loads(path.read_text())
+        except OSError as exc:  # a missing file, a directory
+            raise ConfigurationError(f"config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
         base_dir = path.parent
@@ -475,7 +478,7 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunConfig:
             flat = launch is not None and data["launch"]["mode"] == "flat"
             osnr = _parse_osnr_target(osnr, grid, link, launch.total_power if flat else None)
         return RunConfig(
-            name=str(root.get("name", default_name)),
+            name=root.get("name", default_name),
             grid=grid,
             fiber=fiber,
             link=link,

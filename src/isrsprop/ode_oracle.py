@@ -33,8 +33,9 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
-    _channel_attenuation,
+    _freeze,
     _raman_gain_in_place,
+    attenuation_at,
 )
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
@@ -114,7 +115,8 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
 
 def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions):
     """(K, read-only alpha) of a grid and fiber model; the span length plays no part in either."""
-    return _coupling_matrix(grid, fiber, options), _channel_attenuation(grid, fiber.attenuation)
+    k = _coupling_matrix(grid, fiber, options)
+    return k, _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
 
 
 def isrs_derivative(

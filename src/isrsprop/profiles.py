@@ -106,16 +106,13 @@ class ChannelGrid:
 
     Channels sit at bin centers: channel k is at ``f_min + (k + 1/2) * spacing``,
     so per-channel power P = S * spacing is a consistent discretization of a
-    power spectral density S.
+    power spectral density S.  A plain value: only ``__post_init__`` sets it, and checks its bands.
     """
 
     frequencies: np.ndarray
     spacing: float
     bands: tuple[Band, ...]
     band_index: np.ndarray = field(init=False)
-    # (profile, read-only alpha(f_i)) of the last attenuation profile evaluated
-    # on this grid, see _channel_attenuation
-    _attenuation: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = _freeze(self.frequencies)
@@ -241,12 +238,9 @@ def build_channel_grid(
         bands = [Band(n, *DEFAULT_BAND_EDGES[n]) for n in names]
     else:
         bands = [b if isinstance(b, Band) else Band(*b) for b in band_plan]
+    if not bands:
+        raise ConfigurationError("a channel grid needs at least one band")
     bands.sort(key=lambda b: b.f_low)
-    for prev, nxt in zip(bands, bands[1:]):
-        if abs(prev.f_high - nxt.f_low) > _EDGE_TOL:
-            raise ConfigurationError(
-                f"bands {prev.name!r} and {nxt.name!r} are not contiguous"
-            )
     for b in bands:
         n_b = b.width / spacing
         if abs(n_b - round(n_b)) > 1e-6:
@@ -352,20 +346,6 @@ def attenuation_at(profile: AttenuationProfile, f):
     if np.any(out <= 0):
         raise ConfigurationError("attenuation profile is non-positive at a requested frequency")
     return float(out[0]) if scalar else out
-
-
-def _channel_attenuation(grid: ChannelGrid, profile: AttenuationProfile) -> np.ndarray:
-    """Read-only ``attenuation_at(profile, grid.frequencies)``, kept on the grid.
-
-    The grid holds the values of the last profile asked for, and that
-    profile itself, so the identity check cannot match a later object that
-    reuses a freed profile's id.
-    """
-    cached = grid._attenuation
-    if cached is None or cached[0] is not profile:
-        cached = (profile, _freeze(attenuation_at(profile, grid.frequencies)))
-        object.__setattr__(grid, "_attenuation", cached)
-    return cached[1]
 
 
 def default_attenuation() -> AttenuationProfile:

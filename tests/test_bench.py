@@ -21,6 +21,7 @@ from isrsprop.bench import (
     write_records_csv,
     write_summary_csv,
 )
+from isrsprop import closedform
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
@@ -237,6 +238,27 @@ class TestBatchedSweep:
         expected = per_cell_reference(config)
         assert len(records) == 24 and not any(e[-1] for e in expected)
         self.assert_records_match(records, expected)
+
+    def test_span_constants_are_built_once_per_order_and_length(self, monkeypatch):
+        # 25 cells of one (band, peak) group share 5 span lengths: 5 x 6 bundles,
+        # where building them per cell and order made 150
+        config = SweepConfig(
+            band_plans=("C",), raman_peak_count=1, launch_power_count=5, length_count=5,
+            steps_per_span=4,
+        )
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return span_constants(*args)
+
+        span_constants = closedform._span_constants
+        monkeypatch.setattr(closedform, "_span_constants", counted)
+        records, _ = run_order_sweep(config)
+        monkeypatch.undo()
+        assert len(records) == 150 and len(built) == 30
+        assert len({(fiber.length, order) for _, fiber, order in built}) == 30
+        self.assert_records_match(records, per_cell_reference(config))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_an_order_that_fails_alone_fails_only_itself(self):

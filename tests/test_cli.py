@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import math
+import runpy
+import warnings
 from pathlib import Path
 from typing import Iterator
 
@@ -633,6 +636,71 @@ class TestCommands:
         assert message in capsys.readouterr().err
 
 
+def _set(section, **values):
+    """A config edit that sets ``values`` in ``section`` (the root for None)."""
+    def edit(data):
+        (data if section is None else data[section]).update(values)
+    return edit
+
+
+class TestRejectedInputs:
+    """A bad input exits 2 with one line and writes no file, inside --output or out of it."""
+
+    @pytest.mark.parametrize(
+        "config,command,edit,message",
+        [
+            ("fig4_single_span_clu", "closed-form", _set(None, name=["a"]),
+             "config.name: expected a plain file-name stem, got ['a']"),
+            ("fig4_single_span_clu", "closed-form", _set(None, name="../../escape"),
+             "config.name: expected a plain file-name stem, got '../../escape'"),
+            ("fig4_single_span_clu", "closed-form", _set(None, name=".."),
+             "config.name: expected a plain file-name stem, got '..'"),
+            ("fig4_single_span_clu", "closed-form", _set(None, grid={"bands": []}),
+             "a channel grid needs at least one band"),
+            ("fig4_single_span_clu", "closed-form",
+             _set(None, launch={"mode": "table", "powers_dbm_file": "tables"}),
+             "launch: tables: [Errno 21] Is a directory: 'tables'"),
+            ("fig3_order_sweep", "sweep", _set("sweep", band_plans=[]),
+             "sweep needs at least one band plan"),
+            # the closed form's powers underflow to 0 W, which has no dBm value
+            ("fig4_single_span_clu", "closed-form", _set("launch", power_dbm_per_channel=30.0),
+             "fig4_single_span_clu_closedform_longitudinal: channel 255 (191.8750 THz) "
+             "is at 0 W at z = 8 km, which has no dBm value"),
+            ("fig6_multi_span_clu", "multispan", _set("launch", power_dbm_per_channel=30.0),
+             "fig6_multi_span_clu_multispan_longitudinal: channel 283 (193.2750 THz) "
+             "is at 0 W at z = 7 km, which has no dBm value"),
+            ("preemph_multi_span_clu", "preemph",
+             _set("launch", total_launch_power_dbm=50.0),
+             "preemph_multi_span_clu_preemph_launch: channel 22 (180.2250 THz) "
+             "is at 0 W at z = 0 km, which has no dBm value"),
+        ],
+        ids=["name-list", "name-escapes", "name-dotdot", "no-bands", "launch-file-is-a-directory",
+             "no-band-plans", "closed-form-at-0-W", "multispan-at-0-W", "preemph-at-0-W"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, config, command,
+                                        edit, message, fmt):
+        data = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+        edit(data)
+        work = tmp_path / "a" / "b"
+        (work / "tables").mkdir(parents=True)
+        (work / "bad.json").write_text(json.dumps(data))
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(work)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", "bad.json", "--output", "out", "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert sorted(p for p in tmp_path.rglob("*") if p.name != "out") == before
+        assert not (work / "out").exists() or not any((work / "out").iterdir())
+
+    def test_a_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["validate-config", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: config file {tmp_path}: Is a directory\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)
@@ -724,6 +792,28 @@ class TestShippedScenarios:
             code = main([command, "--config", str(CONFIG_DIR / config),
                          "--output", str(tmp_path)])
             assert code == 0, f"{command} failed on {config}"
+
+    def test_every_figure_run_writes_only_finite_values(self, tmp_path):
+        # the scripts/run_figures.py runs, each config through its own subcommands
+        runs = runpy.run_path(str(CONFIG_DIR.parent / "scripts" / "run_figures.py"))["RUNS"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for config, commands in runs:
+                for command in commands:
+                    assert main([command, "--config", str(CONFIG_DIR / config),
+                                 "--output", str(tmp_path), "--steps", "8"]) == 0
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert len(tables) == 26
+        for table in tables:
+            with open(table, newline="") as fh:
+                for row in csv.reader(fh):
+                    for cell in row:
+                        try:
+                            value = float(cell)
+                        except ValueError:  # a band name, an error or a header
+                            continue
+                        assert math.isfinite(value), (table.name, row[0], cell)
 
     def test_sweep_scenario_smoke(self, tmp_path):
         # full sweep budget lives in the acceptance suite; shrink the axes here

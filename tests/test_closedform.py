@@ -409,7 +409,7 @@ class TestCachedWindowIndices:
 
 
 class TestChannelAttenuation:
-    """The per-channel alpha kept on a grid follows the attenuation profile asked for."""
+    """A span's per-channel alpha follows its own attenuation profile and is read-only."""
 
     def test_alternating_profiles_on_one_grid(self, clu_grid):
         profiles = [
@@ -425,7 +425,7 @@ class TestChannelAttenuation:
             assert not alpha.flags.writeable
 
     def test_a_rejected_profile_is_rejected_every_time(self, clu_grid):
-        # a table that does not cover the grid fails, and nothing is kept for it
+        # a table that does not cover the grid fails on every call
         narrow = AttenuationProfile.from_table([190.0, 195.0], [0.2, 0.2])
         fiber = FiberSpec(narrow, RamanGainModel.triangular(peak=0.4), 80.0)
         for _ in range(2):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from isrsprop import (
     AttenuationProfile,
     Band,
+    ChannelGrid,
     ConfigurationError,
     FiberSpec,
     PowerSpectrum,
@@ -73,6 +75,15 @@ class TestChannelGrid:
     def test_unknown_plan(self):
         with pytest.raises(ConfigurationError, match="band plan"):
             build_channel_grid("CLX", 0.05)
+
+    def test_no_bands_is_config_error(self):
+        with pytest.raises(ConfigurationError, match="at least one band"):
+            build_channel_grid([], 0.05)
+
+    def test_grid_is_a_plain_value(self):
+        # nothing about the fibers used on a grid is kept on it
+        names = [f.name for f in dataclasses.fields(ChannelGrid)]
+        assert names == ["frequencies", "spacing", "bands", "band_index"]
 
 
 class TestConvertUnits:
