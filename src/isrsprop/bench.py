@@ -125,11 +125,11 @@ def _run_group(args) -> list[SweepRecord]:
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
     the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.  The group builds its span constants once per
-    order and span length, each cell its shaping values once; a cell's
-    ``closedform_seconds`` at an order is its share of both over the order
-    count plus the order's own parameters and profile.  A failure is recorded
-    on every record it concerns: the group's, the cell's or the order's.
+    time over its cell count.  After the batch, outside its memory peak, the
+    group builds its span constants once per order and span length and each
+    cell its shaping values once; ``closedform_seconds`` is a cell's share of
+    both over the order count plus its order's own parameters and profile.
+    A failure is recorded on every record it concerns: group, cell or order.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -148,16 +148,16 @@ def _run_group(args) -> list[SweepRecord]:
 
     try:
         t0 = time.perf_counter()
-        cell_constants = list(zip(*(_link_constants(grid, fibers, n) for n in config.orders)))
-        constants_s = (time.perf_counter() - t0) / len(cells)
         outputs, messages = _integrate_batch(
             np.array([launch.powers for launch in launches]),
             [length for _, length in cells],
             _span_operator(grid, fibers[0], options),  # the span length plays no part
             options.steps_per_span,
         )
-        oracle_s = (time.perf_counter() - t0) / len(cells) - constants_s
+        oracle_s = (time.perf_counter() - t0) / len(cells)
         errors = [repr(NumericalInstabilityError(m)) if m else "" for m in messages]
+        cell_constants = list(zip(*(_link_constants(grid, fibers, n) for n in config.orders)))
+        constants_s = (time.perf_counter() - t0) / len(cells) - oracle_s
     except Exception as exc:  # failed cells are recorded, the sweep continues
         errors = [repr(exc)] * len(cells)
     records = []
