@@ -14,8 +14,12 @@ since they change from run to run.
 With ``--against OLD/manifest.json`` the script then compares the new
 manifest with the old one, prints each run whose exit code, stdout or stderr
 differs and each file whose hash differs (or that only one side wrote), and
-exits 1 if there is any.  To check that a change leaves every output as it
-was, fingerprint the parent, then the change against it:
+exits 1 if there is any.  A file whose hash differs is read again beside its
+old copy under ``OLD/runs/`` to size the move: the count of cells that differ
+and the largest |delta| over the dB columns (a name ending in ``_db`` or
+``dbm``, or starting with ``p_dbm_``), timing columns left out.  To check
+that a change leaves every output as it was, fingerprint the parent, then
+the change against it:
 
     git worktree add ../parent HEAD~1
     python scripts/compare_outputs.py /tmp/before --repo ../parent
@@ -58,8 +62,45 @@ def _without_timing(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
-def _differences(old: dict, new: dict) -> list[str]:
-    """One line per run or file that differs between two manifests."""
+def _is_db_column(name: str) -> bool:
+    return name.endswith(("_db", "dbm")) or name.startswith("p_dbm_")
+
+
+def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a CSV or JSON-records output table, every cell as text."""
+    if path.suffix == ".json":
+        records = json.loads(path.read_text())
+        header = list(records[0]) if records else []
+        return header, [[str(record.get(name)) for name in header] for record in records]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _table_move(old: Path, new: Path) -> str:
+    """How far a table moved: the cells that differ and the largest |delta| of a dB cell."""
+    (header, old_rows), (new_header, new_rows) = _read_table(old), _read_table(new)
+    if header != new_header or len(old_rows) != len(new_rows):
+        return "header or row count differs"
+    columns = [(i, _is_db_column(name)) for i, name in enumerate(header)
+               if name not in TIMING_FIELDS]
+    changed, largest = 0, 0.0
+    for before, after in zip(old_rows, new_rows):
+        for i, db in columns:
+            if before[i] != after[i]:
+                changed += 1
+                if db:
+                    largest = max(largest, abs(float(after[i]) - float(before[i])))
+    return f"{changed} cells differ, max |delta| {largest:.3g} dB"
+
+
+def _differences(old: dict, new: dict, old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per run or file that differs between two manifests.
+
+    ``old_dir`` and ``new_dir`` are the manifests' directories, which hold
+    the files they list; a file whose hash differs is compared cell by cell
+    (:func:`_table_move`).
+    """
     out = []
     for name in sorted(old["runs"].keys() | new["runs"].keys()):
         before, after = old["runs"].get(name), new["runs"].get(name)
@@ -74,7 +115,10 @@ def _differences(old: dict, new: dict) -> list[str]:
         if before is None or after is None:
             out.append(f"file {name}: only in the {'new' if before is None else 'old'} manifest")
         elif before != after:
-            out.append(f"file {name}: hash differs")
+            old_copy = old_dir / name
+            move = (_table_move(old_copy, new_dir / name) if old_copy.is_file()
+                    else "old copy missing")
+            out.append(f"file {name}: hash differs, {move}")
     return out
 
 
@@ -126,7 +170,8 @@ def main() -> int:
     print(f"{len(runs)} runs, {len(files)} files -> {out_dir / 'manifest.json'}", file=sys.stderr)
     if args.against is None:
         return 0
-    differences = _differences(json.loads(args.against.read_text()), manifest)
+    differences = _differences(json.loads(args.against.read_text()), manifest,
+                               args.against.parent, out_dir)
     for line in differences:
         print(line)
     print(f"{len(differences)} differences against {args.against}", file=sys.stderr)

@@ -230,7 +230,7 @@ def _shaping_ref(
 
     ``weighted`` is alpha^n times the spectrum's powers, which sum to ``total``.
     Computed with max-subtracted log-sum-exp so large slope * P_T * L_eff
-    products do not overflow.
+    products do not overflow; channels without power take no part in it.
     """
     weights = weighted / (alpha0**order * total)
     leff_z = -math.expm1(-alpha0 * z) / alpha0
@@ -239,6 +239,11 @@ def _shaping_ref(
         # z -> 0 or slope -> 0 limit: the balance reduces to the weighted mean shaping value
         return float((weights * shaping).sum())
     exponent = (alpha0 - alpha) * z - slope * shaping * total * leff_z
+    positive = weights > 0
+    if not positive.all():
+        if not positive.any():
+            raise ConfigurationError("closed form needs at least one channel that carries power")
+        weights, exponent = weights[positive], exponent[positive]
     m = exponent.max()
     log_sum = m + math.log((weights * np.exp(exponent - m)).sum())
     return -log_sum / scale
@@ -307,10 +312,14 @@ def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, r
     """Closed-form powers at z from the launch ``powers``; ``attenuation`` is alpha_i z.
 
     The exponent is the tilt term minus ``attenuation``, which equals
-    -alpha_i z plus the tilt term bit for bit.
+    -alpha_i z plus the tilt term bit for bit.  A channel without power stays
+    at 0 W: the reference does not balance its exponent, which may overflow.
     """
     decay = -math.expm1(-alpha0 * z) / alpha0
-    return powers * np.exp(slope * (ref - shaping) * total_launch_power * decay - attenuation)
+    exponent = slope * (ref - shaping) * total_launch_power * decay - attenuation
+    if not powers.all():
+        exponent[powers == 0] = -np.inf
+    return powers * np.exp(exponent, out=exponent)
 
 
 def power_profile(

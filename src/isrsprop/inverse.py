@@ -54,6 +54,7 @@ from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_un
 _ROOT_GUARD = 2e-13
 _NEWTON_TOL = 2e-14
 _NEWTON_STEPS = 12
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,16 @@ def preemphasis_single_span(
         output = PowerSpectrum(target.grid, target.values, z=fiber.length)
         constants = _span_constants(target.grid, fiber, order)
         total, growth, leff, terms = _inversion(output.powers, constants)
-        launch = _launch_from_output(output.powers, terms, total * growth * leff)
+        decay = total * growth * leff
+        attenuation, tilt = terms
+        # the log of each launch power: above _LOG_MAX its exp overflows
+        if (np.log(output.powers) + (attenuation - tilt * decay)).max() > _LOG_MAX:
+            raise ConfigurationError(
+                f"the launch for the absolute target ({10.0 * math.log10(total / 1e-3):.6g} "
+                f"dBm output total) over {fiber.length:g} km with a span loss of "
+                f"{10.0 * math.log10(growth):.6g} dB overflows"
+            )
+        launch = _launch_from_output(output.powers, terms, decay)
         return PowerSpectrum(target.grid, launch, z=0.0)
     _check_launch_total(total_launch_power)
     constants = _span_constants(target.grid, fiber, order)

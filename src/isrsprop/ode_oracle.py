@@ -12,12 +12,13 @@ results are reproducible for a given step count; this module is the ground
 truth the closed-form solution is validated against.  It steps a (B, n)
 matrix of launches that share a grid and fiber model, one span length per
 row; :func:`integrate_span` is the one-row case that keeps every step.  Each
-RK4 stage applies the coupling matrix in row panels of at most 1 MiB, so a
-panel stays in cache while it is applied to every row of the batch, and each
-output power is the same BLAS dot product as one whole-matrix ``K @ p``.
-The coupling matrix itself is built in place in one n x n buffer plus two
-boolean masks (:func:`_coupling_matrix`), which sets the oracle's memory
-high-water mark at about 1.25 times K's own bytes.
+RK4 stage applies the coupling matrix to the whole batch as one matrix
+product ``P @ K.T``.  A one-row batch gives the same bits as ``K @ p``; a
+row of a larger batch agrees with its one-row run to a few ulps, and its
+last bits depend on which rows share its batch.  The coupling matrix itself
+is built in place in one n x n buffer plus two boolean masks
+(:func:`_coupling_matrix`), which sets the oracle's memory high-water mark
+at about 1.25 times K's own bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .profiles import (
 )
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
-_PANEL_BYTES = 1 << 20  # bytes of K applied to a whole batch at once; stays in a 2 MB L2
 
 
 @dataclass(frozen=True)
@@ -132,33 +132,22 @@ def _rk4(p0: np.ndarray, k: np.ndarray, alpha: np.ndarray, h: np.ndarray, steps:
     """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
 
     Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
-    Each stage forms ``K @ p_b`` for every row b in row panels of K: the
-    most rows that fit in ``_PANEL_BYTES``, rounded down to a multiple of
-    32, so K is one panel up to 352 channels and SCLU's 528 take three (a
-    one-row batch always takes one).  A panel is one stacked product, which
-    numpy hands to BLAS as one matrix-vector product per row, and it stays
-    in cache from row to row where the whole SCLU K (2.2 MB) would stream
-    from memory once per row.  OpenBLAS forms each output as the dot
-    product of a row of K with ``p_b``, grouping rows in fours from the
-    first row of a call; every panel starts at a multiple of 32, so each
-    power is bit-identical to a one-row, whole-matrix ``K @ p``, whatever
-    batch or panel it is in.  (A ``P @ K.T`` matrix product is faster but
-    sums in another order and moves the last bits.)
+    Each stage forms every row's ``K @ p_b`` at once as ``p @ K.T``, one
+    matrix product over the batch.  With one row BLAS computes that product
+    as the matrix-vector ``K @ p``, bit for bit, so every single-span and
+    link result is what a plain ``K @ p`` RK4 gives.  With more rows it
+    blocks and sums in another order: a row then matches its one-row run to
+    a few ulps, and its last bits depend on the other rows of its batch
+    (the same batch always gives the same bits).
     Yields ``(rows, p, unstable)`` after each step: the batch indices of the
     rows still integrating, their state, and the mask of those with a power
     below ``_NEGATIVE_FLOOR`` or not finite (an overflowing launch).
     Unstable rows leave the batch before the next step; the others carry on.
     """
-    n = k.shape[0]
-    # one row reads all of K once per stage however it is cut: only a batch reuses a panel
-    size = n if len(p0) == 1 else max(32, _PANEL_BYTES // (k.itemsize * n) // 32 * 32)
-    panels = [(slice(i, i + size), k[i:i + size]) for i in range(0, n, size)]
+    kt = k.T
 
     def deriv(p):
-        kp = np.empty_like(p)
-        for cols, panel in panels:
-            kp[:, cols] = np.matmul(panel, p[:, :, None])[:, :, 0]
-        return p * kp - alpha * p
+        return p * (p @ kt) - alpha * p
 
     rows = np.arange(p0.shape[0])
     p = p0.copy()
@@ -218,10 +207,11 @@ def _integrate_batch(
     """Output powers of B launches through spans that share one ``(K, alpha)`` pair.
 
     Row b of the (B, n) ``launch_powers`` (W) goes through a span
-    ``lengths[b]`` km long.  Returns the (B, n) output powers, each row
-    bit-identical to :func:`integrate_span`'s final powers, and one error
+    ``lengths[b]`` km long.  Returns the (B, n) output powers and one error
     string per row: empty, or the message :func:`integrate_span` raises for
-    that launch, in which case the row's powers are NaN.
+    that launch, in which case the row's powers are NaN.  A row agrees with
+    :func:`integrate_span`'s final powers to a few ulps; its last bits
+    depend on which rows share its batch (see :func:`_rk4`).
     """
     k, alpha = operator
     h = np.asarray(lengths, dtype=float)[:, None] / steps

@@ -120,9 +120,13 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         serial, _ = run_order_sweep(SMALL)
         parallel, _ = run_order_sweep(SMALL, workers=2)
+        # each group is the same batch either way, so even the last bits agree
+        assert len(serial) == len(parallel)
         for a, b in zip(serial, parallel):
-            assert a.band == b.band and a.order == b.order
-            assert a.eps_p == b.eps_p
+            assert (a.band, a.raman_peak, a.launch_power_dbm, a.length_km, a.order,
+                    a.eps_p, a.max_deviation_db, a.error) == (
+                b.band, b.raman_peak, b.launch_power_dbm, b.length_km, b.order,
+                b.eps_p, b.max_deviation_db, b.error)
 
     def test_summary_statistics(self):
         records, summaries = run_order_sweep(
@@ -209,8 +213,9 @@ class TestBatchedSweep:
             )
             if error:
                 assert np.isnan(r.eps_p) and np.isnan(r.max_deviation_db)
-            else:  # the batch rows are bit-identical to integrate_span
-                assert (r.eps_p, r.max_deviation_db) == (eps, dev)
+            else:  # a batch row matches integrate_span to a few ulps, not bit for bit
+                np.testing.assert_allclose([r.eps_p, r.max_deviation_db], [eps, dev],
+                                           rtol=1e-13)
 
     def test_records_match_per_cell_integration(self):
         # the CL cells at 12 dBm go unstable at 8 steps, the rest of their group does not
@@ -227,8 +232,8 @@ class TestBatchedSweep:
         self.assert_records_match(records, expected)
 
     def test_sclu_records_match_per_cell_and_per_order_derivation(self):
-        # SCLU's coupling matrix is applied in three row panels, and each
-        # cell derives all six orders' closed-form parameters at once
+        # SCLU's 528 channels in one batch, and each cell derives all six
+        # orders' closed-form parameters at once
         config = SweepConfig(
             band_plans=("SCLU",), raman_peak_range=(0.35, 0.35), raman_peak_count=1,
             launch_power_dbm_range=(-4.0, 0.0), launch_power_count=2,

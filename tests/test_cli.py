@@ -673,9 +673,19 @@ class TestRejectedInputs:
              _set("launch", total_launch_power_dbm=50.0),
              "preemph_multi_span_clu_preemph_launch: channel 22 (180.2250 THz) "
              "is at 0 W at z = 0 km, which has no dBm value"),
+            # channels of the launch the inverse finds at 50 dBm carry no power
+            ("fig7_osnr_flat_clu", "osnr-target",
+             _set("osnr_target", total_launch_power_dbm=50.0),
+             "signal vanishes at a span input; ASE ratio undefined"),
+            ("preemph_single_span_clu", "preemph",
+             _set(None, launch={"mode": "preemphasis",
+                                "target": {"shape": "flat", "power_dbm_per_channel": 10.0}}),
+             "the launch for the absolute target (35.2244 dBm output total) over 100 km "
+             "with a span loss of 19.6198 dB overflows"),
         ],
         ids=["name-list", "name-escapes", "name-dotdot", "no-bands", "launch-file-is-a-directory",
-             "no-band-plans", "closed-form-at-0-W", "multispan-at-0-W", "preemph-at-0-W"],
+             "no-band-plans", "closed-form-at-0-W", "multispan-at-0-W", "preemph-at-0-W",
+             "osnr-target-at-50-dBm", "preemph-absolute-overflow"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, config, command,

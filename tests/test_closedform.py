@@ -20,7 +20,7 @@ from isrsprop import (
     shaping_function,
     total_attenuation_coefficient,
 )
-from isrsprop.closedform import _shaping, _span_constants, _span_params
+from isrsprop.closedform import _profile, _shaping, _shaping_ref, _span_constants, _span_params
 from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, to_db
@@ -240,7 +240,30 @@ class TestGammaRef:
         )
 
 
+    def test_channels_without_power_take_no_part_in_the_balance(self):
+        # channel 0 has the largest exponent (900) but no power; the others' terms
+        # are e^-900 and e^-945 of it, so a maximum taken over it ends in log(0)
+        shaping, weighted = np.array([-20.0, 0.0, 1.0]), np.array([0.0, 2.0, 1.0])
+        ref = _shaping_ref(3.0, shaping, weighted, np.ones(3), 1.0, 1, 15.0, 50.0)
+        scale = 15.0 * 3.0 * -math.expm1(-50.0)
+        expected = -math.log(2.0 / 3.0 + math.exp(-scale) / 3.0) / scale
+        assert ref == pytest.approx(expected, rel=1e-14)
+
+    def test_no_channel_with_power_is_config_error(self):
+        with pytest.raises(ConfigurationError, match="at least one channel that carries power"):
+            _shaping_ref(3.0, np.array([-20.0, 0.0]), np.zeros(2), np.ones(2), 1.0, 1, 15.0, 50.0)
+
+
 class TestPowerProfile:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_channel_without_power_stays_at_zero_watts(self):
+        # channel 0's exponent, about 900, overflows: 0 W times inf would be NaN
+        powers = np.array([0.0, 1e-3])
+        out = _profile(powers, np.array([5.0, 5.0]), np.array([-20.0, 0.0]), 0.0, 3.0, 1.0,
+                       15.0, 50.0)
+        assert out[0] == 0.0 and not np.signbit(out[0])
+        assert out[1] == 1e-3 * np.exp(-5.0)
+
     def test_identity_at_input(self, clu_launch, default_fiber_100):
         params = derive_params(clu_launch, default_fiber_100, 3)
         out = power_profile(clu_launch, params, default_fiber_100.raman.slope, 0.0)

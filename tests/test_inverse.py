@@ -120,6 +120,20 @@ class TestSingleSpanAbsolute:
         with pytest.raises(ConfigurationError, match="drop total_launch_power"):
             preemphasis_single_span(target, default_fiber_100, 3, total_launch_power=1e-2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_launch_is_config_error(self, clu_grid, default_fiber_100):
+        # +10 dBm per channel out of 100 km of CLU needs launch powers beyond a float
+        target = TargetSpectrum.absolute_dbm(clu_grid, np.full(clu_grid.n_channels, 10.0))
+        output = PowerSpectrum(clu_grid, target.values, z=100.0)
+        params = closedform_params_from_output(output, default_fiber_100, 3)
+        loss_db = to_db(params.total_launch_power / output.total_power)
+        with pytest.raises(ConfigurationError) as raised:
+            preemphasis_single_span(target, default_fiber_100, 3)
+        assert str(raised.value) == (
+            "the launch for the absolute target (35.2244 dBm output total) over 100 km "
+            f"with a span loss of {loss_db:.6g} dB overflows"
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-20.0, max_value=0.0), min_size=2, max_size=40))
     def test_positivity(self, dbm):

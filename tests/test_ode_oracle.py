@@ -196,7 +196,7 @@ class TestIntegrateSpan:
 
 
 class TestIntegrateBatch:
-    """Each row of a batch is bit-identical to integrate_span on its own."""
+    """A batch row matches integrate_span on its own to a few ulps; one row, bit for bit."""
 
     @staticmethod
     def mixed_launches(grid, count):
@@ -228,49 +228,72 @@ class TestIntegrateBatch:
         out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
         assert errors == ("",) * 5
         for row, p, length in zip(out, powers, lengths):
-            np.testing.assert_array_equal(row, self.single(cl_grid, p, fiber, length, options))
+            np.testing.assert_allclose(row, self.single(cl_grid, p, fiber, length, options),
+                                       rtol=1e-13)
 
     @staticmethod
-    def unpanelled(powers, lengths, operator, steps):
-        """The batch through RK4 with one whole-matrix stacked ``K @ p`` per stage."""
+    def matvec_samples(powers, length, operator, steps):
+        """Every RK4 sample of one launch, each stage one matrix-vector ``K @ p``."""
         k, alpha = operator
-        h = np.asarray(lengths)[:, None] / steps
+        h = length / steps
 
         def deriv(p):
-            return p * np.matmul(k, p[:, :, None])[:, :, 0] - alpha * p
+            return p * (k @ p) - alpha * p
 
-        p = powers.copy()
+        p, samples = powers, [powers]
         for _ in range(steps):
             k1 = deriv(p)
             k2 = deriv(p + 0.5 * h * k1)
             k3 = deriv(p + 0.5 * h * k2)
             k4 = deriv(p + h * k3)
             p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return np.maximum(p, 0.0)
+            samples.append(np.maximum(p, 0.0))
+        return samples
 
-    @pytest.mark.parametrize(
+    GRIDS = pytest.mark.parametrize(
         "grid",
         [
-            build_channel_grid("SCLU"),  # 528 channels: panels of 224, 224 and 80 rows
-            # 397 and 354 channels: a 352-row panel, then 45 rows or 2
+            build_channel_grid("SCLU"),  # 528 channels
             *(ChannelGrid(190.0 + 0.05 * (np.arange(n) + 0.5), 0.05,
                           (Band("X", 190.0, 190.0 + 0.05 * n),)) for n in (397, 354)),
         ],
         ids=["SCLU", "397-channels", "354-channels"],
     )
-    def test_multi_panel_rows_match_one_whole_matrix_product(self, grid):
-        # each panel starts at a multiple of 32 rows, so BLAS sums every power
-        # as it does in one K @ p; a BLAS that groups rows otherwise fails here
+
+    @staticmethod
+    def batch_case(grid):
         options = SolverOptions(steps_per_span=8)
-        powers, lengths = self.mixed_launches(grid, 4)
+        powers, lengths = TestIntegrateBatch.mixed_launches(grid, 4)
         fiber = FiberSpec(default_attenuation(), RamanGainModel.triangular(peak=0.35), 1.0)
-        operator = _span_operator(grid, fiber, options)
+        return powers, lengths, fiber, options, _span_operator(grid, fiber, options)
+
+    @GRIDS
+    def test_one_row_is_bit_identical_to_a_matrix_vector_rk4(self, grid):
+        # every single-span and link output rests on this: BLAS computes a
+        # one-row p @ K.T as K @ p; a BLAS that stops doing so fails here
+        powers, lengths, fiber, options, operator = self.batch_case(grid)
+        for p, length in zip(powers, lengths):
+            expected = self.matvec_samples(p, length, operator, options.steps_per_span)
+            out, errors = _integrate_batch(p[None, :], [length], operator,
+                                           options.steps_per_span)
+            assert errors == ("",) and np.array_equal(out[0], expected[-1])
+            span = integrate_span(PowerSpectrum(grid, p),
+                                  FiberSpec(fiber.attenuation, fiber.raman, length), options)
+            assert len(span.spectra) == len(expected)
+            for sample, powers_at_z in zip(span.spectra, expected):
+                assert np.array_equal(sample.powers, powers_at_z)
+
+    @GRIDS
+    def test_batch_rows_are_repeatable_and_match_integrate_span(self, grid):
+        # a row's last bits depend on its batch, never on the run
+        powers, lengths, fiber, options, operator = self.batch_case(grid)
         out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
+        again, _ = _integrate_batch(powers, lengths, operator, options.steps_per_span)
         assert errors == ("",) * 4
-        reference = self.unpanelled(powers, lengths, operator, options.steps_per_span)
-        for row, expected, p, length in zip(out, reference, powers, lengths):
-            assert np.array_equal(row, expected)
-            assert np.array_equal(row, self.single(grid, p, fiber, length, options))
+        assert np.array_equal(out, again)
+        for row, p, length in zip(out, powers, lengths):
+            np.testing.assert_allclose(row, self.single(grid, p, fiber, length, options),
+                                       rtol=1e-13)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_unstable_row_leaves_the_batch(self):
@@ -289,8 +312,8 @@ class TestIntegrateBatch:
             assert np.all(np.isnan(out[b]))
         for b in (0, 2):
             assert errors[b] == ""
-            np.testing.assert_array_equal(
-                out[b], self.single(grid, powers[b], fiber, lengths[b], options)
+            np.testing.assert_allclose(
+                out[b], self.single(grid, powers[b], fiber, lengths[b], options), rtol=1e-13
             )
 
 
