@@ -7,9 +7,8 @@ reads the approximation order again at ``--order 1`` and ``--order 6`` (csv,
 runs named ``csv-order1`` and ``csv-order6``), and writes
 ``OUT_DIR/manifest.json``: one SHA-256 per output file and one (exit code,
 stdout, stderr) per run.  ``--repo`` chooses only the code that runs, so two
-checkouts are compared on the same configs.  The sweep's timing columns
-(``oracle_seconds``, ``closedform_seconds``) are dropped before hashing,
-since they change from run to run.
+checkouts are compared on the same configs.  Every output is hashed as
+written: one config writes the same bytes on every run.
 
 With ``--against OLD/manifest.json`` the script then compares the new
 manifest with the old one, prints each run whose exit code, stdout or stderr
@@ -17,7 +16,7 @@ differs and each file whose hash differs (or that only one side wrote), and
 exits 1 if there is any.  A file whose hash differs is read again beside its
 old copy under ``OLD/runs/`` to size the move: the count of cells that differ
 and the largest |delta| over the dB columns (a name ending in ``_db`` or
-``dbm``, or starting with ``p_dbm_``), timing columns left out.  To check
+``dbm``, or starting with ``p_dbm_``).  To check
 that a change leaves every output as it was, fingerprint the parent, then
 the change against it:
 
@@ -42,24 +41,7 @@ FORMATS = ("csv", "json")
 # subcommands whose outputs depend on the order, and the orders they run at besides the config's
 ORDER_SUBCOMMANDS = ("closed-form", "multispan", "preemph", "osnr-target")
 EXTRA_ORDERS = (1, 6)
-TIMING_FIELDS = ("oracle_seconds", "closedform_seconds")
 CHECKOUT = Path(__file__).resolve().parent.parent
-
-
-def _without_timing(path: Path) -> bytes:
-    """File bytes, with the sweep's timing columns removed."""
-    if "_sweep_" not in path.name:
-        return path.read_bytes()
-    if path.suffix == ".json":
-        records = json.loads(path.read_text())
-        for record in records:
-            for field in TIMING_FIELDS:
-                record.pop(field, None)
-        return json.dumps(records, indent=1).encode()
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
-    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
 def _is_db_column(name: str) -> bool:
@@ -82,8 +64,7 @@ def _table_move(old: Path, new: Path) -> str:
     (header, old_rows), (new_header, new_rows) = _read_table(old), _read_table(new)
     if header != new_header or len(old_rows) != len(new_rows):
         return "header or row count differs"
-    columns = [(i, _is_db_column(name)) for i, name in enumerate(header)
-               if name not in TIMING_FIELDS]
+    columns = [(i, _is_db_column(name)) for i, name in enumerate(header)]
     changed, largest = 0, 0.0
     for before, after in zip(old_rows, new_rows):
         for i, db in columns:
@@ -162,7 +143,7 @@ def main() -> int:
             runs[name] = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
             print(f"{code} {name}", file=sys.stderr)
     files = {
-        str(path.relative_to(out_dir)): hashlib.sha256(_without_timing(path)).hexdigest()
+        str(path.relative_to(out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted((out_dir / "runs").rglob("*")) if path.is_file()
     }
     manifest = {"runs": runs, "files": files}

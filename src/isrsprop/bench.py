@@ -8,14 +8,9 @@ box-plot convention (median, quartiles, 1.5 IQR whiskers).
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
 import math
-import re
-import time
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -98,8 +93,6 @@ class SweepRecord:
     order: int
     eps_p: float
     max_deviation_db: float
-    oracle_seconds: float
-    closedform_seconds: float
     error: str = ""
 
 
@@ -124,12 +117,10 @@ def _run_group(args) -> list[SweepRecord]:
 
     The cells share the grid and the fiber model, hence the coupling matrix,
     so the oracle integrates them as one batch; only the launch power and
-    the span length vary.  Each cell's ``oracle_seconds`` is the batch's wall
-    time over its cell count.  After the batch, outside its memory peak, the
+    the span length vary.  After the batch, outside its memory peak, the
     group builds its span constants once per order and span length and each
-    cell its shaping values once; ``closedform_seconds`` is a cell's share of
-    both over the order count plus its order's own parameters and profile.
-    A failure is recorded on every record it concerns: group, cell or order.
+    cell its shaping values once.  A failure is recorded on every record it
+    concerns: group, cell or order.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
@@ -141,59 +132,47 @@ def _run_group(args) -> list[SweepRecord]:
     launches = [PowerSpectrum.flat_dbm(grid, power_dbm) for power_dbm, _ in cells]
     options = SolverOptions(steps_per_span=config.steps_per_span)
 
-    def failed(power_dbm, length, n, oracle_seconds, error) -> SweepRecord:
+    def failed(power_dbm, length, n, error) -> SweepRecord:
         nan = float("nan")
-        return SweepRecord(band, peak, power_dbm, length, n, nan, nan, oracle_seconds, 0.0,
-                           error=error)
+        return SweepRecord(band, peak, power_dbm, length, n, nan, nan, error=error)
 
     try:
-        t0 = time.perf_counter()
         outputs, messages = _integrate_batch(
             np.array([launch.powers for launch in launches]),
             [length for _, length in cells],
             _span_operator(grid, fibers[0], options),  # the span length plays no part
             options.steps_per_span,
         )
-        oracle_s = (time.perf_counter() - t0) / len(cells)
         errors = [repr(NumericalInstabilityError(m)) if m else "" for m in messages]
         cell_constants = list(zip(*(_link_constants(grid, fibers, n) for n in config.orders)))
-        constants_s = (time.perf_counter() - t0) / len(cells) - oracle_s
     except Exception as exc:  # failed cells are recorded, the sweep continues
         errors = [repr(exc)] * len(cells)
     records = []
     for b, ((power_dbm, length), launch) in enumerate(zip(cells, launches)):
         if errors[b]:
-            records.extend(failed(power_dbm, length, n, 0.0, errors[b]) for n in config.orders)
+            records.extend(failed(power_dbm, length, n, errors[b]) for n in config.orders)
             continue
         oracle = PowerSpectrum(grid, outputs[b])
         oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
         p = launch.powers
         try:
-            t0 = time.perf_counter()
             c = cell_constants[b][0]  # the shaping values do not depend on the order
             total = p.sum()
             shaping = _shaping(p, total, c.window, c.spacing, c.indices)
-            shared_s = (constants_s + time.perf_counter() - t0) / len(config.orders)
         except Exception as exc:  # an order-free failure fails every order alike
-            records.extend(
-                failed(power_dbm, length, n, oracle_s, repr(exc)) for n in config.orders
-            )
+            records.extend(failed(power_dbm, length, n, repr(exc)) for n in config.orders)
             continue
         for n, c in zip(config.orders, cell_constants[b]):
             try:
-                t0 = time.perf_counter()
                 alpha0, ref, _, growth = _span_params(p, total, shaping, c)
                 closed = PowerSpectrum(grid, _profile(p, c.alpha_length, shaping, ref,
                                                       float(total * growth), alpha0,
                                                       c.slope, length), z=length)
-                closed_s = shared_s + (time.perf_counter() - t0)
                 eps = total_power_error_ratio(closed, oracle)
                 dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())
-                records.append(
-                    SweepRecord(band, peak, power_dbm, length, n, eps, dev, oracle_s, closed_s)
-                )
+                records.append(SweepRecord(band, peak, power_dbm, length, n, eps, dev))
             except Exception as exc:
-                records.append(failed(power_dbm, length, n, oracle_s, repr(exc)))
+                records.append(failed(power_dbm, length, n, repr(exc)))
     return records
 
 
@@ -254,61 +233,3 @@ def summarize(records: Sequence[SweepRecord]) -> list[SweepSummary]:
             )
     return out
 
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-_QUOTE_OR_BREAK = re.compile('["\r\n]')
-
-
-def _csv_lines(header, rows):
-    """Yield the CSV lines of a table, header first, each ending in CRLF.
-
-    The text is what ``csv.writer`` writes for ``[_fmt(v) for v in row]``.
-    Each distinct tuple of cell types gets one cached ``%`` format (``%.9g``
-    for float subclasses, ``%s`` otherwise) applied to the whole row.  Only
-    a row that needs quoting goes through ``csv.writer``: a text cell holds
-    a comma, a quote or a line break, or the row is one text cell (``[""]``
-    is written ``""``).  Lines are yielded one at a time, so a large table
-    is never held as one string.
-    """
-    formats = {}
-    buffer = io.StringIO()
-    quoting = csv.writer(buffer)
-    for row in itertools.chain((header,), rows):
-        cells = tuple(row)
-        types = tuple(map(type, cells))
-        pattern = formats.get(types)
-        if pattern is None:
-            specs = ["%.9g" if issubclass(t, float) else "%s" for t in types]
-            pattern = formats[types] = (",".join(specs), "%s" in specs)
-        fmt, has_text = pattern
-        line = fmt % cells
-        # a %.9g float never holds a comma, a quote or a line break
-        if has_text and (len(cells) == 1 or line.count(",") != len(cells) - 1
-                         or _QUOTE_OR_BREAK.search(line)):
-            quoting.writerow([_fmt(v) for v in cells])
-            yield buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate()
-        else:
-            yield line + "\r\n"
-
-
-def _dataclass_table(cls, items) -> tuple[list[str], Iterator[list]]:
-    """Header and lazily built rows of ``cls`` instances, one column per field."""
-    header = [f.name for f in fields(cls)]
-    return header, ([getattr(item, name) for name in header] for item in items)
-
-
-def write_records_csv(records: Sequence[SweepRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines(*_dataclass_table(SweepRecord, records)))
-
-
-def write_summary_csv(summaries: Sequence[SweepSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.writelines(_csv_lines(*_dataclass_table(SweepSummary, summaries)))

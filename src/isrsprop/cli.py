@@ -9,24 +9,20 @@ without a link as a one-span link of its fiber.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
+import itertools
 import json
+import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bench import (
-    SweepRecord,
-    SweepSummary,
-    _csv_lines,
-    _dataclass_table,
-    run_order_sweep,
-    write_records_csv,
-    write_summary_csv,
-)
+from .bench import SweepRecord, SweepSummary, run_order_sweep
 from .closedform import power_profile
 from .config import RunConfig, parse_config
 from .errors import (
@@ -52,6 +48,55 @@ def _dbm_path(path: Path, spectra: Sequence[PowerSpectrum]) -> Path:
             raise ConfigurationError(f"{path.stem}: channel {i} ({s.grid.frequencies[i]:.4f} THz) "
                                      f"is at 0 W at z = {s.z:g} km, which has no dBm value")
     return path
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+_QUOTE_OR_BREAK = re.compile('["\r\n]')
+
+
+def _csv_lines(header, rows):
+    """Yield the CSV lines of a table, header first, each ending in CRLF.
+
+    The text is what ``csv.writer`` writes for ``[_fmt(v) for v in row]``.
+    Each distinct tuple of cell types gets one cached ``%`` format (``%.9g``
+    for float subclasses, ``%s`` otherwise) applied to the whole row.  Only
+    a row that needs quoting goes through ``csv.writer``: a text cell holds
+    a comma, a quote or a line break, or the row is one text cell (``[""]``
+    is written ``""``).  Lines are yielded one at a time, so a large table
+    is never held as one string.
+    """
+    formats = {}
+    buffer = io.StringIO()
+    quoting = csv.writer(buffer)
+    for row in itertools.chain((header,), rows):
+        cells = tuple(row)
+        types = tuple(map(type, cells))
+        pattern = formats.get(types)
+        if pattern is None:
+            specs = ["%.9g" if issubclass(t, float) else "%s" for t in types]
+            pattern = formats[types] = (",".join(specs), "%s" in specs)
+        fmt, has_text = pattern
+        line = fmt % cells
+        # a %.9g float never holds a comma, a quote or a line break
+        if has_text and (len(cells) == 1 or line.count(",") != len(cells) - 1
+                         or _QUOTE_OR_BREAK.search(line)):
+            quoting.writerow([_fmt(v) for v in cells])
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+        else:
+            yield line + "\r\n"
+
+
+def _dataclass_table(cls, items) -> tuple[list[str], Iterator[list]]:
+    """Header and lazily built rows of ``cls`` instances, one column per field."""
+    header = [f.name for f in fields(cls)]
+    return header, ([getattr(item, name) for name in header] for item in items)
 
 
 def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) -> None:
@@ -157,16 +202,13 @@ def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
 def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
     sweep = _require(cfg, "sweep", "a sweep section")
     records, summaries = run_order_sweep(sweep, workers=workers)
-    if fmt == "json":
-        for kind, cls, items in (("records", SweepRecord, records),
-                                 ("summary", SweepSummary, summaries)):
-            head, rows = _dataclass_table(cls, items)
+    for kind, cls, items in (("records", SweepRecord, records),
+                             ("summary", SweepSummary, summaries)):
+        head, rows = _dataclass_table(cls, items)
+        if fmt == "json":
             # the CSV's 9 significant digits, so last-bit noise moves neither format
             rows = ([float("%.9g" % v) if isinstance(v, float) else v for v in row] for row in rows)
-            _write_table(out / f"{cfg.name}_sweep_{kind}.json", head, rows, fmt)
-        return
-    write_records_csv(records, out / f"{cfg.name}_sweep_records.csv")
-    write_summary_csv(summaries, out / f"{cfg.name}_sweep_summary.csv")
+        _write_table(out / f"{cfg.name}_sweep_{kind}.csv", head, rows, fmt)
 
 
 def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:

@@ -89,9 +89,10 @@ class TargetSpectrum:
 
     @staticmethod
     def _check(values: np.ndarray) -> None:
-        """Reject target values that are not positive."""
-        if (values <= 0).any():
-            raise ConfigurationError("target values must be positive")
+        """Reject target values that are not finite and positive."""
+        # min propagates NaN, so two reductions catch every bad value
+        if not (values.min() > 0 and values.max() < math.inf):
+            raise ConfigurationError("target values must be positive and finite")
 
     def shape(self) -> np.ndarray:
         """Values rescaled to unit sum."""
@@ -232,7 +233,8 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
     """Launch powers (checked like a spectrum's) realizing the unit-sum output ``shape``.
 
     The shape-only root-find of :func:`preemphasis_single_span` for the span
-    of ``constants``.
+    of ``constants``.  A launch with a channel at 0 W, its power underflowed,
+    is a :class:`ConfigurationError`.
     """
     PowerSpectrum._check(shape)
     # Shaping values, alpha0 and the reference are scale-free: derive once.
@@ -323,6 +325,14 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
             root = math.exp(0.5 * (u_low + u_high))
     powers = launch_at(root)
     PowerSpectrum._check(powers)
+    underflowed = int(np.count_nonzero(powers == 0.0))
+    if underflowed:
+        total_dbm = 10.0 * math.log10(total_launch_power / 1e-3)
+        raise ConfigurationError(
+            f"the launch for the shape-only target at {total_dbm:.6g} dBm total over "
+            f"{length:g} km leaves {underflowed} of {powers.size} channels at 0 W "
+            "(their powers underflow)"
+        )
     return powers
 
 

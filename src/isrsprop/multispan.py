@@ -8,6 +8,7 @@ and a fixed-gain policy are available as variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -37,13 +38,15 @@ class AmplifierSpec:
             raise ConfigurationError(
                 f"unknown gain policy {self.gain_policy!r}; expected one of {GAIN_POLICIES}"
             )
-        if self.gain_policy == "fixed-gain" and (self.gain is None or self.gain <= 0):
-            raise ConfigurationError("fixed-gain amplifier needs a positive linear gain")
+        if self.gain_policy == "fixed-gain" and (
+            self.gain is None or not 0 < self.gain < math.inf
+        ):
+            raise ConfigurationError("fixed-gain amplifier needs a finite, positive linear gain")
         if self.noise_figure_db is not None:
             for band, nf in self.noise_figure_db.items():
-                if nf <= 0:
+                if not 0 < nf < math.inf:
                     raise ConfigurationError(
-                        f"noise figure for band {band!r} must be > 0 dB"
+                        f"noise figure for band {band!r} must be finite and > 0 dB"
                     )
 
 

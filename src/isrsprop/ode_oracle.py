@@ -57,8 +57,9 @@ class SolverOptions:
     raman_model: str = "triangular"
 
     def __post_init__(self):
-        if self.steps_per_span < 1:
-            raise ConfigurationError("steps_per_span must be >= 1")
+        if not isinstance(self.steps_per_span, (int, np.integer)) or self.steps_per_span < 1:
+            raise ConfigurationError(
+                f"steps_per_span must be an integer >= 1, got {self.steps_per_span!r}")
         if self.raman_model not in ("triangular", "tabulated"):
             raise ConfigurationError("raman_model must be 'triangular' or 'tabulated'")
 

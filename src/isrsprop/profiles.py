@@ -119,8 +119,8 @@ class ChannelGrid:
         object.__setattr__(self, "frequencies", freqs)
         if freqs.ndim != 1 or freqs.size == 0:
             raise ConfigurationError("grid needs at least one channel")
-        if self.spacing <= 0:
-            raise ConfigurationError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigurationError("spacing must be positive and finite")
         diffs = np.diff(freqs)
         if freqs.size > 1 and not np.all(np.abs(diffs - self.spacing) <= _EDGE_TOL):
             raise ConfigurationError("channel frequencies must be uniformly spaced")
@@ -226,8 +226,8 @@ def build_channel_grid(
     ``(name, f_low, f_high)`` tuples.  Every band width must be an integer
     multiple of ``spacing`` so channels fill the bands exactly.
     """
-    if spacing <= 0:
-        raise ConfigurationError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise ConfigurationError("spacing must be positive and finite")
     if isinstance(band_plan, str):
         try:
             names = BAND_PLANS[band_plan]
@@ -272,20 +272,24 @@ class AttenuationProfile:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.alpha <= 0:
-                raise ConfigurationError("constant attenuation must be positive")
+            if not 0 < self.alpha < math.inf:
+                raise ConfigurationError("constant attenuation must be positive and finite")
         elif self.kind == "parabolic":
-            if self.alpha <= 0:
-                raise ConfigurationError("parabolic minimum attenuation must be positive")
+            if not 0 < self.alpha < math.inf:
+                raise ConfigurationError(
+                    "parabolic minimum attenuation must be positive and finite")
+            if not (math.isfinite(self.vertex) and math.isfinite(self.curvature)):
+                raise ConfigurationError("parabolic vertex and curvature must be finite")
         elif self.kind == "tabulated":
             f = _freeze(self.sample_frequencies)
             a = _freeze(self.sample_db_per_km)
             if f.size < 2 or f.size != a.size:
                 raise ConfigurationError("tabulated attenuation needs matching f/alpha samples")
-            if np.any(np.diff(f) <= 0):
-                raise ConfigurationError("tabulated attenuation frequencies must be ascending")
-            if np.any(a <= 0):
-                raise ConfigurationError("tabulated attenuation must be positive")
+            if not (np.isfinite(f).all() and (np.diff(f) > 0).all()):
+                raise ConfigurationError(
+                    "tabulated attenuation frequencies must be finite and ascending")
+            if not ((a > 0) & (a < math.inf)).all():
+                raise ConfigurationError("tabulated attenuation must be positive and finite")
             object.__setattr__(self, "sample_frequencies", f)
             object.__setattr__(self, "sample_db_per_km", a)
         else:
@@ -373,17 +377,19 @@ class RamanGainModel:
 
     def __post_init__(self):
         if self.kind == "triangular":
-            if self.slope < 0 or self.window <= 0:
-                raise ConfigurationError("triangular gain needs slope >= 0 and window > 0")
+            if not (0 <= self.slope < math.inf and 0 < self.window < math.inf):
+                raise ConfigurationError(
+                    "triangular gain needs a finite slope >= 0 and a finite window > 0")
         elif self.kind == "tabulated":
             df = _freeze(self.sample_separations)
             g = _freeze(self.sample_gains)
             if df.size < 2 or df.size != g.size:
                 raise ConfigurationError("tabulated gain needs matching df/gain samples")
-            if np.any(np.diff(df) <= 0) or df[0] < 0:
-                raise ConfigurationError("tabulated separations must be ascending and >= 0")
-            if np.any(g < 0):
-                raise ConfigurationError("tabulated gain must be non-negative")
+            if not (np.isfinite(df).all() and (np.diff(df) > 0).all() and df[0] >= 0):
+                raise ConfigurationError(
+                    "tabulated separations must be finite, ascending and >= 0")
+            if not ((g >= 0) & (g < math.inf)).all():
+                raise ConfigurationError("tabulated gain must be finite and non-negative")
             if df[0] == 0 and g[0] != 0:
                 raise ConfigurationError("tabulated gain must vanish at zero separation")
             object.__setattr__(self, "sample_separations", df)

@@ -14,14 +14,8 @@ from isrsprop import (
     run_order_sweep,
     total_power_error_ratio,
 )
-from isrsprop.bench import (
-    SweepRecord,
-    _csv_lines,
-    summarize,
-    write_records_csv,
-    write_summary_csv,
-)
-from isrsprop import closedform
+from isrsprop.bench import SweepRecord, SweepSummary, summarize
+from isrsprop import cli, closedform
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
@@ -150,7 +144,7 @@ class TestSweep:
 
         eps_values = [1.0, 1.001, 0.999, 1.002, 0.998, 1.5]  # one far point
         records = [
-            SweepRecord("C", 0.4, -1.0, 100.0, 3, e, 0.01, 0.0, 0.0) for e in eps_values
+            SweepRecord("C", 0.4, -1.0, 100.0, 3, e, 0.01) for e in eps_values
         ]
         s = summarize(records)[0]
         assert s.outlier_count == 1
@@ -159,8 +153,8 @@ class TestSweep:
         records, summaries = run_order_sweep(SMALL)
         rec_path = tmp_path / "records.csv"
         sum_path = tmp_path / "summary.csv"
-        write_records_csv(records, rec_path)
-        write_summary_csv(summaries, sum_path)
+        cli._write_table(rec_path, *cli._dataclass_table(SweepRecord, records), "csv")
+        cli._write_table(sum_path, *cli._dataclass_table(SweepSummary, summaries), "csv")
         lines = rec_path.read_text().splitlines()
         assert lines[0].startswith("band,raman_peak,")
         assert len(lines) == 5
@@ -357,27 +351,26 @@ class TestCsvLines:
     @given(tables())
     def test_matches_csv_writer(self, table):
         header, rows = table
-        assert "".join(_csv_lines(header, rows)) == csv_writer_reference(header, rows)
+        assert "".join(cli._csv_lines(header, rows)) == csv_writer_reference(header, rows)
 
     @pytest.mark.parametrize("row", [[""], ["a,b"], ["a"], ['"'], [], ["", ""], [1.5, "x\ny"]])
     def test_quoting_edge_rows(self, row):
         for header, rows in ((row, []), (["h"], [row, [0.1, 2], row])):
-            assert "".join(_csv_lines(header, rows)) == csv_writer_reference(header, rows)
+            assert "".join(cli._csv_lines(header, rows)) == csv_writer_reference(header, rows)
 
     def test_records_with_an_instability_error(self, tmp_path):
         message = "negative channel power at z = 1.500 km; increase steps_per_span (currently 8)"
         nan = float("nan")
         records = [
-            SweepRecord("C", 0.4, -1.0, 100.0, 3, 1.0001, 0.0125, 0.002, 0.0004),
-            SweepRecord("CL", 0.35, 12.0, 150.0, 3, nan, nan, 0.0, 0.0,
+            SweepRecord("C", 0.4, -1.0, 100.0, 3, 1.0001, 0.0125),
+            SweepRecord("CL", 0.35, 12.0, 150.0, 3, nan, nan,
                         error=repr(NumericalInstabilityError(message))),
-            SweepRecord("CL", 0.35, 12.0, 150.0, 4, nan, nan, 0.0, 0.0,
+            SweepRecord("CL", 0.35, 12.0, 150.0, 4, nan, nan,
                         error=repr(ValueError("bad cell, 'quoted', \"twice\"\nagain"))),
-            SweepRecord("C", np.float64(0.3), -5.0, 50.0, np.int64(6), np.float64(0.99), 0.5,
-                        1e-3, 2e-4),
+            SweepRecord("C", np.float64(0.3), -5.0, 50.0, np.int64(6), np.float64(0.99), 0.5),
         ]
         path = tmp_path / "records.csv"
-        write_records_csv(records, path)
+        cli._write_table(path, *cli._dataclass_table(SweepRecord, records), "csv")
         header = [f.name for f in dataclasses.fields(SweepRecord)]
         rows = [[getattr(r, c) for c in header] for r in records]
         assert path.read_bytes() == csv_writer_reference(header, rows).encode()

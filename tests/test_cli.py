@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isrsprop import cli
-from isrsprop.bench import _csv_lines
 from isrsprop.cli import build_parser, main
 from isrsprop.config import parse_config
 
@@ -446,7 +445,7 @@ class TestCommands:
                     json.dumps(records, indent=1, default=float) + "\n")
             else:
                 with open(path, "w", newline="") as fh:
-                    fh.write("".join(_csv_lines(header, list(rows))))
+                    fh.write("".join(cli._csv_lines(header, list(rows))))
 
         monkeypatch.setattr(cli, "_longitudinal_table", list_built_table)
         monkeypatch.setattr(cli, "_write_table", dumping_writer)
@@ -473,7 +472,7 @@ class TestCommands:
         assert (tmp_path / "t.json").read_text() == expected
 
     def test_sweep_json_holds_the_csv_values(self, tmp_path):
-        # both formats round floats to 9 significant digits; timing differs run to run
+        # both formats round floats to 9 significant digits
         path = small_config(
             tmp_path, name="sw",
             sweep={"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
@@ -490,12 +489,26 @@ class TestCommands:
             for record, row in zip(records, table):
                 assert list(record) == list(row)
                 for key, value in record.items():
-                    if key in ("oracle_seconds", "closedform_seconds"):
-                        continue
                     if isinstance(value, str):
                         assert value == row[key]
                     else:
                         assert value == float(row[key]), (kind, key)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_writes_the_same_bytes_on_every_run(self, tmp_path, fmt):
+        path = small_config(
+            tmp_path, name="sw",
+            sweep={"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
+                   "length_count": 1, "orders": [1, 3], "steps_per_span": 20},
+        )
+        written = []
+        for run, workers in enumerate(("1", "1", "2", "2")):
+            out = tmp_path / f"run{run}"
+            assert main(["sweep", "--config", str(path), "--output", str(out),
+                         "--format", fmt, "--workers", workers]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(written[0]) == [f"sw_sweep_records.{fmt}", f"sw_sweep_summary.{fmt}"]
+        assert all(files == written[0] for files in written[1:])
 
     def test_sweep_csv(self, tmp_path):
         path = small_config(
@@ -669,14 +682,15 @@ class TestRejectedInputs:
             ("fig6_multi_span_clu", "multispan", _set("launch", power_dbm_per_channel=30.0),
              "fig6_multi_span_clu_multispan_longitudinal: channel 283 (193.2750 THz) "
              "is at 0 W at z = 7 km, which has no dBm value"),
+            # channels of the launch the shape-only inverse finds at 50 dBm underflow
             ("preemph_multi_span_clu", "preemph",
              _set("launch", total_launch_power_dbm=50.0),
-             "preemph_multi_span_clu_preemph_launch: channel 22 (180.2250 THz) "
-             "is at 0 W at z = 0 km, which has no dBm value"),
-            # channels of the launch the inverse finds at 50 dBm carry no power
+             "the launch for the shape-only target at 50 dBm total over 50 km leaves "
+             "139 of 333 channels at 0 W (their powers underflow)"),
             ("fig7_osnr_flat_clu", "osnr-target",
              _set("osnr_target", total_launch_power_dbm=50.0),
-             "signal vanishes at a span input; ASE ratio undefined"),
+             "the launch for the shape-only target at 50 dBm total over 50 km leaves "
+             "139 of 333 channels at 0 W (their powers underflow)"),
             ("preemph_single_span_clu", "preemph",
              _set(None, launch={"mode": "preemphasis",
                                 "target": {"shape": "flat", "power_dbm_per_channel": 10.0}}),

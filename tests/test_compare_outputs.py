@@ -9,15 +9,15 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.p
 compare = runpy.run_path(str(SCRIPT))
 
 OLD_CSV = (
-    "band,order,eps_p,max_deviation_db,oracle_seconds,p_dbm_191.0000,total_dbm\r\n"
-    "C,1,1.00000001,0.0123456789,0.5,-1.5,20.25\r\n"
-    "C,2,0.99999999,0.00987654321,0.25,-2,20.5\r\n"
+    "band,order,eps_p,max_deviation_db,p_dbm_191.0000,total_dbm\r\n"
+    "C,1,1.00000001,0.0123456789,-1.5,20.25\r\n"
+    "C,2,0.99999999,0.00987654321,-2,20.5\r\n"
 )
-# eps_p and two dB cells moved; the timing column changed too, but it is left out
+# eps_p and two dB cells moved
 NEW_CSV = (
-    "band,order,eps_p,max_deviation_db,oracle_seconds,p_dbm_191.0000,total_dbm\r\n"
-    "C,1,1.00000002,0.0123456789,0.75,-1.5,20.2500001\r\n"
-    "C,2,0.99999999,0.00987654331,0.5,-2,20.5\r\n"
+    "band,order,eps_p,max_deviation_db,p_dbm_191.0000,total_dbm\r\n"
+    "C,1,1.00000002,0.0123456789,-1.5,20.2500001\r\n"
+    "C,2,0.99999999,0.00987654331,-2,20.5\r\n"
 )
 
 

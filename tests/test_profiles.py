@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isrsprop import (
+    AmplifierSpec,
     AttenuationProfile,
     Band,
     ChannelGrid,
@@ -13,6 +14,8 @@ from isrsprop import (
     FiberSpec,
     PowerSpectrum,
     RamanGainModel,
+    SolverOptions,
+    TargetSpectrum,
     attenuation_at,
     build_channel_grid,
     convert_units,
@@ -223,3 +226,43 @@ class TestNonFiniteInput:
     def test_fiber_length_must_be_positive_and_finite(self, length):
         with pytest.raises(ConfigurationError, match="fiber length"):
             FiberSpec(default_attenuation(), default_raman(), length)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: AmplifierSpec("fixed-gain", gain=np.nan), "linear gain"),
+            (lambda: AmplifierSpec("fixed-gain", gain=np.inf), "linear gain"),
+            (lambda: AmplifierSpec(noise_figure_db={"C": np.nan}), "noise figure for band 'C'"),
+            (lambda: TargetSpectrum.absolute_dbm(build_channel_grid("C"), np.nan),
+             "target values"),
+            (lambda: TargetSpectrum(build_channel_grid("C"), np.full(81, np.inf)),
+             "target values"),
+            (lambda: AttenuationProfile.constant(np.nan), "constant attenuation"),
+            (lambda: AttenuationProfile.parabolic(np.nan, 193.5, 1e-5), "minimum attenuation"),
+            (lambda: AttenuationProfile.parabolic(0.04, np.nan, 1e-5), "vertex and curvature"),
+            (lambda: AttenuationProfile.parabolic(0.04, 193.5, np.nan), "vertex and curvature"),
+            (lambda: AttenuationProfile.from_table([190.0, 196.0], [0.2, np.nan]),
+             "tabulated attenuation must"),
+            (lambda: AttenuationProfile.from_table([190.0, np.nan], [0.2, 0.2]),
+             "tabulated attenuation frequencies"),
+            (lambda: RamanGainModel.triangular(slope=np.nan), "triangular gain"),
+            (lambda: RamanGainModel.triangular(peak=np.nan), "triangular gain"),
+            (lambda: RamanGainModel.triangular(peak=0.4, window=np.inf), "triangular gain"),
+            (lambda: RamanGainModel.from_table([0.0, 13.0], [0.0, np.nan]), "tabulated gain"),
+            (lambda: RamanGainModel.from_table([np.nan, 13.0], [0.0, 0.4]),
+             "tabulated separations"),
+            (lambda: SolverOptions(steps_per_span=2.5), "steps_per_span must be an integer"),
+            (lambda: build_channel_grid("C", np.nan), "spacing"),
+            (lambda: ChannelGrid(np.array([193.0]), np.nan, (Band("X", 192.975, 193.025),)),
+             "spacing"),
+        ],
+        ids=["amp-gain-nan", "amp-gain-inf", "amp-nf-nan", "target-nan", "target-inf",
+             "constant-alpha-nan", "parabolic-alpha-nan", "parabolic-vertex-nan",
+             "parabolic-curvature-nan", "tabulated-alpha-nan", "tabulated-frequency-nan",
+             "raman-slope-nan", "raman-peak-nan", "raman-window-inf", "raman-table-nan",
+             "raman-separation-nan", "steps-not-integer", "grid-spacing-nan",
+             "channel-grid-spacing-nan"],
+    )
+    def test_value_types_reject_non_finite_parameters(self, build, match):
+        with pytest.raises(ConfigurationError, match=match):
+            build()
