@@ -18,6 +18,9 @@ from isrsprop.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ALL_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+# 8 cells in four (band, peak) groups, two orders each
+TWO_BAND_SWEEP = {"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
+                  "length_count": 1, "orders": [1, 3], "steps_per_span": 20}
 
 
 def small_config(tmp_path, **overrides):
@@ -473,11 +476,7 @@ class TestCommands:
 
     def test_sweep_json_holds_the_csv_values(self, tmp_path):
         # both formats round floats to 9 significant digits
-        path = small_config(
-            tmp_path, name="sw",
-            sweep={"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
-                   "length_count": 1, "orders": [1, 3], "steps_per_span": 20},
-        )
+        path = small_config(tmp_path, name="sw", sweep=TWO_BAND_SWEEP)
         for fmt in ("csv", "json"):
             assert main(["sweep", "--config", str(path), "--output", str(tmp_path),
                          "--format", fmt]) == 0
@@ -496,11 +495,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_writes_the_same_bytes_on_every_run(self, tmp_path, fmt):
-        path = small_config(
-            tmp_path, name="sw",
-            sweep={"band_plans": ["C", "CL"], "raman_peak_count": 2, "launch_power_count": 2,
-                   "length_count": 1, "orders": [1, 3], "steps_per_span": 20},
-        )
+        path = small_config(tmp_path, name="sw", sweep=TWO_BAND_SWEEP)
         written = []
         for run, workers in enumerate(("1", "1", "2", "2")):
             out = tmp_path / f"run{run}"
