@@ -57,21 +57,27 @@ class SweepConfig:
     steps_per_span: int = 50
 
     def __post_init__(self):
-        for count in (self.raman_peak_count, self.launch_power_count, self.length_count):
-            if count < 1:
-                raise ConfigurationError("sweep axis counts must be >= 1")
+        for name in ("raman_peak_count", "launch_power_count", "length_count", "steps_per_span"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ConfigurationError(f"sweep {name} must be >= 1 and an integer, got {count!r}")
         if not self.band_plans:
             raise ConfigurationError("sweep needs at least one band plan")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
         if any(order < 1 for order in self.orders):
             raise ConfigurationError(f"sweep orders must be >= 1, got {self.orders}")
-        if self.steps_per_span < 1:
-            raise ConfigurationError("sweep steps_per_span must be >= 1")
         if not all(math.isfinite(km) and km > 0 for km in self.length_range_km):
             raise ConfigurationError(
                 f"sweep span lengths must be finite and > 0, got {self.length_range_km}"
             )
+        for name in ("raman_peak_range", "launch_power_dbm_range"):
+            bounds = getattr(self, name)
+            if not all(math.isfinite(x) for x in bounds):
+                raise ConfigurationError(f"sweep {name} must be finite, got {bounds}")
+        if not 0 < self.spacing < math.inf:
+            raise ConfigurationError(
+                f"sweep spacing must be positive and finite, got {self.spacing!r}")
         # every cell builds this model at its own peak; building the lowest one
         # here rejects a bad peak, peak separation or window before any cell runs
         RamanGainModel.triangular(peak=min(self.raman_peak_range),
@@ -115,12 +121,12 @@ class SweepSummary:
 def _run_group(args) -> list[SweepRecord]:
     """Records of every cell sharing one (band plan, Raman peak), in cell order.
 
-    The cells share the grid and the fiber model, hence the coupling matrix,
-    so the oracle integrates them as one batch; only the launch power and
-    the span length vary.  After the batch, outside its memory peak, the
-    group builds its span constants once per order and span length and each
-    cell its shaping values once.  A failure is recorded on every record it
-    concerns: group, cell or order.
+    The cells share the grid and the fiber model, hence the oracle's span
+    operator, so the oracle integrates them as one batch; only the launch
+    power and the span length vary.  After the batch, outside its memory
+    peak, the group builds its span constants once per order and span
+    length and each cell its shaping values once.  A failure is recorded on
+    every record it concerns: group, cell or order.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)

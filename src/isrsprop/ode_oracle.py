@@ -12,19 +12,19 @@ results are reproducible for a given step count; this module is the ground
 truth the closed-form solution is validated against.  It steps a (B, n)
 matrix of launches that share a grid and fiber model, one span length per
 row; :func:`integrate_span` is the one-row case that keeps every step.  Each
-RK4 stage applies the coupling matrix to the whole batch as one matrix
-product ``P @ K.T``.  A one-row batch gives the same bits as ``K @ p``; a
-row of a larger batch agrees with its one-row run to a few ulps, and its
-last bits depend on which rows share its batch.  The coupling matrix itself
-is built in place in one n x n buffer plus two boolean masks
-(:func:`_coupling_matrix`), which sets the oracle's memory high-water mark
-at about 1.25 times K's own bytes.
+RK4 stage applies the coupling kernel K to the whole batch at once.  For a
+triangular gain without the photon correction K is never formed: inside the
+window K[i, j] = slope (f_j - f_i), so K p is a rank-2 sum minus the pairs
+beyond the window, which sit in two mirrored corner blocks
+(:func:`_triangular_coupling`).  Every other model applies the dense K of
+:func:`_coupling_matrix`.  A row's last bits depend on which rows share its
+batch; the same batch always gives the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,12 +34,15 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
+    RamanGainModel,
     _freeze,
     _raman_gain_in_place,
     attenuation_at,
 )
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
+
+_Coupling = Callable[[np.ndarray], np.ndarray]  # K applied to the rows of a power matrix
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,13 @@ def _effective_raman(fiber: FiberSpec, options: SolverOptions):
 
 
 def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions) -> np.ndarray:
-    """Signed kernel K with dP = P * (K @ P) - alpha * P.
+    """Signed kernel K with dP = P * (K @ P) - alpha * P, as a dense n x n matrix.
 
     K[i, j] = +g(f_j - f_i) for f_j above f_i, -(f_i/f_j)^c g(f_i - f_j) below.
     Without the photon correction K is antisymmetric, so lossless propagation
-    conserves total power exactly.
+    conserves total power exactly.  The oracle applies this K for a tabulated
+    model or with the photon correction; a triangular model without it goes
+    through :func:`_triangular_coupling`, which couples the same pairs.
 
     K is built in place in one n x n buffer: the differences f_j - f_i, their
     magnitudes, the gain written over them by the function behind
@@ -114,41 +119,85 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
     return k
 
 
+def _triangular_coupling(f: np.ndarray, raman: RamanGainModel) -> _Coupling:
+    """``p -> K p`` on the rows of ``p`` for a triangular gain without the photon correction.
+
+    Inside the window K[i, j] = slope (f_j - f_i), so with g = f - mean(f),
+    (K p)_i = slope (sum_j g_j p_j - g_i sum_j p_j): one product with the
+    (n, 2) matrix slope [g, 1].  The pairs beyond the window, where K is 0,
+    are then taken out again.  Since f ascends they all sit in the corner c
+    of rows with f[-1] - f_i > window and columns with f_j - f[0] > window,
+    and in its mirror -c.T (the two counts can differ by one).  c holds
+    slope (f_j - f_i) where f_j - f_i > window and 0 elsewhere, decided by
+    :func:`_coupling_matrix`'s own float test on ``f[None, :] - f[:, None]``,
+    so K's pairs are coupled and no others.  A
+    stage costs about 6 B n + 4 B e e' flops for a (B, n) batch and e x e'
+    corner, against 2 B n^2 for the dense K, and nothing n x n is held.
+    """
+    slope, window = raman.slope, raman.window
+    g = f - f.mean()
+    weights = slope * np.stack([g, np.ones_like(g)], axis=1)
+    rows = int(np.count_nonzero(f[-1] - f > window))
+    cols = int(np.count_nonzero(f - f[0] > window))
+    corner = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
+    inside = corner <= window
+    corner *= slope
+    np.copyto(corner, 0.0, where=inside)
+
+    def coupling(p: np.ndarray) -> np.ndarray:
+        s = p @ weights
+        kp = s[..., :1] - s[..., 1:] * g
+        if rows:
+            kp[..., :rows] -= p[..., -cols:] @ corner.T
+            kp[..., -cols:] += p[..., :rows] @ corner
+        return kp
+
+    return coupling
+
+
 def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions):
-    """(K, read-only alpha) of a grid and fiber model; the span length plays no part in either."""
-    k = _coupling_matrix(grid, fiber, options)
-    return k, _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
+    """(K's action on the rows of a power matrix, read-only alpha) of a grid and fiber model.
+
+    A triangular gain without the photon correction gets
+    :func:`_triangular_coupling`; every other model the dense
+    :func:`_coupling_matrix`.  The span length plays no part in either.
+    """
+    raman = _effective_raman(fiber, options)
+    if raman.kind == "triangular" and not options.photon_correction:
+        coupling = _triangular_coupling(grid.frequencies, raman)
+    else:
+        kt = _coupling_matrix(grid, fiber, options).T
+
+        def coupling(p: np.ndarray) -> np.ndarray:
+            return p @ kt
+
+    return coupling, _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
 
 
 def isrs_derivative(
     spectrum: PowerSpectrum, fiber: FiberSpec, options: SolverOptions = SolverOptions()
 ) -> np.ndarray:
     """Per-channel dP/dz in W/km at the spectrum's position."""
-    k, alpha = _span_operator(spectrum.grid, fiber, options)
+    coupling, alpha = _span_operator(spectrum.grid, fiber, options)
     p = spectrum.powers
-    return p * (k @ p) - alpha * p
+    return p * coupling(p) - alpha * p
 
 
-def _rk4(p0: np.ndarray, k: np.ndarray, alpha: np.ndarray, h: np.ndarray, steps: int):
+def _rk4(p0: np.ndarray, coupling: _Coupling, alpha: np.ndarray, h: np.ndarray, steps: int):
     """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
 
     Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
-    Each stage forms every row's ``K @ p_b`` at once as ``p @ K.T``, one
-    matrix product over the batch.  With one row BLAS computes that product
-    as the matrix-vector ``K @ p``, bit for bit, so every single-span and
-    link result is what a plain ``K @ p`` RK4 gives.  With more rows it
-    blocks and sums in another order: a row then matches its one-row run to
-    a few ulps, and its last bits depend on the other rows of its batch
-    (the same batch always gives the same bits).
+    Each stage applies K to every row at once through ``coupling`` (see
+    :func:`_span_operator`).  A row's last bits depend on the other rows of
+    its batch; the same batch always gives the same bits.
     Yields ``(rows, p, unstable)`` after each step: the batch indices of the
     rows still integrating, their state, and the mask of those with a power
     below ``_NEGATIVE_FLOOR`` or not finite (an overflowing launch).
     Unstable rows leave the batch before the next step; the others carry on.
     """
-    kt = k.T
 
     def deriv(p):
-        return p * (p @ kt) - alpha * p
+        return p * coupling(p) - alpha * p
 
     rows = np.arange(p0.shape[0])
     p = p0.copy()
@@ -170,16 +219,16 @@ def _instability_message(p: np.ndarray, z: float, steps: int) -> str:
 
 
 def _integrate_span(
-    launch: PowerSpectrum, length: float, operator: tuple[np.ndarray, np.ndarray], steps: int
+    launch: PowerSpectrum, length: float, operator: tuple[_Coupling, np.ndarray], steps: int
 ) -> PropagationResult:
-    """:func:`integrate_span` with the ``(K, alpha)`` pair of the grid and fiber model given."""
+    """:func:`integrate_span` with the grid and fiber model's ``(coupling, alpha)`` given."""
     if launch.z != 0.0:
         raise ConfigurationError("span integration expects a launch spectrum at z = 0")
-    k, alpha = operator
+    coupling, alpha = operator
     h = length / steps
     spectra = [launch]
     for i, (_, p, unstable) in enumerate(
-        _rk4(launch.powers[None, :], k, alpha, np.array([[h]]), steps)
+        _rk4(launch.powers[None, :], coupling, alpha, np.array([[h]]), steps)
     ):
         if unstable[0]:
             raise NumericalInstabilityError(_instability_message(p[0], (i + 1) * h, steps))
@@ -202,10 +251,10 @@ def integrate_span(
 def _integrate_batch(
     launch_powers: np.ndarray,
     lengths: Sequence[float],
-    operator: tuple[np.ndarray, np.ndarray],
+    operator: tuple[_Coupling, np.ndarray],
     steps: int,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Output powers of B launches through spans that share one ``(K, alpha)`` pair.
+    """Output powers of B launches through spans that share one ``(coupling, alpha)`` pair.
 
     Row b of the (B, n) ``launch_powers`` (W) goes through a span
     ``lengths[b]`` km long.  Returns the (B, n) output powers and one error
@@ -214,11 +263,11 @@ def _integrate_batch(
     :func:`integrate_span`'s final powers to a few ulps; its last bits
     depend on which rows share its batch (see :func:`_rk4`).
     """
-    k, alpha = operator
+    coupling, alpha = operator
     h = np.asarray(lengths, dtype=float)[:, None] / steps
     out = np.full(launch_powers.shape, np.nan)
     errors = [""] * len(h)
-    for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, k, alpha, h, steps)):
+    for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, coupling, alpha, h, steps)):
         for row, b in zip(p[unstable], rows[unstable]):
             errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
     out[rows[~unstable]] = np.maximum(p[~unstable], 0.0)  # the rows that finished
@@ -232,8 +281,9 @@ def propagate_link_numerical(
 
     ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
     z; ``result.longitudinal([r.spectra for r in result.span_results])``
-    lays the samples out along the link.  K and alpha are built once per
-    distinct (Raman model, attenuation) pair of the link's spans.
+    lays the samples out along the link.  The span operator (coupling and
+    alpha) is built once per distinct (Raman model, attenuation) pair of the
+    link's spans.
     """
     operators = {}
 

@@ -83,6 +83,26 @@ SMALL = SweepConfig(
 )
 
 
+class TestSweepConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps_per_span", 2.5),
+            ("steps_per_span", 0),
+            ("length_count", 2.0),
+            ("raman_peak_range", (0.3, float("nan"))),
+            ("launch_power_dbm_range", (float("nan"), 0.0)),
+            ("launch_power_dbm_range", (-5.0, float("inf"))),
+            ("spacing", float("nan")),
+            ("spacing", 0.0),
+        ],
+    )
+    def test_bad_field_is_rejected_at_construction(self, field, value):
+        # each failed only once the sweep ran, in a message naming no sweep field
+        with pytest.raises(ConfigurationError, match=f"^sweep {field} must be"):
+            SweepConfig(**{field: value})
+
+
 class TestSweep:
     def test_degenerate_config_record_count(self):
         records, summaries = run_order_sweep(SMALL)

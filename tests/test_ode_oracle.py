@@ -120,6 +120,74 @@ class TestCouplingMatrix:
                 assert np.array_equal(np.signbit(k), np.signbit(ref)), case
 
 
+def uniform_x_grid(n):
+    """n channels 50 GHz apart from 190 THz in one band."""
+    return ChannelGrid(190.0 + 0.05 * (np.arange(n) + 0.5), 0.05,
+                       (Band("X", 190.0, 190.0 + 0.05 * n),))
+
+
+class TestSpanOperator:
+    """The triangular operator applies the dense K it replaces; other models apply K itself."""
+
+    @staticmethod
+    def assert_applies_k(grid):
+        fiber = FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
+        options = SolverOptions()
+        k = _coupling_matrix(grid, fiber, options)
+        coupling, _ = _span_operator(grid, fiber, options)
+        rng = np.random.default_rng(5)
+        for batch in (1, 25):
+            powers = rng.uniform(1e-5, 2e-3, (batch, grid.n_channels))
+            expected = powers @ k.T
+            np.testing.assert_allclose(coupling(powers), expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+        # K's own entries: a pair moved across the window edge is off by the
+        # peak gain (about 0.44 /W/km), rounding by about 1e-15
+        np.testing.assert_allclose(coupling(np.eye(grid.n_channels)), k.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spacing", [0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("plan", ["C", "CL", "CLU", "SCL", "SCLU"])
+    def test_triangular_operator_applies_k(self, plan, spacing):
+        # C and CL fit inside the window (no corner); SCL and SCLU drop
+        # pairs exactly one window apart, which must stay dropped
+        self.assert_applies_k(build_channel_grid(plan, spacing))
+
+    @pytest.mark.parametrize("n", [397, 354, 1000])
+    def test_triangular_operator_applies_k_on_a_one_band_grid(self, n):
+        # 1000 channels span 50 THz, over three windows: the corner then holds
+        # pairs below the diagonal beyond the window, which its mirror takes out
+        self.assert_applies_k(uniform_x_grid(n))
+
+    @pytest.mark.parametrize(
+        "raman, options, dense",
+        [
+            (default_raman(0.4), SolverOptions(), False),
+            (TABULATED_RAMAN, SolverOptions(), False),  # its triangular fit
+            (default_raman(0.4), SolverOptions(photon_correction=True), True),
+            (TABULATED_RAMAN, SolverOptions(raman_model="tabulated"), True),
+        ],
+        ids=["triangular", "triangular-fit", "photon-correction", "tabulated"],
+    )
+    def test_only_other_models_build_the_dense_k(self, cl_grid, raman, options, dense,
+                                                 monkeypatch):
+        from isrsprop import ode_oracle
+
+        calls = []
+        build = ode_oracle._coupling_matrix
+        monkeypatch.setattr(ode_oracle, "_coupling_matrix",
+                            lambda *args: calls.append(1) or build(*args))
+        fiber = FiberSpec(default_attenuation(), raman, 50.0)
+        coupling, _ = _span_operator(cl_grid, fiber, options)
+        assert len(calls) == dense
+        powers = np.random.default_rng(6).uniform(1e-5, 2e-3, (5, cl_grid.n_channels))
+        expected = powers @ build(cl_grid, fiber, options).T
+        if dense:
+            assert np.array_equal(coupling(powers), expected)
+        else:
+            np.testing.assert_allclose(coupling(powers), expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
+
+
 class TestIntegrateSpan:
     def test_raman_free_is_exponential_decay(self, clu_grid):
         # RK4 per-step error ~ (alpha h)^5 / 120, so keep alpha L modest to
@@ -232,9 +300,8 @@ class TestIntegrateBatch:
                                        rtol=1e-13)
 
     @staticmethod
-    def matvec_samples(powers, length, operator, steps):
-        """Every RK4 sample of one launch, each stage one matrix-vector ``K @ p``."""
-        k, alpha = operator
+    def matvec_samples(powers, length, k, alpha, steps):
+        """Every RK4 sample of one launch, each stage one matrix-vector ``K @ p`` of the dense K."""
         h = length / steps
 
         def deriv(p):
@@ -254,8 +321,8 @@ class TestIntegrateBatch:
         "grid",
         [
             build_channel_grid("SCLU"),  # 528 channels
-            *(ChannelGrid(190.0 + 0.05 * (np.arange(n) + 0.5), 0.05,
-                          (Band("X", 190.0, 190.0 + 0.05 * n),)) for n in (397, 354)),
+            uniform_x_grid(397),
+            uniform_x_grid(354),
         ],
         ids=["SCLU", "397-channels", "354-channels"],
     )
@@ -269,19 +336,20 @@ class TestIntegrateBatch:
 
     @GRIDS
     def test_one_row_is_bit_identical_to_a_matrix_vector_rk4(self, grid):
-        # every single-span and link output rests on this: BLAS computes a
-        # one-row p @ K.T as K @ p; a BLAS that stops doing so fails here
+        # a one-row batch is integrate_span, bit for bit; both agree with an
+        # RK4 on the dense K's matrix-vector K @ p, the operator's reference
         powers, lengths, fiber, options, operator = self.batch_case(grid)
+        k = _coupling_matrix(grid, fiber, options)
         for p, length in zip(powers, lengths):
-            expected = self.matvec_samples(p, length, operator, options.steps_per_span)
+            expected = self.matvec_samples(p, length, k, operator[1], options.steps_per_span)
             out, errors = _integrate_batch(p[None, :], [length], operator,
                                            options.steps_per_span)
-            assert errors == ("",) and np.array_equal(out[0], expected[-1])
             span = integrate_span(PowerSpectrum(grid, p),
                                   FiberSpec(fiber.attenuation, fiber.raman, length), options)
+            assert errors == ("",) and np.array_equal(out[0], span.final.powers)
             assert len(span.spectra) == len(expected)
             for sample, powers_at_z in zip(span.spectra, expected):
-                assert np.array_equal(sample.powers, powers_at_z)
+                np.testing.assert_allclose(sample.powers, powers_at_z, rtol=1e-13)
 
     @GRIDS
     def test_batch_rows_are_repeatable_and_match_integrate_span(self, grid):
@@ -331,8 +399,8 @@ class TestPropagateLink:
         from isrsprop import ode_oracle
 
         calls = []
-        build = ode_oracle._coupling_matrix
-        monkeypatch.setattr(ode_oracle, "_coupling_matrix",
+        build = ode_oracle._span_operator
+        monkeypatch.setattr(ode_oracle, "_span_operator",
                             lambda *args: calls.append(1) or build(*args))
         launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
         shared = LinkSpec.uniform(default_fiber_50, 3)
