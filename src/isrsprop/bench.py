@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import _link_constants, _profile, _shaping, _span_params
+from .closedform import _profile, _shaping, _span_constants, _span_params
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -32,10 +32,15 @@ def total_power_error_ratio(closedform_out: PowerSpectrum, oracle_out: PowerSpec
     """Closed-form total output power over the oracle's (unity when exact)."""
     if not _same_grid(closedform_out.grid, oracle_out.grid):
         raise ConfigurationError("spectra must share a grid")
-    denom = oracle_out.total_power
-    if denom <= 0:
+    return float(_error_ratio(closedform_out.powers, oracle_out.powers))
+
+
+def _error_ratio(closed: np.ndarray, oracle: np.ndarray):
+    """:func:`total_power_error_ratio` of power arrays, along the last axis."""
+    denom = oracle.sum(axis=-1)
+    if np.any(denom <= 0):
         raise ConfigurationError("oracle total power must be positive")
-    return closedform_out.total_power / denom
+    return closed.sum(axis=-1) / denom
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,13 @@ class SweepConfig:
             raise ConfigurationError("sweep needs at least one band plan")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
+        if not all(isinstance(order, (int, np.integer)) for order in self.orders):
+            raise ConfigurationError(f"sweep orders must be integers, got {self.orders}")
         if any(order < 1 for order in self.orders):
             raise ConfigurationError(f"sweep orders must be >= 1, got {self.orders}")
+        if len(set(self.orders)) < len(self.orders):
+            # a repeated order would run twice and count twice in its summary
+            raise ConfigurationError(f"sweep orders must be distinct, got {self.orders}")
         if not all(math.isfinite(km) and km > 0 for km in self.length_range_km):
             raise ConfigurationError(
                 f"sweep span lengths must be finite and > 0, got {self.length_range_km}"
@@ -118,67 +128,109 @@ class SweepSummary:
     mean_abs_error: float
 
 
+def _batch_or_rows(compute, count: int):
+    """``compute(rows)`` for all ``count`` rows of a batch at once, or for each row alone.
+
+    ``rows`` is a slice: all rows, or, when that raises, one row at a time,
+    so a failure is recorded on the rows it concerns and every other row
+    keeps its result.  Returns the rows that succeeded, their results
+    stacked along the first axis, and ``{row: repr(error)}`` for the others.
+    """
+    try:
+        return np.arange(count), compute(slice(None)), {}
+    except Exception:  # recomputed row by row below
+        pass
+    done, results, errors = [], [], {}
+    for b in range(count):
+        try:
+            results.append(compute(slice(b, b + 1)))
+            done.append(b)
+        except Exception as exc:
+            errors[b] = repr(exc)
+    return np.array(done, dtype=int), (np.concatenate(results) if results else None), errors
+
+
 def _run_group(args) -> list[SweepRecord]:
     """Records of every cell sharing one (band plan, Raman peak), in cell order.
 
     The cells share the grid and the fiber model, hence the oracle's span
     operator, so the oracle integrates them as one batch; only the launch
     power and the span length vary.  After the batch, outside its memory
-    peak, the group builds its span constants once per order and span
-    length and each cell its shaping values once.  A failure is recorded on
-    every record it concerns: group, cell or order.
+    peak, the closed form runs on the (B, n) rows the oracle finished: their
+    shaping values in one pass, then one pass per order with one span length
+    per row.  alpha(f_i) is evaluated once for the oracle and once for the
+    closed form.  A failure is recorded on every record it concerns (group,
+    cell or order): a pass that raises is run again row by row, so each
+    failing cell and order gets the error of its own spectrum.
     """
     config, band, peak, cells = args
     grid = build_channel_grid(band, config.spacing)
     raman = RamanGainModel.triangular(
         peak=peak, peak_separation=config.raman_peak_separation, window=config.raman_window
     )
-    fibers = [FiberSpec(attenuation=config.attenuation, raman=raman, length=length)
-              for _, length in cells]
-    launches = [PowerSpectrum.flat_dbm(grid, power_dbm) for power_dbm, _ in cells]
+    # the span length plays no part in the oracle's operator or the order-free constants
+    fiber = FiberSpec(attenuation=config.attenuation, raman=raman, length=cells[0][1])
+    launches = np.array([PowerSpectrum.flat_dbm(grid, power_dbm).powers for power_dbm, _ in cells])
+    lengths = np.array([length for _, length in cells])
     options = SolverOptions(steps_per_span=config.steps_per_span)
-
-    def failed(power_dbm, length, n, error) -> SweepRecord:
-        nan = float("nan")
-        return SweepRecord(band, peak, power_dbm, length, n, nan, nan, error=error)
-
+    results: dict[tuple[int, int], tuple[float, float] | str] = {}
     try:
         outputs, messages = _integrate_batch(
-            np.array([launch.powers for launch in launches]),
-            [length for _, length in cells],
-            _span_operator(grid, fibers[0], options),  # the span length plays no part
-            options.steps_per_span,
-        )
-        errors = [repr(NumericalInstabilityError(m)) if m else "" for m in messages]
-        cell_constants = list(zip(*(_link_constants(grid, fibers, n) for n in config.orders)))
+            launches, lengths, _span_operator(grid, fiber, options), options.steps_per_span)
+        errors = {b: repr(NumericalInstabilityError(m)) for b, m in enumerate(messages) if m}
+        constants = _span_constants(grid, fiber, 1)
     except Exception as exc:  # failed cells are recorded, the sweep continues
-        errors = [repr(exc)] * len(cells)
+        errors = dict.fromkeys(range(len(cells)), repr(exc))
+    cell_rows = np.array([b for b in range(len(cells)) if b not in errors], dtype=int)
+    if cell_rows.size:
+        p, oracle, lengths = launches, outputs, lengths
+        if errors:
+            p, oracle, lengths = (x[cell_rows] for x in (p, oracle, lengths))
+        totals = p.sum(axis=1, keepdims=True)
+        c = constants
+        # an order-free failure fails every order of its cell alike
+        done, shaping, failed = _batch_or_rows(
+            lambda r: _shaping(p[r], totals[r], c.window, c.spacing, c.indices), len(cell_rows))
+        if failed:
+            errors.update((cell_rows[i], error) for i, error in failed.items())
+            cell_rows, p, oracle, totals, lengths = (
+                x[done] for x in (cell_rows, p, oracle, totals, lengths))
+        oracle_dbm = oracle / 1e-3
+        np.log10(oracle_dbm, out=oracle_dbm)
+        oracle_dbm *= 10.0
+        c = c._replace(length=lengths[:, None], alpha_length=c.alpha * lengths[:, None])
+        for n in config.orders:
+            cn = c._replace(order=n, alpha_n=c.alpha**n)
+
+            def evaluate(r):
+                cr = cn._replace(length=cn.length[r], alpha_length=cn.alpha_length[r])
+                alpha0, ref, _, growth = _span_params(p[r], totals[r], shaping[r], cr)
+                closed = _profile(p[r], cr.alpha_length, shaping[r], ref, totals[r] * growth,
+                                  alpha0, cr.slope, cr.length)
+                PowerSpectrum._check(closed)
+                eps = _error_ratio(closed, oracle[r])
+                closed /= 1e-3
+                dev = np.log10(closed, out=closed)
+                dev *= 10.0
+                dev -= oracle_dbm[r]
+                np.abs(dev, out=dev)
+                return np.stack([eps, dev.max(axis=-1)], axis=-1)
+
+            done, values, failed = _batch_or_rows(evaluate, len(cell_rows))
+            results.update(((cell_rows[i], n), error) for i, error in failed.items())
+            if values is not None:
+                results.update(((cell_rows[i], n), tuple(v)) for i, v in
+                               zip(done, values.tolist()))
     records = []
-    for b, ((power_dbm, length), launch) in enumerate(zip(cells, launches)):
-        if errors[b]:
-            records.extend(failed(power_dbm, length, n, errors[b]) for n in config.orders)
-            continue
-        oracle = PowerSpectrum(grid, outputs[b])
-        oracle_dbm = 10.0 * np.log10(oracle.powers / 1e-3)
-        p = launch.powers
-        try:
-            c = cell_constants[b][0]  # the shaping values do not depend on the order
-            total = p.sum()
-            shaping = _shaping(p, total, c.window, c.spacing, c.indices)
-        except Exception as exc:  # an order-free failure fails every order alike
-            records.extend(failed(power_dbm, length, n, repr(exc)) for n in config.orders)
-            continue
-        for n, c in zip(config.orders, cell_constants[b]):
-            try:
-                alpha0, ref, _, growth = _span_params(p, total, shaping, c)
-                closed = PowerSpectrum(grid, _profile(p, c.alpha_length, shaping, ref,
-                                                      float(total * growth), alpha0,
-                                                      c.slope, length), z=length)
-                eps = total_power_error_ratio(closed, oracle)
-                dev = float(np.abs(10.0 * np.log10(closed.powers / 1e-3) - oracle_dbm).max())
-                records.append(SweepRecord(band, peak, power_dbm, length, n, eps, dev))
-            except Exception as exc:
-                records.append(failed(power_dbm, length, n, repr(exc)))
+    nan = float("nan")
+    for b, (power_dbm, length) in enumerate(cells):
+        for n in config.orders:
+            value = errors.get(b) or results[b, n]
+            if isinstance(value, str):
+                records.append(SweepRecord(band, peak, power_dbm, length, n, nan, nan,
+                                           error=value))
+            else:
+                records.append(SweepRecord(band, peak, power_dbm, length, n, *value))
     return records
 
 

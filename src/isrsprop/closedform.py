@@ -20,6 +20,11 @@ alpha_i L) is built once per public call and distinct span by
 :func:`_span_constants`; no grid keeps it.  The builder (:func:`_shaping`,
 :func:`_span_params`, :func:`_profile`) works on plain arrays, sums each spectrum
 once and runs every check of :class:`ClosedFormParams` and of the spectra.
+It works along the last axis: one (n,) spectrum with scalar totals, alpha0
+and span length, or a (B, n) batch of spectra with a (B, 1) column of each,
+in one pass over the batch.  The per-row scalars (the power mean, expm1, exp and log) are
+evaluated with Python ``math`` row by row (:func:`_per_row`), so a row of a
+batch gets its own spectrum's scalars and a single spectrum keeps its bits.
 """
 
 from __future__ import annotations
@@ -93,7 +98,9 @@ class _SpanConstants(NamedTuple):
 
     ``indices`` are the :func:`_window_indices` of the Raman window on the
     grid; ``alpha`` is the read-only alpha(f_i) of the fiber, ``alpha_n`` is
-    alpha_i^n and ``alpha_length`` is alpha_i L.
+    alpha_i^n and ``alpha_length`` is alpha_i L.  For a (B, n) batch of
+    spectra on spans of different lengths, ``length`` is a (B, 1) column and
+    ``alpha_length`` a (B, n) matrix.
     """
 
     slope: float
@@ -169,15 +176,69 @@ def shaping_function(launch: PowerSpectrum, window: float) -> np.ndarray:
 
 
 def _shaping(p: np.ndarray, total, window: float, bs: float, indices: tuple) -> np.ndarray:
-    """:func:`shaping_function` of the powers ``p``, whose sum is ``total``."""
-    if total <= 0:
+    """:func:`shaping_function` of the powers ``p`` along its last axis, whose sum is ``total``.
+
+    ``total`` is a scalar for one spectrum and a (B, 1) column for a (B, n) batch.
+    """
+    if _any(total <= 0):
         raise ConfigurationError("shaping function needs positive total power")
     win_high, win_low, upper, lower = indices
-    csum = np.concatenate(([0.0], p.cumsum()))
+    zero = np.zeros(p.shape[:-1] + (1,))
+    csum = np.concatenate((zero, p.cumsum(axis=-1)), axis=-1)
     # index n of the zero-padded powers stands for an out-of-range channel
-    padded = np.concatenate((p, [0.0]))
-    beta = csum[win_high] - csum[win_low] - (window / bs) * (padded[upper] + padded[lower])
-    return beta.cumsum() * bs / total
+    padded = np.concatenate((p, zero), axis=-1)
+    edges = _gather(padded, upper)
+    edges += _gather(padded, lower)
+    edges *= window / bs
+    beta = _gather(csum, win_high)
+    beta -= _gather(csum, win_low)
+    beta -= edges
+    shaping = beta.cumsum(axis=-1)
+    shaping *= bs
+    shaping /= total
+    return shaping
+
+
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x[..., index]``, with every row of a batch contiguous in the result.
+
+    A batch gathers with ``take``, whose rows stay contiguous (indexing would
+    give them a stride of B), so every later sum along a row adds in the
+    order of that spectrum alone; one spectrum indexes, which is faster.
+    """
+    return x[index] if x.ndim == 1 else x.take(index, axis=-1)
+
+
+def _any(mask) -> bool:
+    """Whether a per-row condition holds on any row: a scalar's own truth for one spectrum."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all(mask) -> bool:
+    """Whether a per-row condition holds on every row: a scalar's own truth for one spectrum."""
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _per_row(scalar, *values):
+    """``scalar`` of each row's values, evaluated with Python ``math``.
+
+    For one spectrum the ``values`` are scalars and this is ``scalar(*values)``.
+    For a batch they are (B, 1) columns, the first one always (the others may
+    be scalars shared by every row), and ``scalar`` runs once per row on
+    Python floats; its result, a float or a tuple of floats, comes back as
+    (B, 1) columns.  Row by row, not as numpy's vectorized exp, expm1, log
+    and power, which may round otherwise: a row of a batch then has the
+    scalars, and raises the errors (a float division by zero included), of
+    its spectrum alone.
+    """
+    if not isinstance(values[0], np.ndarray) or not values[0].ndim:
+        return scalar(*values)
+    count = len(values[0])
+    rows = list(map(scalar, *(v.ravel().tolist() if np.ndim(v) else [v] * count
+                              for v in values)))
+    if isinstance(rows[0], tuple):
+        return tuple(np.array(column)[:, None] for column in zip(*rows))
+    return np.array(rows)[:, None]
 
 
 @functools.lru_cache(maxsize=64)
@@ -204,16 +265,21 @@ def total_attenuation_coefficient(
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
     alpha = attenuation_at(attenuation, launch.grid.frequencies)
-    return _power_mean(alpha**order * launch.powers, launch.total_power, order)
+    return _power_mean((alpha**order * launch.powers).sum(), launch.total_power, order)
 
 
-def _power_mean(weighted: np.ndarray, total: float, order: int) -> float:
-    """Order-n power mean of alpha from ``weighted`` = alpha^n times powers summing to ``total``."""
+def _power_mean(weighted_sum, total, order: int) -> float:
+    """Order-n power mean of alpha from the sum of alpha^n times powers summing to ``total``."""
     if order < 1:
         raise ConfigurationError("approximation order must be a positive integer")
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
-    return float((weighted.sum() / total) ** (1.0 / order))
+    return float((weighted_sum / total) ** (1.0 / order))
+
+
+def _decay(alpha0: float, z: float) -> float:
+    """(1 - e^{-alpha0 z}) / alpha0 in km: the effective length of a span z km long."""
+    return -math.expm1(-alpha0 * z) / alpha0
 
 
 def _shaping_ref(
@@ -221,32 +287,69 @@ def _shaping_ref(
     shaping: np.ndarray,
     weighted: np.ndarray,
     alpha: np.ndarray,
-    alpha0: float,
+    alpha0,
     order: int,
     slope: float,
-    z: float,
-) -> float:
+    z,
+):
     """Reference shaping value (THz) that balances the modeled total power at z.
 
     ``weighted`` is alpha^n times the spectrum's powers, which sum to ``total``.
     Computed with max-subtracted log-sum-exp so large slope * P_T * L_eff
     products do not overflow; channels without power take no part in it.
+    Along the last axis: ``total``, ``alpha0`` and ``z`` are scalars for one
+    spectrum and (B, 1) columns for a (B, n) batch, which gets a column.
     """
-    weights = weighted / (alpha0**order * total)
-    leff_z = -math.expm1(-alpha0 * z) / alpha0
+    norm, leff_z = _per_row(_reference_scalars, alpha0, total, z, order)
     scale = slope * total * leff_z
-    if scale == 0.0:
-        # z -> 0 or slope -> 0 limit: the balance reduces to the weighted mean shaping value
-        return float((weights * shaping).sum())
-    exponent = (alpha0 - alpha) * z - slope * shaping * total * leff_z
-    positive = weights > 0
-    if not positive.all():
-        if not positive.any():
-            raise ConfigurationError("closed form needs at least one channel that carries power")
-        weights, exponent = weights[positive], exponent[positive]
-    m = exponent.max()
-    log_sum = m + math.log((weights * np.exp(exponent - m)).sum())
+    flat = scale == 0.0
+    if _all(flat):  # z -> 0 or slope -> 0: the balance reduces to the weighted mean shaping value
+        return (weighted / norm * shaping).sum(axis=-1, keepdims=shaping.ndim > 1)
+    exponent = np.subtract(alpha0, alpha)
+    exponent *= z
+    weights = slope * shaping  # the tilt term first, then the weights in its place
+    weights *= total
+    weights *= leff_z
+    exponent -= weights
+    np.divide(weighted, norm, out=weights)
+    log_sum = _log_sum_exp(weights, exponent)
+    if _any(flat):  # rows of a batch on both sides of the limit
+        mean = (weights * shaping).sum(axis=-1, keepdims=True)
+        return np.where(flat, mean, -log_sum / np.where(flat, 1.0, scale))
     return -log_sum / scale
+
+
+def _reference_scalars(alpha0: float, total: float, z: float, order: int) -> tuple[float, float]:
+    """``(alpha0^n P_T, L_eff(z))``: the weights' norm and the effective length of the balance."""
+    return alpha0**order * total, _decay(alpha0, z)
+
+
+def _log_sum_exp(weights: np.ndarray, exponent: np.ndarray):
+    """log(sum_j weights_j e^{exponent_j}) along the last axis, overwriting ``exponent``.
+
+    Max-subtracted over the positive weights only: a channel without weight
+    takes no part, not even as a zero term, so every row sums its terms as
+    its spectrum alone does.
+    """
+    positive = weights > 0
+    batch = weights.ndim > 1  # a (B, 1) column per row, not a scalar
+    if positive.all():
+        top = exponent.max(axis=-1, keepdims=batch)
+        exponent -= top
+        np.exp(exponent, out=exponent)
+        exponent *= weights
+        sums = exponent.sum(axis=-1, keepdims=batch)
+    else:
+        if not positive.any(axis=-1).all():
+            raise ConfigurationError("closed form needs at least one channel that carries power")
+        shape = weights.shape[:-1] + (1,) * batch
+        top, sums = np.empty(shape), np.empty(shape)
+        for row in np.ndindex(weights.shape[:-1]):
+            keep = positive[row]
+            x = exponent[row][keep]
+            top[row] = x.max()
+            sums[row] = (weights[row][keep] * np.exp(x - top[row])).sum()
+    return top + _per_row(math.log, sums)
 
 
 def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> ClosedFormParams:
@@ -278,7 +381,7 @@ def _closed_form_params(powers: np.ndarray, total, constants: _SpanConstants,
 
 
 def _span_params(powers: np.ndarray, total, shaping: np.ndarray, constants: _SpanConstants,
-                 at: float = 0.0) -> tuple[float, float, float, float]:
+                 at: float = 0.0) -> tuple:
     """``(alpha0, shaping_ref, effective_length, growth)`` of a spectrum known at z = ``at``.
 
     ``powers`` sum to ``total`` and have the shaping values ``shaping``.
@@ -289,37 +392,59 @@ def _span_params(powers: np.ndarray, total, shaping: np.ndarray, constants: _Spa
     and the launch total is ``total * growth``, growth being e^{alpha0 at}; a
     span whose loss makes that factor overflow is a
     :class:`ConfigurationError`.  The checks of :class:`ClosedFormParams` run
-    on the result.
+    on the result.  Along the last axis: (n,) powers with a scalar total give
+    floats; a (B, n) batch with a (B, 1) column of totals, and constants that
+    may hold one span length per row, gives (B, 1) columns.
     """
     c = constants
     weighted = c.alpha_n * powers
-    alpha0 = _power_mean(weighted, total, c.order)
-    try:
-        growth = math.exp(alpha0 * at)
-    except OverflowError:
-        loss_db = convert_units(alpha0, "1/km", "dB/km") * at
-        raise ConfigurationError(f"span loss of {loss_db:.6g} dB over {c.length:g} km is too "
-                                 "large to invert: the launch total it implies overflows") from None
+    weighted_sum = weighted.sum(axis=-1, keepdims=powers.ndim > 1)
+    alpha0, growth = _per_row(_alpha0_and_growth, weighted_sum, total, c.length, c.order, at)
     ref = _shaping_ref(total, shaping, weighted, c.alpha, alpha0, c.order, c.slope,
                        c.length - at)
-    leff = -math.expm1(-alpha0 * c.length) / alpha0
-    ClosedFormParams._check(alpha0, leff, c.length)
+    leff = _per_row(_effective_length, alpha0, c.length)
     return alpha0, ref, leff, growth
 
 
-def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, ref: float,
-             total_launch_power: float, alpha0: float, slope: float, z: float) -> np.ndarray:
+def _alpha0_and_growth(weighted_sum: float, total: float, length: float, order: int,
+                       at: float) -> tuple[float, float]:
+    """alpha0 and e^{alpha0 at} of :func:`_span_params` for one spectrum."""
+    alpha0 = _power_mean(weighted_sum, total, order)
+    try:
+        return alpha0, math.exp(alpha0 * at)
+    except OverflowError:
+        loss_db = convert_units(alpha0, "1/km", "dB/km") * at
+        raise ConfigurationError(f"span loss of {loss_db:.6g} dB over {length:g} km is too "
+                                 "large to invert: the launch total it implies overflows") from None
+
+
+def _effective_length(alpha0: float, length: float) -> float:
+    """L_eff of a span ``length`` km long, checked as :class:`ClosedFormParams` checks it."""
+    leff = _decay(alpha0, length)
+    ClosedFormParams._check(alpha0, leff, length)
+    return leff
+
+
+def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, ref,
+             total_launch_power, alpha0, slope: float, z) -> np.ndarray:
     """Closed-form powers at z from the launch ``powers``; ``attenuation`` is alpha_i z.
 
     The exponent is the tilt term minus ``attenuation``, which equals
     -alpha_i z plus the tilt term bit for bit.  A channel without power stays
     at 0 W: the reference does not balance its exponent, which may overflow.
+    Along the last axis: ``ref``, ``total_launch_power``, ``alpha0`` and ``z``
+    are scalars for one spectrum and (B, 1) columns for a (B, n) batch.
     """
-    decay = -math.expm1(-alpha0 * z) / alpha0
-    exponent = slope * (ref - shaping) * total_launch_power * decay - attenuation
+    exponent = np.subtract(ref, shaping)
+    exponent *= slope
+    exponent *= total_launch_power
+    exponent *= _per_row(_decay, alpha0, z)
+    exponent -= attenuation
     if not powers.all():
         exponent[powers == 0] = -np.inf
-    return powers * np.exp(exponent, out=exponent)
+    np.exp(exponent, out=exponent)
+    exponent *= powers
+    return exponent
 
 
 def power_profile(

@@ -12,13 +12,15 @@ results are reproducible for a given step count; this module is the ground
 truth the closed-form solution is validated against.  It steps a (B, n)
 matrix of launches that share a grid and fiber model, one span length per
 row; :func:`integrate_span` is the one-row case that keeps every step.  Each
-RK4 stage applies the coupling kernel K to the whole batch at once.  For a
-triangular gain without the photon correction K is never formed: inside the
-window K[i, j] = slope (f_j - f_i), so K p is a rank-2 sum minus the pairs
-beyond the window, which sit in two mirrored corner blocks
-(:func:`_triangular_coupling`).  Every other model applies the dense K of
-:func:`_coupling_matrix`.  A row's last bits depend on which rows share its
-batch; the same batch always gives the same bits.
+RK4 stage applies one operator, ``net(P) = K P - alpha`` on the rows of P,
+to the whole batch at once, and multiplies by P in place.  For a triangular
+gain without the photon correction K is never formed: inside the window
+K[i, j] = slope (f_j - f_i), so K p - alpha is a rank-2 sum and the loss,
+taken as one (B, 3) @ (3, n) product, minus the pairs beyond the window,
+which sit in two mirrored corner blocks (:func:`_triangular_coupling`).
+Every other model applies the dense K of :func:`_coupling_matrix`.  A row's
+last bits depend on which rows share its batch; the same batch always gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .profiles import (
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
 
-_Coupling = Callable[[np.ndarray], np.ndarray]  # K applied to the rows of a power matrix
+_Net = Callable[[np.ndarray], np.ndarray]  # K P - alpha on the rows of a power matrix P
 
 
 @dataclass(frozen=True)
@@ -119,98 +121,131 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
     return k
 
 
-def _triangular_coupling(f: np.ndarray, raman: RamanGainModel) -> _Coupling:
-    """``p -> K p`` on the rows of ``p`` for a triangular gain without the photon correction.
+def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray) -> _Net:
+    """``p -> K p - alpha`` on the rows of ``p``: a triangular gain without the photon correction.
 
     Inside the window K[i, j] = slope (f_j - f_i), so with g = f - mean(f),
-    (K p)_i = slope (sum_j g_j p_j - g_i sum_j p_j): one product with the
-    (n, 2) matrix slope [g, 1].  The pairs beyond the window, where K is 0,
-    are then taken out again.  Since f ascends they all sit in the corner c
-    of rows with f[-1] - f_i > window and columns with f_j - f[0] > window,
-    and in its mirror -c.T (the two counts can differ by one).  c holds
-    slope (f_j - f_i) where f_j - f_i > window and 0 elsewhere, decided by
-    :func:`_coupling_matrix`'s own float test on ``f[None, :] - f[:, None]``,
-    so K's pairs are coupled and no others.  A
-    stage costs about 6 B n + 4 B e e' flops for a (B, n) batch and e x e'
+    (K p)_i - alpha_i = s0 - g_i s1 - alpha_i, where (s0, s1) = p slope [g, 1]
+    is one product with that (n, 2) matrix (padded to (n, 3) with zeros, so
+    the third entry can be set to 1) and the result one (B, 3) @ (3, n)
+    product of [s0, s1, 1] with the rows [1; -g; -alpha].  The pairs beyond
+    the window, where K is 0, are then taken out again.  Since f ascends they
+    all sit in the corner c of rows with f[-1] - f_i > window and columns with
+    f_j - f[0] > window, and in its mirror -c.T (the two counts can differ by
+    one).  c holds slope (f_j - f_i) where f_j - f_i > window and 0
+    elsewhere, decided by :func:`_coupling_matrix`'s own float test on
+    ``f[None, :] - f[:, None]``, so K's pairs are coupled and no others.  A
+    stage costs about 12 B n + 4 B e e' flops for a (B, n) batch and e x e'
     corner, against 2 B n^2 for the dense K, and nothing n x n is held.
+    Every array the operator keeps is read-only.
     """
     slope, window = raman.slope, raman.window
     g = f - f.mean()
-    weights = slope * np.stack([g, np.ones_like(g)], axis=1)
+    weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
+    basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
     rows = int(np.count_nonzero(f[-1] - f > window))
     cols = int(np.count_nonzero(f - f[0] > window))
     corner = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
     inside = corner <= window
     corner *= slope
     np.copyto(corner, 0.0, where=inside)
+    corner.flags.writeable = False
 
-    def coupling(p: np.ndarray) -> np.ndarray:
+    def net(p: np.ndarray) -> np.ndarray:
         s = p @ weights
-        kp = s[..., :1] - s[..., 1:] * g
+        s[..., 2] = 1.0
+        kp = s @ basis
         if rows:
             kp[..., :rows] -= p[..., -cols:] @ corner.T
             kp[..., -cols:] += p[..., :rows] @ corner
         return kp
 
-    return coupling
+    return net
 
 
-def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions):
-    """(K's action on the rows of a power matrix, read-only alpha) of a grid and fiber model.
+def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions) -> _Net:
+    """``net(P) = K P - alpha`` on the rows of a power matrix P, for a grid and fiber model.
 
-    A triangular gain without the photon correction gets
-    :func:`_triangular_coupling`; every other model the dense
-    :func:`_coupling_matrix`.  The span length plays no part in either.
+    dP/dz is then ``net(P) * P``.  A triangular gain without the photon
+    correction gets :func:`_triangular_coupling`, which folds the loss into
+    its rank-2 product; every other model the dense :func:`_coupling_matrix`,
+    applied as ``P @ K.T`` with alpha subtracted in place.  alpha(f_i) is
+    evaluated once per operator, and every array the operator keeps is
+    read-only.  The span length plays no part.
     """
+    alpha = _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
     raman = _effective_raman(fiber, options)
     if raman.kind == "triangular" and not options.photon_correction:
-        coupling = _triangular_coupling(grid.frequencies, raman)
-    else:
-        kt = _coupling_matrix(grid, fiber, options).T
+        return _triangular_coupling(grid.frequencies, raman, alpha)
+    k = _coupling_matrix(grid, fiber, options)
+    k.flags.writeable = False
+    kt = k.T
 
-        def coupling(p: np.ndarray) -> np.ndarray:
-            return p @ kt
+    def net(p: np.ndarray) -> np.ndarray:
+        kp = p @ kt
+        kp -= alpha
+        return kp
 
-    return coupling, _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
+    return net
 
 
 def isrs_derivative(
     spectrum: PowerSpectrum, fiber: FiberSpec, options: SolverOptions = SolverOptions()
 ) -> np.ndarray:
     """Per-channel dP/dz in W/km at the spectrum's position."""
-    coupling, alpha = _span_operator(spectrum.grid, fiber, options)
     p = spectrum.powers
-    return p * coupling(p) - alpha * p
+    d = _span_operator(spectrum.grid, fiber, options)(p)
+    d *= p
+    return d
 
 
-def _rk4(p0: np.ndarray, coupling: _Coupling, alpha: np.ndarray, h: np.ndarray, steps: int):
+def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
     """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
 
     Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
-    Each stage applies K to every row at once through ``coupling`` (see
-    :func:`_span_operator`).  A row's last bits depend on the other rows of
-    its batch; the same batch always gives the same bits.
+    Each stage is ``k = net(y); k *= y`` for every row at once (see
+    :func:`_span_operator`).  A step sums k1 + 2 k2 + 2 k3 + k4 into k1's
+    array and forms each stage's input in one reused buffer.  A row's last
+    bits depend on the other rows of its batch; the same batch always gives
+    the same bits.
     Yields ``(rows, p, unstable)`` after each step: the batch indices of the
     rows still integrating, their state, and the mask of those with a power
     below ``_NEGATIVE_FLOOR`` or not finite (an overflowing launch).
     Unstable rows leave the batch before the next step; the others carry on.
     """
-
-    def deriv(p):
-        return p * coupling(p) - alpha * p
-
     rows = np.arange(p0.shape[0])
-    p = p0.copy()
+    p = p0  # never written: every step makes a new state
+    y = np.empty_like(p)
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
-        k1 = deriv(p)
-        k2 = deriv(p + 0.5 * h * k1)
-        k3 = deriv(p + 0.5 * h * k2)
-        k4 = deriv(p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        total = net(p)
+        total *= p  # k1
+        np.multiply(half, total, out=y)
+        y += p
+        k = net(y)
+        k *= y  # k2
+        np.multiply(half, k, out=y)
+        y += p
+        k *= 2.0
+        total += k
+        k = net(y)
+        k *= y  # k3
+        np.multiply(h, k, out=y)
+        y += p
+        k *= 2.0
+        total += k
+        k = net(y)
+        k *= y  # k4
+        total += k
+        total *= sixth
+        total += p
+        p = total
         unstable = ~((p.min(axis=1) >= _NEGATIVE_FLOOR) & (p.max(axis=1) < np.inf))
         yield rows, p, unstable
         if unstable.any():
             rows, p, h = rows[~unstable], p[~unstable], h[~unstable]
+            y = np.empty_like(p)
+            half, sixth = 0.5 * h, h / 6.0
 
 
 def _instability_message(p: np.ndarray, z: float, steps: int) -> str:
@@ -219,16 +254,15 @@ def _instability_message(p: np.ndarray, z: float, steps: int) -> str:
 
 
 def _integrate_span(
-    launch: PowerSpectrum, length: float, operator: tuple[_Coupling, np.ndarray], steps: int
+    launch: PowerSpectrum, length: float, net: _Net, steps: int
 ) -> PropagationResult:
-    """:func:`integrate_span` with the grid and fiber model's ``(coupling, alpha)`` given."""
+    """:func:`integrate_span` with the grid and fiber model's :func:`_span_operator` given."""
     if launch.z != 0.0:
         raise ConfigurationError("span integration expects a launch spectrum at z = 0")
-    coupling, alpha = operator
     h = length / steps
     spectra = [launch]
     for i, (_, p, unstable) in enumerate(
-        _rk4(launch.powers[None, :], coupling, alpha, np.array([[h]]), steps)
+        _rk4(launch.powers[None, :], net, np.array([[h]]), steps)
     ):
         if unstable[0]:
             raise NumericalInstabilityError(_instability_message(p[0], (i + 1) * h, steps))
@@ -244,17 +278,17 @@ def integrate_span(
 
     The batched integrator with one row.
     """
-    operator = _span_operator(launch.grid, fiber, options)
-    return _integrate_span(launch, fiber.length, operator, options.steps_per_span)
+    net = _span_operator(launch.grid, fiber, options)
+    return _integrate_span(launch, fiber.length, net, options.steps_per_span)
 
 
 def _integrate_batch(
     launch_powers: np.ndarray,
     lengths: Sequence[float],
-    operator: tuple[_Coupling, np.ndarray],
+    net: _Net,
     steps: int,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Output powers of B launches through spans that share one ``(coupling, alpha)`` pair.
+    """Output powers of B launches through spans that share one :func:`_span_operator`.
 
     Row b of the (B, n) ``launch_powers`` (W) goes through a span
     ``lengths[b]`` km long.  Returns the (B, n) output powers and one error
@@ -263,11 +297,10 @@ def _integrate_batch(
     :func:`integrate_span`'s final powers to a few ulps; its last bits
     depend on which rows share its batch (see :func:`_rk4`).
     """
-    coupling, alpha = operator
     h = np.asarray(lengths, dtype=float)[:, None] / steps
     out = np.full(launch_powers.shape, np.nan)
     errors = [""] * len(h)
-    for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, coupling, alpha, h, steps)):
+    for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, net, h, steps)):
         for row, b in zip(p[unstable], rows[unstable]):
             errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
     out[rows[~unstable]] = np.maximum(p[~unstable], 0.0)  # the rows that finished
@@ -281,8 +314,8 @@ def propagate_link_numerical(
 
     ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
     z; ``result.longitudinal([r.spectra for r in result.span_results])``
-    lays the samples out along the link.  The span operator (coupling and
-    alpha) is built once per distinct (Raman model, attenuation) pair of the
+    lays the samples out along the link.  The span operator ``K P - alpha``
+    is built once per distinct (Raman model, attenuation) pair of the
     link's spans.
     """
     operators = {}

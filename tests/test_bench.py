@@ -15,7 +15,7 @@ from isrsprop import (
     total_power_error_ratio,
 )
 from isrsprop.bench import SweepRecord, SweepSummary, summarize
-from isrsprop import cli, closedform
+from isrsprop import bench, cli, closedform, ode_oracle
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
@@ -95,6 +95,9 @@ class TestSweepConfig:
             ("launch_power_dbm_range", (-5.0, float("inf"))),
             ("spacing", float("nan")),
             ("spacing", 0.0),
+            ("orders", (3, 3)),
+            ("orders", (2.5,)),
+            ("orders", (float("nan"),)),
         ],
     )
     def test_bad_field_is_rejected_at_construction(self, field, value):
@@ -228,8 +231,10 @@ class TestBatchedSweep:
             if error:
                 assert np.isnan(r.eps_p) and np.isnan(r.max_deviation_db)
             else:  # a batch row matches integrate_span to a few ulps, not bit for bit
-                np.testing.assert_allclose([r.eps_p, r.max_deviation_db], [eps, dev],
-                                           rtol=1e-13)
+                np.testing.assert_allclose(r.eps_p, eps, rtol=1e-13)
+                # a difference of two dB values of about -1 to -30 dBm: its
+                # rounding is absolute, a few ulps of those (about 1e-15 dB)
+                np.testing.assert_allclose(r.max_deviation_db, dev, rtol=0, atol=1e-13)
 
     def test_records_match_per_cell_integration(self):
         # the CL cells at 12 dBm go unstable at 8 steps, the rest of their group does not
@@ -258,26 +263,59 @@ class TestBatchedSweep:
         assert len(records) == 24 and not any(e[-1] for e in expected)
         self.assert_records_match(records, expected)
 
-    def test_span_constants_are_built_once_per_order_and_length(self, monkeypatch):
-        # 25 cells of one (band, peak) group share 5 span lengths: 5 x 6 bundles,
-        # where building them per cell and order made 150
+    def test_alpha_is_evaluated_twice_per_group(self, monkeypatch):
+        # two (band, peak) groups of 25 cells and 6 orders: alpha(f_i) once for
+        # each group's oracle operator and once for its closed form, where
+        # building the closed form's constants per order and span length made 60
         config = SweepConfig(
-            band_plans=("C",), raman_peak_count=1, launch_power_count=5, length_count=5,
+            band_plans=("C",), raman_peak_count=2, launch_power_count=5, length_count=5,
             steps_per_span=4,
         )
-        built = []
+        calls = []
+        for module in (ode_oracle, closedform):
+            def counted(profile, f, evaluate=module.attenuation_at, name=module.__name__):
+                calls.append(name)
+                return evaluate(profile, f)
 
-        def counted(*args):
-            built.append(args)
-            return span_constants(*args)
-
-        span_constants = closedform._span_constants
-        monkeypatch.setattr(closedform, "_span_constants", counted)
+            monkeypatch.setattr(module, "attenuation_at", counted)
         records, _ = run_order_sweep(config)
         monkeypatch.undo()
-        assert len(records) == 150 and len(built) == 30
-        assert len({(fiber.length, order) for _, fiber, order in built}) == 30
+        assert len(records) == 300
+        assert sorted(calls) == ["isrsprop.closedform"] * 2 + ["isrsprop.ode_oracle"] * 2
         self.assert_records_match(records, per_cell_reference(config))
+
+    def test_closed_form_rows_keep_the_bits_of_one_spectrum_each(self, monkeypatch):
+        # a group's closed form runs as one (B, n) pass per order, yet each row
+        # gets the bits of the one-spectrum path on that row's oracle output:
+        # its scalars come from Python math and its sums run in channel order
+        config = SweepConfig(
+            band_plans=("CLU",), raman_peak_count=1, launch_power_count=3, length_count=3,
+            orders=(1, 3, 6), steps_per_span=8,
+        )
+        batches = []
+        integrate = bench._integrate_batch
+        monkeypatch.setattr(bench, "_integrate_batch",
+                            lambda *args: batches.append(integrate(*args)) or batches[-1])
+        records, _ = run_order_sweep(config)
+        (outputs, _), = batches
+        grid = build_channel_grid("CLU", config.spacing)
+        raman = RamanGainModel.triangular(peak=config.raman_peak_range[0],
+                                          peak_separation=config.raman_peak_separation,
+                                          window=config.raman_window)
+        cells = [(float(p), float(km))
+                 for p in config.axis(config.launch_power_dbm_range, config.launch_power_count)
+                 for km in config.axis(config.length_range_km, config.length_count)]
+        expected = []
+        for (power, length), output in zip(cells, outputs):
+            launch = PowerSpectrum.flat_dbm(grid, power)
+            oracle = PowerSpectrum(grid, output)
+            fiber = FiberSpec(config.attenuation, raman, length)
+            for n in config.orders:
+                closed = power_profile(launch, derive_params(launch, fiber, n), raman.slope, length)
+                dev = np.abs(10.0 * np.log10(closed.powers / 1e-3)
+                             - 10.0 * np.log10(oracle.powers / 1e-3)).max()
+                expected.append((total_power_error_ratio(closed, oracle), float(dev)))
+        assert [(r.eps_p, r.max_deviation_db) for r in records] == expected
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_an_order_that_fails_alone_fails_only_itself(self):

@@ -156,10 +156,11 @@ class TestValidateConfig:
             ({"band_plans": "CLU"}, "sweep.band_plans: expected a list"),
             ({"steps_per_span": 0}, "sweep steps_per_span must be >= 1"),
             ({"orders": [3, 0]}, "sweep orders must be >= 1"),
+            ({"orders": [3, 3]}, "sweep orders must be distinct"),
             ({"length_range_km": [-50.0, 100.0]}, "sweep span lengths must be finite and > 0"),
         ],
         ids=["peak_separation-0", "window-0", "peak-negative", "plan-int", "plan-unknown",
-             "plans-string", "steps-0", "order-0", "length-negative"],
+             "plans-string", "steps-0", "order-0", "order-repeated", "length-negative"],
     )
     def test_sweep_section_is_checked_before_any_cell_runs(self, tmp_path, capsys, edit, match):
         # validate-config rejects what sweep would reject, with the same one line

@@ -1,8 +1,9 @@
-"""Memory budgets of the oracle's coupling operators and of the table writer.
+"""Memory budgets of the oracle's coupling operators, the sweep's closed form and the table writer.
 
 Measured with tracemalloc (numpy reports its buffers to it), never with
 timing, so the checks are deterministic: a change that brings back n x n
-temporaries in the K build, an n x n array in the triangular operator, or a
+temporaries in the K build, an n x n array in the triangular operator,
+out-of-place (B, n) temporaries in a sweep group's closed form, or a
 whole-table row list at the write, fails here.
 """
 
@@ -10,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from isrsprop import FiberSpec, PowerSpectrum, SolverOptions, build_channel_grid
+from isrsprop import FiberSpec, PowerSpectrum, SolverOptions, SweepConfig, build_channel_grid
+from isrsprop import bench
 from isrsprop.cli import _longitudinal_table, _write_table
 from isrsprop.ode_oracle import _coupling_matrix, _span_operator
 from isrsprop.profiles import default_attenuation, default_raman
@@ -58,6 +60,28 @@ def test_triangular_operator_holds_no_n_by_n_array():
     peak, held, _ = traced_memory(lambda: _span_operator(grid, fiber, SolverOptions()))
     assert held < 0.2 * k_bytes
     assert peak < 0.5 * k_bytes
+
+
+def test_sweep_group_closed_form_is_built_in_place(monkeypatch):
+    # one SCLU group, 25 cells of 528 channels and six orders, with the oracle's
+    # outputs handed in.  The group holds five (B, n) arrays (launches, oracle
+    # outputs and their dB values, shaping values, alpha_i L) and each order
+    # about three more at once, built in place: the peak is 9.3 of them.  Each
+    # out-of-place temporary of the exponent or the dB difference adds 1.
+    config = SweepConfig(band_plans=("SCLU",), raman_peak_count=1)
+    powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
+    lengths = config.axis(config.length_range_km, config.length_count)
+    group = (config, "SCLU", 0.35, [(float(p), float(km)) for p in powers for km in lengths])
+    integrate = bench._integrate_batch
+    done = []
+    monkeypatch.setattr(bench, "_integrate_batch",
+                        lambda *args: done.append(integrate(*args)) or done[0])
+    bench._run_group(group)
+    monkeypatch.setattr(bench, "_integrate_batch",
+                        lambda *args: (done[0][0].copy(), done[0][1]))
+    peak, _, records = traced_memory(lambda: bench._run_group(group))
+    assert len(records) == 150 and not any(r.error for r in records)
+    assert peak <= 10 * done[0][0].nbytes
 
 
 def test_longitudinal_table_is_written_row_by_row(tmp_path):

@@ -74,10 +74,15 @@ class TestDerivative:
 
 
     def test_span_operator_alpha_is_read_only(self, clu_grid, default_fiber_100):
-        _, alpha = _span_operator(clu_grid, default_fiber_100, SolverOptions())
-        assert not alpha.flags.writeable
-        assert np.array_equal(alpha, attenuation_at(default_fiber_100.attenuation,
-                                                    clu_grid.frequencies))
+        # alpha and every other array the operator keeps between calls, for the
+        # triangular operator and the dense K
+        alpha = attenuation_at(default_fiber_100.attenuation, clu_grid.frequencies)
+        for options in (SolverOptions(), SolverOptions(photon_correction=True)):
+            net = _span_operator(clu_grid, default_fiber_100, options)
+            kept = [cell.cell_contents for cell in net.__closure__
+                    if isinstance(cell.cell_contents, np.ndarray)]
+            assert kept and not any(array.flags.writeable for array in kept)
+            np.testing.assert_array_equal(net(np.zeros(clu_grid.n_channels)), -alpha)
 
 
 def elementwise_coupling_matrix(grid, fiber, options):
@@ -127,23 +132,27 @@ def uniform_x_grid(n):
 
 
 class TestSpanOperator:
-    """The triangular operator applies the dense K it replaces; other models apply K itself."""
+    """The triangular operator applies K P - alpha for the dense K it replaces.
+
+    Other models apply K itself.
+    """
 
     @staticmethod
     def assert_applies_k(grid):
         fiber = FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
         options = SolverOptions()
         k = _coupling_matrix(grid, fiber, options)
-        coupling, _ = _span_operator(grid, fiber, options)
+        alpha = attenuation_at(fiber.attenuation, grid.frequencies)
+        net = _span_operator(grid, fiber, options)
         rng = np.random.default_rng(5)
         for batch in (1, 25):
             powers = rng.uniform(1e-5, 2e-3, (batch, grid.n_channels))
-            expected = powers @ k.T
-            np.testing.assert_allclose(coupling(powers), expected, rtol=0,
-                                       atol=1e-13 * np.abs(expected).max())
+            kp = powers @ k.T
+            np.testing.assert_allclose(net(powers), kp - alpha, rtol=0,
+                                       atol=1e-13 * np.abs(kp).max())
         # K's own entries: a pair moved across the window edge is off by the
         # peak gain (about 0.44 /W/km), rounding by about 1e-15
-        np.testing.assert_allclose(coupling(np.eye(grid.n_channels)), k.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(net(np.eye(grid.n_channels)) + alpha, k.T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spacing", [0.05, 0.025, 0.0125])
     @pytest.mark.parametrize("plan", ["C", "CL", "CLU", "SCL", "SCLU"])
@@ -177,15 +186,16 @@ class TestSpanOperator:
         monkeypatch.setattr(ode_oracle, "_coupling_matrix",
                             lambda *args: calls.append(1) or build(*args))
         fiber = FiberSpec(default_attenuation(), raman, 50.0)
-        coupling, _ = _span_operator(cl_grid, fiber, options)
+        net = _span_operator(cl_grid, fiber, options)
         assert len(calls) == dense
         powers = np.random.default_rng(6).uniform(1e-5, 2e-3, (5, cl_grid.n_channels))
-        expected = powers @ build(cl_grid, fiber, options).T
+        kp = powers @ build(cl_grid, fiber, options).T
+        expected = kp - attenuation_at(fiber.attenuation, cl_grid.frequencies)
         if dense:
-            assert np.array_equal(coupling(powers), expected)
+            assert np.array_equal(net(powers), expected)
         else:
-            np.testing.assert_allclose(coupling(powers), expected, rtol=0,
-                                       atol=1e-13 * np.abs(expected).max())
+            np.testing.assert_allclose(net(powers), expected, rtol=0,
+                                       atol=1e-13 * np.abs(kp).max())
 
 
 class TestIntegrateSpan:
@@ -292,8 +302,8 @@ class TestIntegrateBatch:
     def test_rows_match_integrate_span(self, cl_grid, raman, options):
         powers, lengths = self.mixed_launches(cl_grid, 5)
         fiber = FiberSpec(AttenuationProfile.constant_db(0.2), raman, 1.0)
-        operator = _span_operator(cl_grid, fiber, options)
-        out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
+        net = _span_operator(cl_grid, fiber, options)
+        out, errors = _integrate_batch(powers, lengths, net, options.steps_per_span)
         assert errors == ("",) * 5
         for row, p, length in zip(out, powers, lengths):
             np.testing.assert_allclose(row, self.single(cl_grid, p, fiber, length, options),
@@ -338,12 +348,12 @@ class TestIntegrateBatch:
     def test_one_row_is_bit_identical_to_a_matrix_vector_rk4(self, grid):
         # a one-row batch is integrate_span, bit for bit; both agree with an
         # RK4 on the dense K's matrix-vector K @ p, the operator's reference
-        powers, lengths, fiber, options, operator = self.batch_case(grid)
+        powers, lengths, fiber, options, net = self.batch_case(grid)
         k = _coupling_matrix(grid, fiber, options)
+        alpha = attenuation_at(fiber.attenuation, grid.frequencies)
         for p, length in zip(powers, lengths):
-            expected = self.matvec_samples(p, length, k, operator[1], options.steps_per_span)
-            out, errors = _integrate_batch(p[None, :], [length], operator,
-                                           options.steps_per_span)
+            expected = self.matvec_samples(p, length, k, alpha, options.steps_per_span)
+            out, errors = _integrate_batch(p[None, :], [length], net, options.steps_per_span)
             span = integrate_span(PowerSpectrum(grid, p),
                                   FiberSpec(fiber.attenuation, fiber.raman, length), options)
             assert errors == ("",) and np.array_equal(out[0], span.final.powers)
@@ -354,9 +364,9 @@ class TestIntegrateBatch:
     @GRIDS
     def test_batch_rows_are_repeatable_and_match_integrate_span(self, grid):
         # a row's last bits depend on its batch, never on the run
-        powers, lengths, fiber, options, operator = self.batch_case(grid)
-        out, errors = _integrate_batch(powers, lengths, operator, options.steps_per_span)
-        again, _ = _integrate_batch(powers, lengths, operator, options.steps_per_span)
+        powers, lengths, fiber, options, net = self.batch_case(grid)
+        out, errors = _integrate_batch(powers, lengths, net, options.steps_per_span)
+        again, _ = _integrate_batch(powers, lengths, net, options.steps_per_span)
         assert errors == ("",) * 4
         assert np.array_equal(out, again)
         for row, p, length in zip(out, powers, lengths):
