@@ -14,9 +14,10 @@ With ``--against OLD/manifest.json`` the script then compares the new
 manifest with the old one, prints each run whose exit code, stdout or stderr
 differs and each file whose hash differs (or that only one side wrote), and
 exits 1 if there is any.  A file whose hash differs is read again beside its
-old copy under ``OLD/runs/`` to size the move: the count of cells that differ
-and the largest |delta| over the dB columns (a name ending in ``_db`` or
-``dbm``, or starting with ``p_dbm_``).  To check
+old copy under ``OLD/runs/`` to size the move: the count of cells that differ,
+the largest |delta| over the dB columns (a name ending in ``_db`` or
+``dbm``, or starting with ``p_dbm_``) and the largest relative |delta| over
+the other numeric cells (``rmse``, ``eps_p``, linear OSNR, ...).  To check
 that a change leaves every output as it was, fingerprint the parent, then
 the change against it:
 
@@ -31,6 +32,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,19 +62,27 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _table_move(old: Path, new: Path) -> str:
-    """How far a table moved: the cells that differ and the largest |delta| of a dB cell."""
+    """How far a table moved: the cells that differ, the largest |delta| of a dB cell
+    and the largest relative |delta| of any other numeric cell."""
     (header, old_rows), (new_header, new_rows) = _read_table(old), _read_table(new)
     if header != new_header or len(old_rows) != len(new_rows):
         return "header or row count differs"
     columns = [(i, _is_db_column(name)) for i, name in enumerate(header)]
-    changed, largest = 0, 0.0
+    changed, largest, relative = 0, 0.0, 0.0
     for before, after in zip(old_rows, new_rows):
         for i, db in columns:
             if before[i] != after[i]:
                 changed += 1
+                try:
+                    a, b = float(before[i]), float(after[i])
+                except ValueError:  # a text cell
+                    continue
                 if db:
-                    largest = max(largest, abs(float(after[i]) - float(before[i])))
-    return f"{changed} cells differ, max |delta| {largest:.3g} dB"
+                    largest = max(largest, abs(b - a))
+                elif b != a:
+                    relative = max(relative, abs(b - a) / abs(a) if a else math.inf)
+    return (f"{changed} cells differ, max |delta| {largest:.3g} dB, "
+            f"max relative |delta| {relative:.3g} elsewhere")
 
 
 def _differences(old: dict, new: dict, old_dir: Path, new_dir: Path) -> list[str]:

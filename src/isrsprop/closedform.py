@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -118,8 +119,10 @@ def _span_constants(grid: ChannelGrid, fiber: FiberSpec, order: int) -> _SpanCon
     """The per-span constants of ``fiber`` on ``grid`` at ``order``, alpha_i evaluated afresh.
 
     A tabulated Raman model is coerced to its triangular fit (the closed form
-    is parameterized by a slope and window only).
+    is parameterized by a slope and window only).  An order that is not an
+    integer >= 1 is a :class:`ConfigurationError`.
     """
+    _check_order(order)
     tri = fiber.raman.as_triangular()
     bs = grid.spacing
     indices = _window_indices(grid.n_channels, math.floor(tri.window / bs),
@@ -264,14 +267,20 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
+    _check_order(order)
     alpha = attenuation_at(attenuation, launch.grid.frequencies)
     return _power_mean((alpha**order * launch.powers).sum(), launch.total_power, order)
 
 
+def _check_order(order) -> None:
+    """Reject an approximation order that is not an integer >= 1."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise ConfigurationError(
+            f"approximation order must be a positive integer, got {order!r}")
+
+
 def _power_mean(weighted_sum, total, order: int) -> float:
     """Order-n power mean of alpha from the sum of alpha^n times powers summing to ``total``."""
-    if order < 1:
-        raise ConfigurationError("approximation order must be a positive integer")
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
     return float((weighted_sum / total) ** (1.0 / order))
@@ -288,19 +297,20 @@ def _shaping_ref(
     weighted: np.ndarray,
     alpha: np.ndarray,
     alpha0,
-    order: int,
+    norm,
+    leff_z,
     slope: float,
     z,
 ):
     """Reference shaping value (THz) that balances the modeled total power at z.
 
-    ``weighted`` is alpha^n times the spectrum's powers, which sum to ``total``.
+    ``weighted`` is alpha^n times the spectrum's powers, which sum to ``total``,
+    ``norm`` is alpha0^n ``total`` and ``leff_z`` the effective length of z.
     Computed with max-subtracted log-sum-exp so large slope * P_T * L_eff
     products do not overflow; channels without power take no part in it.
-    Along the last axis: ``total``, ``alpha0`` and ``z`` are scalars for one
-    spectrum and (B, 1) columns for a (B, n) batch, which gets a column.
+    Along the last axis: the scalar arguments are scalars for one spectrum
+    and (B, 1) columns for a (B, n) batch, which gets a column.
     """
-    norm, leff_z = _per_row(_reference_scalars, alpha0, total, z, order)
     scale = slope * total * leff_z
     flat = scale == 0.0
     if _all(flat):  # z -> 0 or slope -> 0: the balance reduces to the weighted mean shaping value
@@ -317,11 +327,6 @@ def _shaping_ref(
         mean = (weights * shaping).sum(axis=-1, keepdims=True)
         return np.where(flat, mean, -log_sum / np.where(flat, 1.0, scale))
     return -log_sum / scale
-
-
-def _reference_scalars(alpha0: float, total: float, z: float, order: int) -> tuple[float, float]:
-    """``(alpha0^n P_T, L_eff(z))``: the weights' norm and the effective length of the balance."""
-    return alpha0**order * total, _decay(alpha0, z)
 
 
 def _log_sum_exp(weights: np.ndarray, exponent: np.ndarray):
@@ -399,30 +404,29 @@ def _span_params(powers: np.ndarray, total, shaping: np.ndarray, constants: _Spa
     c = constants
     weighted = c.alpha_n * powers
     weighted_sum = weighted.sum(axis=-1, keepdims=powers.ndim > 1)
-    alpha0, growth = _per_row(_alpha0_and_growth, weighted_sum, total, c.length, c.order, at)
-    ref = _shaping_ref(total, shaping, weighted, c.alpha, alpha0, c.order, c.slope,
+    alpha0, growth, leff, norm, leff_z = _per_row(_row_scalars, weighted_sum, total, c.length,
+                                                  c.order, at)
+    ref = _shaping_ref(total, shaping, weighted, c.alpha, alpha0, norm, leff_z, c.slope,
                        c.length - at)
-    leff = _per_row(_effective_length, alpha0, c.length)
     return alpha0, ref, leff, growth
 
 
-def _alpha0_and_growth(weighted_sum: float, total: float, length: float, order: int,
-                       at: float) -> tuple[float, float]:
-    """alpha0 and e^{alpha0 at} of :func:`_span_params` for one spectrum."""
+def _row_scalars(weighted_sum: float, total: float, length: float, order: int,
+                 at: float) -> tuple[float, ...]:
+    """``(alpha0, e^{alpha0 at}, L_eff, alpha0^n P_T, L_eff(L - at))`` of one spectrum.
+
+    The scalars of :func:`_span_params`, L_eff checked as :class:`ClosedFormParams` checks it.
+    """
     alpha0 = _power_mean(weighted_sum, total, order)
     try:
-        return alpha0, math.exp(alpha0 * at)
+        growth = math.exp(alpha0 * at)
     except OverflowError:
         loss_db = convert_units(alpha0, "1/km", "dB/km") * at
         raise ConfigurationError(f"span loss of {loss_db:.6g} dB over {length:g} km is too "
                                  "large to invert: the launch total it implies overflows") from None
-
-
-def _effective_length(alpha0: float, length: float) -> float:
-    """L_eff of a span ``length`` km long, checked as :class:`ClosedFormParams` checks it."""
     leff = _decay(alpha0, length)
     ClosedFormParams._check(alpha0, leff, length)
-    return leff
+    return alpha0, growth, leff, alpha0**order * total, _decay(alpha0, length - at)
 
 
 def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, ref,
@@ -466,8 +470,9 @@ def power_profile(
     ref = params.shaping_ref
     if refresh_reference:
         p = launch.powers
-        ref = _shaping_ref(p.sum(), params.shaping, alpha**params.order * p, alpha,
-                           params.alpha0, params.order, slope, z)
+        total, alpha0, order = p.sum(), params.alpha0, params.order
+        ref = _shaping_ref(total, params.shaping, alpha**order * p, alpha, alpha0,
+                           alpha0**order * total, _decay(alpha0, z), slope, z)
     powers = _profile(launch.powers, alpha * z, params.shaping, ref, params.total_launch_power,
                       params.alpha0, slope, z)
     return PowerSpectrum(launch.grid, powers, z=z)

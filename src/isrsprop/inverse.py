@@ -8,10 +8,9 @@ forward closed form's builder; inserting them into the inverted profile
 
 yields the launch that realizes an arbitrary output.  Absolute targets are
 inverted directly; shape-only targets with a constrained launch total are
-solved for the implied output total by a Newton-guided bisection: a bracketed
-bisection in log space whose midpoints are decided by comparison with a
-Newton root wherever a monotonicity check and a floating-point guard band
-prove the comparison gives the sign an evaluation would.
+solved for the implied output total by safeguarded Newton on its logarithm:
+Newton steps kept inside a sign bracket, with a bisection step wherever
+Newton would leave it or stall.
 
 Each public call builds the per-span constants of
 :func:`isrsprop.closedform._span_constants` once per distinct span, and the
@@ -39,21 +38,8 @@ from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
 
-# The shape-only root-find bisects u = log T (T the output total) down to a
-# 1e-12 wide interval.  Its launch total S(u) is computed with a relative error
-# eta of a few ulp per unit of the largest |exponent| (alpha_i L - tilt_i decay)
-# plus log2(n) ulp for the pairwise sum; against extended precision, eta stays
-# below 1e-15 for exponents under 10 (the 50-100 km spans of the shipped
-# configs), 2e-14 under 100 and 9e-14 under 600.  Where d log S / du >= 1 (see
-# preemphasis_single_span) the computed sign of S - P_T0 is exact at every u
-# farther than eta from the root, and a Newton root whose |log(S / P_T0)| is at
-# most _NEWTON_TOL lies within _NEWTON_TOL + eta of it.  A midpoint farther
-# than _ROOT_GUARD from the Newton root is therefore more than 1.8e-13 - eta
-# from the root, which exceeds every eta above, and its side is decided by
-# comparison; only midpoints inside the band are evaluated.
-_ROOT_GUARD = 2e-13
+# The shape-only root-find stops where |log(S / P_T0)| is at most this
 _NEWTON_TOL = 2e-14
-_NEWTON_STEPS = 12
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -175,26 +161,20 @@ def preemphasis_single_span(
     then the root of the launch-total condition S(T) = P_T0, found on
     u = log T over the attenuation-only bracket
     [P_T0 e^{-max(alpha) L}, P_T0 e^{-min(alpha) L}] (widened while it misses
-    the root) by a Newton-guided bisection to 1e-12 in u.
+    the root).
 
-    In u, d log S/du = 1 - decay(u) <tilt>, where <tilt> is the
-    launch-weighted mean of the inversion tilt.  Its derivative with respect
-    to the decay is -Var(tilt) <= 0 and the decay grows with u, so <tilt> <= 0
-    at the final lower bracket end (the monotonicity check) makes log S
-    increasing with slope >= 1 and convex over the whole bracket, with a
-    single sign change.  Newton from the upper end then descends onto the
-    root, and the bisection is replayed step by step: a midpoint farther than
-    a guard band of 2e-13 from the Newton root (argued from the rounding of
-    the launch total beside ``_ROOT_GUARD``) takes the side the comparison
-    gives, and only midpoints inside the band are evaluated, so the root and
-    the launch are bit for bit those of the plain bisection.  When the check
-    fails, or Newton leaves the bracket, meets a non-positive slope or does
-    not converge, every midpoint is evaluated.
+    The root-find is safeguarded Newton on log S (rtsafe, Numerical Recipes
+    9.4).  In u, d log S/du = 1 - decay(u) <tilt>, where <tilt> is the
+    launch-weighted mean of the inversion tilt.  Newton starts at the upper
+    bracket end, and each evaluation replaces the bracket end of its sign.  A
+    Newton step that would leave the open bracket, meets a slope <= 0 or is
+    longer than half the step before it becomes a bisection step, so the loop
+    ends without a step cap: at |log(S / P_T0)| <= 2e-14 or at a bracket
+    1e-12 wide in u.  The launch is that of the last evaluation.
 
-    Every evaluation, Newton's included, writes the trial output and its
-    launch into two buffers allocated once per call, through
-    :func:`_launch_from_output` with ``out``, so the root-find allocates no
-    arrays.
+    Every evaluation writes the trial output and its launch into two buffers
+    allocated once per call, through :func:`_launch_from_output` with
+    ``out``, so the root-find allocates no arrays.
     """
     if not target.normalized:
         if total_launch_power is not None:
@@ -239,66 +219,45 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
     PowerSpectrum._check(shape)
     # Shaping values, alpha0 and the reference are scale-free: derive once.
     _, growth, leff, terms = _inversion(shape, constants)
-    alpha = constants.alpha
     length = constants.length
     tilt = terms[1]
     output = np.empty_like(shape)
     launch = np.empty_like(shape)
 
     def decay_at(output_total: float) -> float:
-        # P_T(0) first, then times L_eff: the order ClosedFormParams gave, so the
-        # bisection's sums and sign decisions do not move
+        # P_T(0) first, then times L_eff: the order ClosedFormParams gives
         return output_total * growth * leff
-
-    def launch_at(output_total: float) -> np.ndarray:
-        np.multiply(shape, output_total, output)
-        return _launch_from_output(output, terms, decay_at(output_total), out=launch)
 
     def excess(output_total: float) -> tuple[float, float]:
         # S - P_T0, by the pairwise sum .sum() runs without its Python-level
-        # wrapper, and the tilt-weighted launch total sum(tilt_i P_i(0))
-        p = launch_at(output_total)
+        # wrapper, and the tilt-weighted launch total sum(tilt_i P_i(0)); the
+        # trial launch is left in ``launch``
+        np.multiply(shape, output_total, output)
+        p = _launch_from_output(output, terms, decay_at(output_total), out=launch)
         return float(np.add.reduce(p)) - total_launch_power, float(np.dot(tilt, p))
-
-    def newton_root(u_low: float, u_high: float, f: float, tilted: float) -> float | None:
-        # Newton on log(S / P_T0) from u_high, where S - P_T0 = f > 0; None when
-        # a step leaves (u_low, u_high), meets a slope <= 0 or does not converge
-        u = u_high
-        for _ in range(_NEWTON_STEPS):
-            residual = math.log1p(f / total_launch_power)
-            if abs(residual) <= _NEWTON_TOL:
-                return u
-            derivative = 1.0 - decay_at(math.exp(u)) * tilted / (f + total_launch_power)
-            if not derivative > 0.0:
-                return None
-            u -= residual / derivative
-            if not u_low < u < u_high:
-                return None
-            f, tilted = excess(math.exp(u))
-        return None
 
     # a trial launch may overflow to inf at the upper bracket end: that only
     # tells the search which side it is on, so the root-find stays quiet
     with np.errstate(over="ignore"):
-        low = total_launch_power * math.exp(-float(alpha.max()) * length)
-        high = total_launch_power * math.exp(-float(alpha.min()) * length)
-        f_low, tilted_low = excess(low)
+        low = total_launch_power * math.exp(-float(constants.alpha.max()) * length)
+        high = total_launch_power * math.exp(-float(constants.alpha.min()) * length)
+        f_low = excess(low)[0]
         f_high, tilted_high = excess(high)
         # The attenuation-only bracket can miss the root when the tilt-induced
         # convexity excess outweighs the attenuation spread; widen geometrically.
         expansions = 0
         while f_low > 0 and expansions < 60:
             low /= 4.0
-            f_low, tilted_low = excess(low)
+            f_low = excess(low)[0]
             expansions += 1
         while f_high < 0 and expansions < 60:
             high *= 4.0
             f_high, tilted_high = excess(high)
             expansions += 1
         if f_low == 0.0 or low == high:
-            root = low
+            excess(low)  # the root: its launch is the result
         elif f_high == 0.0:
-            root = high
+            excess(high)
         elif (f_low < 0) == (f_high < 0):
             raise RootBracketError(
                 "launch-total condition does not change sign over the "
@@ -306,34 +265,36 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
             )
         else:
             u_low, u_high = math.log(low), math.log(high)
-            newton = None
-            if f_low < 0 and tilted_low <= 0.0:
-                newton = newton_root(u_low, u_high, f_high, tilted_high)
-            while u_high - u_low > 1e-12:
-                u_mid = 0.5 * (u_low + u_high)
-                if newton is not None and abs(u_mid - newton) > _ROOT_GUARD:
-                    f_mid = u_mid - newton  # the sign S - P_T0 has at u_mid
+            # Newton from the upper end; the first step has no step before it to halve
+            u, f, tilted, step = u_high, f_high, tilted_high, math.inf
+            residual = math.log1p(f / total_launch_power)
+            while True:
+                slope = 1.0 - decay_at(math.exp(u)) * tilted / (f + total_launch_power)
+                newton = residual / slope if slope > 0.0 else math.inf
+                if abs(newton) <= 0.5 * abs(step) and u_low < u - newton < u_high:
+                    u_next = u - newton
                 else:
-                    f_mid = excess(math.exp(u_mid))[0]
-                if f_mid == 0.0:
-                    u_low = u_high = u_mid
+                    u_next = 0.5 * (u_low + u_high)
+                step, u = u - u_next, u_next
+                f, tilted = excess(math.exp(u))
+                if (f < 0) == (f_low < 0):
+                    u_low = u
+                else:
+                    u_high = u
+                residual = math.log1p(f / total_launch_power)
+                if abs(residual) <= _NEWTON_TOL or u_high - u_low <= 1e-12:
                     break
-                if (f_mid < 0) == (f_low < 0):
-                    u_low, f_low = u_mid, f_mid
-                else:
-                    u_high = u_mid
-            root = math.exp(0.5 * (u_low + u_high))
-    powers = launch_at(root)
-    PowerSpectrum._check(powers)
-    underflowed = int(np.count_nonzero(powers == 0.0))
+    # the buffer holds the launch of the last evaluation, at the root
+    PowerSpectrum._check(launch)
+    underflowed = int(np.count_nonzero(launch == 0.0))
     if underflowed:
         total_dbm = 10.0 * math.log10(total_launch_power / 1e-3)
         raise ConfigurationError(
             f"the launch for the shape-only target at {total_dbm:.6g} dBm total over "
-            f"{length:g} km leaves {underflowed} of {powers.size} channels at 0 W "
+            f"{length:g} km leaves {underflowed} of {launch.size} channels at 0 W "
             "(their powers underflow)"
         )
-    return powers
+    return launch
 
 
 def preemphasis_multispan(
@@ -348,7 +309,8 @@ def preemphasis_multispan(
     same total, so only normalized targets are meaningful here.  Each span is
     inverted with the single-span shape solver under that constraint; the
     span's input shape is the previous span's output shape (scalar gains do
-    not reshape), renormalized and checked as a shape-only target would be.
+    not reshape), scaled to unit sum and checked as a shape-only target's
+    values are.
     The returned launch is scaled to ``total_launch_power`` exactly.
 
     The recursion models no other amplifier, so a link with an in-line
@@ -357,7 +319,12 @@ def preemphasis_multispan(
     shape by tens of dB).
     """
     _check_total_restoring(link)
-    return _preemphasis_multispan(target, link, total_launch_power, order)
+    if not target.normalized:
+        raise ConfigurationError(
+            "multi-span pre-emphasis targets a shape; absolute output powers "
+            "cannot be realized under per-span total-power restoration"
+        )
+    return _preemphasis_multispan(target.grid, target.shape(), link, total_launch_power, order)
 
 
 def _check_total_restoring(link: LinkSpec) -> None:
@@ -372,20 +339,16 @@ def _check_total_restoring(link: LinkSpec) -> None:
 
 # perfbench counts OSNR iterations as calls of this name, its leading underscore dropped
 def _preemphasis_multispan(
-    target: TargetSpectrum, link: LinkSpec, total_launch_power: float, order: int
+    grid: ChannelGrid, shape: np.ndarray, link: LinkSpec, total_launch_power: float, order: int
 ) -> PowerSpectrum:
-    """:func:`preemphasis_multispan` on any link, its amplifier policies unchecked."""
-    if not target.normalized:
-        raise ConfigurationError(
-            "multi-span pre-emphasis targets a shape; absolute output powers "
-            "cannot be realized under per-span total-power restoration"
-        )
+    """:func:`preemphasis_multispan` of the unit-sum output ``shape`` on any link.
+
+    The link's amplifier policies are not checked.  Each span's shape is
+    checked as a shape-only target's values are.
+    """
     _check_launch_total(total_launch_power)
-    shape = target.shape()
-    for constants in reversed(_link_constants(target.grid, link.spans, order)):
-        # the unit-sum shape of TargetSpectrum(grid, shape, normalized=True)
+    for constants in reversed(_link_constants(grid, link.spans, order)):
         TargetSpectrum._check(shape)
-        values = shape / shape.mean()
-        launch = _invert_shape(values / values.sum(), constants, total_launch_power)
+        launch = _invert_shape(shape, constants, total_launch_power)
         shape = launch / launch.sum()
-    return PowerSpectrum(target.grid, launch * (total_launch_power / launch.sum()), z=0.0)
+    return PowerSpectrum(grid, launch * (total_launch_power / launch.sum()), z=0.0)

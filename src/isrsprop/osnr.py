@@ -25,6 +25,8 @@ still runs on every iteration.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,11 +47,13 @@ class NoiseSpectrum:
     reference_bandwidth: float  # THz
 
     def __post_init__(self):
+        _check_reference_bandwidth(self.reference_bandwidth)
         p = _freeze(self.ase_powers)
         if p.shape != (self.grid.n_channels,):
             raise ConfigurationError("noise length must match the grid")
-        if np.any(p < 0):
-            raise ConfigurationError("ASE powers must be non-negative")
+        if not (p.min() >= 0 and p.max() < math.inf):  # min propagates NaN
+            bad = float(p[~(p >= 0) | (p == math.inf)][0])
+            raise ConfigurationError(f"ASE powers must be finite and non-negative, got {bad!r} W")
         object.__setattr__(self, "ase_powers", p)
 
     @property
@@ -132,6 +136,7 @@ def ase_accumulate(
     if len(span_inputs) != len(link.spans) or len(gains) != len(link.spans) - 1:
         raise ConfigurationError("gains/span_inputs inconsistent with the link")
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
+    _check_reference_bandwidth(b_ref)
     noise = _ase(_photon_energy(grid), _amplifier_noise_figures(grid, link), b_ref * 1e12,
                  gains, span_inputs, final.powers)
     return NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref)
@@ -219,8 +224,7 @@ def target_osnr(
     shape = goal / goal.sum()
     history: list[float] = []
     for _ in range(max_iterations):
-        span_target = TargetSpectrum(grid, shape, normalized=True)
-        launch = _preemphasis_multispan(span_target, link, total_launch_power, order)
+        launch = _preemphasis_multispan(grid, shape, link, total_launch_power, order)
         result = propagate_multispan_closedform(launch, link, order)
         final = result.final
         if nfs is None:
@@ -242,13 +246,22 @@ def target_osnr(
 
 def _check_iteration_settings(step: float, tolerance: float, max_iterations: int,
                               reference_bandwidth: float | None = None) -> None:
-    if not (step > 0 and tolerance > 0):
-        raise ConfigurationError("step and tolerance must be positive")
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
-    if reference_bandwidth is not None and not reference_bandwidth > 0:
+    if not (0 < step < math.inf and 0 < tolerance < math.inf):
         raise ConfigurationError(
-            f"the OSNR reference bandwidth must be positive, got {reference_bandwidth!r} THz"
+            f"step and tolerance must be positive and finite, got {step!r} and {tolerance!r}"
+        )
+    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
+            or max_iterations < 1):
+        raise ConfigurationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    if reference_bandwidth is not None:
+        _check_reference_bandwidth(reference_bandwidth)
+
+
+def _check_reference_bandwidth(reference_bandwidth: float) -> None:
+    if not 0 < reference_bandwidth < math.inf:
+        raise ConfigurationError(
+            "the OSNR reference bandwidth must be positive and finite, "
+            f"got {reference_bandwidth!r} THz"
         )
 
 

@@ -10,13 +10,19 @@ from isrsprop import (
     Band,
     ConfigurationError,
     FiberSpec,
+    LinkSpec,
     PowerSpectrum,
     RamanGainModel,
     SolverOptions,
+    TargetSpectrum,
     build_channel_grid,
+    closedform_params_from_output,
     derive_params,
     integrate_span,
     power_profile,
+    preemphasis_multispan,
+    preemphasis_single_span,
+    propagate_multispan_closedform,
     shaping_function,
     total_attenuation_coefficient,
 )
@@ -160,6 +166,28 @@ class TestTotalAttenuationCoefficient:
         with pytest.raises(ConfigurationError, match="positive integer"):
             total_attenuation_coefficient(clu_launch, AttenuationProfile.constant(0.05), 0)
 
+    @pytest.mark.parametrize("order", [2.5, 3.0, math.nan, 0, -1, True, "3"])
+    def test_every_closed_form_path_rejects_an_order_that_is_not_an_integer_from_1(
+            self, clu_launch, default_fiber_50, order):
+        # 2.5 used to pass silently, and NaN failed with "closed form needs at
+        # least one channel that carries power"
+        grid = clu_launch.grid
+        shape = TargetSpectrum.flat_shape(grid)
+        link = LinkSpec.uniform(default_fiber_50, 2)
+        paths = [
+            lambda: total_attenuation_coefficient(clu_launch, default_fiber_50.attenuation,
+                                                  order),
+            lambda: derive_params(clu_launch, default_fiber_50, order),
+            lambda: closedform_params_from_output(clu_launch, default_fiber_50, order),
+            lambda: propagate_multispan_closedform(clu_launch, link, order),
+            lambda: preemphasis_single_span(shape, default_fiber_50, order, 0.05),
+            lambda: preemphasis_multispan(shape, link, 0.05, order),
+        ]
+        for path in paths:
+            with pytest.raises(ConfigurationError, match=(
+                    rf"^approximation order must be a positive integer, got {order!r}$")):
+                path()
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.floats(min_value=1e-5, max_value=1e-2), min_size=3, max_size=40),
@@ -244,14 +272,16 @@ class TestGammaRef:
         # channel 0 has the largest exponent (900) but no power; the others' terms
         # are e^-900 and e^-945 of it, so a maximum taken over it ends in log(0)
         shaping, weighted = np.array([-20.0, 0.0, 1.0]), np.array([0.0, 2.0, 1.0])
-        ref = _shaping_ref(3.0, shaping, weighted, np.ones(3), 1.0, 1, 15.0, 50.0)
+        ref = _shaping_ref(3.0, shaping, weighted, np.ones(3), 1.0, 3.0, -math.expm1(-50.0),
+                           15.0, 50.0)
         scale = 15.0 * 3.0 * -math.expm1(-50.0)
         expected = -math.log(2.0 / 3.0 + math.exp(-scale) / 3.0) / scale
         assert ref == pytest.approx(expected, rel=1e-14)
 
     def test_no_channel_with_power_is_config_error(self):
         with pytest.raises(ConfigurationError, match="at least one channel that carries power"):
-            _shaping_ref(3.0, np.array([-20.0, 0.0]), np.zeros(2), np.ones(2), 1.0, 1, 15.0, 50.0)
+            _shaping_ref(3.0, np.array([-20.0, 0.0]), np.zeros(2), np.ones(2), 1.0, 3.0,
+                         -math.expm1(-50.0), 15.0, 50.0)
 
 
 class TestPowerProfile:

@@ -41,6 +41,7 @@ class TestTableMove:
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
     def test_counts_cells_and_sizes_the_largest_db_move(self, tmp_path, suffix):
+        # eps_p moved by 1e-8 relative, beside the two dB cells
         tables = {}
         for side, text in (("old", OLD_CSV), ("new", NEW_CSV)):
             if suffix == ".json":
@@ -51,7 +52,8 @@ class TestTableMove:
             tables[side] = tmp_path / f"{side}{suffix}"
             tables[side].write_text(text, newline="")
         move = compare["_table_move"](tables["old"], tables["new"])
-        assert move == "3 cells differ, max |delta| 1e-07 dB"
+        assert move == (
+            "3 cells differ, max |delta| 1e-07 dB, max relative |delta| 1e-08 elsewhere")
 
     def test_a_reshaped_table_is_named(self, tmp_path):
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
@@ -66,5 +68,20 @@ class TestTableMove:
         new = write_tree(tmp_path / "new", {"a/x.csv": NEW_CSV, "a/same.csv": same})
         assert compare["_differences"](old, new, tmp_path / "old", tmp_path / "new") == [
             "file runs/a/gone.csv: only in the old manifest",
-            "file runs/a/x.csv: hash differs, 3 cells differ, max |delta| 1e-07 dB",
+            "file runs/a/x.csv: hash differs, 3 cells differ, max |delta| 1e-07 dB, "
+            "max relative |delta| 1e-08 elsewhere",
         ]
+
+    def test_relative_moves_of_cells_that_are_not_db(self, tmp_path):
+        # an OSNR history's rmse and a linear column: the largest relative move
+        # is sized, a cell that was 0 moves infinitely far, text is only counted
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("iteration,rmse,osnr,note\r\n1,0.5,200,a\r\n2,0.25,0,b\r\n", newline="")
+        new.write_text("iteration,rmse,osnr,note\r\n1,0.5000001,200.0002,a\r\n2,0.25,0,c\r\n",
+                       newline="")
+        assert compare["_table_move"](old, new) == (
+            "3 cells differ, max |delta| 0 dB, max relative |delta| 1e-06 elsewhere")
+        new.write_text("iteration,rmse,osnr,note\r\n1,0.5,200,a\r\n2,0.25,1e-3,b\r\n",
+                       newline="")
+        assert compare["_table_move"](old, new) == (
+            "1 cells differ, max |delta| 0 dB, max relative |delta| inf elsewhere")

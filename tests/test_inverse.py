@@ -17,6 +17,8 @@ from isrsprop import (
     TargetSpectrum,
     build_channel_grid,
     closedform_params_from_output,
+    default_attenuation,
+    default_raman,
     derive_params,
     integrate_span,
     power_profile,
@@ -308,7 +310,7 @@ class TestMultiSpan:
 
 
 class TestHoistedInversion:
-    """The bisection's hoisted exponent terms reproduce the full-parameter formula bit for bit."""
+    """The root-find's hoisted exponent terms reproduce the full-parameter formula bit for bit."""
 
     @staticmethod
     def full_params_launch(output, params, slope, output_total):
@@ -395,44 +397,63 @@ class TestHoistedInversion:
         assert np.array_equal(launch, output.powers * np.exp(alpha * 100.0))
 
 
-def bisection_reference(target, fiber, order, total_launch_power):
-    """The shape-only root-find with fresh arrays at every evaluation.
+class ReferenceRootFind:
+    """The shape-only root-find's span, bracket and evaluations, with fresh arrays at each.
 
-    Returns the launch powers, the number of evaluations and the number of
-    bracket expansions.
+    ``launch`` holds the launch of the last evaluation.
     """
-    slope = fiber.raman.as_triangular().slope
-    shape = target.shape()
-    params = closedform_params_from_output(
-        PowerSpectrum(target.grid, shape, z=fiber.length), fiber, order
-    )
-    alpha = params.channel_attenuation
-    attenuation = alpha * params.length
-    tilt = slope * (params.shaping_ref - params.shaping)
-    growth = math.exp(params.alpha0 * fiber.length)
-    evaluations = 0
 
-    def launch_at(output_total):
-        nonlocal evaluations
-        evaluations += 1
-        decay = output_total * growth * params.effective_length
-        return shape * output_total * np.exp(attenuation - tilt * decay)
+    def __init__(self, target, fiber, order, total_launch_power):
+        slope = fiber.raman.as_triangular().slope
+        self.shape = target.shape()
+        params = closedform_params_from_output(
+            PowerSpectrum(target.grid, self.shape, z=fiber.length), fiber, order
+        )
+        self.params, self.total = params, total_launch_power
+        self.attenuation = params.channel_attenuation * params.length
+        self.tilt = slope * (params.shaping_ref - params.shaping)
+        self.growth = math.exp(params.alpha0 * fiber.length)
+        self.evaluations = self.expansions = 0
 
-    def f(output_total):
-        return float(launch_at(output_total).sum()) - total_launch_power
+    def decay(self, output_total):
+        return output_total * self.growth * self.params.effective_length
 
-    low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
-    high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
-    f_low, f_high = f(low), f(high)
-    expansions = 0
-    while f_low > 0 and expansions < 60:
-        low /= 4.0
-        f_low = f(low)
-        expansions += 1
-    while f_high < 0 and expansions < 60:
-        high *= 4.0
-        f_high = f(high)
-        expansions += 1
+    def launch_at(self, output_total):
+        self.evaluations += 1
+        decay = self.decay(output_total)
+        self.launch = self.shape * output_total * np.exp(self.attenuation - self.tilt * decay)
+        return self.launch
+
+    def excess(self, output_total):
+        """S - P_T0 and the tilt-weighted launch total at the output total."""
+        launch = self.launch_at(output_total)
+        return float(launch.sum()) - self.total, float(np.dot(self.tilt, launch))
+
+    def bracket(self):
+        """``(low, high, (f, tilted) at low, (f, tilted) at high)``, widened as the solver does."""
+        alpha, length = self.params.channel_attenuation, self.params.length
+        low = self.total * math.exp(-float(alpha.max()) * length)
+        high = self.total * math.exp(-float(alpha.min()) * length)
+        at_low, at_high = self.excess(low), self.excess(high)
+        while at_low[0] > 0 and self.expansions < 60:
+            low /= 4.0
+            at_low = self.excess(low)
+            self.expansions += 1
+        while at_high[0] < 0 and self.expansions < 60:
+            high *= 4.0
+            at_high = self.excess(high)
+            self.expansions += 1
+        return low, high, at_low, at_high
+
+
+def bisection_reference(target, fiber, order, total_launch_power):
+    """The shape-only root-find as a plain bisection in u = log T down to 1e-12.
+
+    Returns the launch powers, the number of evaluations, the number of
+    bracket expansions and the output total T at the root.
+    """
+    span = ReferenceRootFind(target, fiber, order, total_launch_power)
+    low, high, (f_low, _), (f_high, _) = span.bracket()
     if f_low == 0.0 or low == high:
         root = low
     elif f_high == 0.0:
@@ -442,7 +463,7 @@ def bisection_reference(target, fiber, order, total_launch_power):
         u_low, u_high = math.log(low), math.log(high)
         while u_high - u_low > 1e-12:
             u_mid = 0.5 * (u_low + u_high)
-            f_mid = f(math.exp(u_mid))
+            f_mid = span.excess(math.exp(u_mid))[0]
             if f_mid == 0.0:
                 u_low = u_high = u_mid
                 break
@@ -451,11 +472,56 @@ def bisection_reference(target, fiber, order, total_launch_power):
             else:
                 u_high = u_mid
         root = math.exp(0.5 * (u_low + u_high))
-    return launch_at(root), evaluations, expansions
+    return span.launch_at(root), span.evaluations, span.expansions, root
+
+
+def newton_reference(target, fiber, order, total_launch_power):
+    """The library's safeguarded Newton root-find, with fresh arrays at every evaluation.
+
+    Returns what :func:`bisection_reference` returns; the launch is that of
+    the last evaluation, as in the library.
+    """
+    span = ReferenceRootFind(target, fiber, order, total_launch_power)
+    total = total_launch_power
+    low, high, (f_low, _), (f_high, tilted_high) = span.bracket()
+    if f_low == 0.0 or low == high:
+        return span.launch_at(low), span.evaluations, span.expansions, low
+    if f_high == 0.0:
+        return span.launch_at(high), span.evaluations, span.expansions, high
+    assert (f_low < 0) != (f_high < 0)
+    u_low, u_high = math.log(low), math.log(high)
+    u, f, tilted, step = u_high, f_high, tilted_high, math.inf
+    residual = math.log1p(f / total)
+    while True:
+        slope = 1.0 - span.decay(math.exp(u)) * tilted / (f + total)
+        newton = residual / slope if slope > 0.0 else math.inf
+        if abs(newton) <= 0.5 * abs(step) and u_low < u - newton < u_high:
+            u_next = u - newton
+        else:
+            u_next = 0.5 * (u_low + u_high)
+        step, u = u - u_next, u_next
+        f, tilted = span.excess(math.exp(u))
+        if (f < 0) == (f_low < 0):
+            u_low = u
+        else:
+            u_high = u
+        residual = math.log1p(f / total)
+        if abs(residual) <= 2e-14 or u_high - u_low <= 1e-12:
+            return span.launch, span.evaluations, span.expansions, math.exp(u)
+
+
+# launch evaluations of the Newton-guided bisection that the safeguarded Newton
+# loop replaced, per (plan, length, order) of test_matches_allocating_bisection
+REPLACED_EVALUATIONS = {
+    ("CLU", 50.0, 1): 7, ("CLU", 50.0, 3): 8, ("CLU", 50.0, 6): 9,
+    ("CLU", 100.0, 1): 8, ("CLU", 100.0, 3): 7, ("CLU", 100.0, 6): 8,
+    ("SCLU", 50.0, 1): 9, ("SCLU", 50.0, 3): 8, ("SCLU", 50.0, 6): 8,
+    ("SCLU", 100.0, 1): 7, ("SCLU", 100.0, 3): 8, ("SCLU", 100.0, 6): 7,
+}
 
 
 class TestRootFindBuffers:
-    """The root-find in reused buffers repeats the allocating bisection bit for bit."""
+    """The root-find in reused buffers repeats the allocating Newton loop bit for bit."""
 
     @staticmethod
     def solve_counting(monkeypatch, target, fiber, order, total):
@@ -473,6 +539,7 @@ class TestRootFindBuffers:
     @pytest.mark.parametrize("length", [50.0, 100.0])
     @pytest.mark.parametrize("order", [1, 3, 6])
     def test_matches_allocating_bisection(self, monkeypatch, plan, length, order):
+        # the allocating Newton loop gives the bits; the bisection only counts
         grid = build_channel_grid(plan)
         x = np.linspace(0.0, 1.0, grid.n_channels)
         ripple = 1.0 + 0.25 * np.sin(2.0 * np.pi * 3.0 * x + 0.4) + 0.1 * np.cos(7.0 * x)
@@ -481,9 +548,11 @@ class TestRootFindBuffers:
                           RamanGainModel.triangular(peak=0.4), length)
         total = grid.n_channels * 10.0 ** (-0.1) * 1e-3  # -1 dBm per channel
         launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
-        expected, evaluations, _ = bisection_reference(target, fiber, order, total)
+        expected, evaluations, _, _ = newton_reference(target, fiber, order, total)
         assert np.array_equal(launch.powers, expected)
-        assert len(calls) < evaluations and all(calls)
+        assert len(calls) == evaluations and all(calls)
+        assert evaluations <= REPLACED_EVALUATIONS[plan, length, order]
+        assert evaluations < bisection_reference(target, fiber, order, total)[1]
 
     def test_matches_allocating_bisection_after_bracket_expansion(self, monkeypatch, clu_grid):
         # flat loss leaves a one-point bracket that the tilt's convexity excess
@@ -492,10 +561,10 @@ class TestRootFindBuffers:
         target = TargetSpectrum(clu_grid, np.linspace(0.5, 2.0, clu_grid.n_channels),
                                 normalized=True)
         launch, calls = self.solve_counting(monkeypatch, target, fiber, 3, 1.0)
-        expected, evaluations, expansions = bisection_reference(target, fiber, 3, 1.0)
+        expected, evaluations, expansions, _ = newton_reference(target, fiber, 3, 1.0)
         assert expansions > 0
         assert np.array_equal(launch.powers, expected)
-        assert len(calls) < evaluations
+        assert len(calls) == evaluations <= 9  # the Newton-guided bisection took 9
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -517,20 +586,37 @@ class TestRootFindBuffers:
         total = grid.n_channels * 10.0 ** (0.1 * dbm) * 1e-3
         with pytest.MonkeyPatch.context() as monkeypatch:
             launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
-        expected, evaluations, _ = bisection_reference(target, fiber, order, total)
+        expected, evaluations, _, root = newton_reference(target, fiber, order, total)
         assert np.array_equal(launch.powers, expected)
-        assert len(calls) < evaluations
+        assert len(calls) == evaluations
+        # the Newton root is the bisection's to the bisection's own resolution
+        _, bisections, _, bisection_root = bisection_reference(target, fiber, order, total)
+        assert abs(math.log(root) - math.log(bisection_root)) <= 1e-12
+        assert evaluations < bisections
 
-    def test_unproven_monotonicity_evaluates_every_midpoint(self, monkeypatch, clu_grid):
+    def test_unproven_monotonicity_takes_few_evaluations(self, monkeypatch, clu_grid):
         # a steep low-frequency loss edge puts the launch weight on the
-        # positive-tilt channels, so the monotonicity check fails at the lower
-        # bracket end; the check reuses the bracket's evaluations, so the plain
-        # bisection's count is kept exactly
+        # positive-tilt channels, so <tilt> > 0 at the lower bracket end; the
+        # Newton-guided bisection then evaluated every midpoint, 47 in all
         edge = AttenuationProfile.from_table([179.0, 184.0, 196.0], [0.6, 0.2, 0.2])
         fiber = FiberSpec(edge, RamanGainModel.triangular(peak=0.4), 100.0)
         target = TargetSpectrum.flat_shape(clu_grid)
         total = clu_grid.n_channels * 1e-3
         launch, calls = self.solve_counting(monkeypatch, target, fiber, 3, total)
-        expected, evaluations, _ = bisection_reference(target, fiber, 3, total)
+        expected, evaluations, _, root = newton_reference(target, fiber, 3, total)
         assert np.array_equal(launch.powers, expected)
-        assert len(calls) == evaluations
+        assert len(calls) == evaluations <= 12
+        assert abs(math.log(root) - math.log(bisection_reference(target, fiber, 3, total)[3])) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 3, 6])
+    def test_a_400_km_span_takes_few_evaluations(self, monkeypatch, clu_grid, order):
+        # 0 dBm per channel over 400 km of CLU: the Newton-guided bisection
+        # evaluated every midpoint here too, 44 in all
+        fiber = FiberSpec(default_attenuation(), default_raman(0.4), 400.0)
+        target = TargetSpectrum.flat_shape(clu_grid)
+        total = PowerSpectrum.flat_dbm(clu_grid, 0.0).total_power
+        launch, calls = self.solve_counting(monkeypatch, target, fiber, order, total)
+        expected, evaluations, _, _ = newton_reference(target, fiber, order, total)
+        assert np.array_equal(launch.powers, expected)
+        assert len(calls) == evaluations <= 12

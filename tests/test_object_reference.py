@@ -4,7 +4,8 @@ The reference below is the closed form, its inverse and the OSNR loop
 written spectrum by spectrum and parameter object by object: every span
 builds its launch or output spectrum, derives a :class:`ClosedFormParams`
 from it with freshly computed alpha, shaping gathers and alpha^n, and the
-shape-only inverse bisects with a fresh array at every evaluation.  The
+shape-only inverse runs its safeguarded Newton loop with a fresh array at
+every evaluation.  The
 library must give the same launches, gains, span inputs, OSNR and RMSE
 history, compared with ``np.array_equal``.
 """
@@ -97,54 +98,62 @@ def ref_forward(launch, link, order):
     return inputs, gains, out
 
 
-def ref_invert_shape(target, fiber, order, total_launch_power):
-    """The shape-only inverse of one span by plain bisection."""
+def ref_invert_shape(grid, shape, fiber, order, total_launch_power):
+    """The shape-only inverse of one span by safeguarded Newton on log S, for a unit-sum shape."""
     slope = fiber.raman.as_triangular().slope
-    shape = target.shape()
-    params = ref_params(PowerSpectrum(target.grid, shape, z=fiber.length), fiber, order,
+    params = ref_params(PowerSpectrum(grid, shape, z=fiber.length), fiber, order,
                         at=fiber.length)
     alpha = params.channel_attenuation
     attenuation = alpha * params.length
     tilt = slope * (params.shaping_ref - params.shaping)
     growth = math.exp(params.alpha0 * fiber.length)
+    total = total_launch_power
+
+    def decay_at(output_total):
+        return output_total * growth * params.effective_length
 
     def launch_at(output_total):
-        decay = output_total * growth * params.effective_length
-        return shape * output_total * np.exp(attenuation - tilt * decay)
+        return shape * output_total * np.exp(attenuation - tilt * decay_at(output_total))
 
     def f(output_total):
-        return float(launch_at(output_total).sum()) - total_launch_power
+        launch = launch_at(output_total)
+        return float(launch.sum()) - total, float(np.dot(tilt, launch)), launch
 
     with np.errstate(over="ignore"):
-        low = total_launch_power * math.exp(-float(alpha.max()) * fiber.length)
-        high = total_launch_power * math.exp(-float(alpha.min()) * fiber.length)
-        f_low, f_high = f(low), f(high)
+        low = total * math.exp(-float(alpha.max()) * fiber.length)
+        high = total * math.exp(-float(alpha.min()) * fiber.length)
+        f_low, f_high = f(low)[0], f(high)
         while f_low > 0:
             low /= 4.0
-            f_low = f(low)
-        while f_high < 0:
+            f_low = f(low)[0]
+        while f_high[0] < 0:
             high *= 4.0
             f_high = f(high)
         u_low, u_high = math.log(low), math.log(high)
-        while u_high - u_low > 1e-12:
-            u_mid = 0.5 * (u_low + u_high)
-            f_mid = f(math.exp(u_mid))
-            if f_mid == 0.0:
-                u_low = u_high = u_mid
-                break
-            if (f_mid < 0) == (f_low < 0):
-                u_low, f_low = u_mid, f_mid
+        u, (f_u, tilted, _), step = u_high, f_high, math.inf
+        while True:
+            residual = math.log1p(f_u / total)
+            derivative = 1.0 - decay_at(math.exp(u)) * tilted / (f_u + total)
+            newton = residual / derivative if derivative > 0.0 else math.inf
+            if abs(newton) <= 0.5 * abs(step) and u_low < u - newton < u_high:
+                u_next = u - newton
             else:
-                u_high = u_mid
-        root = math.exp(0.5 * (u_low + u_high))
-    return PowerSpectrum(target.grid, launch_at(root), z=0.0)
+                u_next = 0.5 * (u_low + u_high)
+            step, u = u - u_next, u_next
+            f_u, tilted, launch = f(math.exp(u))
+            if (f_u < 0) == (f_low < 0):
+                u_low = u
+            else:
+                u_high = u
+            if abs(math.log1p(f_u / total)) <= 2e-14 or u_high - u_low <= 1e-12:
+                break
+    return PowerSpectrum(grid, launch, z=0.0)
 
 
-def ref_preemphasis(target, link, total_launch_power, order):
-    shape = target.shape()
+def ref_preemphasis(grid, shape, link, total_launch_power, order):
+    """The link launch for a unit-sum target shape, inverted span by span from the last."""
     for fiber in reversed(link.spans):
-        span_target = TargetSpectrum(target.grid, shape, normalized=True)
-        launch = ref_invert_shape(span_target, fiber, order, total_launch_power)
+        launch = ref_invert_shape(grid, shape, fiber, order, total_launch_power)
         shape = launch.powers / launch.total_power
     return launch.scaled(total_launch_power / launch.total_power)
 
@@ -156,8 +165,7 @@ def ref_target_osnr(target, link, total_launch_power, order, tolerance, max_iter
     shape = goal / goal.sum()
     history = []
     for _ in range(max_iterations):
-        launch = ref_preemphasis(TargetSpectrum(grid, shape, normalized=True), link,
-                                 total_launch_power, order)
+        launch = ref_preemphasis(grid, shape, link, total_launch_power, order)
         inputs, gains, final = ref_forward(launch, link, order)
         noise = np.zeros(grid.n_channels)
         for k, gain in enumerate(gains):
@@ -208,7 +216,7 @@ def test_preemphasis_and_forward_match_the_object_code(plan, lengths, receiver_b
     target = rippled_target(grid, depth_db, phase)
     total = grid.n_channels * 10.0 ** (-0.1) * 1e-3  # -1 dBm per channel
     launch = preemphasis_multispan(target, link, total, order)
-    expected = ref_preemphasis(target, link, total, order)
+    expected = ref_preemphasis(grid, target.shape(), link, total, order)
     assert np.array_equal(launch.powers, expected.powers)
     result = propagate_multispan_closedform(launch, link, order)
     inputs, gains, final = ref_forward(launch, link, order)

@@ -160,6 +160,38 @@ class TestAseAccumulate:
             ase_from_result(result)
 
 
+class TestNoiseInputs:
+    """Non-finite or non-positive noise and bandwidths are rejected by value."""
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"), (-1e-8, "-1e-08")])
+    def test_ase_powers_must_be_finite_and_non_negative(self, c_grid, bad, shown):
+        powers = np.full(c_grid.n_channels, 1e-8)
+        powers[2] = bad
+        with pytest.raises(ConfigurationError, match=(
+                f"^ASE powers must be finite and non-negative, got {shown} W$")):
+            NoiseSpectrum(c_grid, powers, z=0.0, reference_bandwidth=0.05)
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -0.05])
+    def test_the_bandwidth_must_be_positive_and_finite_and_is_checked_first(self, c_grid,
+                                                                            bandwidth):
+        # NaN powers too: the bandwidth's message comes first
+        with pytest.raises(ConfigurationError, match=(
+                f"reference bandwidth must be positive and finite, got {bandwidth!r} THz$")):
+            NoiseSpectrum(c_grid, np.full(c_grid.n_channels, np.nan), z=0.0,
+                          reference_bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -0.05])
+    def test_ase_accumulation_rejects_the_bandwidth_before_computing(
+            self, clu_grid, default_fiber_50, bandwidth):
+        # NaN, inf and 0 returned NaN, inf and all-zero noise; -0.05 raised
+        # "ASE powers must be non-negative"
+        result = propagate_multispan_closedform(
+            PowerSpectrum.flat_dbm(clu_grid, -1.0), osnr_link(default_fiber_50, 3), 3)
+        with pytest.raises(ConfigurationError, match=(
+                f"reference bandwidth must be positive and finite, got {bandwidth!r} THz$")):
+            ase_from_result(result, bandwidth)
+
+
 class TestOsnrProfile:
     def test_ratio_definition(self, c_grid):
         signal = PowerSpectrum(c_grid, np.full(c_grid.n_channels, 1e-4))
@@ -290,11 +322,19 @@ class TestTargetOsnr:
             ({"max_iterations": -1}, "max_iterations"),
             ({"reference_bandwidth": -0.05}, "reference bandwidth"),
             ({"reference_bandwidth": 0.0}, "reference bandwidth"),
+            ({"tolerance": float("inf")}, "positive and finite, got 1.0 and inf$"),
+            ({"step": float("inf")}, "positive and finite, got inf and 1e-05$"),
+            ({"max_iterations": 2.5}, "max_iterations must be an integer >= 1, got 2.5$"),
+            ({"reference_bandwidth": float("inf")}, "positive and finite, got inf THz$"),
+            ({"reference_bandwidth": float("nan")}, "positive and finite, got nan THz$"),
         ],
     )
     def test_bad_iteration_settings_rejected(self, c_grid, default_fiber_50, settings, match):
         # max_iterations < 1 used to fail with an IndexError on an empty history,
-        # and a NaN step or tolerance slipped past a `<= 0` check
+        # and a NaN step or tolerance slipped past a `<= 0` check; an infinite
+        # tolerance returned after one iteration, an infinite step or bandwidth
+        # ended in "target values must be positive and finite" and 2.5 iterations
+        # in a TypeError
         target = TargetSpectrum.flat_shape(c_grid)
         with pytest.raises(ConfigurationError, match=match):
             target_osnr(target, osnr_link(default_fiber_50, 2), 0.064, **settings)
