@@ -4,7 +4,9 @@
 Runs every config under ``configs/`` of the checkout that holds this script
 through every subcommand, in csv and json, and through every subcommand that
 reads the approximation order again at ``--order 1`` and ``--order 6`` (csv,
-runs named ``csv-order1`` and ``csv-order6``), and writes
+runs named ``csv-order1`` and ``csv-order6``), runs ``closed-form`` and
+``multispan`` again on a temporary copy of each config with
+``refresh_reference`` set (csv, run ``csv-refresh``), and writes
 ``OUT_DIR/manifest.json``: one SHA-256 per output file and one (exit code,
 stdout, stderr) per run.  ``--repo`` chooses only the code that runs, so two
 checkouts are compared on the same configs.  Every output is hashed as
@@ -35,6 +37,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 SUBCOMMANDS = ("solve", "closed-form", "multispan", "sweep", "preemph", "osnr-target",
@@ -43,6 +46,8 @@ FORMATS = ("csv", "json")
 # subcommands whose outputs depend on the order, and the orders they run at besides the config's
 ORDER_SUBCOMMANDS = ("closed-form", "multispan", "preemph", "osnr-target")
 EXTRA_ORDERS = (1, 6)
+# subcommands whose longitudinal tables re-balance the reference with refresh_reference
+REFRESH_SUBCOMMANDS = ("closed-form", "multispan")
 CHECKOUT = Path(__file__).resolve().parent.parent
 
 
@@ -132,26 +137,40 @@ def main() -> int:
     if not Path(isrsprop.__file__).resolve().is_relative_to(repo):
         parser.error(f"imported isrsprop from {isrsprop.__file__}, not from {repo}")
 
-    # relative config paths keep the checkout's location out of messages
+    # relative config paths keep the checkout's location out of messages; the
+    # refresh_reference copies sit at the same relative paths under a temporary root
     os.chdir(CHECKOUT)
+    configs = sorted(Path("configs").glob("*.json"))
     runs = {}
-    for config in sorted(Path("configs").glob("*.json")):
-        variants = [(command, fmt, fmt, []) for command in SUBCOMMANDS for fmt in FORMATS]
-        variants += [(command, "csv", f"csv-order{order}", ["--order", str(order)])
-                     for command in ORDER_SUBCOMMANDS for order in EXTRA_ORDERS]
-        for command, fmt, variant, extra in variants:
-            run_dir = out_dir / "runs" / config.stem / command / variant
-            argv = [command, "--config", str(config), "--output", str(run_dir),
-                    "--format", fmt, *extra]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    code = cli_main(argv)
-                except Exception as exc:  # a crash is a result to compare too
-                    code, stderr = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
-            name = f"{config.stem} {command} {variant}"
-            runs[name] = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-            print(f"{code} {name}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as refreshed:
+        (Path(refreshed) / "configs").mkdir()
+        for config in configs:
+            data = json.loads(config.read_text())
+            data["refresh_reference"] = True
+            (Path(refreshed) / config).write_text(json.dumps(data, indent=1))
+        for config in configs:
+            variants = [(command, fmt, fmt, [], CHECKOUT)
+                        for command in SUBCOMMANDS for fmt in FORMATS]
+            variants += [(command, "csv", f"csv-order{order}", ["--order", str(order)], CHECKOUT)
+                         for command in ORDER_SUBCOMMANDS for order in EXTRA_ORDERS]
+            variants += [(command, "csv", "csv-refresh", [], Path(refreshed))
+                         for command in REFRESH_SUBCOMMANDS]
+            for command, fmt, variant, extra, root in variants:
+                run_dir = out_dir / "runs" / config.stem / command / variant
+                argv = [command, "--config", str(config), "--output", str(run_dir),
+                        "--format", fmt, *extra]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                os.chdir(root)
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = cli_main(argv)
+                    except Exception as exc:  # a crash is a result to compare too
+                        code, stderr = 1, io.StringIO(f"{type(exc).__name__}: {exc}")
+                os.chdir(CHECKOUT)
+                name = f"{config.stem} {command} {variant}"
+                runs[name] = {"exit": code, "stdout": stdout.getvalue(),
+                              "stderr": stderr.getvalue()}
+                print(f"{code} {name}", file=sys.stderr)
     files = {
         str(path.relative_to(out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted((out_dir / "runs").rglob("*")) if path.is_file()

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bench import SweepRecord, SweepSummary, run_order_sweep
-from .closedform import power_profile
+from .closedform import power_profiles
 from .config import RunConfig, parse_config
 from .errors import (
     ConfigurationError,
@@ -31,7 +31,8 @@ from .errors import (
     NumericalInstabilityError,
     RootBracketError,
 )
-from .multispan import LinkSpec, propagate_multispan_closedform
+from .floattext import csv_block
+from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
 from .ode_oracle import propagate_link_numerical
 from .profiles import ChannelGrid, PowerSpectrum
 
@@ -40,13 +41,19 @@ def _dbm(watts):
     return 10.0 * np.log10(np.asarray(watts) / 1e-3)
 
 
-def _dbm_path(path: Path, spectra: Sequence[PowerSpectrum]) -> Path:
-    """``path``, once no channel of the ``spectra`` it tabulates in dBm is at 0 W (no dBm value)."""
-    for s in spectra:
-        i = s.powers.argmin()  # powers are >= 0: the first channel at 0 W, if there is one
-        if s.powers[i] == 0.0:
-            raise ConfigurationError(f"{path.stem}: channel {i} ({s.grid.frequencies[i]:.4f} THz) "
-                                     f"is at 0 W at z = {s.z:g} km, which has no dBm value")
+def _dbm_path(path: Path, grid: ChannelGrid, samples: Iterable[tuple]) -> Path:
+    """``path``, once no channel of the ``samples`` it tabulates in dBm is at 0 W (no dBm value).
+
+    ``samples`` are ``(z, powers)`` pairs: z values (km) and one row of
+    channel powers per z (or one spectrum's powers at ``[z]``).
+    """
+    for z, powers in samples:
+        flat = np.asarray(powers).ravel()
+        j = flat.argmin()  # powers are >= 0: the first channel at 0 W, if there is one
+        if flat[j] == 0.0:
+            row, i = divmod(int(j), grid.n_channels)
+            raise ConfigurationError(f"{path.stem}: channel {i} ({grid.frequencies[i]:.4f} THz) "
+                                     f"is at 0 W at z = {z[row]:g} km, which has no dBm value")
     return path
 
 
@@ -58,11 +65,16 @@ def _fmt(value) -> str:
 
 _QUOTE_OR_BREAK = re.compile('["\r\n]')
 
+#: Values per float block of a longitudinal table (a block holds whole rows, at least one).
+_BLOCK_VALUES = 2048
+
 
 def _csv_lines(header, rows):
     """Yield the CSV lines of a table, header first, each ending in CRLF.
 
     The text is what ``csv.writer`` writes for ``[_fmt(v) for v in row]``.
+    A float block, a 2-D float array in place of a row, stands for its rows;
+    :func:`isrsprop.floattext.csv_block` writes its lines at once.
     Each distinct tuple of cell types gets one cached ``%`` format (``%.9g``
     for float subclasses, ``%s`` otherwise) applied to the whole row.  Only
     a row that needs quoting goes through ``csv.writer``: a text cell holds
@@ -74,6 +86,9 @@ def _csv_lines(header, rows):
     buffer = io.StringIO()
     quoting = csv.writer(buffer)
     for row in itertools.chain((header,), rows):
+        if isinstance(row, np.ndarray):  # a float block
+            yield csv_block(row)
+            continue
         cells = tuple(row)
         types = tuple(map(type, cells))
         pattern = formats.get(types)
@@ -100,8 +115,9 @@ def _dataclass_table(cls, items) -> tuple[list[str], Iterator[list]]:
 
 
 def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) -> None:
-    """Write ``rows`` as CSV, or as ``.json`` records, taking one row at a time.
+    """Write ``rows`` as CSV, or as ``.json`` records, taking one row (or float block) at a time.
 
+    A float block, a 2-D float array in place of a row, stands for its rows.
     The JSON text is ``json.dumps(records, indent=1)``'s, written record by
     record (JSON strings hold no raw line break, so indenting a record's
     lines by one space nests it in the list).
@@ -110,7 +126,8 @@ def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) 
         encode = json.JSONEncoder(indent=1, default=float).encode
         with open(path.with_suffix(".json"), "w") as fh:
             opening = "[\n "
-            for row in rows:
+            for row in itertools.chain.from_iterable(
+                    item.tolist() if isinstance(item, np.ndarray) else (item,) for item in rows):
                 fh.write(opening + encode(dict(zip(header, row))).replace("\n", "\n "))
                 opening = ",\n "
             fh.write("[]\n" if opening == "[\n " else "\n]\n")
@@ -131,12 +148,29 @@ def _channel_table(
     return ["channel", "frequency_thz", "band", column], rows
 
 
-def _longitudinal_table(spectra) -> tuple[list[str], Iterator[list]]:
-    """Header and rows of z samples; each row is built as the writer takes it."""
-    grid = spectra[0].grid
+def _longitudinal_table(grid: ChannelGrid, samples: Sequence[tuple]) -> tuple[list[str], Iterator]:
+    """Header and float blocks of z samples; each block is built as the writer takes it.
+
+    ``samples`` are ``(z, powers)`` pairs, one row of channel powers per z
+    (a 2-D array, or a list of rows).  A row is z, each channel's dBm and
+    the total's dBm; a block holds at most :data:`_BLOCK_VALUES` values (one
+    row at least) of one pair.
+    """
     header = ["z_km"] + [f"p_dbm_{f:.4f}" for f in grid.frequencies] + ["total_dbm"]
-    rows = ([s.z, *(_dbm(s.powers).tolist()), float(_dbm(s.total_power))] for s in spectra)
-    return header, rows
+    return header, _longitudinal_blocks(samples, len(header))
+
+
+def _longitudinal_blocks(samples: Sequence[tuple], width: int) -> Iterator[np.ndarray]:
+    """The float blocks of :func:`_longitudinal_table`, ``width`` values a row."""
+    step = max(1, _BLOCK_VALUES // width)
+    for z, powers in samples:
+        for start in range(0, len(z), step):
+            p = np.asarray(powers[start:start + step])
+            block = np.empty((len(p), width))
+            block[:, 0] = z[start:start + step]
+            block[:, 1:-1] = _dbm(p)
+            block[:, -1] = _dbm(p.sum(axis=1))
+            yield block
 
 
 def _require(cfg: RunConfig, attr: str, what: str):
@@ -146,18 +180,35 @@ def _require(cfg: RunConfig, attr: str, what: str):
     return value
 
 
-def _span_samples(span_input, params, fiber, span_output, cfg: RunConfig) -> list:
-    """Closed-form spectra at ``steps_per_span + 1`` evenly spaced z over one span.
+def _span_samples(span_input, params, fiber, span_output, cfg: RunConfig) -> tuple:
+    """Closed-form ``(z, powers)`` at ``steps_per_span + 1`` evenly spaced z over one span.
 
-    The z = L sample is the link run's ``span_output``, the same spectrum with or
-    without ``refresh_reference`` (``np.linspace`` ends exactly at L).
+    One :func:`power_profiles` pass gives every row but the z = L one, which
+    is the link run's ``span_output``, the same spectrum with or without
+    ``refresh_reference`` (``np.linspace`` ends exactly at L).
     """
     slope = fiber.raman.as_triangular().slope
-    z_before_end = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)[:-1]
-    return [
-        power_profile(span_input, params, slope, float(z), refresh_reference=cfg.refresh_reference)
-        for z in z_before_end
-    ] + [span_output]
+    z = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
+    before_end = power_profiles(span_input, params, slope, z[:-1], cfg.refresh_reference)
+    return z, np.vstack((before_end, span_output.powers))
+
+
+def _spectra_samples(spectra: Sequence[PowerSpectrum]) -> tuple:
+    """``(z, powers)`` of a sequence of spectra: their z, and the list of their powers."""
+    return np.array([s.z for s in spectra]), [s.powers for s in spectra]
+
+
+def _link_samples(result: MultiSpanResult, span_samples: Sequence[tuple]) -> list[tuple]:
+    """Span-local ``(z, powers)`` samples shifted to link z, plus the receiver-boost sample.
+
+    Each boundary appears twice (end of a span, then the amplified start of
+    the next); the boost sample is the boosted link end at the last z.
+    """
+    starts = result.link.span_starts()
+    samples = [(starts[k] + z, powers) for k, (z, powers) in enumerate(span_samples)]
+    if result.boost_gain is not None:
+        samples.append((samples[-1][0][-1:], result.final.powers[None]))
+    return samples
 
 
 def _one_span_link(cfg: RunConfig) -> LinkSpec:
@@ -165,11 +216,15 @@ def _one_span_link(cfg: RunConfig) -> LinkSpec:
 
 
 def _write_propagation(cfg: RunConfig, out: Path, fmt: str, kind: str, result, samples) -> None:
-    """``<kind>_longitudinal`` from span-local samples, ``<kind>_spectrum`` from the link end."""
-    spectra = result.longitudinal(samples)  # the link's end among them, so both tables are checked
-    head, rows = _longitudinal_table(spectra)
-    _write_table(_dbm_path(out / f"{cfg.name}_{kind}_longitudinal.csv", spectra), head, rows, fmt)
-    head, rows = _channel_table(result.final.grid, "power_dbm", _dbm(result.final.powers))
+    """Write ``<kind>_longitudinal`` and ``<kind>_spectrum`` (the link end).
+
+    ``samples`` holds each span's span-local ``(z, powers)``.
+    """
+    grid = result.final.grid
+    link = _link_samples(result, samples)  # the link's end among them, so both tables are checked
+    path = _dbm_path(out / f"{cfg.name}_{kind}_longitudinal.csv", grid, link)
+    _write_table(path, *_longitudinal_table(grid, link), fmt)
+    head, rows = _channel_table(grid, "power_dbm", _dbm(result.final.powers))
     _write_table(out / f"{cfg.name}_{kind}_spectrum.csv", head, rows, fmt)
 
 
@@ -177,7 +232,8 @@ def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "a launch section")
     link = cfg.link if cfg.link is not None else _one_span_link(cfg)
     result = propagate_link_numerical(launch, link, cfg.solver)
-    _write_propagation(cfg, out, fmt, "solve", result, [r.spectra for r in result.span_results])
+    samples = [_spectra_samples(r.spectra) for r in result.span_results]
+    _write_propagation(cfg, out, fmt, "solve", result, samples)
 
 
 def _closed_form_link(cfg: RunConfig, out: Path, fmt: str, kind: str, launch, link) -> None:
@@ -215,7 +271,8 @@ def cmd_preemph(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.preemph is None:
         raise ConfigurationError("preemph needs launch.mode == 'preemphasis' with a target")
     launch = cfg.preemph(order=cfg.order)
-    path = _dbm_path(out / f"{cfg.name}_preemph_launch.csv", [launch])
+    path = _dbm_path(out / f"{cfg.name}_preemph_launch.csv", launch.grid,
+                     [([launch.z], launch.powers)])
     _write_table(path, *_channel_table(launch.grid, "launch_power_dbm", _dbm(launch.powers)), fmt)
 
 
@@ -223,7 +280,8 @@ def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
     link = _require(cfg, "link", "a link section")
     run = _require(cfg, "osnr", "a osnr_target section")(link, order=cfg.order)
     grid = run.launch.grid
-    path = _dbm_path(out / f"{cfg.name}_osnr_launch.csv", [run.launch])
+    path = _dbm_path(out / f"{cfg.name}_osnr_launch.csv", grid,
+                     [([run.launch.z], run.launch.powers)])
     _write_table(path, *_channel_table(grid, "launch_power_dbm", _dbm(run.launch.powers)), fmt)
     hist_rows = [[i + 1, r] for i, r in enumerate(run.rmse_history)]
     _write_table(out / f"{cfg.name}_osnr_history.csv", ["iteration", "rmse"], hist_rows, fmt)

@@ -280,10 +280,20 @@ def _check_order(order) -> None:
 
 
 def _power_mean(weighted_sum, total, order: int) -> float:
-    """Order-n power mean of alpha from the sum of alpha^n times powers summing to ``total``."""
+    """Order-n power mean of alpha from the sum of alpha^n times powers summing to ``total``.
+
+    A mean of 0 is a :class:`ConfigurationError` naming the order: alpha is
+    positive, so the sum underflowed (alpha_i^n, or its products with the
+    powers), and no decay or effective length follows from it.
+    """
     if total <= 0:
         raise ConfigurationError("total launch power must be positive")
-    return float((weighted_sum / total) ** (1.0 / order))
+    mean = float((weighted_sum / total) ** (1.0 / order))
+    if mean == 0.0:
+        raise ConfigurationError(
+            f"approximation order {order} is too high for this spectrum: alpha_i^{order} "
+            "times the channel powers underflows, so the order's mean attenuation alpha0 is 0")
+    return mean
 
 
 def _decay(alpha0: float, z: float) -> float:
@@ -437,7 +447,9 @@ def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, r
     -alpha_i z plus the tilt term bit for bit.  A channel without power stays
     at 0 W: the reference does not balance its exponent, which may overflow.
     Along the last axis: ``ref``, ``total_launch_power``, ``alpha0`` and ``z``
-    are scalars for one spectrum and (B, 1) columns for a (B, n) batch.
+    are scalars for one spectrum and (B, 1) columns for a (B, n) batch; one
+    (n,) spectrum at an (M, 1) column of z (``ref`` and ``alpha0`` columns
+    too) gives its (M, n) profile.
     """
     exponent = np.subtract(ref, shaping)
     exponent *= slope
@@ -445,7 +457,7 @@ def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, r
     exponent *= _per_row(_decay, alpha0, z)
     exponent -= attenuation
     if not powers.all():
-        exponent[powers == 0] = -np.inf
+        np.copyto(exponent, -np.inf, where=powers == 0)
     np.exp(exponent, out=exponent)
     exponent *= powers
     return exponent
@@ -458,21 +470,41 @@ def power_profile(
     z: float,
     refresh_reference: bool = False,
 ) -> PowerSpectrum:
-    """Closed-form spectrum at position z in [0, L].
+    """Closed-form spectrum at position z in [0, L]: :func:`power_profiles` at one z.
 
     ``refresh_reference`` re-balances the reference shaping value at the
     queried z instead of reusing the end-of-span value, for longitudinal
     profiles; the z = L spectrum is identical either way.
     """
-    if not 0.0 <= z <= params.length:
-        raise ConfigurationError(f"z = {z} km outside the span [0, {params.length}] km")
-    alpha = params.channel_attenuation
-    ref = params.shaping_ref
-    if refresh_reference:
-        p = launch.powers
-        total, alpha0, order = p.sum(), params.alpha0, params.order
-        ref = _shaping_ref(total, params.shaping, alpha**order * p, alpha, alpha0,
-                           alpha0**order * total, _decay(alpha0, z), slope, z)
-    powers = _profile(launch.powers, alpha * z, params.shaping, ref, params.total_launch_power,
-                      params.alpha0, slope, z)
+    powers = power_profiles(launch, params, slope, [z], refresh_reference)[0]
     return PowerSpectrum(launch.grid, powers, z=z)
+
+
+def power_profiles(
+    launch: PowerSpectrum,
+    params: ClosedFormParams,
+    slope: float,
+    z: Sequence[float],
+    refresh_reference: bool = False,
+) -> np.ndarray:
+    """Closed-form powers at each position of ``z`` in [0, L], one row per z: an (M, n) array.
+
+    One pass over the (M, n) exponent, the per-z decay (and, with
+    ``refresh_reference``, the per-z reference shaping value) evaluated row
+    by row with Python ``math``, so a row's bits depend on its z alone: each
+    row is :func:`power_profile`'s spectrum at that z.
+    """
+    for at in z:
+        if not 0.0 <= at <= params.length:
+            raise ConfigurationError(f"z = {at} km outside the span [0, {params.length}] km")
+    p, alpha = launch.powers, params.channel_attenuation
+    z = np.array(z, dtype=float).reshape(-1, 1)
+    alpha0 = np.full_like(z, params.alpha0)
+    if refresh_reference:
+        total, order = p.sum(), params.order
+        shaping = np.broadcast_to(params.shaping, (len(z), p.size))
+        ref = _shaping_ref(total, shaping, alpha**order * p, alpha, alpha0,
+                           params.alpha0**order * total, _per_row(_decay, alpha0, z), slope, z)
+    else:
+        ref = np.full_like(z, params.shaping_ref)
+    return _profile(p, alpha * z, params.shaping, ref, params.total_launch_power, alpha0, slope, z)

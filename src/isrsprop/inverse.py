@@ -236,6 +236,11 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
         p = _launch_from_output(output, terms, decay_at(output_total), out=launch)
         return float(np.add.reduce(p)) - total_launch_power, float(np.dot(tilt, p))
 
+    def log_ratio(f: float) -> float:
+        # log(S / P_T0), the Newton residual; -inf where S - P_T0 rounds to -P_T0
+        # (every channel of the trial launch underflowed, say): a point below the root
+        return math.log1p(f / total_launch_power) if f > -total_launch_power else -math.inf
+
     # a trial launch may overflow to inf at the upper bracket end: that only
     # tells the search which side it is on, so the root-find stays quiet
     with np.errstate(over="ignore"):
@@ -267,10 +272,12 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
             u_low, u_high = math.log(low), math.log(high)
             # Newton from the upper end; the first step has no step before it to halve
             u, f, tilted, step = u_high, f_high, tilted_high, math.inf
-            residual = math.log1p(f / total_launch_power)
+            residual = log_ratio(f)
             while True:
-                slope = 1.0 - decay_at(math.exp(u)) * tilted / (f + total_launch_power)
-                newton = residual / slope if slope > 0.0 else math.inf
+                newton = math.inf
+                if residual > -math.inf:
+                    slope = 1.0 - decay_at(math.exp(u)) * tilted / (f + total_launch_power)
+                    newton = residual / slope if slope > 0.0 else math.inf
                 if abs(newton) <= 0.5 * abs(step) and u_low < u - newton < u_high:
                     u_next = u - newton
                 else:
@@ -281,7 +288,7 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
                     u_low = u
                 else:
                     u_high = u
-                residual = math.log1p(f / total_launch_power)
+                residual = log_ratio(f)
                 if abs(residual) <= _NEWTON_TOL or u_high - u_low <= 1e-12:
                     break
     # the buffer holds the launch of the last evaluation, at the root

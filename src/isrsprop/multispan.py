@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -149,24 +149,6 @@ class MultiSpanResult:
     span_outputs: tuple[PowerSpectrum, ...]
     final: PowerSpectrum
     boost_gain: float | None = None
-
-    def longitudinal(
-        self, span_samples: Sequence[Sequence[PowerSpectrum]]
-    ) -> list[PowerSpectrum]:
-        """Span-local samples shifted to link z, plus the receiver-boost sample.
-
-        Each boundary appears twice (end of a span, then the amplified start
-        of the next); the boost sample sits at the last sample's z.
-        """
-        starts = self.link.span_starts()
-        spectra = [
-            PowerSpectrum(s.grid, s.powers, z=float(starts[k] + s.z))
-            for k, samples in enumerate(span_samples)
-            for s in samples
-        ]
-        if self.boost_gain is not None:
-            spectra.append(self.final.scaled(1.0, z=spectra[-1].z))
-        return spectra
 
 
 def _propagate_link(

@@ -313,10 +313,9 @@ def propagate_link_numerical(
     """Per-span integration with the link's amplifier policy.
 
     ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
-    z; ``result.longitudinal([r.spectra for r in result.span_results])``
-    lays the samples out along the link.  The span operator ``K P - alpha``
-    is built once per distinct (Raman model, attenuation) pair of the
-    link's spans.
+    z; span k starts at ``result.link.span_starts()[k]`` on the link.  The
+    span operator ``K P - alpha`` is built once per distinct (Raman model,
+    attenuation) pair of the link's spans.
     """
     operators = {}
 

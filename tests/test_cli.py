@@ -424,22 +424,28 @@ class TestCommands:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_longitudinal_rows_stream_into_the_list_built_bytes(self, tmp_path, monkeypatch, fmt):
-        # the writer takes the z rows one at a time and writes what building the
-        # whole row list and dumping it at once wrote
+        # the writer takes the z rows as float blocks, one at a time, and writes
+        # what building the whole row list, one spectrum at a time, and dumping
+        # it at once wrote
         path = small_config(tmp_path, link={"span_lengths_km": [40.0, 30.0]})
         commands = ("solve", "multispan")
         for command in commands:
             assert main([command, "--config", str(path), "--output", str(tmp_path / "streamed"),
                          "--format", fmt]) == 0
-        _, rows = cli._longitudinal_table([parse_config(path).launch])
-        assert isinstance(rows, Iterator)
+        launch = parse_config(path).launch
+        z = np.linspace(0.0, 1.0, 200)
+        _, blocks = cli._longitudinal_table(launch.grid, [(z, np.tile(launch.powers, (200, 1)))])
+        assert isinstance(blocks, Iterator)
+        blocks = list(blocks)
+        assert len(blocks) > 1 and all(b.ndim == 2 and b.size <= cli._BLOCK_VALUES for b in blocks)
+        assert sum(len(b) for b in blocks) == 200
 
-        def list_built_table(spectra):
-            grid = spectra[0].grid
+        def list_built_table(grid, samples):
             header = ["z_km"] + [f"p_dbm_{f:.4f}" for f in grid.frequencies] + ["total_dbm"]
             rows = []
-            for s in spectra:
-                rows.append([s.z, *(cli._dbm(s.powers).tolist()), float(cli._dbm(s.total_power))])
+            for zs, powers in samples:
+                for at, p in zip(zs.tolist(), powers):
+                    rows.append([at, *(cli._dbm(p).tolist()), float(cli._dbm(float(p.sum())))])
             return header, rows
 
         def dumping_writer(path, header, rows, fmt):
@@ -474,6 +480,26 @@ class TestCommands:
         records = [dict(zip(header, row)) for row in rows]
         expected = json.dumps(records, indent=1, default=float) + "\n"
         assert (tmp_path / "t.json").read_text() == expected
+
+    def test_a_float_block_writes_the_bytes_of_its_rows(self, tmp_path):
+        # a 2-D float array in place of a row stands for its rows, in CSV and
+        # JSON alike; a row with a value off the encoder's path (0, nan, inf,
+        # 1e-7, an exact tie) keeps its place
+        rng = np.random.default_rng(3)
+        block = rng.uniform(-40.0, 40.0, (6, 50))
+        block[:, 0] = np.linspace(0.0, 250.0, 6)
+        block[2, 5], block[3, 1], block[4, 9], block[5, 7] = np.nan, np.inf, 1e-7, 2.5
+        header = [f"c{i}" for i in range(50)]
+        assert ("".join(cli._csv_lines(header, [block, [1.5] * 50, block[:1]]))
+                == "".join(cli._csv_lines(header, block.tolist() + [[1.5] * 50]
+                                          + block[:1].tolist())))
+        for fmt in ("csv", "json"):
+            cli._write_table(tmp_path / "block.csv", header, iter([block, block[::-1]]), fmt)
+            cli._write_table(tmp_path / "rows.csv", header,
+                             iter(block.tolist() + block[::-1].tolist()), fmt)
+            suffix = ".json" if fmt == "json" else ".csv"
+            assert ((tmp_path / "block").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "rows").with_suffix(suffix).read_bytes())
 
     def test_sweep_json_holds_the_csv_values(self, tmp_path):
         # both formats round floats to 9 significant digits
@@ -845,6 +871,29 @@ class TestShippedScenarios:
 
 
 class TestOverrides:
+    @pytest.mark.parametrize("command, name", [("closed-form", "fig4_single_span_clu"),
+                                               ("multispan", "fig6_multi_span_clu"),
+                                               ("preemph", "preemph_single_span_clu"),
+                                               ("osnr-target", "fig7_osnr_flat_clu")])
+    def test_an_order_whose_mean_attenuation_underflows_is_config_error(
+            self, tmp_path, capsys, command, name):
+        # alpha_i^250 underflows on the shipped CLU fibers; order 200 still runs
+        argv = [command, "--config", str(CONFIG_DIR / f"{name}.json"), "--output"]
+        assert main(argv + [str(tmp_path / "high"), "--order", "250"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: approximation order 250 is too high for this spectrum")
+        assert not (tmp_path / "high").exists() or not list((tmp_path / "high").iterdir())
+        assert main(argv + [str(tmp_path / "ok"), "--order", "200"]) == 0
+
+    def test_a_sweep_cell_at_an_underflowing_order_records_the_error(self, tmp_path):
+        path = small_config(tmp_path, name="sw", sweep=dict(TWO_BAND_SWEEP, orders=[3, 250]))
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path)]) == 0
+        with open(tmp_path / "sw_sweep_records.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert {r["order"] for r in records} == {"3", "250"}
+        for r in records:
+            assert ("approximation order 250 is too high" in r["error"]) == (r["order"] == "250")
+
     def test_order_override_changes_output(self, tmp_path):
         path = small_config(tmp_path, grid={"plan": "CLU", "spacing_ghz": 50})
         out1, out6 = tmp_path / "n3", tmp_path / "n6"

@@ -26,7 +26,14 @@ from isrsprop import (
     shaping_function,
     total_attenuation_coefficient,
 )
-from isrsprop.closedform import _profile, _shaping, _shaping_ref, _span_constants, _span_params
+from isrsprop.closedform import (
+    _profile,
+    _shaping,
+    _shaping_ref,
+    _span_constants,
+    _span_params,
+    power_profiles,
+)
 from isrsprop.profiles import attenuation_at, default_attenuation
 
 from conftest import constant_alpha_fiber, to_db
@@ -165,6 +172,22 @@ class TestTotalAttenuationCoefficient:
     def test_order_zero_rejected(self, clu_launch):
         with pytest.raises(ConfigurationError, match="positive integer"):
             total_attenuation_coefficient(clu_launch, AttenuationProfile.constant(0.05), 0)
+
+    def test_an_order_whose_mean_underflows_is_rejected(self, clu_launch, default_fiber_50):
+        # alpha_i^250 underflows (alpha is about 0.045 1/km), so alpha0 would be 0
+        # and the effective length a division by it
+        link = LinkSpec.uniform(default_fiber_50, 2)
+        paths = [
+            lambda order: total_attenuation_coefficient(clu_launch, default_fiber_50.attenuation,
+                                                        order),
+            lambda order: derive_params(clu_launch, default_fiber_50, order),
+            lambda order: closedform_params_from_output(clu_launch, default_fiber_50, order),
+            lambda order: propagate_multispan_closedform(clu_launch, link, order),
+        ]
+        for path in paths:
+            assert path(200) is not None
+            with pytest.raises(ConfigurationError, match="^approximation order 250 is too high"):
+                path(250)
 
     @pytest.mark.parametrize("order", [2.5, 3.0, math.nan, 0, -1, True, "3"])
     def test_every_closed_form_path_rejects_an_order_that_is_not_an_integer_from_1(
@@ -315,6 +338,34 @@ class TestPowerProfile:
         params = derive_params(clu_launch, default_fiber_100, 3)
         with pytest.raises(ConfigurationError, match="outside the span"):
             power_profile(clu_launch, params, 0.028, 101.0)
+        with pytest.raises(ConfigurationError, match=r"^z = -1.0 km outside the span"):
+            power_profiles(clu_launch, params, 0.028, [0.0, 50.0, -1.0])
+
+    @pytest.mark.parametrize("plan", ["C", "CLU", "SCLU"])
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_z_vector_profile_is_the_per_z_profile(self, plan, order):
+        # one row per z, each the scalar profile at its z: bit for bit with the
+        # end-of-span reference, to 1e-13 with the reference re-balanced per z;
+        # a channel at 0 W stays at 0 W in every row
+        grid = build_channel_grid(plan)
+        rng = np.random.default_rng(order)
+        powers = 10.0 ** rng.uniform(-5.0, -2.5, grid.n_channels)
+        powers[7] = 0.0
+        launch = PowerSpectrum(grid, powers)
+        fiber = FiberSpec(default_attenuation(), RamanGainModel.triangular(peak=0.4), 80.0)
+        params = derive_params(launch, fiber, order)
+        slope = fiber.raman.as_triangular().slope
+        z = np.linspace(0.0, 80.0, 51)
+        for refresh in (False, True):
+            rows = power_profiles(launch, params, slope, z, refresh)
+            assert rows.shape == (51, grid.n_channels)
+            expected = np.array([power_profile(launch, params, slope, float(at), refresh).powers
+                                 for at in z])
+            if refresh:
+                np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=0.0)
+            else:
+                assert np.array_equal(rows, expected)
+            assert not rows[:, 7].any()
 
     def test_vanishing_power_converges_to_attenuation_shape(self, clu_grid, default_fiber_100):
         # the tilt vanishes with launch power; what survives is a common

@@ -192,6 +192,16 @@ class TestSingleSpanShapeMode:
             with pytest.raises(ConfigurationError, match="positive, finite total_launch_power"):
                 solve(target, link, total)
 
+    def test_a_subnormal_total_is_the_underflow_error(self, clu_grid):
+        # at 1e-320 W every trial launch near the root underflows to a sum of 0 W,
+        # whose log residual does not exist; 1e-318 W still solves
+        fiber = FiberSpec(default_attenuation(), default_raman(0.4), 100.0)
+        shape = TargetSpectrum.flat_shape(clu_grid)
+        with pytest.raises(ConfigurationError, match="leaves 333 of 333 channels at 0 W"):
+            preemphasis_single_span(shape, fiber, 3, total_launch_power=1e-320)
+        launch = preemphasis_single_span(shape, fiber, 3, total_launch_power=1e-318)
+        assert launch.powers.min() > 0.0
+
     def test_overflowing_bracket_end_stays_quiet(self, clu_grid):
         # at +6 dBm/ch behind a 1.0 dB/km loss edge the trial launch at the
         # bracket's upper end overflows to inf; that only orders the bracket,

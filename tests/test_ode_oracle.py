@@ -20,6 +20,7 @@ from isrsprop import (
     isrs_derivative,
     propagate_link_numerical,
 )
+from isrsprop import cli
 from isrsprop.ode_oracle import _coupling_matrix, _integrate_batch, _span_operator
 from isrsprop.profiles import attenuation_at, default_attenuation, default_raman, raman_gain_at
 
@@ -33,8 +34,11 @@ def two_channel_grid(spacing=1.0):
 
 
 def link_samples(result):
-    """The oracle's span samples on link z, boundaries twice, boost sample last."""
-    return result.longitudinal([r.spectra for r in result.span_results])
+    """The oracle's span samples on link z, boundaries twice, boost sample last, as spectra."""
+    samples = cli._link_samples(result, [cli._spectra_samples(r.spectra)
+                                         for r in result.span_results])
+    return [PowerSpectrum(result.final.grid, p, z=float(z))
+            for zs, powers in samples for z, p in zip(zs, powers)]
 
 
 class TestDerivative:
