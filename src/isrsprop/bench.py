@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closedform import _profile, _shaping, _span_constants, _span_params
+from .closedform import _profile, _span_constants, _span_params, _SpanModel
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
 from .profiles import (
@@ -158,8 +158,8 @@ def _run_group(args) -> list[SweepRecord]:
     power and the span length vary.  After the batch, outside its memory
     peak, the closed form runs on the (B, n) rows the oracle finished: their
     shaping values in one pass, then one pass per order with one span length
-    per row.  alpha(f_i) is evaluated once for the oracle and once for the
-    closed form.  A failure is recorded on every record it concerns (group,
+    per row.  Both take alpha(f_i) from one span model, so it is evaluated
+    once per group.  A failure is recorded on every record it concerns (group,
     cell or order): a pass that raises is run again row by row, so each
     failing cell and order gets the error of its own spectrum.
     """
@@ -168,17 +168,16 @@ def _run_group(args) -> list[SweepRecord]:
     raman = RamanGainModel.triangular(
         peak=peak, peak_separation=config.raman_peak_separation, window=config.raman_window
     )
-    # the span length plays no part in the oracle's operator or the order-free constants
-    fiber = FiberSpec(attenuation=config.attenuation, raman=raman, length=cells[0][1])
+    # the span length plays no part in the span model
+    model = _SpanModel(grid, FiberSpec(config.attenuation, raman, length=cells[0][1]))
     launches = np.array([PowerSpectrum.flat_dbm(grid, power_dbm).powers for power_dbm, _ in cells])
     lengths = np.array([length for _, length in cells])
     options = SolverOptions(steps_per_span=config.steps_per_span)
     results: dict[tuple[int, int], tuple[float, float] | str] = {}
     try:
         outputs, messages = _integrate_batch(
-            launches, lengths, _span_operator(grid, fiber, options), options.steps_per_span)
+            launches, lengths, _span_operator(model, options), options.steps_per_span)
         errors = {b: repr(NumericalInstabilityError(m)) for b, m in enumerate(messages) if m}
-        constants = _span_constants(grid, fiber, 1)
     except Exception as exc:  # failed cells are recorded, the sweep continues
         errors = dict.fromkeys(range(len(cells)), repr(exc))
     cell_rows = np.array([b for b in range(len(cells)) if b not in errors], dtype=int)
@@ -187,10 +186,9 @@ def _run_group(args) -> list[SweepRecord]:
         if errors:
             p, oracle, lengths = (x[cell_rows] for x in (p, oracle, lengths))
         totals = p.sum(axis=1, keepdims=True)
-        c = constants
         # an order-free failure fails every order of its cell alike
-        done, shaping, failed = _batch_or_rows(
-            lambda r: _shaping(p[r], totals[r], c.window, c.spacing, c.indices), len(cell_rows))
+        done, shaping, failed = _batch_or_rows(lambda r: model.shaping(p[r], totals[r]),
+                                               len(cell_rows))
         if failed:
             errors.update((cell_rows[i], error) for i, error in failed.items())
             cell_rows, p, oracle, totals, lengths = (
@@ -198,15 +196,15 @@ def _run_group(args) -> list[SweepRecord]:
         oracle_dbm = oracle / 1e-3
         np.log10(oracle_dbm, out=oracle_dbm)
         oracle_dbm *= 10.0
-        c = c._replace(length=lengths[:, None], alpha_length=c.alpha * lengths[:, None])
+        c = _span_constants(model, lengths[:, None], 1)
         for n in config.orders:
-            cn = c._replace(order=n, alpha_n=c.alpha**n)
+            cn = c._replace(order=n, alpha_n=model.alpha**n)
 
             def evaluate(r):
                 cr = cn._replace(length=cn.length[r], alpha_length=cn.alpha_length[r])
                 alpha0, ref, _, growth = _span_params(p[r], totals[r], shaping[r], cr)
                 closed = _profile(p[r], cr.alpha_length, shaping[r], ref, totals[r] * growth,
-                                  alpha0, cr.slope, cr.length)
+                                  alpha0, model.fit.slope, cr.length)
                 PowerSpectrum._check(closed)
                 eps = _error_ratio(closed, oracle[r])
                 closed /= 1e-3
@@ -265,15 +263,16 @@ def run_order_sweep(
 
 
 def summarize(records: Sequence[SweepRecord]) -> list[SweepSummary]:
-    """Box-plot statistics per (band, order), in first-seen band order."""
-    bands = list(dict.fromkeys(r.band for r in records))
-    orders = sorted({r.order for r in records})
+    """Box-plot statistics per (band, order), in first-seen band order, from one pass."""
+    eps_by_band: dict[str, dict[int, list[float]]] = {}
+    for r in records:
+        group = eps_by_band.setdefault(r.band, {}).setdefault(r.order, [])
+        if not r.error:
+            group.append(r.eps_p)
     out = []
-    for band in bands:
-        for order in orders:
-            eps = np.array(
-                [r.eps_p for r in records if r.band == band and r.order == order and not r.error]
-            )
+    for band, eps_by_order in eps_by_band.items():
+        for order in sorted(eps_by_order):
+            eps = np.array(eps_by_order[order])
             if eps.size == 0:
                 continue
             q1, med, q3 = np.percentile(eps, [25.0, 50.0, 75.0])

@@ -14,10 +14,11 @@ the launch spectrum here, and from the output spectrum for the inverse forms
 in :mod:`isrsprop.inverse`.  A Raman-free span (slope 0) needs no special
 case: its tilt term is zero and the profile is pure attenuation.
 
-What depends only on the grid, the fiber and the order (Raman slope and
-window, the shaping function's gather indices, alpha_i, alpha_i^n and
-alpha_i L) is built once per public call and distinct span by
-:func:`_span_constants`; no grid keeps it.  The builder (:func:`_shaping`,
+What a span needs besides its spectrum is built once per public call:
+alpha_i, the triangular Raman fit and the shaping function's gather indices
+once per fiber model in a :class:`_SpanModel` (a link numbers its models,
+:class:`isrsprop.multispan.LinkSpec`), alpha_i^n and alpha_i L once per span
+by :func:`_span_constants`; no grid keeps them.  The builder (:func:`_shaping`,
 :func:`_span_params`, :func:`_profile`) works on plain arrays, sums each spectrum
 once and runs every check of :class:`ClosedFormParams` and of the spectra.
 It works along the last axis: one (n,) spectrum with scalar totals, alpha0
@@ -94,60 +95,55 @@ class ClosedFormParams:
         return self.total_launch_power * math.exp(-self.alpha0 * z)
 
 
-class _SpanConstants(NamedTuple):
-    """What the closed form of one span needs besides the spectrum, for one grid and order.
+@dataclass(frozen=True, eq=False)
+class _SpanModel:
+    """One fiber model on one grid, for every span of it; ``fiber``'s length plays no part.
 
-    ``indices`` are the :func:`_window_indices` of the Raman window on the
-    grid; ``alpha`` is the read-only alpha(f_i) of the fiber, ``alpha_n`` is
-    alpha_i^n and ``alpha_length`` is alpha_i L.  For a (B, n) batch of
-    spectra on spans of different lengths, ``length`` is a (B, 1) column and
-    ``alpha_length`` a (B, n) matrix.
+    The read-only ``alpha`` (alpha(f_i)), the triangular ``fit`` of the Raman
+    model (the closed form is parameterized by a slope and window only) and
+    the fit window's :func:`_window_indices` are each built on first use and
+    kept, so an oracle that keeps a tabulated model never fits it.
     """
 
-    slope: float
-    window: float
-    spacing: float
-    indices: tuple
-    alpha: np.ndarray
+    grid: ChannelGrid
+    fiber: FiberSpec
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return _freeze(attenuation_at(self.fiber.attenuation, self.grid.frequencies))
+
+    @functools.cached_property
+    def fit(self):
+        return self.fiber.raman.as_triangular()
+
+    @functools.cached_property
+    def indices(self) -> tuple:
+        bs, window = self.grid.spacing, self.fit.window
+        return _window_indices(self.grid.n_channels, math.floor(window / bs), math.ceil(window / bs))
+
+    def shaping(self, powers: np.ndarray, total) -> np.ndarray:
+        """:func:`_shaping` of ``powers`` summing to ``total``, under the fit's window."""
+        return _shaping(powers, total, self.fit.window, self.grid.spacing, self.indices)
+
+
+class _SpanConstants(NamedTuple):
+    """One span's closed-form constants: its ``model``, alpha_i^n and alpha_i L.
+
+    For a (B, n) batch of spectra on spans of different lengths, ``length``
+    is a (B, 1) column and ``alpha_length`` a (B, n) matrix.
+    """
+
+    model: _SpanModel
     alpha_n: np.ndarray
     alpha_length: np.ndarray
     length: float
     order: int
 
 
-def _span_constants(grid: ChannelGrid, fiber: FiberSpec, order: int) -> _SpanConstants:
-    """The per-span constants of ``fiber`` on ``grid`` at ``order``, alpha_i evaluated afresh.
-
-    A tabulated Raman model is coerced to its triangular fit (the closed form
-    is parameterized by a slope and window only).  An order that is not an
-    integer >= 1 is a :class:`ConfigurationError`.
-    """
+def _span_constants(model: _SpanModel, length, order: int) -> _SpanConstants:
+    """The constants of a span ``length`` km long of ``model`` at ``order``, checked >= 1."""
     _check_order(order)
-    tri = fiber.raman.as_triangular()
-    bs = grid.spacing
-    indices = _window_indices(grid.n_channels, math.floor(tri.window / bs),
-                              math.ceil(tri.window / bs))
-    alpha = _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
-    return _SpanConstants(tri.slope, tri.window, bs, indices, alpha, alpha**order,
-                          alpha * fiber.length, fiber.length, order)
-
-
-def _link_constants(grid: ChannelGrid, spans: Sequence[FiberSpec],
-                    order: int) -> list[_SpanConstants]:
-    """:func:`_span_constants` of every span, built once per distinct span.
-
-    Spans sharing their attenuation and Raman model objects and their length
-    share one bundle; each entry holds its first span, so the ids in the key
-    stay those of live objects for the whole call.
-    """
-    built: dict[tuple, tuple[FiberSpec, _SpanConstants]] = {}
-    out = []
-    for fiber in spans:
-        key = (id(fiber.attenuation), id(fiber.raman), fiber.length)
-        if key not in built:
-            built[key] = (fiber, _span_constants(grid, fiber, order))
-        out.append(built[key][1])
-    return out
+    return _SpanConstants(model, model.alpha**order, model.alpha * length, length, order)
 
 
 def shaping_function(launch: PowerSpectrum, window: float) -> np.ndarray:
@@ -374,14 +370,15 @@ def derive_params(launch: PowerSpectrum, fiber: FiberSpec, order: int = 3) -> Cl
     is parameterized by a slope and window only).
     """
     p = launch.powers
-    return _closed_form_params(p, p.sum(), _span_constants(launch.grid, fiber, order))
+    constants = _span_constants(_SpanModel(launch.grid, fiber), fiber.length, order)
+    return _closed_form_params(p, p.sum(), constants)
 
 
 def _closed_form_params(powers: np.ndarray, total, constants: _SpanConstants,
                         at: float = 0.0) -> ClosedFormParams:
     """The :class:`ClosedFormParams` of :func:`_span_params` for powers summing to ``total``."""
     c = constants
-    shaping = _shaping(powers, total, c.window, c.spacing, c.indices)
+    shaping = c.model.shaping(powers, total)
     alpha0, ref, leff, growth = _span_params(powers, total, shaping, c, at)
     return ClosedFormParams(
         alpha0=alpha0,
@@ -391,7 +388,7 @@ def _closed_form_params(powers: np.ndarray, total, constants: _SpanConstants,
         effective_length=leff,
         total_launch_power=float(total * growth),
         length=c.length,
-        channel_attenuation=c.alpha,
+        channel_attenuation=c.model.alpha,
     )
 
 
@@ -416,8 +413,8 @@ def _span_params(powers: np.ndarray, total, shaping: np.ndarray, constants: _Spa
     weighted_sum = weighted.sum(axis=-1, keepdims=powers.ndim > 1)
     alpha0, growth, leff, norm, leff_z = _per_row(_row_scalars, weighted_sum, total, c.length,
                                                   c.order, at)
-    ref = _shaping_ref(total, shaping, weighted, c.alpha, alpha0, norm, leff_z, c.slope,
-                       c.length - at)
+    ref = _shaping_ref(total, shaping, weighted, c.model.alpha, alpha0, norm, leff_z,
+                       c.model.fit.slope, c.length - at)
     return alpha0, ref, leff, growth
 
 

@@ -12,11 +12,11 @@ solved for the implied output total by safeguarded Newton on its logarithm:
 Newton steps kept inside a sign bracket, with a bisection step wherever
 Newton would leave it or stall.
 
-Each public call builds the per-span constants of
-:func:`isrsprop.closedform._span_constants` once per distinct span, and the
-inversion runs on plain arrays: the multi-span recursion makes no target,
-spectrum or parameter object per span, while every check those objects made
-still runs on the arrays.
+Each public call takes its per-span quantities from one span model per fiber
+model (:func:`isrsprop.multispan._closed_form_constants`), and the inversion
+runs on plain arrays: the multi-span recursion makes no target, spectrum or
+parameter object per span, while every check those objects made still runs
+on the arrays.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ import numpy as np
 from .closedform import (
     ClosedFormParams,
     _closed_form_params,
-    _link_constants,
-    _shaping,
     _span_constants,
     _span_params,
+    _SpanModel,
 )
 from .errors import ConfigurationError, RootBracketError
-from .multispan import LinkSpec
+from .multispan import LinkSpec, _closed_form_constants
 from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
 
 # The shape-only root-find stops where |log(S / P_T0)| is at most this
@@ -102,7 +101,7 @@ def closedform_params_from_output(
     p = output.powers
     total = p.sum()
     _check_output_total(total)
-    constants = _span_constants(output.grid, fiber, order)
+    constants = _span_constants(_SpanModel(output.grid, fiber), fiber.length, order)
     return _closed_form_params(p, total, constants, at=fiber.length)
 
 
@@ -122,9 +121,9 @@ def _inversion(output_powers: np.ndarray, constants) -> tuple:
     c = constants
     total = output_powers.sum()
     _check_output_total(total)
-    shaping = _shaping(output_powers, total, c.window, c.spacing, c.indices)
+    shaping = c.model.shaping(output_powers, total)
     _, ref, leff, growth = _span_params(output_powers, total, shaping, c, at=c.length)
-    return total, growth, leff, (c.alpha_length, c.slope * (ref - shaping))
+    return total, growth, leff, (c.alpha_length, c.model.fit.slope * (ref - shaping))
 
 
 def _launch_from_output(
@@ -176,13 +175,14 @@ def preemphasis_single_span(
     allocated once per call, through :func:`_launch_from_output` with
     ``out``, so the root-find allocates no arrays.
     """
+    model = _SpanModel(target.grid, fiber)
     if not target.normalized:
         if total_launch_power is not None:
             raise ConfigurationError(
                 "absolute targets fix the launch total; drop total_launch_power"
             )
         output = PowerSpectrum(target.grid, target.values, z=fiber.length)
-        constants = _span_constants(target.grid, fiber, order)
+        constants = _span_constants(model, fiber.length, order)
         total, growth, leff, terms = _inversion(output.powers, constants)
         decay = total * growth * leff
         attenuation, tilt = terms
@@ -196,7 +196,7 @@ def preemphasis_single_span(
         launch = _launch_from_output(output.powers, terms, decay)
         return PowerSpectrum(target.grid, launch, z=0.0)
     _check_launch_total(total_launch_power)
-    constants = _span_constants(target.grid, fiber, order)
+    constants = _span_constants(model, fiber.length, order)
     return PowerSpectrum(target.grid, _invert_shape(target.shape(), constants,
                                                     total_launch_power), z=0.0)
 
@@ -244,8 +244,8 @@ def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np
     # a trial launch may overflow to inf at the upper bracket end: that only
     # tells the search which side it is on, so the root-find stays quiet
     with np.errstate(over="ignore"):
-        low = total_launch_power * math.exp(-float(constants.alpha.max()) * length)
-        high = total_launch_power * math.exp(-float(constants.alpha.min()) * length)
+        low = total_launch_power * math.exp(-float(constants.model.alpha.max()) * length)
+        high = total_launch_power * math.exp(-float(constants.model.alpha.min()) * length)
         f_low = excess(low)[0]
         f_high, tilted_high = excess(high)
         # The attenuation-only bracket can miss the root when the tilt-induced
@@ -331,7 +331,9 @@ def preemphasis_multispan(
             "multi-span pre-emphasis targets a shape; absolute output powers "
             "cannot be realized under per-span total-power restoration"
         )
-    return _preemphasis_multispan(target.grid, target.shape(), link, total_launch_power, order)
+    _check_launch_total(total_launch_power)
+    constants = _closed_form_constants(target.grid, link, order)
+    return _preemphasis_multispan(target.grid, target.shape(), constants, total_launch_power)
 
 
 def _check_total_restoring(link: LinkSpec) -> None:
@@ -346,16 +348,15 @@ def _check_total_restoring(link: LinkSpec) -> None:
 
 # perfbench counts OSNR iterations as calls of this name, its leading underscore dropped
 def _preemphasis_multispan(
-    grid: ChannelGrid, shape: np.ndarray, link: LinkSpec, total_launch_power: float, order: int
+    grid: ChannelGrid, shape: np.ndarray, constants: list, total_launch_power: float
 ) -> PowerSpectrum:
     """:func:`preemphasis_multispan` of the unit-sum output ``shape`` on any link.
 
-    The link's amplifier policies are not checked.  Each span's shape is
-    checked as a shape-only target's values are.
+    ``constants`` are the link's :func:`isrsprop.multispan._closed_form_constants`.  Neither
+    the launch total nor the amplifiers are checked; each span's shape is, as a target's.
     """
-    _check_launch_total(total_launch_power)
-    for constants in reversed(_link_constants(grid, link.spans, order)):
+    for span in reversed(constants):
         TargetSpectrum._check(shape)
-        launch = _invert_shape(shape, constants, total_launch_power)
+        launch = _invert_shape(shape, span, total_launch_power)
         shape = launch / launch.sum()
     return PowerSpectrum(grid, launch * (total_launch_power / launch.sum()), z=0.0)

@@ -4,17 +4,21 @@ The worst-case amplification model: each in-line amplifier applies one scalar
 gain restoring the total power to its span-input value, so spectral tilt is
 never equalized and accumulates span over span.  A per-band restoring policy
 and a fixed-gain policy are available as variants.
+
+A :class:`LinkSpec` numbers its fiber models at construction; each public call
+of the closed form or the oracle takes every per-span quantity from one span
+model per number (:func:`_link_models`), evaluating alpha(f_i) once per model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .closedform import _closed_form_params, _link_constants, _profile
+from .closedform import _closed_form_params, _profile, _span_constants, _SpanModel
 from .errors import ConfigurationError
 from .profiles import FiberSpec, PowerSpectrum
 
@@ -57,12 +61,15 @@ class LinkSpec:
     ``amplifiers`` has one entry per boundary (span count - 1).  When
     ``receiver_boost`` is set, a total-power-restoring stage is applied at
     the link end; it scales signal and accumulated noise identically and
-    injects nothing.
+    injects nothing.  ``models[k]``, derived at construction, numbers span
+    k's fiber model: spans whose attenuation and Raman objects are the same
+    share a number, and the numbers run 0, 1, ... in order of first use.
     """
 
     spans: tuple[FiberSpec, ...]
     amplifiers: tuple[AmplifierSpec, ...] = ()
     receiver_boost: bool = False
+    models: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spans", tuple(self.spans))
@@ -74,6 +81,10 @@ class LinkSpec:
                 f"expected {len(self.spans) - 1} in-line amplifiers for "
                 f"{len(self.spans)} spans, got {len(self.amplifiers)}"
             )
+        # the first span of each span's model, then the rank of that span among the firsts
+        first = [next(j for j, f in enumerate(self.spans)
+                      if f.attenuation is s.attenuation and f.raman is s.raman) for s in self.spans]
+        object.__setattr__(self, "models", tuple(sorted(set(first)).index(j) for j in first))
 
     @classmethod
     def uniform(
@@ -85,11 +96,7 @@ class LinkSpec:
     ) -> "LinkSpec":
         """Homogeneous link: the same fiber and amplifier repeated."""
         amp = amplifier if amplifier is not None else AmplifierSpec()
-        return cls(
-            spans=tuple(fiber for _ in range(n_spans)),
-            amplifiers=tuple(amp for _ in range(n_spans - 1)),
-            receiver_boost=receiver_boost,
-        )
+        return cls((fiber,) * n_spans, (amp,) * (n_spans - 1), receiver_boost)
 
     def span_starts(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum([s.length for s in self.spans])))
@@ -167,10 +174,7 @@ def _propagate_link(
     band_targets = None
     if any(amp.gain_policy == "restore-band-power" for amp in link.amplifiers):
         band_targets = _band_totals(launch)
-    span_results: list = []
-    gains: list = []
-    span_inputs: list[PowerSpectrum] = []
-    span_outputs: list[PowerSpectrum] = []
+    span_results, gains, span_inputs, span_outputs = [], [], [], []
     current = PowerSpectrum(launch.grid, launch.powers, z=0.0)
     last = len(link.spans) - 1
     for k in range(last + 1):
@@ -199,6 +203,19 @@ def _propagate_link(
     )
 
 
+def _link_models(grid, link: LinkSpec) -> list[_SpanModel]:
+    """One span model per fiber model of ``link`` on ``grid``, indexed by ``link.models``."""
+    return [_SpanModel(grid, link.spans[k]) for k, m in enumerate(link.models)
+            if m not in link.models[:k]]
+
+
+def _closed_form_constants(grid, link: LinkSpec, order: int) -> list:
+    """The closed form's constants of every span of ``link``, from :func:`_link_models`."""
+    models = _link_models(grid, link)
+    return [_span_constants(models[m], fiber.length, order)
+            for fiber, m in zip(link.spans, link.models)]
+
+
 def propagate_multispan_closedform(
     launch: PowerSpectrum, link: LinkSpec, order: int = 3
 ) -> MultiSpanResult:
@@ -206,18 +223,21 @@ def propagate_multispan_closedform(
 
     Every span's shaping values, alpha0 and reference shaping value are
     re-derived from that span's own input spectrum, so heterogeneous spans
-    and accumulated tilt are handled naturally.  The per-span constants are
-    built once per call for each distinct span.
+    and accumulated tilt are handled naturally.
     """
+    return _propagate_closed_form(launch, link, _closed_form_constants(launch.grid, link, order))
+
+
+def _propagate_closed_form(launch: PowerSpectrum, link: LinkSpec, constants) -> MultiSpanResult:
+    """:func:`propagate_multispan_closedform` with the :func:`_closed_form_constants` given."""
     grid = launch.grid
-    constants = _link_constants(grid, link.spans, order)
 
     def closed_form_span(span_input: PowerSpectrum, k: int):
         c = constants[k]
         p = span_input.powers
         params = _closed_form_params(p, p.sum(), c)
         out = _profile(p, c.alpha_length, params.shaping, params.shaping_ref,
-                       params.total_launch_power, params.alpha0, c.slope, c.length)
+                       params.total_launch_power, params.alpha0, c.model.fit.slope, c.length)
         return params, PowerSpectrum(grid, out, z=c.length)
 
     return _propagate_link(launch, link, closed_form_span)

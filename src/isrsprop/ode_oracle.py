@@ -18,9 +18,10 @@ gain without the photon correction K is never formed: inside the window
 K[i, j] = slope (f_j - f_i), so K p - alpha is a rank-2 sum and the loss,
 taken as one (B, 3) @ (3, n) product, minus the pairs beyond the window,
 which sit in two mirrored corner blocks (:func:`_triangular_coupling`).
-Every other model applies the dense K of :func:`_coupling_matrix`.  A row's
-last bits depend on which rows share its batch; the same batch always gives
-the same bits.
+Every other model applies the dense K of :func:`_coupling_matrix`.  Each
+operator takes alpha(f_i) from a span model, built once per fiber model of a
+link.  A row's last bits depend on which rows share its batch; the same
+batch always gives the same bits.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .closedform import _SpanModel
 from .errors import ConfigurationError, NumericalInstabilityError
-from .multispan import LinkSpec, MultiSpanResult, _propagate_link
+from .multispan import LinkSpec, MultiSpanResult, _link_models, _propagate_link
 from .profiles import (
     ChannelGrid,
     FiberSpec,
@@ -39,7 +41,6 @@ from .profiles import (
     RamanGainModel,
     _freeze,
     _raman_gain_in_place,
-    attenuation_at,
 )
 
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
@@ -163,21 +164,21 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     return net
 
 
-def _span_operator(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions) -> _Net:
-    """``net(P) = K P - alpha`` on the rows of a power matrix P, for a grid and fiber model.
+def _span_operator(model: _SpanModel, options: SolverOptions) -> _Net:
+    """``net(P) = K P - alpha`` on the rows of a power matrix P, for one span model.
 
     dP/dz is then ``net(P) * P``.  A triangular gain without the photon
     correction gets :func:`_triangular_coupling`, which folds the loss into
     its rank-2 product; every other model the dense :func:`_coupling_matrix`,
-    applied as ``P @ K.T`` with alpha subtracted in place.  alpha(f_i) is
-    evaluated once per operator, and every array the operator keeps is
-    read-only.  The span length plays no part.
+    applied as ``P @ K.T`` with alpha subtracted in place.  alpha(f_i) is the
+    model's, and every array the operator keeps is read-only.  The span
+    length plays no part.
     """
-    alpha = _freeze(attenuation_at(fiber.attenuation, grid.frequencies))
-    raman = _effective_raman(fiber, options)
+    alpha = model.alpha
+    raman = _effective_raman(model.fiber, options)
     if raman.kind == "triangular" and not options.photon_correction:
-        return _triangular_coupling(grid.frequencies, raman, alpha)
-    k = _coupling_matrix(grid, fiber, options)
+        return _triangular_coupling(model.grid.frequencies, raman, alpha)
+    k = _coupling_matrix(model.grid, model.fiber, options)
     k.flags.writeable = False
     kt = k.T
 
@@ -194,7 +195,7 @@ def isrs_derivative(
 ) -> np.ndarray:
     """Per-channel dP/dz in W/km at the spectrum's position."""
     p = spectrum.powers
-    d = _span_operator(spectrum.grid, fiber, options)(p)
+    d = _span_operator(_SpanModel(spectrum.grid, fiber), options)(p)
     d *= p
     return d
 
@@ -278,7 +279,7 @@ def integrate_span(
 
     The batched integrator with one row.
     """
-    net = _span_operator(launch.grid, fiber, options)
+    net = _span_operator(_SpanModel(launch.grid, fiber), options)
     return _integrate_span(launch, fiber.length, net, options.steps_per_span)
 
 
@@ -314,18 +315,14 @@ def propagate_link_numerical(
 
     ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
     z; span k starts at ``result.link.span_starts()[k]`` on the link.  The
-    span operator ``K P - alpha`` is built once per distinct (Raman model,
-    attenuation) pair of the link's spans.
+    span operator ``K P - alpha`` is built once per fiber model of the link
+    (``link.models``), before the first span runs.
     """
-    operators = {}
+    operators = [_span_operator(model, options) for model in _link_models(launch.grid, link)]
 
     def oracle_span(span_input: PowerSpectrum, k: int):
-        fiber = link.spans[k]
-        # identity keys: the link holds every model alive for the whole run
-        key = (id(fiber.raman), id(fiber.attenuation))
-        if key not in operators:
-            operators[key] = _span_operator(span_input.grid, fiber, options)
-        span = _integrate_span(span_input, fiber.length, operators[key], options.steps_per_span)
+        net = operators[link.models[k]]
+        span = _integrate_span(span_input, link.spans[k].length, net, options.steps_per_span)
         return span, span.final
 
     return _propagate_link(launch, link, oracle_span)

@@ -11,16 +11,15 @@ A receiver boost rescales signal and noise identically and injects nothing,
 which makes the end-of-link OSNR independent of the boost gain.
 
 Each iteration of :func:`target_osnr` is one backward recursion of
-:func:`preemphasis_multispan` and one :func:`propagate_multispan_closedform`
-call.  The recursion runs without the pre-emphasis check that every in-line
-amplifier restores the span-input total: the forward run applies the link's
-own amplifier policy, so the loop is open to every policy.  Each call builds
-the closed form's per-span constants once per distinct span
-(:func:`isrsprop.closedform._span_constants`).  The photon energies, the
-reference bandwidth and the normalized goal are computed once per
-:func:`target_osnr` call, the noise figures once at its first ASE
-evaluation; every check of :func:`ase_accumulate` and :func:`osnr_profile`
-still runs on every iteration.
+:func:`preemphasis_multispan` and one forward closed-form run.  The recursion
+runs without the pre-emphasis check that every in-line amplifier restores
+the span-input total: the forward run applies the link's own amplifier
+policy, so the loop is open to every policy.  Once per :func:`target_osnr`
+call come the closed form's per-span constants, from one span model per
+fiber model (:func:`isrsprop.multispan._closed_form_constants`), the photon
+energies, the reference bandwidth and the normalized goal, and at its first
+ASE evaluation the noise figures, one array per amplifier; every check of
+:func:`ase_accumulate` and :func:`osnr_profile` still runs on every iteration.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .inverse import TargetSpectrum, _preemphasis_multispan
-from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
+from .inverse import TargetSpectrum, _check_launch_total, _preemphasis_multispan
+from .multispan import LinkSpec, MultiSpanResult, _closed_form_constants, _propagate_closed_form
 from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze, _same_grid
 
 @dataclass(frozen=True)
@@ -101,23 +100,6 @@ def _injected(hf: np.ndarray, nf: np.ndarray, gain, b_hz: float) -> np.ndarray:
     return hf * np.maximum(nf * (gain - 1.0), 0.0) * b_hz
 
 
-def _amplifier_noise_figures(grid: ChannelGrid, link: LinkSpec) -> list[np.ndarray]:
-    """Per-channel linear noise figures of every in-line amplifier of the link.
-
-    Built once per distinct mapping; the link holds every mapping for the
-    whole call, so their ids stay unique.
-    """
-    nf_by_mapping: dict[int, np.ndarray] = {}
-    out = []
-    for amplifier in link.amplifiers:
-        mapping = amplifier.noise_figure_db
-        nf = nf_by_mapping.get(id(mapping))
-        if nf is None:
-            nf = nf_by_mapping[id(mapping)] = _noise_figure_linear(grid, mapping)
-        out.append(nf)
-    return out
-
-
 def ase_accumulate(
     link: LinkSpec,
     gains: Sequence,
@@ -137,8 +119,8 @@ def ase_accumulate(
         raise ConfigurationError("gains/span_inputs inconsistent with the link")
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
     _check_reference_bandwidth(b_ref)
-    noise = _ase(_photon_energy(grid), _amplifier_noise_figures(grid, link), b_ref * 1e12,
-                 gains, span_inputs, final.powers)
+    nfs = [_noise_figure_linear(grid, amp.noise_figure_db) for amp in link.amplifiers]
+    noise = _ase(_photon_energy(grid), nfs, b_ref * 1e12, gains, span_inputs, final.powers)
     return NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref)
 
 
@@ -214,8 +196,11 @@ def target_osnr(
         raise ConfigurationError("OSNR targets are shape-only; build the target with normalized=True")
     grid = target.grid
     goal = target.values
-    # what no iteration changes: the ASE factors of ase_accumulate and the normalized goal;
-    # the noise figures are checked where ase_accumulate checks them, after the first run
+    # what no iteration changes: the closed form's span constants, the ASE factors of
+    # ase_accumulate and the normalized goal; the noise figures are checked where
+    # ase_accumulate checks them, after the first run
+    _check_launch_total(total_launch_power)
+    constants = _closed_form_constants(grid, link, order)
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
     hf, b_hz = _photon_energy(grid), b_ref * 1e12
     nfs = None
@@ -224,11 +209,11 @@ def target_osnr(
     shape = goal / goal.sum()
     history: list[float] = []
     for _ in range(max_iterations):
-        launch = _preemphasis_multispan(grid, shape, link, total_launch_power, order)
-        result = propagate_multispan_closedform(launch, link, order)
+        launch = _preemphasis_multispan(grid, shape, constants, total_launch_power)
+        result = _propagate_closed_form(launch, link, constants)
         final = result.final
         if nfs is None:
-            nfs = _amplifier_noise_figures(grid, link)
+            nfs = [_noise_figure_linear(grid, amp.noise_figure_db) for amp in link.amplifiers]
         noise = _ase(hf, nfs, b_hz, result.gains, result.span_inputs, final.powers)
         osnr = osnr_profile(final, NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref))
         rmse = float(np.sqrt(np.mean((_normalize(osnr, rmse_in_db) - goal_normalized) ** 2)))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,24 @@ def default_fiber_100():
 @pytest.fixture(scope="session")
 def default_fiber_50():
     return FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
+
+
+@pytest.fixture
+def alpha_calls(monkeypatch):
+    """A list that gains one entry, the calling module's name, per alpha(f_i) evaluation.
+
+    ``attenuation_at`` is counted at every ``isrsprop`` module that binds it.
+    """
+    calls = []
+    for name, module in list(sys.modules.items()):
+        evaluate = getattr(module, "attenuation_at", None)
+        if name.split(".")[0] == "isrsprop" and evaluate is not None:
+            def counted(*args, evaluate=evaluate, name=name):
+                calls.append(name)
+                return evaluate(*args)
+
+            monkeypatch.setattr(module, "attenuation_at", counted)
+    return calls
 
 
 @pytest.fixture

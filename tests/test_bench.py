@@ -15,7 +15,7 @@ from isrsprop import (
     total_power_error_ratio,
 )
 from isrsprop.bench import SweepRecord, SweepSummary, summarize
-from isrsprop import bench, cli, closedform, ode_oracle
+from isrsprop import bench, cli
 from isrsprop.closedform import derive_params, power_profile
 from isrsprop.errors import NumericalInstabilityError
 from isrsprop.ode_oracle import SolverOptions, integrate_span
@@ -263,25 +263,16 @@ class TestBatchedSweep:
         assert len(records) == 24 and not any(e[-1] for e in expected)
         self.assert_records_match(records, expected)
 
-    def test_alpha_is_evaluated_twice_per_group(self, monkeypatch):
-        # two (band, peak) groups of 25 cells and 6 orders: alpha(f_i) once for
-        # each group's oracle operator and once for its closed form, where
-        # building the closed form's constants per order and span length made 60
+    def test_alpha_is_evaluated_once_per_group(self, alpha_calls):
+        # two (band, peak) groups of 25 cells and 6 orders: the oracle operator and
+        # the closed form of a group take alpha(f_i) from one span model
         config = SweepConfig(
             band_plans=("C",), raman_peak_count=2, launch_power_count=5, length_count=5,
             steps_per_span=4,
         )
-        calls = []
-        for module in (ode_oracle, closedform):
-            def counted(profile, f, evaluate=module.attenuation_at, name=module.__name__):
-                calls.append(name)
-                return evaluate(profile, f)
-
-            monkeypatch.setattr(module, "attenuation_at", counted)
         records, _ = run_order_sweep(config)
-        monkeypatch.undo()
         assert len(records) == 300
-        assert sorted(calls) == ["isrsprop.closedform"] * 2 + ["isrsprop.ode_oracle"] * 2
+        assert alpha_calls == ["isrsprop.closedform"] * 2
         self.assert_records_match(records, per_cell_reference(config))
 
     def test_closed_form_rows_keep_the_bits_of_one_spectrum_each(self, monkeypatch):

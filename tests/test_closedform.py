@@ -28,10 +28,10 @@ from isrsprop import (
 )
 from isrsprop.closedform import (
     _profile,
-    _shaping,
     _shaping_ref,
     _span_constants,
     _span_params,
+    _SpanModel,
     power_profiles,
 )
 from isrsprop.profiles import attenuation_at, default_attenuation
@@ -442,11 +442,11 @@ class TestParamsByOrder:
         fiber = FiberSpec(default_attenuation(), raman, 80.0)
         p = launch.powers
         total = p.sum()
-        c = _span_constants(clu_grid, fiber, 1)
-        shaping = _shaping(p, total, c.window, c.spacing, c.indices)
+        model = _SpanModel(clu_grid, fiber)
+        shaping = model.shaping(p, total)
         for n in (1, 2, 3, 4, 5, 6):
             alpha0, ref, leff, growth = _span_params(p, total, shaping,
-                                                     _span_constants(clu_grid, fiber, n))
+                                                     _span_constants(model, fiber.length, n))
             alone = derive_params(launch, fiber, n)
             assert np.array_equal(shaping, alone.shaping)
             assert (alpha0, ref, leff, total * growth) == (
@@ -524,7 +524,7 @@ class TestChannelAttenuation:
         ]
         for attenuation in profiles + profiles[::-1]:
             fiber = FiberSpec(attenuation, RamanGainModel.triangular(peak=0.4), 80.0)
-            alpha = _span_constants(clu_grid, fiber, 3).alpha
+            alpha = _SpanModel(clu_grid, fiber).alpha
             assert np.array_equal(alpha, attenuation_at(attenuation, clu_grid.frequencies))
             assert not alpha.flags.writeable
 

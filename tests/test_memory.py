@@ -14,6 +14,7 @@ import numpy as np
 from isrsprop import FiberSpec, SolverOptions, SweepConfig, build_channel_grid
 from isrsprop import bench
 from isrsprop.cli import _longitudinal_table, _write_table
+from isrsprop.closedform import _SpanModel
 from isrsprop.ode_oracle import _coupling_matrix, _span_operator
 from isrsprop.profiles import default_attenuation, default_raman
 
@@ -58,7 +59,8 @@ def test_triangular_operator_holds_no_n_by_n_array():
     grid = build_channel_grid("SCLU", 0.0125)
     fiber = FiberSpec(default_attenuation(), default_raman(0.4), 100.0)
     k_bytes = grid.n_channels ** 2 * 8
-    peak, held, _ = traced_memory(lambda: _span_operator(grid, fiber, SolverOptions()))
+    model = _SpanModel(grid, fiber)
+    peak, held, _ = traced_memory(lambda: _span_operator(model, SolverOptions()))
     assert held < 0.2 * k_bytes
     assert peak < 0.5 * k_bytes
 

@@ -11,13 +11,18 @@ from isrsprop import (
     LinkSpec,
     PowerSpectrum,
     RamanGainModel,
+    SolverOptions,
+    TargetSpectrum,
     build_channel_grid,
+    default_attenuation,
     derive_params,
     integrate_span,
     power_profile,
+    preemphasis_multispan,
     propagate_link_numerical,
     propagate_multispan_closedform,
     span_gain,
+    target_osnr,
 )
 
 from conftest import constant_alpha_fiber, to_db
@@ -184,3 +189,49 @@ class TestPropagateMultispan:
         assert result.span_results[0].length == 40.0
         assert result.span_results[1].length == 70.0
         assert result.final.total_power > 0
+
+
+class TestFiberModels:
+    """A link numbers its fiber models; a public call evaluates alpha(f_i) once per model."""
+
+    def test_uniform_link_has_one_model(self, default_fiber_50):
+        assert LinkSpec.uniform(default_fiber_50, 5).models == (0,) * 5
+
+    def test_mixed_link_numbers_models_in_order_of_first_use(self, default_fiber_50):
+        b = FiberSpec(AttenuationProfile.constant_db(0.2), default_fiber_50.raman, 50.0)
+        link = LinkSpec(spans=(b, default_fiber_50, b, default_fiber_50),
+                        amplifiers=(AmplifierSpec(),) * 3)
+        assert link.models == (0, 1, 0, 1)
+
+    def test_spans_share_a_model_when_they_share_both_model_objects(self, default_fiber_50):
+        a = default_fiber_50
+        spans = (
+            a,
+            FiberSpec(a.attenuation, a.raman, 80.0),  # a's models at another length
+            FiberSpec(default_attenuation(), a.raman, 50.0),  # equal values, another object
+            FiberSpec(a.attenuation, RamanGainModel.triangular(peak=0.4), 50.0),
+            FiberSpec(a.attenuation, a.raman, 20.0),
+        )
+        link = LinkSpec(spans=spans, amplifiers=(AmplifierSpec(),) * 4)
+        assert link.models == (0, 0, 1, 2, 0)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    def test_alpha_is_evaluated_once_per_model_and_call(
+        self, c_grid, default_fiber_50, alpha_calls, mixed
+    ):
+        a = default_fiber_50
+        b = FiberSpec(a.attenuation, RamanGainModel.triangular(peak=0.3), 50.0)
+        spans = (a, b, a) if mixed else (a,) * 5
+        amp = AmplifierSpec(noise_figure_db={"C": 5.5})
+        link = LinkSpec(spans=spans, amplifiers=(amp,) * (len(spans) - 1))
+        launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
+        target = TargetSpectrum.flat_shape(c_grid)
+        for call in (
+            lambda: propagate_multispan_closedform(launch, link, 3),
+            lambda: preemphasis_multispan(target, link, launch.total_power),
+            lambda: propagate_link_numerical(launch, link, SolverOptions(steps_per_span=4)),
+            lambda: target_osnr(target, link, launch.total_power),
+        ):
+            alpha_calls.clear()
+            call()
+            assert alpha_calls == ["isrsprop.closedform"] * (2 if mixed else 1)

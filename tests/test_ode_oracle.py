@@ -21,6 +21,7 @@ from isrsprop import (
     propagate_link_numerical,
 )
 from isrsprop import cli
+from isrsprop.closedform import _SpanModel
 from isrsprop.ode_oracle import _coupling_matrix, _integrate_batch, _span_operator
 from isrsprop.profiles import attenuation_at, default_attenuation, default_raman, raman_gain_at
 
@@ -82,7 +83,7 @@ class TestDerivative:
         # triangular operator and the dense K
         alpha = attenuation_at(default_fiber_100.attenuation, clu_grid.frequencies)
         for options in (SolverOptions(), SolverOptions(photon_correction=True)):
-            net = _span_operator(clu_grid, default_fiber_100, options)
+            net = _span_operator(_SpanModel(clu_grid, default_fiber_100), options)
             kept = [cell.cell_contents for cell in net.__closure__
                     if isinstance(cell.cell_contents, np.ndarray)]
             assert kept and not any(array.flags.writeable for array in kept)
@@ -147,7 +148,7 @@ class TestSpanOperator:
         options = SolverOptions()
         k = _coupling_matrix(grid, fiber, options)
         alpha = attenuation_at(fiber.attenuation, grid.frequencies)
-        net = _span_operator(grid, fiber, options)
+        net = _span_operator(_SpanModel(grid, fiber), options)
         rng = np.random.default_rng(5)
         for batch in (1, 25):
             powers = rng.uniform(1e-5, 2e-3, (batch, grid.n_channels))
@@ -190,7 +191,7 @@ class TestSpanOperator:
         monkeypatch.setattr(ode_oracle, "_coupling_matrix",
                             lambda *args: calls.append(1) or build(*args))
         fiber = FiberSpec(default_attenuation(), raman, 50.0)
-        net = _span_operator(cl_grid, fiber, options)
+        net = _span_operator(_SpanModel(cl_grid, fiber), options)
         assert len(calls) == dense
         powers = np.random.default_rng(6).uniform(1e-5, 2e-3, (5, cl_grid.n_channels))
         kp = powers @ build(cl_grid, fiber, options).T
@@ -306,7 +307,7 @@ class TestIntegrateBatch:
     def test_rows_match_integrate_span(self, cl_grid, raman, options):
         powers, lengths = self.mixed_launches(cl_grid, 5)
         fiber = FiberSpec(AttenuationProfile.constant_db(0.2), raman, 1.0)
-        net = _span_operator(cl_grid, fiber, options)
+        net = _span_operator(_SpanModel(cl_grid, fiber), options)
         out, errors = _integrate_batch(powers, lengths, net, options.steps_per_span)
         assert errors == ("",) * 5
         for row, p, length in zip(out, powers, lengths):
@@ -346,7 +347,7 @@ class TestIntegrateBatch:
         options = SolverOptions(steps_per_span=8)
         powers, lengths = TestIntegrateBatch.mixed_launches(grid, 4)
         fiber = FiberSpec(default_attenuation(), RamanGainModel.triangular(peak=0.35), 1.0)
-        return powers, lengths, fiber, options, _span_operator(grid, fiber, options)
+        return powers, lengths, fiber, options, _span_operator(_SpanModel(grid, fiber), options)
 
     @GRIDS
     def test_one_row_is_bit_identical_to_a_matrix_vector_rk4(self, grid):
@@ -386,7 +387,8 @@ class TestIntegrateBatch:
         # rows 1 and 3 are absurdly hot: one goes negative, the other overflows
         powers = np.array([[1e-3, 1e-3], [5.0, 5.0], [2e-3, 1e-3], [1e200, 1e200]])
         lengths = [30.0, 100.0, 60.0, 100.0]
-        out, errors = _integrate_batch(powers, lengths, _span_operator(grid, fiber, options), 2)
+        net = _span_operator(_SpanModel(grid, fiber), options)
+        out, errors = _integrate_batch(powers, lengths, net, 2)
         for b, kind in ((1, "negative"), (3, "non-finite")):
             with pytest.raises(NumericalInstabilityError, match=f"^{kind}") as raised:
                 integrate_span(PowerSpectrum(grid, powers[b]), fiber, options)

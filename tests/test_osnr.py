@@ -130,9 +130,9 @@ class TestAseAccumulate:
         with pytest.raises(ConfigurationError, match="inconsistent"):
             ase_accumulate(link, result.gains[:1], result.span_inputs, result.final)
 
-    def test_noise_figures_built_once_per_mapping(self, clu_grid, default_fiber_50, monkeypatch):
-        # three amplifiers share one mapping and one has its own: two builds,
-        # and the noise of the per-amplifier ase_injection sum bit for bit
+    def test_noise_figures_built_once_per_amplifier(self, clu_grid, default_fiber_50, monkeypatch):
+        # three amplifiers share one mapping and one has its own: one build per
+        # amplifier, and the noise of the per-amplifier ase_injection sum bit for bit
         shared = AmplifierSpec(noise_figure_db=NF_TABLE1)
         other = AmplifierSpec(noise_figure_db={"C": 5.0, "L": 5.5, "U": 6.0})
         link = LinkSpec(spans=(default_fiber_50,) * 5, amplifiers=(shared, other, shared, shared))
@@ -149,7 +149,12 @@ class TestAseAccumulate:
 
         monkeypatch.setattr("isrsprop.osnr._noise_figure_linear", spy)
         assert np.array_equal(ase_from_result(result).ase_powers, expected)
-        assert len(builds) == 2
+        assert len(builds) == 4
+        # target_osnr builds them once per call, not once per iteration
+        builds.clear()
+        total = PowerSpectrum.flat_dbm(clu_grid, -1.0).total_power
+        run = target_osnr(TargetSpectrum.flat_shape(clu_grid), link, total)
+        assert run.iterations > 1 and len(builds) == 4
 
     @pytest.mark.parametrize("nf, match", [(None, "missing noise figures"),
                                            ({"C": 5.5, "U": 5.0}, "band 'L'")])
