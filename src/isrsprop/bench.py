@@ -70,7 +70,8 @@ class SweepConfig:
             raise ConfigurationError("sweep needs at least one band plan")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
-        if not all(isinstance(order, (int, np.integer)) for order in self.orders):
+        if not all(isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+                   for order in self.orders):
             raise ConfigurationError(f"sweep orders must be integers, got {self.orders}")
         if any(order < 1 for order in self.orders):
             raise ConfigurationError(f"sweep orders must be >= 1, got {self.orders}")

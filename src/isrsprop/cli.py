@@ -34,7 +34,7 @@ from .errors import (
 from .floattext import csv_block
 from .multispan import LinkSpec, MultiSpanResult, propagate_multispan_closedform
 from .ode_oracle import propagate_link_numerical
-from .profiles import ChannelGrid, PowerSpectrum
+from .profiles import ChannelGrid
 
 
 def _dbm(watts):
@@ -44,11 +44,11 @@ def _dbm(watts):
 def _dbm_path(path: Path, grid: ChannelGrid, samples: Iterable[tuple]) -> Path:
     """``path``, once no channel of the ``samples`` it tabulates in dBm is at 0 W (no dBm value).
 
-    ``samples`` are ``(z, powers)`` pairs: z values (km) and one row of
+    ``samples`` are ``(z, powers)`` array pairs: z values (km) and one row of
     channel powers per z (or one spectrum's powers at ``[z]``).
     """
     for z, powers in samples:
-        flat = np.asarray(powers).ravel()
+        flat = powers.ravel()
         j = flat.argmin()  # powers are >= 0: the first channel at 0 W, if there is one
         if flat[j] == 0.0:
             row, i = divmod(int(j), grid.n_channels)
@@ -151,10 +151,10 @@ def _channel_table(
 def _longitudinal_table(grid: ChannelGrid, samples: Sequence[tuple]) -> tuple[list[str], Iterator]:
     """Header and float blocks of z samples; each block is built as the writer takes it.
 
-    ``samples`` are ``(z, powers)`` pairs, one row of channel powers per z
-    (a 2-D array, or a list of rows).  A row is z, each channel's dBm and
-    the total's dBm; a block holds at most :data:`_BLOCK_VALUES` values (one
-    row at least) of one pair.
+    ``samples`` are ``(z, powers)`` array pairs: z values (km) and a 2-D
+    array with one row of channel powers per z.  A row is z, each channel's
+    dBm and the total's dBm; a block holds at most :data:`_BLOCK_VALUES`
+    values (one row at least) of one pair.
     """
     header = ["z_km"] + [f"p_dbm_{f:.4f}" for f in grid.frequencies] + ["total_dbm"]
     return header, _longitudinal_blocks(samples, len(header))
@@ -165,7 +165,7 @@ def _longitudinal_blocks(samples: Sequence[tuple], width: int) -> Iterator[np.nd
     step = max(1, _BLOCK_VALUES // width)
     for z, powers in samples:
         for start in range(0, len(z), step):
-            p = np.asarray(powers[start:start + step])
+            p = powers[start:start + step]
             block = np.empty((len(p), width))
             block[:, 0] = z[start:start + step]
             block[:, 1:-1] = _dbm(p)
@@ -191,11 +191,6 @@ def _span_samples(span_input, params, fiber, span_output, cfg: RunConfig) -> tup
     z = np.linspace(0.0, fiber.length, cfg.solver.steps_per_span + 1)
     before_end = power_profiles(span_input, params, slope, z[:-1], cfg.refresh_reference)
     return z, np.vstack((before_end, span_output.powers))
-
-
-def _spectra_samples(spectra: Sequence[PowerSpectrum]) -> tuple:
-    """``(z, powers)`` of a sequence of spectra: their z, and the list of their powers."""
-    return np.array([s.z for s in spectra]), [s.powers for s in spectra]
 
 
 def _link_samples(result: MultiSpanResult, span_samples: Sequence[tuple]) -> list[tuple]:
@@ -232,7 +227,7 @@ def cmd_solve(cfg: RunConfig, out: Path, fmt: str) -> None:
     launch = _require(cfg, "launch", "a launch section")
     link = cfg.link if cfg.link is not None else _one_span_link(cfg)
     result = propagate_link_numerical(launch, link, cfg.solver)
-    samples = [_spectra_samples(r.spectra) for r in result.span_results]
+    samples = [(r.z, r.powers) for r in result.span_results]
     _write_propagation(cfg, out, fmt, "solve", result, samples)
 
 

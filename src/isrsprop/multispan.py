@@ -141,12 +141,11 @@ def _band_totals(spectrum: PowerSpectrum) -> np.ndarray:
 class MultiSpanResult:
     """Per-span model results, boundary gains and spectra for one link run.
 
-    ``span_results[k]`` is what the span model returned for span k: the
-    :class:`ClosedFormParams` of the closed form or the span-local
-    ``PropagationResult`` of the oracle.  ``gains[k]`` is the gain applied
-    after span k (scalar or per-channel array); ``final`` includes the
-    receiver boost when the link has one, while ``span_outputs[-1]`` never
-    does.
+    ``span_results[k]`` is span k's :class:`ClosedFormParams` (closed form)
+    or ``PropagationResult`` (oracle: span-local ``z`` and one ``powers``
+    row per z).  ``gains[k]`` is the gain applied after span k (scalar or
+    per-channel array); ``final`` includes the receiver boost when the link
+    has one, while ``span_outputs[-1]`` never does.
     """
 
     link: LinkSpec

@@ -11,17 +11,18 @@ otherwise.  The integrator is classic fixed-step fourth-order Runge-Kutta so
 results are reproducible for a given step count; this module is the ground
 truth the closed-form solution is validated against.  It steps a (B, n)
 matrix of launches that share a grid and fiber model, one span length per
-row; :func:`integrate_span` is the one-row case that keeps every step.  Each
-RK4 stage applies one operator, ``net(P) = K P - alpha`` on the rows of P,
-to the whole batch at once, and multiplies by P in place.  For a triangular
-gain without the photon correction K is never formed: inside the window
-K[i, j] = slope (f_j - f_i), so K p - alpha is a rank-2 sum and the loss,
-taken as one (B, 3) @ (3, n) product, minus the pairs beyond the window,
-which sit in two mirrored corner blocks (:func:`_triangular_coupling`).
-Every other model applies the dense K of :func:`_coupling_matrix`.  Each
-operator takes alpha(f_i) from a span model, built once per fiber model of a
-link.  A row's last bits depend on which rows share its batch; the same
-batch always gives the same bits.
+row; :func:`integrate_span` is the one-row case that keeps every step as a
+row of one (steps + 1, n) power matrix.  Each RK4 stage applies one
+operator, ``net(P) = K P - alpha`` on the rows of P, to the whole batch at
+once, and multiplies by P in place.  For a triangular gain without the
+photon correction K is never formed: inside the window K[i, j] = slope
+(f_j - f_i), so K p - alpha is a rank-2 sum and the loss, taken as one
+(B, 3) @ (3, n) product, minus the pairs beyond the window, which sit in
+two mirrored corner blocks (:func:`_triangular_coupling`).  Every other
+model applies the dense K of :func:`_coupling_matrix`.  Each operator takes
+alpha(f_i) from a span model, built once per fiber model of a link.  A
+row's last bits depend on which rows share its batch; the same batch always
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Spectra sampled along z, each carrying its own z and total power."""
+    """A span's RK4 samples: read-only (steps + 1, n) ``powers`` (W), row i at ``z[i]`` km."""
 
-    spectra: tuple[PowerSpectrum, ...]
+    grid: ChannelGrid
+    z: np.ndarray
+    powers: np.ndarray
 
     @property
     def final(self) -> PowerSpectrum:
-        return self.spectra[-1]
+        return PowerSpectrum(self.grid, self.powers[-1], z=float(self.z[-1]))
 
 
 def _effective_raman(fiber: FiberSpec, options: SolverOptions):
@@ -133,9 +136,9 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     the window, where K is 0, are then taken out again.  Since f ascends they
     all sit in the corner c of rows with f[-1] - f_i > window and columns with
     f_j - f[0] > window, and in its mirror -c.T (the two counts can differ by
-    one).  c holds slope (f_j - f_i) where f_j - f_i > window and 0
-    elsewhere, decided by :func:`_coupling_matrix`'s own float test on
-    ``f[None, :] - f[:, None]``, so K's pairs are coupled and no others.  A
+    one).  c is slope (f_j - f_i) less the gain K takes on those float
+    differences, so it keeps slope (f_j - f_i) where the model leaves a pair
+    out and is +0.0 elsewhere: K's pairs are coupled and no others.  A
     stage costs about 12 B n + 4 B e e' flops for a (B, n) batch and e x e'
     corner, against 2 B n^2 for the dense K, and nothing n x n is held.
     Every array the operator keeps is read-only.
@@ -146,10 +149,8 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
     rows = int(np.count_nonzero(f[-1] - f > window))
     cols = int(np.count_nonzero(f - f[0] > window))
-    corner = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
-    inside = corner <= window
-    corner *= slope
-    np.copyto(corner, 0.0, where=inside)
+    d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
+    corner = slope * d - _raman_gain_in_place(raman, d)
     corner.flags.writeable = False
 
     def net(p: np.ndarray) -> np.ndarray:
@@ -261,23 +262,24 @@ def _integrate_span(
     if launch.z != 0.0:
         raise ConfigurationError("span integration expects a launch spectrum at z = 0")
     h = length / steps
-    spectra = [launch]
-    for i, (_, p, unstable) in enumerate(
-        _rk4(launch.powers[None, :], net, np.array([[h]]), steps)
-    ):
+    z = np.arange(steps + 1) * h
+    powers = np.empty((steps + 1, launch.grid.n_channels))
+    powers[0] = launch.powers
+    rk4 = _rk4(launch.powers[None, :], net, np.array([[h]]), steps)
+    for i, (_, p, unstable) in enumerate(rk4, start=1):
         if unstable[0]:
-            raise NumericalInstabilityError(_instability_message(p[0], (i + 1) * h, steps))
-        # forgive sub-floor rounding only
-        spectra.append(PowerSpectrum(launch.grid, np.maximum(p[0], 0.0), z=(i + 1) * h))
-    return PropagationResult(tuple(spectra))
+            raise NumericalInstabilityError(_instability_message(p[0], z[i], steps))
+        np.maximum(p[0], 0.0, out=powers[i])  # forgive sub-floor rounding only
+    z.flags.writeable = powers.flags.writeable = False
+    return PropagationResult(launch.grid, z, powers)
 
 
 def integrate_span(
     launch: PowerSpectrum, fiber: FiberSpec, options: SolverOptions = SolverOptions()
 ) -> PropagationResult:
-    """Integrate one span, returning all intermediate spectra including z=0 and z=L.
+    """Integrate one span: the launch, then the powers after each of the ``steps`` RK4 steps.
 
-    The batched integrator with one row.
+    The batched integrator with one row; ``z = np.arange(steps + 1) * (L / steps)``.
     """
     net = _span_operator(_SpanModel(launch.grid, fiber), options)
     return _integrate_span(launch, fiber.length, net, options.steps_per_span)
@@ -313,10 +315,10 @@ def propagate_link_numerical(
 ) -> MultiSpanResult:
     """Per-span integration with the link's amplifier policy.
 
-    ``span_results[k]`` is span k's :class:`PropagationResult` in span-local
-    z; span k starts at ``result.link.span_starts()[k]`` on the link.  The
-    span operator ``K P - alpha`` is built once per fiber model of the link
-    (``link.models``), before the first span runs.
+    ``span_results[k]`` is span k's :class:`PropagationResult`, its ``z`` in
+    span-local km; span k starts at ``result.link.span_starts()[k]`` on the
+    link.  The span operator ``K P - alpha`` is built once per fiber model of
+    the link (``link.models``), before the first span runs.
     """
     operators = [_span_operator(model, options) for model in _link_models(launch.grid, link)]
 

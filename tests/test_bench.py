@@ -105,6 +105,12 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError, match=f"^sweep {field} must be"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("orders", [(True, 2), (1, False)])
+    def test_bool_order_is_rejected(self, orders):
+        # bool is an int subclass, but True ran as order 1 and came back as order=True
+        with pytest.raises(ConfigurationError, match="^sweep orders must be integers"):
+            SweepConfig(orders=orders)
+
 
 class TestSweep:
     def test_degenerate_config_record_count(self):

@@ -22,7 +22,13 @@ from isrsprop import (
 )
 from isrsprop import cli
 from isrsprop.closedform import _SpanModel
-from isrsprop.ode_oracle import _coupling_matrix, _integrate_batch, _span_operator
+from isrsprop.ode_oracle import (
+    _coupling_matrix,
+    _integrate_batch,
+    _rk4,
+    _span_operator,
+    _triangular_coupling,
+)
 from isrsprop.profiles import attenuation_at, default_attenuation, default_raman, raman_gain_at
 
 from conftest import constant_alpha_fiber, raman_free_fiber
@@ -35,11 +41,9 @@ def two_channel_grid(spacing=1.0):
 
 
 def link_samples(result):
-    """The oracle's span samples on link z, boundaries twice, boost sample last, as spectra."""
-    samples = cli._link_samples(result, [cli._spectra_samples(r.spectra)
-                                         for r in result.span_results])
-    return [PowerSpectrum(result.final.grid, p, z=float(z))
-            for zs, powers in samples for z, p in zip(zs, powers)]
+    """The oracle's samples on link z, boundaries twice, boost sample last: z and a power matrix."""
+    samples = cli._link_samples(result, [(r.z, r.powers) for r in result.span_results])
+    return np.concatenate([z for z, _ in samples]), np.vstack([p for _, p in samples])
 
 
 class TestDerivative:
@@ -203,6 +207,46 @@ class TestSpanOperator:
                                        atol=1e-13 * np.abs(kp).max())
 
 
+def windowed_corner(f, slope, window):
+    """The triangular corner by a float test of its own: slope (f_j - f_i), +0.0 where <= window."""
+    rows = int(np.count_nonzero(f[-1] - f > window))
+    cols = int(np.count_nonzero(f - f[0] > window))
+    corner = np.subtract(f[None, f.size - cols:], f[:rows, None])
+    inside = corner <= window
+    corner *= slope
+    np.copyto(corner, 0.0, where=inside)
+    return corner
+
+
+class TestTriangularCorner:
+    @pytest.mark.parametrize("spacing", [0.05, 0.025, 0.0125])
+    @pytest.mark.parametrize("plan", ["SCL", "SCLU"])
+    @pytest.mark.parametrize("raman", [default_raman(0.4), RamanGainModel.triangular(peak=0.25)],
+                             ids=["peak-0.4", "peak-0.25"])
+    def test_corner_takes_its_window_from_the_gain_model(self, plan, spacing, raman):
+        # the corner reads the gain model's window decision, which leaves every
+        # entry and signed zero as the corner's own float test did
+        f = build_channel_grid(plan, spacing).frequencies
+        net = _triangular_coupling(f, raman, np.zeros_like(f))
+        corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
+        expected = windowed_corner(f, raman.slope, raman.window)
+        assert corner.size > 0 and not corner.flags.writeable
+        assert np.array_equal(corner, expected)
+        assert np.array_equal(np.signbit(corner), np.signbit(expected))
+
+
+def clamped_rk4_rows(launch, fiber, options):
+    """A span's samples from ``_rk4`` one step at a time, each step clamped at 0 W."""
+    net = _span_operator(_SpanModel(launch.grid, fiber), options)
+    h = fiber.length / options.steps_per_span
+    rows = [launch.powers]
+    for _, p, unstable in _rk4(launch.powers[None, :], net, np.array([[h]]),
+                               options.steps_per_span):
+        assert not unstable[0]
+        rows.append(np.maximum(p[0], 0.0))
+    return rows
+
+
 class TestIntegrateSpan:
     def test_raman_free_is_exponential_decay(self, clu_grid):
         # RK4 per-step error ~ (alpha h)^5 / 120, so keep alpha L modest to
@@ -258,11 +302,43 @@ class TestIntegrateSpan:
     def test_all_samples_recorded(self, c_grid, default_fiber_100):
         launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
         result = integrate_span(launch, default_fiber_100, SolverOptions(steps_per_span=50))
-        assert len(result.spectra) == 51
-        assert result.spectra[0].z == 0.0
-        assert [s.z for s in result.spectra] == pytest.approx(np.linspace(0.0, 100.0, 51))
+        assert len(result.z) == len(result.powers) == 51
+        assert result.z[0] == 0.0 and result.final.z == 100.0
+        assert result.z == pytest.approx(np.linspace(0.0, 100.0, 51))
         # Raman transfer conserves the total, so loss makes it fall at every step
-        assert np.all(np.diff([s.total_power for s in result.spectra]) < 0)
+        assert np.all(np.diff(result.powers.sum(axis=1)) < 0)
+
+    @pytest.mark.parametrize("length, steps", [(100.0, 50), (1.0, 49), (73.1, 7), (123.456, 17)])
+    @pytest.mark.parametrize("raman, raman_model",
+                             [(default_raman(0.4), "triangular"), (TABULATED_RAMAN, "tabulated")])
+    def test_samples_are_one_read_only_matrix(self, cl_grid, length, steps, raman, raman_model):
+        options = SolverOptions(steps_per_span=steps, raman_model=raman_model)
+        fiber = FiberSpec(default_attenuation(), raman, length)
+        launch = PowerSpectrum.flat_dbm(cl_grid, 2.0)
+        result = integrate_span(launch, fiber, options)
+        assert result.grid is cl_grid
+        assert result.powers.shape == (steps + 1, cl_grid.n_channels)
+        assert not result.powers.flags.writeable and not result.z.flags.writeable
+        # bit for bit, so z = L exactly only where steps * (L / steps) rounds to L
+        assert np.array_equal(result.z, np.arange(steps + 1) * (length / steps))
+        assert np.array_equal(result.powers[0], launch.powers)
+        assert np.array_equal(result.final.powers, result.powers[-1])
+        assert result.final.z == result.z[-1]
+        expected = clamped_rk4_rows(launch, fiber, options)
+        assert len(expected) == len(result.powers)
+        for row, want in zip(result.powers, expected):
+            assert np.array_equal(row, want)
+
+    def test_instability_is_reported_at_the_failing_step(self):
+        # the fourth of five steps goes negative: the message names its z
+        grid = two_channel_grid(10.0)
+        raman = RamanGainModel.triangular(slope=0.03, window=15.5)
+        fiber = FiberSpec(AttenuationProfile.constant(1e-12), raman, 100.0)
+        launch = PowerSpectrum(grid, np.array([0.4, 0.4]))
+        message = "negative channel power at z = 80.000 km; increase steps_per_span (currently 5)"
+        with pytest.raises(NumericalInstabilityError) as raised:
+            integrate_span(launch, fiber, SolverOptions(steps_per_span=5))
+        assert str(raised.value) == message
 
     def test_launch_not_at_zero_rejected(self, c_grid, default_fiber_100):
         launch = PowerSpectrum(c_grid, np.full(c_grid.n_channels, 1e-3), z=5.0)
@@ -362,9 +438,9 @@ class TestIntegrateBatch:
             span = integrate_span(PowerSpectrum(grid, p),
                                   FiberSpec(fiber.attenuation, fiber.raman, length), options)
             assert errors == ("",) and np.array_equal(out[0], span.final.powers)
-            assert len(span.spectra) == len(expected)
-            for sample, powers_at_z in zip(span.spectra, expected):
-                np.testing.assert_allclose(sample.powers, powers_at_z, rtol=1e-13)
+            assert len(span.powers) == len(expected)
+            for sample, powers_at_z in zip(span.powers, expected):
+                np.testing.assert_allclose(sample, powers_at_z, rtol=1e-13)
 
     @GRIDS
     def test_batch_rows_are_repeatable_and_match_integrate_span(self, grid):
@@ -442,31 +518,33 @@ class TestPropagateLink:
     def test_span_start_totals_restored(self, clu_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(clu_grid, -1.0)
         link = LinkSpec.uniform(default_fiber_50, 5)
-        spectra = link_samples(propagate_link_numerical(launch, link))
-        starts = [s for s in spectra[1:] if s.z in (50.0, 100.0, 150.0, 200.0)]
-        post_amp = [s for s in starts if s.total_power > 0.5 * launch.total_power]
+        z, powers = link_samples(propagate_link_numerical(launch, link))
+        totals = powers.sum(axis=1)
+        starts = [t for zi, t in zip(z[1:], totals[1:]) if zi in (50.0, 100.0, 150.0, 200.0)]
+        post_amp = [t for t in starts if t > 0.5 * launch.total_power]
         assert len(post_amp) == 4
-        for s in post_amp:
-            assert s.total_power == pytest.approx(launch.total_power, rel=1e-12)
+        for total in post_amp:
+            assert total == pytest.approx(launch.total_power, rel=1e-12)
 
     def test_receiver_boost_restores_final_total(self, c_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(c_grid, -1.0)
         link = LinkSpec.uniform(default_fiber_50, 2, receiver_boost=True)
         result = propagate_link_numerical(launch, link)
         assert result.final.total_power == pytest.approx(launch.total_power, rel=1e-12)
-        last = link_samples(result)[-1]
-        assert last.z == pytest.approx(100.0)
-        assert last.total_power == pytest.approx(launch.total_power, rel=1e-12)
+        z, powers = link_samples(result)
+        assert z[-1] == pytest.approx(100.0)
+        assert powers[-1].sum() == pytest.approx(launch.total_power, rel=1e-12)
 
     def test_band_restore_policy_keeps_band_totals(self, cl_grid, default_fiber_50):
         launch = PowerSpectrum.flat_dbm(cl_grid, -1.0)
         amp = AmplifierSpec(gain_policy="restore-band-power")
         link = LinkSpec.uniform(default_fiber_50, 2, amplifier=amp)
-        start_2 = link_samples(propagate_link_numerical(launch, link))[51]
-        assert start_2.z == pytest.approx(50.0)
+        z, powers = link_samples(propagate_link_numerical(launch, link))
+        start_2 = powers[51]
+        assert z[51] == pytest.approx(50.0)
         for b in range(len(cl_grid.bands)):
             sel = cl_grid.band_index == b
-            assert start_2.powers[sel].sum() == pytest.approx(
+            assert start_2[sel].sum() == pytest.approx(
                 launch.powers[sel].sum(), rel=1e-12
             )
 
