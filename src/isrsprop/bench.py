@@ -22,6 +22,7 @@ from .profiles import (
     FiberSpec,
     PowerSpectrum,
     RamanGainModel,
+    _check_count,
     _same_grid,
     build_channel_grid,
     default_attenuation,
@@ -63,21 +64,19 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("raman_peak_count", "launch_power_count", "length_count", "steps_per_span"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ConfigurationError(f"sweep {name} must be >= 1 and an integer, got {count!r}")
-        if not self.band_plans:
-            raise ConfigurationError("sweep needs at least one band plan")
+            _check_count(getattr(self, name), f"sweep {name}")
         if not self.orders:
             raise ConfigurationError("sweep needs at least one order")
-        if not all(isinstance(order, (int, np.integer)) and not isinstance(order, bool)
-                   for order in self.orders):
-            raise ConfigurationError(f"sweep orders must be integers, got {self.orders}")
-        if any(order < 1 for order in self.orders):
-            raise ConfigurationError(f"sweep orders must be >= 1, got {self.orders}")
+        for order in self.orders:
+            _check_count(order, "sweep orders")
         if len(set(self.orders)) < len(self.orders):
             # a repeated order would run twice and count twice in its summary
             raise ConfigurationError(f"sweep orders must be distinct, got {self.orders}")
+        for name in ("raman_peak_range", "launch_power_dbm_range", "length_range_km"):
+            bounds = getattr(self, name)
+            if (isinstance(bounds, str) or not isinstance(bounds, (Sequence, np.ndarray))
+                    or len(bounds) != 2):
+                raise ConfigurationError(f"sweep {name} must be a (low, high) pair, got {bounds!r}")
         if not all(math.isfinite(km) and km > 0 for km in self.length_range_km):
             raise ConfigurationError(
                 f"sweep span lengths must be finite and > 0, got {self.length_range_km}"
@@ -89,6 +88,17 @@ class SweepConfig:
         if not 0 < self.spacing < math.inf:
             raise ConfigurationError(
                 f"sweep spacing must be positive and finite, got {self.spacing!r}")
+        plans = self.band_plans
+        if (isinstance(plans, str) or not isinstance(plans, Sequence)
+                or not all(isinstance(plan, str) for plan in plans)):
+            raise ConfigurationError(
+                f"sweep band_plans must be a sequence of plan names, got {plans!r}")
+        if not plans:
+            raise ConfigurationError("sweep needs at least one band plan")
+        for plan in plans:
+            # an unknown plan, or a band the spacing does not divide, would fail only
+            # when its groups run, after every earlier group and perhaps in a worker
+            build_channel_grid(plan, self.spacing)
         # every cell builds this model at its own peak; building the lowest one
         # here rejects a bad peak, peak separation or window before any cell runs
         RamanGainModel.triangular(peak=min(self.raman_peak_range),
@@ -243,6 +253,7 @@ def run_order_sweep(
     batches are the same either way and results are collected in config
     order, so output is deterministic.
     """
+    _check_count(workers, "workers")
     powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
     lengths = config.axis(config.length_range_km, config.length_count)
     groups = [

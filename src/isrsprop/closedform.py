@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -44,6 +43,7 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
+    _check_count,
     _freeze,
     attenuation_at,
     convert_units,
@@ -142,7 +142,7 @@ class _SpanConstants(NamedTuple):
 
 def _span_constants(model: _SpanModel, length, order: int) -> _SpanConstants:
     """The constants of a span ``length`` km long of ``model`` at ``order``, checked >= 1."""
-    _check_order(order)
+    _check_count(order, "approximation order")
     return _SpanConstants(model, model.alpha**order, model.alpha * length, length, order)
 
 
@@ -263,16 +263,9 @@ def total_attenuation_coefficient(
     launch: PowerSpectrum, attenuation: AttenuationProfile, order: int
 ) -> float:
     """Order-n power mean of alpha(f_i) weighted by the launch powers (1/km)."""
-    _check_order(order)
+    _check_count(order, "approximation order")
     alpha = attenuation_at(attenuation, launch.grid.frequencies)
     return _power_mean((alpha**order * launch.powers).sum(), launch.total_power, order)
-
-
-def _check_order(order) -> None:
-    """Reject an approximation order that is not an integer >= 1."""
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise ConfigurationError(
-            f"approximation order must be a positive integer, got {order!r}")
 
 
 def _power_mean(weighted_sum, total, order: int) -> float:

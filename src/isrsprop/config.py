@@ -38,6 +38,7 @@ from .profiles import (
     FiberSpec,
     PowerSpectrum,
     RamanGainModel,
+    _check_count,
     build_channel_grid,
     convert_units,
     default_attenuation,
@@ -69,8 +70,7 @@ class RunConfig:
         name = self.name
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigurationError(f"config.name: expected a plain file-name stem, got {name!r}")
-        if self.order < 1:
-            raise ConfigurationError("order must be a positive integer")
+        _check_count(self.order, "order")
 
 
 # Every key the parsers read, per section.

@@ -35,7 +35,7 @@ from .closedform import (
 )
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec, _closed_form_constants
-from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _freeze, convert_units
+from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _check_flag, _freeze, convert_units
 
 # The shape-only root-find stops where |log(S / P_T0)| is at most this
 _NEWTON_TOL = 2e-14
@@ -55,6 +55,7 @@ class TargetSpectrum:
     normalized: bool = False
 
     def __post_init__(self):
+        _check_flag(self.normalized, "normalized")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_channels,):
             raise ConfigurationError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .closedform import _closed_form_params, _profile, _span_constants, _SpanModel
 from .errors import ConfigurationError
-from .profiles import FiberSpec, PowerSpectrum
+from .profiles import FiberSpec, PowerSpectrum, _check_count, _check_flag
 
 GAIN_POLICIES = ("restore-total-power", "restore-band-power", "fixed-gain")
 
@@ -76,6 +76,7 @@ class LinkSpec:
         object.__setattr__(self, "amplifiers", tuple(self.amplifiers))
         if not self.spans:
             raise ConfigurationError("link needs at least one span")
+        _check_flag(self.receiver_boost, "receiver_boost")
         if len(self.amplifiers) != len(self.spans) - 1:
             raise ConfigurationError(
                 f"expected {len(self.spans) - 1} in-line amplifiers for "
@@ -95,6 +96,7 @@ class LinkSpec:
         receiver_boost: bool = False,
     ) -> "LinkSpec":
         """Homogeneous link: the same fiber and amplifier repeated."""
+        _check_count(n_spans, "n_spans")
         amp = amplifier if amplifier is not None else AmplifierSpec()
         return cls((fiber,) * n_spans, (amp,) * (n_spans - 1), receiver_boost)
 

@@ -40,6 +40,8 @@ from .profiles import (
     FiberSpec,
     PowerSpectrum,
     RamanGainModel,
+    _check_count,
+    _check_flag,
     _freeze,
     _raman_gain_in_place,
 )
@@ -64,9 +66,8 @@ class SolverOptions:
     raman_model: str = "triangular"
 
     def __post_init__(self):
-        if not isinstance(self.steps_per_span, (int, np.integer)) or self.steps_per_span < 1:
-            raise ConfigurationError(
-                f"steps_per_span must be an integer >= 1, got {self.steps_per_span!r}")
+        _check_count(self.steps_per_span, "steps_per_span")
+        _check_flag(self.photon_correction, "photon_correction")
         if self.raman_model not in ("triangular", "tabulated"):
             raise ConfigurationError("raman_model must be 'triangular' or 'tabulated'")
 

@@ -25,7 +25,6 @@ ASE evaluation the noise figures, one array per amplifier; every check of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .inverse import TargetSpectrum, _check_launch_total, _preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, _closed_form_constants, _propagate_closed_form
-from .profiles import PLANCK, ChannelGrid, PowerSpectrum, _freeze, _same_grid
+from .profiles import (PLANCK, ChannelGrid, PowerSpectrum, _check_count, _check_flag, _freeze,
+                       _same_grid)
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
@@ -192,6 +192,7 @@ def target_osnr(
     cap is reached.
     """
     _check_iteration_settings(step, tolerance, max_iterations, reference_bandwidth)
+    _check_flag(rmse_in_db, "rmse_in_db")
     if not target.normalized:
         raise ConfigurationError("OSNR targets are shape-only; build the target with normalized=True")
     grid = target.grid
@@ -235,9 +236,7 @@ def _check_iteration_settings(step: float, tolerance: float, max_iterations: int
         raise ConfigurationError(
             f"step and tolerance must be positive and finite, got {step!r} and {tolerance!r}"
         )
-    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
-            or max_iterations < 1):
-        raise ConfigurationError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    _check_count(max_iterations, "max_iterations")
     if reference_bandwidth is not None:
         _check_reference_bandwidth(reference_bandwidth)
 

@@ -15,6 +15,7 @@ through :func:`convert_units`, which the dBm constructors here also use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -81,6 +82,18 @@ def _freeze(array, dtype=float) -> np.ndarray:
     out = np.asarray(array, dtype=dtype).copy()
     out.flags.writeable = False
     return out
+
+
+def _check_count(value, name: str) -> None:
+    """Reject a ``name`` that is not an integer >= 1; booleans are not counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_flag(value, name: str) -> None:
+    """Reject a ``name`` that is not a boolean: a string such as ``"false"`` is truthy."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{name} must be True or False, got {value!r}")
 
 
 @dataclass(frozen=True)

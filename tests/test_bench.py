@@ -98,6 +98,10 @@ class TestSweepConfig:
             ("orders", (3, 3)),
             ("orders", (2.5,)),
             ("orders", (float("nan"),)),
+            ("raman_peak_range", (0.3,)),
+            ("launch_power_dbm_range", (-5.0, -2.5, 0.0)),
+            ("length_range_km", 100.0),
+            ("band_plans", "CLU"),
         ],
     )
     def test_bad_field_is_rejected_at_construction(self, field, value):
@@ -105,10 +109,26 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError, match=f"^sweep {field} must be"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ({"band_plans": ("C", "X")}, "unknown band plan 'X'"),
+            ({"band_plans": ("C", 5)},
+             r"^sweep band_plans must be a sequence of plan names, got \('C', 5\)$"),
+            ({"band_plans": ("C", "CLU"), "spacing": 0.04},
+             "^band 'C' width .* is not an integer multiple of the 0.04 THz spacing$"),
+        ],
+    )
+    def test_band_plans_are_checked_at_construction(self, edit, match):
+        # each failed only when its groups ran, after every plan before it
+        with pytest.raises(ConfigurationError, match=match):
+            SweepConfig(**edit)
+
     @pytest.mark.parametrize("orders", [(True, 2), (1, False)])
     def test_bool_order_is_rejected(self, orders):
         # bool is an int subclass, but True ran as order 1 and came back as order=True
-        with pytest.raises(ConfigurationError, match="^sweep orders must be integers"):
+        with pytest.raises(ConfigurationError,
+                           match="^sweep orders must be an integer >= 1, got (True|False)$"):
             SweepConfig(orders=orders)
 
 

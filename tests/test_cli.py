@@ -154,8 +154,8 @@ class TestValidateConfig:
             ({"band_plans": ["C", 5]}, "sweep.band_plans: unknown band plan 5"),
             ({"band_plans": ["C", "X"]}, "sweep.band_plans: unknown band plan 'X'"),
             ({"band_plans": "CLU"}, "sweep.band_plans: expected a list"),
-            ({"steps_per_span": 0}, "sweep steps_per_span must be >= 1"),
-            ({"orders": [3, 0]}, "sweep orders must be >= 1"),
+            ({"steps_per_span": 0}, "sweep steps_per_span must be an integer >= 1, got 0"),
+            ({"orders": [3, 0]}, "sweep orders must be an integer >= 1, got 0"),
             ({"orders": [3, 3]}, "sweep orders must be distinct"),
             ({"length_range_km": [-50.0, 100.0]}, "sweep span lengths must be finite and > 0"),
         ],
@@ -188,7 +188,8 @@ class TestValidateConfig:
             argv = [command, "--config", str(CONFIG_DIR / f"{name}.json"),
                     "--output", str(tmp_path), "--order", order]
             assert main(argv) == 2, command
-            assert capsys.readouterr().err == "config error: order must be a positive integer\n"
+            assert capsys.readouterr().err == (
+                f"config error: order must be an integer >= 1, got {order}\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -170,7 +170,8 @@ class TestTotalAttenuationCoefficient:
         assert total_attenuation_coefficient(launch, profile, 3) == pytest.approx(expected, rel=1e-9)
 
     def test_order_zero_rejected(self, clu_launch):
-        with pytest.raises(ConfigurationError, match="positive integer"):
+        with pytest.raises(ConfigurationError,
+                           match="^approximation order must be an integer >= 1, got 0$"):
             total_attenuation_coefficient(clu_launch, AttenuationProfile.constant(0.05), 0)
 
     def test_an_order_whose_mean_underflows_is_rejected(self, clu_launch, default_fiber_50):
@@ -208,7 +209,7 @@ class TestTotalAttenuationCoefficient:
         ]
         for path in paths:
             with pytest.raises(ConfigurationError, match=(
-                    rf"^approximation order must be a positive integer, got {order!r}$")):
+                    rf"^approximation order must be an integer >= 1, got {order!r}$")):
                 path()
 
     @settings(max_examples=30, deadline=None)
