@@ -9,6 +9,7 @@ box-plot convention (median, quartiles, 1.5 IQR whiskers).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,6 +78,8 @@ class SweepConfig:
             if (isinstance(bounds, str) or not isinstance(bounds, (Sequence, np.ndarray))
                     or len(bounds) != 2):
                 raise ConfigurationError(f"sweep {name} must be a (low, high) pair, got {bounds!r}")
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in bounds):
+                raise ConfigurationError(f"sweep {name} must be two real numbers, got {bounds!r}")
         if not all(math.isfinite(km) and km > 0 for km in self.length_range_km):
             raise ConfigurationError(
                 f"sweep span lengths must be finite and > 0, got {self.length_range_km}"

@@ -44,6 +44,7 @@ from .profiles import (
     FiberSpec,
     PowerSpectrum,
     _check_count,
+    _check_flag,
     _freeze,
     attenuation_at,
     convert_units,
@@ -484,6 +485,7 @@ def power_profiles(
     by row with Python ``math``, so a row's bits depend on its z alone: each
     row is :func:`power_profile`'s spectrum at that z.
     """
+    _check_flag(refresh_reference, "refresh_reference")
     for at in z:
         if not 0.0 <= at <= params.length:
             raise ConfigurationError(f"z = {at} km outside the span [0, {params.length}] km")

@@ -39,6 +39,7 @@ from .profiles import (
     PowerSpectrum,
     RamanGainModel,
     _check_count,
+    _check_flag,
     build_channel_grid,
     convert_units,
     default_attenuation,
@@ -71,6 +72,7 @@ class RunConfig:
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigurationError(f"config.name: expected a plain file-name stem, got {name!r}")
         _check_count(self.order, "order")
+        _check_flag(self.refresh_reference, "refresh_reference")
 
 
 # Every key the parsers read, per section.

@@ -18,11 +18,20 @@ once, and multiplies by P in place.  For a triangular gain without the
 photon correction K is never formed: inside the window K[i, j] = slope
 (f_j - f_i), so K p - alpha is a rank-2 sum and the loss, taken as one
 (B, 3) @ (3, n) product, minus the pairs beyond the window, which sit in
-two mirrored corner blocks (:func:`_triangular_coupling`).  Every other
-model applies the dense K of :func:`_coupling_matrix`.  Each operator takes
-alpha(f_i) from a span model, built once per fiber model of a link.  A
-row's last bits depend on which rows share its batch; the same batch always
-gives the same bits.
+two mirrored corner blocks (:func:`_triangular_coupling`).  A corner of
+fewer than 128 rows is applied whole, which costs a stage about
+12 B n + 4 B e e' flops for an e x e' corner.  A taller one (SCLU at
+50 GHz and every finer SCL or SCLU grid) is cut into row panels of about
+64 rows.  The columns beyond the window for every row of a panel are a
+rank-2 block, and so is their mirror; both ride the rank-2 product as
+four more vectors.  Only a staircase tile along the window's edge stays a
+dense product, so a stage costs about 4 B n m + 4 B t flops for m = 3 + 4 k
+vectors over k panels and t staircase entries: per launch 93 000 flops
+against 195 000 with the corner whole on SCLU at 50 GHz, 0.69 M against
+3.1 M at 12.5 GHz.  Every other model applies the dense K of
+:func:`_coupling_matrix`.  Each operator takes alpha(f_i) from a span
+model, built once per fiber model of a link.  A row's last bits depend on
+which rows share its batch; the same batch always gives the same bits.
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ from .profiles import (
 _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
 
 _Net = Callable[[np.ndarray], np.ndarray]  # K P - alpha on the rows of a power matrix P
+
+# Corner rows per panel of the triangular operator: a corner under two panels
+# is applied whole.  scripts/op_timing.py measures the operator it gives.
+_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -139,20 +152,29 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     f_j - f[0] > window, and in its mirror -c.T (the two counts can differ by
     one).  c is slope (f_j - f_i) less the gain K takes on those float
     differences, so it keeps slope (f_j - f_i) where the model leaves a pair
-    out and is +0.0 elsewhere: K's pairs are coupled and no others.  A
-    stage costs about 12 B n + 4 B e e' flops for a (B, n) batch and e x e'
-    corner, against 2 B n^2 for the dense K, and nothing n x n is held.
-    Every array the operator keeps is read-only.
+    out and is +0.0 elsewhere: K's pairs are coupled and no others.
+
+    A corner of fewer than ``2 * _PANEL_ROWS`` rows is one panel, applied
+    whole as two products with c and c.T: a stage costs about
+    12 B n + 4 B e e' flops for a (B, n) batch and an e x e' corner, against
+    2 B n^2 for the dense K.  A taller corner is cut into row panels
+    (:func:`_corner_panels`), whose columns beyond the window for all their
+    rows ride the rank-2 product, so only a staircase along c's boundary
+    stays dense (:func:`_panel_coupling`, about 4 B n m + 4 B t flops).
+    Nothing n x n is held, and every array the operator keeps is read-only.
     """
     slope, window = raman.slope, raman.window
     g = f - f.mean()
-    weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
-    basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
     rows = int(np.count_nonzero(f[-1] - f > window))
     cols = int(np.count_nonzero(f - f[0] > window))
     d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
     corner = slope * d - _raman_gain_in_place(raman, d)
     corner.flags.writeable = False
+    panels = _corner_panels(corner)
+    if len(panels) > 1:
+        return _panel_coupling(g, slope, alpha, corner, panels)
+    weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
+    basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
 
     def net(p: np.ndarray) -> np.ndarray:
         s = p @ weights
@@ -161,6 +183,84 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
         if rows:
             kp[..., :rows] -= p[..., -cols:] @ corner.T
             kp[..., -cols:] += p[..., :rows] @ corner
+        return kp
+
+    return net
+
+
+def _corner_panels(corner: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(a, b, lo, hi)`` per row panel [a, b) of about ``_PANEL_ROWS`` rows of the corner.
+
+    ``max(1, rows // _PANEL_ROWS)`` panels.  A row's pairs beyond the window
+    are a suffix of the corner's columns, from ``first[i]`` on, and ``first``
+    does not fall down the rows: the float differences f_j - f_i grow along
+    a row and shrink down a column.  So in panel [a, b) the columns below
+    ``lo = first[a]`` are 0 for every row, those from ``hi = first[b - 1]``
+    on are beyond the window for every row, and only the staircase tile
+    ``corner[a:b, lo:hi]`` mixes the two.  One panel is the whole corner as
+    its tile: ``[(0, rows, 0, cols)]``.
+    """
+    rows, cols = corner.shape
+    count = max(1, rows // _PANEL_ROWS)
+    if count == 1:
+        return [(0, rows, 0, cols)]
+    first = cols - np.count_nonzero(corner, axis=1)
+    bounds = [rows * k // count for k in range(count + 1)]
+    return [(a, b, int(first[a]), int(first[b - 1])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _panel_coupling(
+    g: np.ndarray,
+    slope: float,
+    alpha: np.ndarray,
+    corner: np.ndarray,
+    panels: list[tuple[int, int, int, int]],
+) -> _Net:
+    """:func:`_triangular_coupling`'s operator for a corner cut into :func:`_corner_panels`.
+
+    In panel (a, b, lo, hi) every pair in the corner's columns from hi on,
+    J in K's columns, is beyond the window, so the corner there is
+    slope (f_j - f_i) = slope (g_j - g_i): a rank-2 block, and so is its
+    mirror.  With the n-vectors 1 and g restricted to J and to the panel's
+    rows R = [a, b), the block takes slope (sum_J g p - g_i sum_J p) off
+    row i in R, and its mirror adds slope (g_j sum_R p - sum_R g p) to row j
+    in J.  K's own rank-2 part, slope (g_j - g_i), has the same form.  So
+    every rank-2 term is an inner product of p with one held vector, times
+    a signed slope, times another held vector.  ``vectors`` holds 1, g,
+    alpha and four vectors per panel (1 and g on J, then on R).
+    ``p @ vectors.T`` takes every inner product at once, ``[..., swap] *
+    coef`` moves each onto the vector it scales (the loss row gets -1), and
+    one product with ``vectors`` sums them.  Each staircase tile
+    ``corner[a:b, lo:hi]`` is a view of the corner, applied in both
+    directions as the whole corner is.  A stage costs about 4 B n m + 4 B t
+    flops for m = 3 + 4 k vectors over k panels and t staircase entries,
+    and the operator holds m n floats besides the corner.
+    """
+    n = g.size
+    off = n - corner.shape[1]  # the corner's first column in K
+    vectors = np.zeros((3 + 4 * len(panels), n))
+    vectors[:3] = np.ones_like(g), g, alpha
+    swap, coef = [1, 0, 2], [slope, -slope, 0.0]
+    for k, (a, b, _, hi) in enumerate(panels):
+        row = 3 + 4 * k  # 1 and g on J, then on R
+        vectors[row, off + hi:] = 1.0
+        vectors[row + 1, off + hi:] = g[off + hi:]
+        vectors[row + 2, a:b] = 1.0
+        vectors[row + 3, a:b] = g[a:b]
+        swap += [row + 3, row + 2, row + 1, row]
+        coef += [-slope, slope, -slope, slope]
+    vectors.flags.writeable = False
+    swap, coef = _freeze(swap, int), _freeze(coef)
+
+    def net(p: np.ndarray) -> np.ndarray:
+        s = (p @ vectors.T)[..., swap]
+        s *= coef
+        s[..., 2] = -1.0
+        kp = s @ vectors
+        for a, b, lo, hi in panels:
+            tile = corner[a:b, lo:hi]
+            kp[..., a:b] -= p[..., off + lo:off + hi] @ tile.T
+            kp[..., off + lo:off + hi] += p[..., a:b] @ tile
         return kp
 
     return net

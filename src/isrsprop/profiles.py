@@ -249,8 +249,16 @@ def build_channel_grid(
                 f"unknown band plan {band_plan!r}; expected one of {sorted(BAND_PLANS)}"
             ) from None
         bands = [Band(n, *DEFAULT_BAND_EDGES[n]) for n in names]
-    else:
+    elif isinstance(band_plan, Sequence) and all(
+        isinstance(b, Band) or (isinstance(b, Sequence) and not isinstance(b, str) and len(b) == 3)
+        for b in band_plan
+    ):
         bands = [b if isinstance(b, Band) else Band(*b) for b in band_plan]
+    else:
+        raise ConfigurationError(
+            "band_plan must be a plan name or a sequence of bands or (name, f_low, f_high) "
+            f"tuples, got {band_plan!r}"
+        )
     if not bands:
         raise ConfigurationError("a channel grid needs at least one band")
     bands.sort(key=lambda b: b.f_low)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError,
                            match="^sweep orders must be an integer >= 1, got (True|False)$"):
             SweepConfig(orders=orders)
+
+    @pytest.mark.parametrize("field", ["raman_peak_range", "launch_power_dbm_range",
+                                       "length_range_km"])
+    @pytest.mark.parametrize("bounds", [("a", 0.4), (None, 1.0), (True, 2.0), (1.0, np.False_)],
+                             ids=["str", "None", "True", "np.False_"])
+    def test_range_members_must_be_real_numbers(self, field, bounds):
+        # a string reached math.isfinite and failed with a bare TypeError
+        with pytest.raises(ConfigurationError, match=(
+                f"^{re.escape(f'sweep {field} must be two real numbers, got {bounds!r}')}$")):
+            SweepConfig(**{field: bounds})
 
 
 class TestSweep:

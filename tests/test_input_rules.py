@@ -22,7 +22,12 @@ from isrsprop import (
     run_order_sweep,
     target_osnr,
 )
-from isrsprop.closedform import total_attenuation_coefficient
+from isrsprop.closedform import (
+    derive_params,
+    power_profile,
+    power_profiles,
+    total_attenuation_coefficient,
+)
 from isrsprop.config import parse_config
 
 GRID = build_channel_grid("C")
@@ -31,6 +36,7 @@ LAUNCH = PowerSpectrum.flat_dbm(GRID, -1.0)
 ONE_CELL_SWEEP = SweepConfig(band_plans=("C",), raman_peak_count=1, launch_power_count=1,
                              length_count=1, orders=(1,), steps_per_span=2)
 OSNR_LINK = LinkSpec.uniform(FIBER, 2, amplifier=AmplifierSpec(noise_figure_db={"C": 5.5}))
+PARAMS = derive_params(LAUNCH, FIBER)
 
 
 def _target_osnr(max_iterations):
@@ -83,8 +89,15 @@ FLAGS = [
     ("normalized", lambda flag: TargetSpectrum(GRID, np.ones(GRID.n_channels), normalized=flag)),
     ("rmse_in_db",
      lambda flag: target_osnr(TargetSpectrum.flat_shape(GRID), OSNR_LINK, 0.064, rmse_in_db=flag)),
+    ("refresh_reference",
+     lambda flag: dataclasses.replace(parse_config({}), refresh_reference=flag)),
+    ("refresh_reference",
+     lambda flag: power_profile(LAUNCH, PARAMS, FIBER.raman.slope, 10.0, flag)),
+    ("refresh_reference",
+     lambda flag: power_profiles(LAUNCH, PARAMS, FIBER.raman.slope, [0.0, 10.0], flag)),
 ]
-FLAG_IDS = ["photon", "boost", "boost-uniform", "normalized", "rmse_in_db"]
+FLAG_IDS = ["photon", "boost", "boost-uniform", "normalized", "rmse_in_db", "refresh-config",
+            "refresh-profile", "refresh-profiles"]
 
 
 @pytest.mark.parametrize("name, call", FLAGS, ids=FLAG_IDS)

@@ -54,8 +54,10 @@ def test_coupling_matrix_is_built_in_one_buffer():
 
 def test_triangular_operator_holds_no_n_by_n_array():
     # SCLU at 12.5 GHz: K would be 2112^2 floats (35.7 MB); the operator holds
-    # an 871 x 871 corner (6.1 MB, 0.17 of K), built in place beside one
-    # boolean mask (peak 0.19 of K), so even an n x n boolean (0.125) fails
+    # an 871 x 871 corner (6.1 MB, 0.17 of K) and 55 x 2112 rank-2 vectors
+    # (1, g, alpha and four per row panel: 0.9 MB, 0.026 of K), 0.197 of K in
+    # all, so even an n x n boolean (0.125) fails.  The corner is built from its float
+    # differences, one boolean mask beside them (peak 0.37 of K).
     grid = build_channel_grid("SCLU", 0.0125)
     fiber = FiberSpec(default_attenuation(), default_raman(0.4), 100.0)
     k_bytes = grid.n_channels ** 2 * 8

@@ -23,6 +23,8 @@ from isrsprop import (
 from isrsprop import cli
 from isrsprop.closedform import _SpanModel
 from isrsprop.ode_oracle import (
+    _PANEL_ROWS,
+    _corner_panels,
     _coupling_matrix,
     _integrate_batch,
     _rk4,
@@ -233,6 +235,84 @@ class TestTriangularCorner:
         assert corner.size > 0 and not corner.flags.writeable
         assert np.array_equal(corner, expected)
         assert np.array_equal(np.signbit(corner), np.signbit(expected))
+
+
+def one_corner_net(f, raman, alpha):
+    """The triangular operator with its corner applied whole: rank-2 product, then c and c.T."""
+    slope = raman.slope
+    g = f - f.mean()
+    weights = slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1)
+    basis = np.stack([np.ones_like(g), -g, -alpha])
+    corner = windowed_corner(f, slope, raman.window)
+    rows, cols = corner.shape
+
+    def net(p):
+        s = p @ weights
+        s[..., 2] = 1.0
+        kp = s @ basis
+        if rows:
+            kp[..., :rows] -= p[..., -cols:] @ corner.T
+            kp[..., -cols:] += p[..., :rows] @ corner
+        return kp
+
+    return net
+
+
+class TestCornerPanels:
+    @pytest.mark.parametrize(
+        "grid",
+        [build_channel_grid(plan, spacing) for plan in ("SCL", "SCLU")
+         for spacing in (0.05, 0.025, 0.0125)] + [uniform_x_grid(1000)],
+        ids=[f"{plan}-{spacing}" for plan in ("SCL", "SCLU") for spacing in (0.05, 0.025, 0.0125)]
+        + ["x1000"],
+    )
+    def test_tiles_and_rank_2_blocks_cover_each_pair_beyond_the_window_once(self, grid):
+        f, raman = grid.frequencies, default_raman(0.4)
+        net = _triangular_coupling(f, raman, np.zeros_like(f))
+        corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
+        rows, cols = corner.shape
+        panels = _corner_panels(corner)
+        assert len(panels) == max(1, rows // _PANEL_ROWS)
+        assert [a for a, _, _, _ in panels] == [0] + [b for _, b, _, _ in panels[:-1]]
+        assert panels[-1][1] == rows
+        covered = np.zeros(corner.shape, dtype=int)
+        for a, b, lo, hi in panels:
+            covered[a:b, lo:hi] += 1  # the dense staircase tile
+            if len(panels) > 1:
+                # the rank-2 block: every pair beyond the window, at slope (f_j - f_i)
+                block = corner[a:b, hi:]
+                assert block.size and np.all(block != 0)
+                d = f[None, f.size - cols + hi:] - f[a:b, None]
+                assert np.array_equal(block, raman.slope * d)
+                covered[a:b, hi:] += 1
+        assert np.all(covered[corner != 0] == 1)
+        assert np.all(covered <= 1)
+
+    @pytest.mark.parametrize(
+        "plan, spacing, count",
+        [("CLU", 0.05, 1), ("SCL", 0.05, 1), ("SCLU", 0.05, 3), ("SCLU", 0.0125, 13)],
+    )
+    def test_panel_count_and_read_only_arrays(self, plan, spacing, count):
+        f = build_channel_grid(plan, spacing).frequencies
+        net = _triangular_coupling(f, default_raman(0.4), np.zeros_like(f))
+        corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
+        assert len(_corner_panels(corner)) == count
+        kept = [cell.cell_contents for cell in net.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert not any(array.flags.writeable for array in kept)
+
+    @pytest.mark.parametrize("plan", ["C", "CL", "CLU", "SCL"])
+    def test_one_panel_keeps_the_whole_corner_bit_for_bit(self, plan):
+        # the bytes of `figures` and of the fig4 and fig6 `solve` tables
+        grid = build_channel_grid(plan)
+        fiber = FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
+        model = _SpanModel(grid, fiber)
+        net = _span_operator(model, SolverOptions())
+        whole = one_corner_net(grid.frequencies, fiber.raman, model.alpha)
+        rng = np.random.default_rng(7)
+        for batch in (1, 25):
+            powers = rng.uniform(1e-5, 2e-3, (batch, grid.n_channels))
+            assert np.array_equal(net(powers), whole(powers))
 
 
 def clamped_rk4_rows(launch, fiber, options):

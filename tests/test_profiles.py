@@ -79,6 +79,22 @@ class TestChannelGrid:
         with pytest.raises(ConfigurationError, match="band plan"):
             build_channel_grid("CLX", 0.05)
 
+    @pytest.mark.parametrize(
+        "plan", [5, None, [5], ["C"], [("X", 190.0)], [Band("X", 190.0, 191.0), 5]],
+        ids=["int", "None", "int-band", "str-band", "pair", "band-then-int"])
+    def test_plan_neither_name_nor_bands_is_config_error(self, plan):
+        # build_channel_grid(5) failed with a bare "'int' object is not iterable"
+        with pytest.raises(ConfigurationError, match=(
+                r"^band_plan must be a plan name or a sequence of bands or "
+                r"\(name, f_low, f_high\) tuples, got ")):
+            build_channel_grid(plan, 0.05)
+
+    def test_band_tuples_build_the_grid_of_their_bands(self):
+        bands = [("A", 190.0, 191.0), ("B", 191.0, 192.0)]
+        grid = build_channel_grid(bands, 0.05)
+        assert grid.bands == tuple(Band(*b) for b in bands)
+        assert grid.n_channels == 40
+
     def test_no_bands_is_config_error(self):
         with pytest.raises(ConfigurationError, match="at least one band"):
             build_channel_grid([], 0.05)
