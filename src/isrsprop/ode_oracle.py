@@ -28,8 +28,10 @@ four more vectors.  Only a staircase tile along the window's edge stays a
 dense product, so a stage costs about 4 B n m + 4 B t flops for m = 3 + 4 k
 vectors over k panels and t staircase entries: per launch 93 000 flops
 against 195 000 with the corner whole on SCLU at 50 GHz, 0.69 M against
-3.1 M at 12.5 GHz.  Every other model applies the dense K of
-:func:`_coupling_matrix`.  Each operator takes alpha(f_i) from a span
+3.1 M at 12.5 GHz.  The panels' small products cost time of their own, so
+a batch of under ``_PANEL_MIN_ENTRIES`` corner entries (B <= 4 on SCLU at
+50 GHz) still takes the corner whole.  Every other model applies the dense
+K of :func:`_coupling_matrix`.  Each operator takes alpha(f_i) from a span
 model, built once per fiber model of a link.  A row's last bits depend on
 which rows share its batch; the same batch always gives the same bits.
 """
@@ -60,8 +62,12 @@ _NEGATIVE_FLOOR = -1e-15  # W; anything below this is treated as instability
 _Net = Callable[[np.ndarray], np.ndarray]  # K P - alpha on the rows of a power matrix P
 
 # Corner rows per panel of the triangular operator: a corner under two panels
-# is applied whole.  scripts/op_timing.py measures the operator it gives.
+# is applied whole.  A panelled corner is still applied whole to a batch whose
+# corner entries (rows x corner size) number under _PANEL_MIN_ENTRIES, where
+# the panels' extra small products cost more than they save (B <= 4 on SCLU
+# at 50 GHz, B = 1 at 25 GHz).  scripts/op_timing.py times the operator.
 _PANEL_ROWS = 64
+_PANEL_MIN_ENTRIES = 200_000
 
 
 @dataclass(frozen=True)
@@ -154,13 +160,13 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     differences, so it keeps slope (f_j - f_i) where the model leaves a pair
     out and is +0.0 elsewhere: K's pairs are coupled and no others.
 
-    A corner of fewer than ``2 * _PANEL_ROWS`` rows is one panel, applied
-    whole as two products with c and c.T: a stage costs about
-    12 B n + 4 B e e' flops for a (B, n) batch and an e x e' corner, against
-    2 B n^2 for the dense K.  A taller corner is cut into row panels
-    (:func:`_corner_panels`), whose columns beyond the window for all their
-    rows ride the rank-2 product, so only a staircase along c's boundary
-    stays dense (:func:`_panel_coupling`, about 4 B n m + 4 B t flops).
+    A corner of fewer than ``2 * _PANEL_ROWS`` rows is applied whole as two
+    products with c and c.T: a stage costs about 12 B n + 4 B e e' flops for
+    a (B, n) batch and an e x e' corner, against 2 B n^2 for the dense K.  A
+    taller corner is cut into row panels (:func:`_corner_panels`), whose
+    columns beyond the window for all their rows ride the rank-2 product, so
+    only a staircase along c's boundary stays dense (:func:`_panel_coupling`,
+    about 4 B n m + 4 B t flops); a small batch still takes it whole.
     Nothing n x n is held, and every array the operator keeps is read-only.
     """
     slope, window = raman.slope, raman.window
@@ -170,9 +176,8 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
     corner = slope * d - _raman_gain_in_place(raman, d)
     corner.flags.writeable = False
-    panels = _corner_panels(corner)
-    if len(panels) > 1:
-        return _panel_coupling(g, slope, alpha, corner, panels)
+    if rows >= 2 * _PANEL_ROWS:
+        return _panel_coupling(g, slope, alpha, corner)
     weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
     basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
 
@@ -191,19 +196,16 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
 def _corner_panels(corner: np.ndarray) -> list[tuple[int, int, int, int]]:
     """``(a, b, lo, hi)`` per row panel [a, b) of about ``_PANEL_ROWS`` rows of the corner.
 
-    ``max(1, rows // _PANEL_ROWS)`` panels.  A row's pairs beyond the window
-    are a suffix of the corner's columns, from ``first[i]`` on, and ``first``
-    does not fall down the rows: the float differences f_j - f_i grow along
-    a row and shrink down a column.  So in panel [a, b) the columns below
+    ``rows // _PANEL_ROWS`` panels, two or more.  A row's pairs beyond the
+    window are a suffix of the corner's columns, from ``first[i]`` on, and
+    ``first`` does not fall down the rows: the float differences f_j - f_i
+    grow along a row and shrink down a column.  So in panel [a, b) the columns below
     ``lo = first[a]`` are 0 for every row, those from ``hi = first[b - 1]``
     on are beyond the window for every row, and only the staircase tile
-    ``corner[a:b, lo:hi]`` mixes the two.  One panel is the whole corner as
-    its tile: ``[(0, rows, 0, cols)]``.
+    ``corner[a:b, lo:hi]`` mixes the two.
     """
     rows, cols = corner.shape
-    count = max(1, rows // _PANEL_ROWS)
-    if count == 1:
-        return [(0, rows, 0, cols)]
+    count = rows // _PANEL_ROWS
     first = cols - np.count_nonzero(corner, axis=1)
     bounds = [rows * k // count for k in range(count + 1)]
     return [(a, b, int(first[a]), int(first[b - 1])) for a, b in zip(bounds, bounds[1:])]
@@ -214,7 +216,6 @@ def _panel_coupling(
     slope: float,
     alpha: np.ndarray,
     corner: np.ndarray,
-    panels: list[tuple[int, int, int, int]],
 ) -> _Net:
     """:func:`_triangular_coupling`'s operator for a corner cut into :func:`_corner_panels`.
 
@@ -235,9 +236,18 @@ def _panel_coupling(
     directions as the whole corner is.  A stage costs about 4 B n m + 4 B t
     flops for m = 3 + 4 k vectors over k panels and t staircase entries,
     and the operator holds m n floats besides the corner.
+
+    A batch of fewer than ``_PANEL_MIN_ENTRIES / corner.size`` rows (a 1-D
+    ``p`` is one row) takes the whole corner in both directions instead:
+    its 4 B e e' flops then cost less than the panels' small products.  Its
+    rank-2 part is :func:`_triangular_coupling`'s, one (n, 3) ``weights``
+    product and one with 1, g and alpha, with the signs of the last two
+    moved onto ``weights``, which flips no bit.
     """
     n = g.size
-    off = n - corner.shape[1]  # the corner's first column in K
+    rows, cols = corner.shape
+    off = n - cols  # the corner's first column in K
+    panels = _corner_panels(corner)
     vectors = np.zeros((3 + 4 * len(panels), n))
     vectors[:3] = np.ones_like(g), g, alpha
     swap, coef = [1, 0, 2], [slope, -slope, 0.0]
@@ -251,8 +261,18 @@ def _panel_coupling(
         coef += [-slope, slope, -slope, slope]
     vectors.flags.writeable = False
     swap, coef = _freeze(swap, int), _freeze(coef)
+    head = vectors[:3]
+    weights = _freeze(slope * np.stack([g, -np.ones_like(g), np.zeros_like(g)], axis=1))
+    whole_below = _PANEL_MIN_ENTRIES / corner.size * n  # in entries of p
 
     def net(p: np.ndarray) -> np.ndarray:
+        if p.size < whole_below:
+            s = p @ weights
+            s[..., 2] = -1.0
+            kp = s @ head
+            kp[..., :rows] -= p[..., -cols:] @ corner.T
+            kp[..., -cols:] += p[..., :rows] @ corner
+            return kp
         s = (p @ vectors.T)[..., swap]
         s *= coef
         s[..., 2] = -1.0

@@ -54,10 +54,11 @@ def test_coupling_matrix_is_built_in_one_buffer():
 
 def test_triangular_operator_holds_no_n_by_n_array():
     # SCLU at 12.5 GHz: K would be 2112^2 floats (35.7 MB); the operator holds
-    # an 871 x 871 corner (6.1 MB, 0.17 of K) and 55 x 2112 rank-2 vectors
-    # (1, g, alpha and four per row panel: 0.9 MB, 0.026 of K), 0.197 of K in
-    # all, so even an n x n boolean (0.125) fails.  The corner is built from its float
-    # differences, one boolean mask beside them (peak 0.37 of K).
+    # an 871 x 871 corner (6.1 MB, 0.17 of K), 55 x 2112 rank-2 vectors
+    # (1, g, alpha and four per row panel: 0.9 MB, 0.026 of K) and the
+    # small-batch path's 2112 x 3 weights (0.0014 of K), 0.198 of K in all,
+    # so even an n x n boolean (0.125) fails.  The corner is built from its
+    # float differences, one boolean mask beside them (peak 0.37 of K).
     grid = build_channel_grid("SCLU", 0.0125)
     fiber = FiberSpec(default_attenuation(), default_raman(0.4), 100.0)
     k_bytes = grid.n_channels ** 2 * 8

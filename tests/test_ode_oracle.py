@@ -23,6 +23,7 @@ from isrsprop import (
 from isrsprop import cli
 from isrsprop.closedform import _SpanModel
 from isrsprop.ode_oracle import (
+    _PANEL_MIN_ENTRIES,
     _PANEL_ROWS,
     _corner_panels,
     _coupling_matrix,
@@ -271,14 +272,17 @@ class TestCornerPanels:
         net = _triangular_coupling(f, raman, np.zeros_like(f))
         corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
         rows, cols = corner.shape
-        panels = _corner_panels(corner)
+        panelled = rows >= 2 * _PANEL_ROWS
+        assert panelled == ("panels" in net.__code__.co_freevars)
+        # a short corner is one dense tile, applied whole
+        panels = _corner_panels(corner) if panelled else [(0, rows, 0, cols)]
         assert len(panels) == max(1, rows // _PANEL_ROWS)
         assert [a for a, _, _, _ in panels] == [0] + [b for _, b, _, _ in panels[:-1]]
         assert panels[-1][1] == rows
         covered = np.zeros(corner.shape, dtype=int)
         for a, b, lo, hi in panels:
             covered[a:b, lo:hi] += 1  # the dense staircase tile
-            if len(panels) > 1:
+            if panelled:
                 # the rank-2 block: every pair beyond the window, at slope (f_j - f_i)
                 block = corner[a:b, hi:]
                 assert block.size and np.all(block != 0)
@@ -290,16 +294,37 @@ class TestCornerPanels:
 
     @pytest.mark.parametrize(
         "plan, spacing, count",
-        [("CLU", 0.05, 1), ("SCL", 0.05, 1), ("SCLU", 0.05, 3), ("SCLU", 0.0125, 13)],
+        [("CLU", 0.05, 0), ("SCL", 0.05, 0), ("SCLU", 0.05, 3), ("SCLU", 0.0125, 13)],
     )
     def test_panel_count_and_read_only_arrays(self, plan, spacing, count):
         f = build_channel_grid(plan, spacing).frequencies
         net = _triangular_coupling(f, default_raman(0.4), np.zeros_like(f))
-        corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
-        assert len(_corner_panels(corner)) == count
+        free = net.__code__.co_freevars
+        panels = net.__closure__[free.index("panels")].cell_contents if "panels" in free else []
+        assert len(panels) == count
         kept = [cell.cell_contents for cell in net.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
         assert not any(array.flags.writeable for array in kept)
+
+    @pytest.mark.parametrize("spacing, whole", [(0.05, 4), (0.025, 1)])
+    def test_a_small_batch_takes_the_panelled_corner_whole(self, spacing, whole):
+        # up to `whole` rows, bit for bit the unpanelled operator (a single
+        # fig5d launch); one row more takes the panels, which apply K
+        grid = build_channel_grid("SCLU", spacing)
+        fiber = FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
+        model = _SpanModel(grid, fiber)
+        net = _span_operator(model, SolverOptions())
+        corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
+        assert _PANEL_MIN_ENTRIES // corner.size == whole
+        unpanelled = one_corner_net(grid.frequencies, fiber.raman, model.alpha)
+        rng = np.random.default_rng(8)
+        powers = rng.uniform(1e-5, 2e-3, (whole + 1, grid.n_channels))
+        for batch in range(1, whole + 1):
+            assert np.array_equal(net(powers[:batch]), unpanelled(powers[:batch]))
+        assert np.array_equal(net(powers[0]), unpanelled(powers[0]))
+        kp = powers @ _coupling_matrix(grid, fiber, SolverOptions()).T
+        np.testing.assert_allclose(net(powers), kp - model.alpha, rtol=0,
+                                   atol=1e-13 * np.abs(kp).max())
 
     @pytest.mark.parametrize("plan", ["C", "CL", "CLU", "SCL"])
     def test_one_panel_keeps_the_whole_corner_bit_for_bit(self, plan):
