@@ -160,14 +160,20 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     differences, so it keeps slope (f_j - f_i) where the model leaves a pair
     out and is +0.0 elsewhere: K's pairs are coupled and no others.
 
-    A corner of fewer than ``2 * _PANEL_ROWS`` rows is applied whole as two
-    products with c and c.T: a stage costs about 12 B n + 4 B e e' flops for
-    a (B, n) batch and an e x e' corner, against 2 B n^2 for the dense K.  A
-    taller corner is cut into row panels (:func:`_corner_panels`), whose
-    columns beyond the window for all their rows ride the rank-2 product, so
-    only a staircase along c's boundary stays dense (:func:`_panel_coupling`,
-    about 4 B n m + 4 B t flops); a small batch still takes it whole.
-    Nothing n x n is held, and every array the operator keeps is read-only.
+    Applied whole as two products with c and c.T, a stage costs about
+    12 B n + 4 B e e' flops for a (B, n) batch and an e x e' corner, against
+    2 B n^2 for the dense K.  A corner of ``2 * _PANEL_ROWS`` rows or more is
+    also cut into row panels (:func:`_corner_panels`).  In panel
+    (a, b, lo, hi) the corner's columns from hi on are beyond the window for
+    every row, a rank-2 block (:func:`_rank_2_vectors`), and so is their
+    mirror; both ride the rank-2 product, as ``p @ vectors.T``, a fixed swap
+    and signed slope per inner product, then one product with ``vectors``.
+    Only the staircase tiles ``c[a:b, lo:hi]``, views of c, stay dense
+    products in both directions, so a stage costs about 4 B n m + 4 B t flops
+    for m vectors and t staircase entries.  The panels' small products cost
+    time of their own, so a batch of fewer than ``_PANEL_MIN_ENTRIES /
+    c.size`` rows (a 1-D ``p`` is one row) still takes c whole.  Nothing
+    n x n is held, and every array the operator keeps is read-only.
     """
     slope, window = raman.slope, raman.window
     g = f - f.mean()
@@ -176,18 +182,36 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
     corner = slope * d - _raman_gain_in_place(raman, d)
     corner.flags.writeable = False
-    if rows >= 2 * _PANEL_ROWS:
-        return _panel_coupling(g, slope, alpha, corner)
+    off = f.size - cols  # the corner's first column in K
+    panels = _corner_panels(corner) if rows >= 2 * _PANEL_ROWS else []
+    vectors, swap, coef = _rank_2_vectors(g, slope, alpha, off, panels)
     weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
-    basis = _freeze(np.stack([np.ones_like(g), -g, -alpha]))
+    basis = vectors[:3]
 
-    def net(p: np.ndarray) -> np.ndarray:
+    def whole(p: np.ndarray) -> np.ndarray:
         s = p @ weights
         s[..., 2] = 1.0
         kp = s @ basis
         if rows:
             kp[..., :rows] -= p[..., -cols:] @ corner.T
             kp[..., -cols:] += p[..., :rows] @ corner
+        return kp
+
+    if not panels:
+        return whole
+    whole_below = _PANEL_MIN_ENTRIES / corner.size * f.size  # in entries of p
+
+    def net(p: np.ndarray) -> np.ndarray:
+        if p.size < whole_below:
+            return whole(p)
+        s = (p @ vectors.T)[..., swap]
+        s *= coef
+        s[..., 2] = 1.0
+        kp = s @ vectors
+        for a, b, lo, hi in panels:
+            tile = corner[a:b, lo:hi]
+            kp[..., a:b] -= p[..., off + lo:off + hi] @ tile.T
+            kp[..., off + lo:off + hi] += p[..., a:b] @ tile
         return kp
 
     return net
@@ -199,10 +223,10 @@ def _corner_panels(corner: np.ndarray) -> list[tuple[int, int, int, int]]:
     ``rows // _PANEL_ROWS`` panels, two or more.  A row's pairs beyond the
     window are a suffix of the corner's columns, from ``first[i]`` on, and
     ``first`` does not fall down the rows: the float differences f_j - f_i
-    grow along a row and shrink down a column.  So in panel [a, b) the columns below
-    ``lo = first[a]`` are 0 for every row, those from ``hi = first[b - 1]``
-    on are beyond the window for every row, and only the staircase tile
-    ``corner[a:b, lo:hi]`` mixes the two.
+    grow along a row and shrink down a column.  So in panel [a, b) the
+    columns below ``lo = first[a]`` are 0 for every row, those from
+    ``hi = first[b - 1]`` on are beyond the window for every row, and only
+    the staircase tile ``corner[a:b, lo:hi]`` mixes the two.
     """
     rows, cols = corner.shape
     count = rows // _PANEL_ROWS
@@ -211,48 +235,34 @@ def _corner_panels(corner: np.ndarray) -> list[tuple[int, int, int, int]]:
     return [(a, b, int(first[a]), int(first[b - 1])) for a, b in zip(bounds, bounds[1:])]
 
 
-def _panel_coupling(
+def _rank_2_vectors(
     g: np.ndarray,
     slope: float,
     alpha: np.ndarray,
-    corner: np.ndarray,
-) -> _Net:
-    """:func:`_triangular_coupling`'s operator for a corner cut into :func:`_corner_panels`.
+    off: int,
+    panels: list[tuple[int, int, int, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(vectors, swap, coef)``: K p - alpha's rank-2 terms as inner products with held vectors.
 
-    In panel (a, b, lo, hi) every pair in the corner's columns from hi on,
-    J in K's columns, is beyond the window, so the corner there is
-    slope (f_j - f_i) = slope (g_j - g_i): a rank-2 block, and so is its
-    mirror.  With the n-vectors 1 and g restricted to J and to the panel's
-    rows R = [a, b), the block takes slope (sum_J g p - g_i sum_J p) off
-    row i in R, and its mirror adds slope (g_j sum_R p - sum_R g p) to row j
-    in J.  K's own rank-2 part, slope (g_j - g_i), has the same form.  So
-    every rank-2 term is an inner product of p with one held vector, times
-    a signed slope, times another held vector.  ``vectors`` holds 1, g,
-    alpha and four vectors per panel (1 and g on J, then on R).
-    ``p @ vectors.T`` takes every inner product at once, ``[..., swap] *
-    coef`` moves each onto the vector it scales (the loss row gets -1), and
-    one product with ``vectors`` sums them.  Each staircase tile
-    ``corner[a:b, lo:hi]`` is a view of the corner, applied in both
-    directions as the whole corner is.  A stage costs about 4 B n m + 4 B t
-    flops for m = 3 + 4 k vectors over k panels and t staircase entries,
-    and the operator holds m n floats besides the corner.
-
-    A batch of fewer than ``_PANEL_MIN_ENTRIES / corner.size`` rows (a 1-D
-    ``p`` is one row) takes the whole corner in both directions instead:
-    its 4 B e e' flops then cost less than the panels' small products.  Its
-    rank-2 part is :func:`_triangular_coupling`'s, one (n, 3) ``weights``
-    product and one with 1, g and alpha, with the signs of the last two
-    moved onto ``weights``, which flips no bit.
+    K's rank-2 part takes slope (sum g p - g_i sum p) onto row i, and the
+    loss -alpha_i.  In panel (a, b, lo, hi) every pair in K's columns J from
+    ``off + hi`` on is beyond the window for the panel's rows R = [a, b), so
+    the corner there is slope (f_j - f_i) = slope (g_j - g_i): with the
+    n-vectors 1 and g restricted to J and to R, the block takes
+    slope (sum_J g p - g_i sum_J p) off row i in R, and its mirror adds
+    slope (g_j sum_R p - sum_R g p) to row j in J.  So every term is an
+    inner product of p with one held vector, times a signed slope, times
+    another held vector.  ``vectors`` holds 1, -g and -alpha (the first
+    three, :func:`_triangular_coupling`'s basis), then four per panel: 1 and
+    g on J, then on R.  ``(p @ vectors.T)[..., swap] * coef`` moves each
+    inner product onto the vector it scales; the loss row's entry is then
+    set to 1.  m = 3 + 4 k vectors over k panels hold m n floats.
     """
-    n = g.size
-    rows, cols = corner.shape
-    off = n - cols  # the corner's first column in K
-    panels = _corner_panels(corner)
-    vectors = np.zeros((3 + 4 * len(panels), n))
-    vectors[:3] = np.ones_like(g), g, alpha
-    swap, coef = [1, 0, 2], [slope, -slope, 0.0]
+    vectors = np.zeros((3 + 4 * len(panels), g.size))
+    vectors[:3] = np.ones_like(g), -g, -alpha
+    swap, coef = [1, 0, 2], [-slope, slope, 0.0]
     for k, (a, b, _, hi) in enumerate(panels):
-        row = 3 + 4 * k  # 1 and g on J, then on R
+        row = 3 + 4 * k
         vectors[row, off + hi:] = 1.0
         vectors[row + 1, off + hi:] = g[off + hi:]
         vectors[row + 2, a:b] = 1.0
@@ -260,30 +270,7 @@ def _panel_coupling(
         swap += [row + 3, row + 2, row + 1, row]
         coef += [-slope, slope, -slope, slope]
     vectors.flags.writeable = False
-    swap, coef = _freeze(swap, int), _freeze(coef)
-    head = vectors[:3]
-    weights = _freeze(slope * np.stack([g, -np.ones_like(g), np.zeros_like(g)], axis=1))
-    whole_below = _PANEL_MIN_ENTRIES / corner.size * n  # in entries of p
-
-    def net(p: np.ndarray) -> np.ndarray:
-        if p.size < whole_below:
-            s = p @ weights
-            s[..., 2] = -1.0
-            kp = s @ head
-            kp[..., :rows] -= p[..., -cols:] @ corner.T
-            kp[..., -cols:] += p[..., :rows] @ corner
-            return kp
-        s = (p @ vectors.T)[..., swap]
-        s *= coef
-        s[..., 2] = -1.0
-        kp = s @ vectors
-        for a, b, lo, hi in panels:
-            tile = corner[a:b, lo:hi]
-            kp[..., a:b] -= p[..., off + lo:off + hi] @ tile.T
-            kp[..., off + lo:off + hi] += p[..., a:b] @ tile
-        return kp
-
-    return net
+    return vectors, _freeze(swap, int), _freeze(coef)
 
 
 def _span_operator(model: _SpanModel, options: SolverOptions) -> _Net:
