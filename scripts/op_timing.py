@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minimum-of-repeats time of the RK4 oracle's span operator and of one batch group.
+"""Minimum-of-repeats time of the RK4 oracle's span operator, of one batch group and of a sweep.
 
     python scripts/op_timing.py [--repo CHECKOUT]
 
@@ -7,10 +7,13 @@ For the triangular gain of the fig3 sweep (peak 0.4 /W/km) on C, CL, CLU,
 SCL and SCLU at 50 GHz and on SCLU at 25 and 12.5 GHz, prints in µs, at
 B = 1 and B = 25 launches: one apply of ``ode_oracle._span_operator``'s
 ``net`` (``op``) and one ``ode_oracle._integrate_batch`` call as a sweep
-group runs it, 50 RK4 steps over 100 km (``group``).  Each number is the
-minimum over 50 timed runs (5 for a group) after a warm-up, with one BLAS
-thread (set before numpy loads), so two checkouts can be compared layer by
-layer with one run each.  ``--repo`` chooses the checkout whose ``src`` runs.
+group runs it, 50 RK4 steps over 100 km (``group``).  A last ``sweep`` row
+gives, in ms, one ``bench.run_order_sweep`` of the default ``SweepConfig``
+(fig3's 500 cells and 6 orders) in this process, without the CLI's writing.
+Each number is the minimum over 50 timed runs (5 for a group, 3 for the
+sweep) after a warm-up, with one BLAS thread (set before numpy loads), so
+two checkouts can be compared layer by layer with one run each.  ``--repo``
+chooses the checkout whose ``src`` runs.
 """
 
 import argparse
@@ -26,6 +29,7 @@ BATCHES = (1, 25)
 STEPS = 50
 REPEATS = 50  # timed runs per operator number
 GROUP_REPEATS = 5  # timed runs per group number
+SWEEP_REPEATS = 3  # timed runs of the sweep
 
 
 def best_us(run, repeats: int) -> float:
@@ -47,7 +51,8 @@ def main() -> int:
         os.environ[name] = "1"
     sys.path.insert(0, str(args.repo.resolve() / "src"))
     import numpy as np
-    from isrsprop import FiberSpec, build_channel_grid, default_attenuation, default_raman
+    from isrsprop import (FiberSpec, SweepConfig, build_channel_grid, default_attenuation,
+                          default_raman, run_order_sweep)
     from isrsprop.closedform import _SpanModel
     from isrsprop.ode_oracle import SolverOptions, _integrate_batch, _span_operator
 
@@ -68,6 +73,8 @@ def main() -> int:
                                   GROUP_REPEATS))
         print(f"{plan:<5} {spacing * 1e3:>5g} {grid.n_channels:>5}"
               + "".join(f" {us:>13.1f}" for us in ops + groups))
+    sweep_ms = best_us(lambda: run_order_sweep(SweepConfig()), SWEEP_REPEATS) / 1e3
+    print(f"sweep {sweep_ms:.1f} ms")
     return 0
 
 

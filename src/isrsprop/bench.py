@@ -24,8 +24,10 @@ from .profiles import (
     PowerSpectrum,
     RamanGainModel,
     _check_count,
+    _check_real,
     _same_grid,
     build_channel_grid,
+    convert_units,
     default_attenuation,
 )
 
@@ -88,6 +90,7 @@ class SweepConfig:
             bounds = getattr(self, name)
             if not all(math.isfinite(x) for x in bounds):
                 raise ConfigurationError(f"sweep {name} must be finite, got {bounds}")
+        _check_real(self.spacing, "sweep spacing")
         if not 0 < self.spacing < math.inf:
             raise ConfigurationError(
                 f"sweep spacing must be positive and finite, got {self.spacing!r}")
@@ -184,7 +187,10 @@ def _run_group(args) -> list[SweepRecord]:
     )
     # the span length plays no part in the span model
     model = _SpanModel(grid, FiberSpec(config.attenuation, raman, length=cells[0][1]))
-    launches = np.array([PowerSpectrum.flat_dbm(grid, power_dbm).powers for power_dbm, _ in cells])
+    # flat launches, each cell's watts from the scalar conversion PowerSpectrum.flat_dbm
+    # makes (numpy's vector pow can differ from it in the last bit)
+    watts = np.array([convert_units(power_dbm, "dBm", "W") for power_dbm, _ in cells])
+    launches = np.repeat(watts[:, None], grid.n_channels, axis=1)
     lengths = np.array([length for _, length in cells])
     options = SolverOptions(steps_per_span=config.steps_per_span)
     results: dict[tuple[int, int], tuple[float, float] | str] = {}

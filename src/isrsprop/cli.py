@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import re
 import sys
 from dataclasses import fields, replace
@@ -108,13 +109,17 @@ def _csv_lines(header, rows):
             yield line + "\r\n"
 
 
-def _dataclass_table(cls, items) -> tuple[list[str], Iterator[list]]:
-    """Header and lazily built rows of ``cls`` instances, one column per field."""
+def _dataclass_table(cls, items) -> tuple[list[str], Iterator[tuple]]:
+    """Header and lazily built rows of ``cls`` instances, one column per field.
+
+    Each row is the tuple one ``operator.attrgetter`` call over every field
+    returns, so ``cls`` needs two fields or more (both sweep tables have 8+).
+    """
     header = [f.name for f in fields(cls)]
-    return header, ([getattr(item, name) for name in header] for item in items)
+    return header, map(operator.attrgetter(*header), items)
 
 
-def _write_table(path: Path, header: list[str], rows: Iterable[list], fmt: str) -> None:
+def _write_table(path: Path, header: list[str], rows: Iterable[Sequence], fmt: str) -> None:
     """Write ``rows`` as CSV, or as ``.json`` records, taking one row (or float block) at a time.
 
     A float block, a 2-D float array in place of a row, stands for its rows.

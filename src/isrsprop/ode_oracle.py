@@ -32,8 +32,11 @@ against 195 000 with the corner whole on SCLU at 50 GHz, 0.69 M against
 a batch of under ``_PANEL_MIN_ENTRIES`` corner entries (B <= 4 on SCLU at
 50 GHz) still takes the corner whole.  Every other model applies the dense
 K of :func:`_coupling_matrix`.  Each operator takes alpha(f_i) from a span
-model, built once per fiber model of a link.  A row's last bits depend on
-which rows share its batch; the same batch always gives the same bits.
+model, built once per fiber model of a link.  After each step the whole
+batch is tested for stability at once, with one min and one max over the
+(B, n) state; only a step that fails that test looks for its failed rows
+(:func:`_rk4`).  A row's last bits depend on which rows share its batch;
+the same batch always gives the same bits.
 """
 
 from __future__ import annotations
@@ -322,8 +325,13 @@ def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
     rows still integrating, their state, and the mask of those with a power
     below ``_NEGATIVE_FLOOR`` or not finite (an overflowing launch).
     Unstable rows leave the batch before the next step; the others carry on.
+    A step tests the whole batch first, ``p.min() >= _NEGATIVE_FLOOR and
+    p.max() < inf`` (NaN fails both); when that holds, ``unstable`` is one
+    shared read-only all-False mask, the same object until a row leaves.
+    Only a step that fails it builds the per-row mask.
     """
     rows = np.arange(p0.shape[0])
+    healthy = _freeze(np.zeros(len(rows), dtype=bool), bool)  # every healthy step's mask
     p = p0  # never written: every step makes a new state
     y = np.empty_like(p)
     half, sixth = 0.5 * h, h / 6.0
@@ -350,12 +358,15 @@ def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
         total *= sixth
         total += p
         p = total
+        if not p.size or (p.min() >= _NEGATIVE_FLOOR and p.max() < np.inf):
+            yield rows, p, healthy
+            continue
         unstable = ~((p.min(axis=1) >= _NEGATIVE_FLOOR) & (p.max(axis=1) < np.inf))
         yield rows, p, unstable
-        if unstable.any():
-            rows, p, h = rows[~unstable], p[~unstable], h[~unstable]
-            y = np.empty_like(p)
-            half, sixth = 0.5 * h, h / 6.0
+        rows, p, h = rows[~unstable], p[~unstable], h[~unstable]
+        healthy = _freeze(np.zeros(len(rows), dtype=bool), bool)
+        y = np.empty_like(p)
+        half, sixth = 0.5 * h, h / 6.0
 
 
 def _instability_message(p: np.ndarray, z: float, steps: int) -> str:
@@ -406,15 +417,19 @@ def _integrate_batch(
     string per row: empty, or the message :func:`integrate_span` raises for
     that launch, in which case the row's powers are NaN.  A row agrees with
     :func:`integrate_span`'s final powers to a few ulps; its last bits
-    depend on which rows share its batch (see :func:`_rk4`).
+    depend on which rows share its batch (see :func:`_rk4`).  A step whose
+    mask is all False, as after :func:`_rk4`'s batch-wide test passes, costs
+    one ``any``: the failed rows are picked out only on a step that has them.
     """
     h = np.asarray(lengths, dtype=float)[:, None] / steps
     out = np.full(launch_powers.shape, np.nan)
     errors = [""] * len(h)
     for i, (rows, p, unstable) in enumerate(_rk4(launch_powers, net, h, steps)):
-        for row, b in zip(p[unstable], rows[unstable]):
-            errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
-    out[rows[~unstable]] = np.maximum(p[~unstable], 0.0)  # the rows that finished
+        if unstable.any():
+            for row, b in zip(p[unstable], rows[unstable]):
+                errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
+            rows, p = rows[~unstable], p[~unstable]
+    out[rows] = np.maximum(p, 0.0)  # the rows that finished
     return out, tuple(errors)
 
 

@@ -90,6 +90,12 @@ def _check_count(value, name: str) -> None:
         raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_real(value, name: str) -> None:
+    """Reject a ``name`` that is not a real number: a string, or a boolean taken as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_flag(value, name: str) -> None:
     """Reject a ``name`` that is not a boolean: a string such as ``"false"`` is truthy."""
     if not isinstance(value, (bool, np.bool_)):
@@ -105,6 +111,8 @@ class Band:
     f_high: float
 
     def __post_init__(self):
+        _check_real(self.f_low, f"band {self.name!r} f_low")
+        _check_real(self.f_high, f"band {self.name!r} f_high")
         if not self.f_high > self.f_low:
             raise ConfigurationError(f"band {self.name!r}: f_high must exceed f_low")
 
@@ -132,6 +140,7 @@ class ChannelGrid:
         object.__setattr__(self, "frequencies", freqs)
         if freqs.ndim != 1 or freqs.size == 0:
             raise ConfigurationError("grid needs at least one channel")
+        _check_real(self.spacing, "spacing")
         if not 0 < self.spacing < math.inf:
             raise ConfigurationError("spacing must be positive and finite")
         diffs = np.diff(freqs)
@@ -239,6 +248,7 @@ def build_channel_grid(
     ``(name, f_low, f_high)`` tuples.  Every band width must be an integer
     multiple of ``spacing`` so channels fill the bands exactly.
     """
+    _check_real(spacing, "spacing")
     if not 0 < spacing < math.inf:
         raise ConfigurationError("spacing must be positive and finite")
     if isinstance(band_plan, str):

@@ -345,6 +345,28 @@ class TestBatchedSweep:
                 expected.append((total_power_error_ratio(closed, oracle), float(dev)))
         assert [(r.eps_p, r.max_deviation_db) for r in records] == expected
 
+    def test_launch_matrix_is_the_stacked_flat_dbm_powers(self, monkeypatch):
+        # built in one call from each cell's scalar conversion: numpy's vector
+        # pow (SIMD on AVX-512) moves one of this axis's five powers by an ulp
+        config = SweepConfig(band_plans=("C",), raman_peak_count=1, length_count=2,
+                             orders=(1,), steps_per_span=2)
+        launches = []
+        integrate = bench._integrate_batch
+
+        def record(powers, *args):
+            launches.append(powers)
+            return integrate(powers, *args)
+
+        monkeypatch.setattr(bench, "_integrate_batch", record)
+        run_order_sweep(config)
+        grid = build_channel_grid("C", config.spacing)
+        expected = np.stack([PowerSpectrum.flat_dbm(grid, float(dbm)).powers
+                             for dbm in config.axis(config.launch_power_dbm_range, 5)
+                             for _ in range(2)])
+        (launch,) = launches
+        assert launch.flags.c_contiguous and launch.dtype == expected.dtype
+        assert np.array_equal(launch, expected)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_an_order_that_fails_alone_fails_only_itself(self):
         # alpha ** 300 underflows, so order 300 has no alpha0; orders 1 and 3 still derive
@@ -443,6 +465,17 @@ class TestCsvLines:
     def test_quoting_edge_rows(self, row):
         for header, rows in ((row, []), (["h"], [row, [0.1, 2], row])):
             assert "".join(cli._csv_lines(header, rows)) == csv_writer_reference(header, rows)
+
+    def test_dataclass_table_rows_are_the_field_values(self):
+        records, summaries = run_order_sweep(SMALL)
+        records.append(SweepRecord("CL", 0.35, 12.0, 150.0, 4, float("nan"), float("nan"),
+                                   error="ValueError('x')"))
+        for cls, items in ((SweepRecord, records), (SweepSummary, summaries)):
+            header, rows = cli._dataclass_table(cls, items)
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert header == names
+            expected = [[getattr(item, name) for name in names] for item in items]
+            assert [list(row) for row in rows] == expected
 
     def test_records_with_an_instability_error(self, tmp_path):
         message = "negative channel power at z = 1.500 km; increase steps_per_span (currently 8)"

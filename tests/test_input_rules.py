@@ -8,6 +8,8 @@ import pytest
 
 from isrsprop import (
     AmplifierSpec,
+    Band,
+    ChannelGrid,
     ConfigurationError,
     ConvergenceError,
     FiberSpec,
@@ -113,3 +115,30 @@ def test_flag_rejects_what_is_not_a_boolean(name, call, value):
 @pytest.mark.parametrize("value", [True, False, np.False_])
 def test_flag_accepts_booleans(name, call, value):
     call(value)
+
+
+# (name in the message, a call that passes its argument as that number, a good value)
+REALS = [
+    ("band 'X' f_low", lambda x: Band("X", x, 191.0), 190.0),
+    ("band 'X' f_high", lambda x: Band("X", 190.0, x), 191.0),
+    ("spacing", lambda x: build_channel_grid([("X", 190.0, 191.0)], x), 0.05),
+    ("spacing", lambda x: ChannelGrid(np.array([190.025]), x, (Band("X", 190.0, 190.05),)), 0.05),
+    ("sweep spacing", lambda x: SweepConfig(spacing=x), 0.05),
+]
+REAL_IDS = ["f_low", "f_high", "spacing", "grid-spacing", "sweep-spacing"]
+
+
+@pytest.mark.parametrize("name, call, _", REALS, ids=REAL_IDS)
+@pytest.mark.parametrize("value", ["a", "0.05", None, True, False, np.True_],
+                         ids=["str", "numeric-str", "None", "True", "False", "np.True_"])
+def test_real_rejects_what_is_not_a_number(name, call, _, value):
+    # a string failed with a bare TypeError from a comparison, and True ran as 1
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(f'{name} must be a real number, got {value!r}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name, call, good", REALS, ids=REAL_IDS)
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_real_accepts_python_and_numpy_floats(name, call, good, kind):
+    call(kind(good))

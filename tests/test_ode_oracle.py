@@ -23,10 +23,12 @@ from isrsprop import (
 from isrsprop import cli
 from isrsprop.closedform import _SpanModel
 from isrsprop.ode_oracle import (
+    _NEGATIVE_FLOOR,
     _PANEL_MIN_ENTRIES,
     _PANEL_ROWS,
     _corner_panels,
     _coupling_matrix,
+    _instability_message,
     _integrate_batch,
     _rk4,
     _span_operator,
@@ -580,6 +582,139 @@ class TestIntegrateBatch:
             np.testing.assert_allclose(
                 out[b], self.single(grid, powers[b], fiber, lengths[b], options), rtol=1e-13
             )
+
+
+def per_row_batch(launch_powers, lengths, net, steps):
+    """``_integrate_batch`` with a per-row stability mask built after every step.
+
+    The reference the batch-wide test must match: same arithmetic, same
+    drops, same messages.
+    """
+    h = np.asarray(lengths, dtype=float)[:, None] / steps
+    out = np.full(launch_powers.shape, np.nan)
+    errors = [""] * len(h)
+    rows, p, step = np.arange(launch_powers.shape[0]), launch_powers, h
+    y = np.empty_like(p)
+    half, sixth = 0.5 * step, step / 6.0
+    for i in range(steps):
+        total = net(p)
+        total *= p
+        np.multiply(half, total, out=y)
+        y += p
+        k = net(y)
+        k *= y
+        np.multiply(half, k, out=y)
+        y += p
+        k *= 2.0
+        total += k
+        k = net(y)
+        k *= y
+        np.multiply(step, k, out=y)
+        y += p
+        k *= 2.0
+        total += k
+        k = net(y)
+        k *= y
+        total += k
+        total *= sixth
+        total += p
+        p = total
+        unstable = ~((p.min(axis=1) >= _NEGATIVE_FLOOR) & (p.max(axis=1) < np.inf))
+        for row, b in zip(p[unstable], rows[unstable]):
+            errors[b] = _instability_message(row, (i + 1) * h[b, 0], steps)
+        if unstable.any():
+            rows, p, step = rows[~unstable], p[~unstable], step[~unstable]
+            y = np.empty_like(p)
+            half, sixth = 0.5 * step, step / 6.0
+    out[rows] = np.maximum(p, 0.0)
+    return out, tuple(errors)
+
+
+class TestBatchStabilityTest:
+    """One batch-wide test per step keeps every bit and message of a per-row test per step."""
+
+    @staticmethod
+    def hot_case(slope, steps):
+        grid = two_channel_grid(10.0)
+        fiber = FiberSpec(AttenuationProfile.constant(1e-12),
+                          RamanGainModel.triangular(slope=slope, window=15.5), 100.0)
+        options = SolverOptions(steps_per_span=steps)
+        return grid, fiber, options, _span_operator(_SpanModel(grid, fiber), options)
+
+    @staticmethod
+    def healthy_case():
+        grid = build_channel_grid("CL")
+        powers, lengths = TestIntegrateBatch.mixed_launches(grid, 5)
+        fiber = FiberSpec(default_attenuation(), RamanGainModel.triangular(peak=0.4), 1.0)
+        options = SolverOptions(steps_per_span=30)
+        return powers, lengths, options, _span_operator(_SpanModel(grid, fiber), options)
+
+    def assert_matches_per_row(self, powers, lengths, net, steps):
+        h = np.asarray(lengths, dtype=float)[:, None] / steps
+        yielded = list(_rk4(powers, net, h, steps))
+        assert len(yielded) == steps  # one yield per step, whatever leaves the batch
+        for rows, p, unstable in yielded:
+            assert unstable.dtype == bool and len(unstable) == len(rows) == len(p)
+        out, errors = _integrate_batch(powers, lengths, net, steps)
+        want, want_errors = per_row_batch(powers, lengths, net, steps)
+        assert np.array_equal(out, want, equal_nan=True)
+        assert errors == want_errors
+        return errors
+
+    def test_rows_going_negative_at_different_steps(self):
+        grid, fiber, options, net = self.hot_case(0.03, 5)
+        # 0.5 W fails at step 1, 0.45 at 3, 0.4 at 4 and 0.35 at the last; 0.2 and 0.3 finish
+        watts = [0.2, 0.4, 0.3, 0.5, 0.45, 0.35]
+        powers = np.repeat(np.array(watts)[:, None], 2, axis=1)
+        errors = self.assert_matches_per_row(powers, [100.0] * 6, net, 5)
+        for b, z in ((1, 80.0), (3, 20.0), (4, 60.0), (5, 100.0)):
+            message = (f"negative channel power at z = {z:.3f} km; "
+                       "increase steps_per_span (currently 5)")
+            assert errors[b] == message
+            # one launch alone still raises at the step its batch row failed
+            with pytest.raises(NumericalInstabilityError) as raised:
+                integrate_span(PowerSpectrum(grid, powers[b]), fiber, options)
+            assert str(raised.value) == message
+        assert errors[0] == errors[2] == ""
+
+    def test_every_row_failing_leaves_an_empty_batch_stepping(self):
+        _, _, _, net = self.hot_case(0.03, 5)
+        powers = np.array([[0.5, 0.5], [0.6, 0.6]])
+        errors = self.assert_matches_per_row(powers, [100.0, 100.0], net, 5)
+        assert all(errors)
+        steps = list(_rk4(powers, net, np.array([[20.0], [20.0]]), 5))
+        assert len(steps) == 5
+        assert [len(rows) for rows, _, _ in steps] == [2, 0, 0, 0, 0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_a_row_going_non_finite(self):
+        _, _, _, net = self.hot_case(5.0, 2)
+        powers = np.array([[1e-3, 1e-3], [1e200, 1e200], [2e-3, 1e-3]])
+        errors = self.assert_matches_per_row(powers, [30.0, 100.0, 60.0], net, 2)
+        assert errors[1].startswith("non-finite") and errors[0] == errors[2] == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_row_overflowing_to_plus_inf_alone(self):
+        # dP/dz = P: the 1e308 row reaches +inf with no NaN and no negative
+        # power, so only the max catches it
+        powers = np.array([[1e-3, 2e-3], [1e308, 1e308], [3e-3, 1e-3]])
+        errors = self.assert_matches_per_row(powers, [2.0] * 3, np.ones_like, 2)
+        assert errors == ("", "non-finite channel power at z = 1.000 km; "
+                              "increase steps_per_span (currently 2)", "")
+
+    def test_an_all_healthy_batch(self):
+        powers, lengths, options, net = self.healthy_case()
+        errors = self.assert_matches_per_row(powers, lengths, net, options.steps_per_span)
+        assert errors == ("",) * 5
+
+    def test_a_healthy_batch_yields_one_shared_all_false_mask_per_step(self):
+        powers, lengths, options, net = self.healthy_case()
+        h = np.asarray(lengths)[:, None] / options.steps_per_span
+        masks = [unstable for _, _, unstable in _rk4(powers, net, h, options.steps_per_span)]
+        assert len(masks) == options.steps_per_span
+        assert all(mask is masks[0] for mask in masks)
+        assert masks[0].shape == (5,) and not masks[0].any()
+        assert not masks[0].flags.writeable
 
 
 class TestPropagateLink:
