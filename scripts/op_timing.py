@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Minimum-of-repeats time of the RK4 oracle's span operator, of one batch group and of a sweep.
+"""Minimum-of-repeats time of the RK4 oracle's span operator, of one batch group, of a sweep
+and of an OSNR target.
 
     python scripts/op_timing.py [--repo CHECKOUT]
 
@@ -7,12 +8,16 @@ For the triangular gain of the fig3 sweep (peak 0.4 /W/km) on C, CL, CLU,
 SCL and SCLU at 50 GHz and on SCLU at 25 and 12.5 GHz, prints in µs, at
 B = 1 and B = 25 launches: one apply of ``ode_oracle._span_operator``'s
 ``net`` (``op``) and one ``ode_oracle._integrate_batch`` call as a sweep
-group runs it, 50 RK4 steps over 100 km (``group``).  A last ``sweep`` row
+group runs it, 50 RK4 steps over 100 km (``group``).  A ``sweep`` row
 gives, in ms, one ``bench.run_order_sweep`` of the default ``SweepConfig``
 (fig3's 500 cells and 6 orders) in this process, without the CLI's writing.
-Each number is the minimum over 50 timed runs (5 for a group, 3 for the
-sweep) after a warm-up, with one BLAS thread (set before numpy loads), so
-two checkouts can be compared layer by layer with one run each.  ``--repo``
+A last ``osnr`` row gives, in ms, one ``osnr.target_osnr`` of fig7's flat
+target in this process: CLU, 5 x 50 km, restore-total-power amplifiers with
+noise figures C 5.5, L 6.0 and U 5.0 dB, a receiver boost and the total of
+-1 dBm per channel.  Each number is the minimum over 50 timed runs (5 for a
+group, 3 for the sweep, 20 for the OSNR target) after a warm-up, with one
+BLAS thread (set before numpy loads), so two checkouts can be compared
+layer by layer with one run each.  ``--repo``
 chooses the checkout whose ``src`` runs.
 """
 
@@ -30,6 +35,7 @@ STEPS = 50
 REPEATS = 50  # timed runs per operator number
 GROUP_REPEATS = 5  # timed runs per group number
 SWEEP_REPEATS = 3  # timed runs of the sweep
+OSNR_REPEATS = 20  # timed runs of the OSNR target
 
 
 def best_us(run, repeats: int) -> float:
@@ -51,8 +57,9 @@ def main() -> int:
         os.environ[name] = "1"
     sys.path.insert(0, str(args.repo.resolve() / "src"))
     import numpy as np
-    from isrsprop import (FiberSpec, SweepConfig, build_channel_grid, default_attenuation,
-                          default_raman, run_order_sweep)
+    from isrsprop import (AmplifierSpec, FiberSpec, LinkSpec, PowerSpectrum, SweepConfig,
+                          TargetSpectrum, build_channel_grid, default_attenuation,
+                          default_raman, run_order_sweep, target_osnr)
     from isrsprop.closedform import _SpanModel
     from isrsprop.ode_oracle import SolverOptions, _integrate_batch, _span_operator
 
@@ -75,6 +82,15 @@ def main() -> int:
               + "".join(f" {us:>13.1f}" for us in ops + groups))
     sweep_ms = best_us(lambda: run_order_sweep(SweepConfig()), SWEEP_REPEATS) / 1e3
     print(f"sweep {sweep_ms:.1f} ms")
+    clu = build_channel_grid("CLU")
+    amplifier = AmplifierSpec(noise_figure_db={"C": 5.5, "L": 6.0, "U": 5.0})
+    link = LinkSpec.uniform(FiberSpec(default_attenuation(), default_raman(0.4), 50.0), 5,
+                            amplifier, receiver_boost=True)
+    total = PowerSpectrum.flat_dbm(clu, -1.0).total_power
+    target = TargetSpectrum.flat_shape(clu)
+    osnr_ms = best_us(lambda: target_osnr(target, link, total, max_iterations=20),
+                      OSNR_REPEATS) / 1e3
+    print(f"osnr {osnr_ms:.2f} ms")
     return 0
 
 

@@ -45,6 +45,7 @@ from .profiles import (
     PowerSpectrum,
     _check_count,
     _check_flag,
+    _check_real,
     _freeze,
     attenuation_at,
     convert_units,
@@ -169,6 +170,7 @@ def shaping_function(launch: PowerSpectrum, window: float) -> np.ndarray:
     come from a small cache keyed by those three ints (:func:`_window_indices`);
     each call only gathers from the running sum and the powers.
     """
+    _check_real(window, "window", 0)
     p = launch.powers
     bs = launch.grid.spacing
     indices = _window_indices(p.size, math.floor(window / bs), math.ceil(window / bs))
@@ -486,7 +488,9 @@ def power_profiles(
     row is :func:`power_profile`'s spectrum at that z.
     """
     _check_flag(refresh_reference, "refresh_reference")
+    _check_real(slope, "slope", 0, strict=False)
     for at in z:
+        _check_real(at, "z")
         if not 0.0 <= at <= params.length:
             raise ConfigurationError(f"z = {at} km outside the span [0, {params.length}] km")
     p, alpha = launch.powers, params.channel_attenuation

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import difflib
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -40,6 +39,7 @@ from .profiles import (
     RamanGainModel,
     _check_count,
     _check_flag,
+    _check_real,
     build_channel_grid,
     convert_units,
     default_attenuation,
@@ -166,17 +166,21 @@ class _Section(dict):
     def number(self, key: str, default=_REQUIRED, *, count: bool = False, array: bool = False):
         """The value as a finite float, an int if ``count``, a list of them if ``array``.
 
-        An absent key gives ``default``; strings, booleans, non-finite numbers and
-        non-integral counts are rejected with an error naming ``where.key``.
+        An absent key gives ``default``; a value that is not a list where one is
+        expected, an item that fails :func:`~isrsprop.profiles._check_real` (strings,
+        ``null``, booleans, non-finite numbers) and a non-integral count are rejected
+        with an error naming ``where.key``.
         """
         if key not in self:
             return self.require(key) if default is _REQUIRED else default
         value = self[key]
-        items = value if array and isinstance(value, list) else [value]
+        kind = ("an integer" if count else "a finite number") + (" list" if array else "")
+        if array and not isinstance(value, list):
+            raise ConfigurationError(f"{self.where}.{key}: expected {kind}, got {value!r}")
+        items = value if array else [value]
         for x in items:
-            if (isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x)
-                    or (count and x != int(x)) or (array and x is value)):
-                kind = ("an integer" if count else "a finite number") + (" list" if array else "")
+            _check_real(x, f"{self.where}.{key}")
+            if count and x != int(x):
                 raise ConfigurationError(f"{self.where}.{key}: expected {kind}, got {x!r}")
         convert = int if count else float
         return [convert(x) for x in items] if array else convert(value)

@@ -35,7 +35,8 @@ from .closedform import (
 )
 from .errors import ConfigurationError, RootBracketError
 from .multispan import LinkSpec, _closed_form_constants
-from .profiles import ChannelGrid, FiberSpec, PowerSpectrum, _check_flag, _freeze, convert_units
+from .profiles import (ChannelGrid, FiberSpec, PowerSpectrum, _check_flag, _check_real, _freeze,
+                       convert_units)
 
 # The shape-only root-find stops where |log(S / P_T0)| is at most this
 _NEWTON_TOL = 2e-14
@@ -196,18 +197,10 @@ def preemphasis_single_span(
             )
         launch = _launch_from_output(output.powers, terms, decay)
         return PowerSpectrum(target.grid, launch, z=0.0)
-    _check_launch_total(total_launch_power)
+    _check_real(total_launch_power, "total_launch_power", 0)
     constants = _span_constants(model, fiber.length, order)
     return PowerSpectrum(target.grid, _invert_shape(target.shape(), constants,
                                                     total_launch_power), z=0.0)
-
-
-def _check_launch_total(total_launch_power) -> None:
-    if total_launch_power is None or not 0 < total_launch_power < math.inf:
-        raise ConfigurationError(
-            "shape-only targets need a positive, finite total_launch_power, "
-            f"got {total_launch_power!r}"
-        )
 
 
 def _invert_shape(shape: np.ndarray, constants, total_launch_power: float) -> np.ndarray:
@@ -332,7 +325,7 @@ def preemphasis_multispan(
             "multi-span pre-emphasis targets a shape; absolute output powers "
             "cannot be realized under per-span total-power restoration"
         )
-    _check_launch_total(total_launch_power)
+    _check_real(total_launch_power, "total_launch_power", 0)
     constants = _closed_form_constants(target.grid, link, order)
     return _preemphasis_multispan(target.grid, target.shape(), constants, total_launch_power)
 

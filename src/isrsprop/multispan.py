@@ -12,7 +12,6 @@ model per number (:func:`_link_models`), evaluating alpha(f_i) once per model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .closedform import _closed_form_params, _profile, _span_constants, _SpanModel
 from .errors import ConfigurationError
-from .profiles import FiberSpec, PowerSpectrum, _check_count, _check_flag
+from .profiles import FiberSpec, PowerSpectrum, _check_count, _check_flag, _check_real
 
 GAIN_POLICIES = ("restore-total-power", "restore-band-power", "fixed-gain")
 
@@ -42,16 +41,11 @@ class AmplifierSpec:
             raise ConfigurationError(
                 f"unknown gain policy {self.gain_policy!r}; expected one of {GAIN_POLICIES}"
             )
-        if self.gain_policy == "fixed-gain" and (
-            self.gain is None or not 0 < self.gain < math.inf
-        ):
-            raise ConfigurationError("fixed-gain amplifier needs a finite, positive linear gain")
+        if self.gain_policy == "fixed-gain":
+            _check_real(self.gain, "fixed-gain amplifier gain", 0)
         if self.noise_figure_db is not None:
             for band, nf in self.noise_figure_db.items():
-                if not 0 < nf < math.inf:
-                    raise ConfigurationError(
-                        f"noise figure for band {band!r} must be finite and > 0 dB"
-                    )
+                _check_real(nf, f"noise figure for band {band!r}", 0)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .inverse import TargetSpectrum, _check_launch_total, _preemphasis_multispan
+from .inverse import TargetSpectrum, _preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, _closed_form_constants, _propagate_closed_form
-from .profiles import (PLANCK, ChannelGrid, PowerSpectrum, _check_count, _check_flag, _freeze,
-                       _same_grid)
+from .profiles import (PLANCK, ChannelGrid, PowerSpectrum, _check_count, _check_flag, _check_real,
+                       _freeze, _same_grid)
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
@@ -46,7 +46,7 @@ class NoiseSpectrum:
     reference_bandwidth: float  # THz
 
     def __post_init__(self):
-        _check_reference_bandwidth(self.reference_bandwidth)
+        _check_real(self.reference_bandwidth, "OSNR reference bandwidth", 0)
         p = _freeze(self.ase_powers)
         if p.shape != (self.grid.n_channels,):
             raise ConfigurationError("noise length must match the grid")
@@ -84,6 +84,7 @@ def ase_injection(
     Single-stage convention h f NF (G - 1) B_ref.  ``gain`` may be a scalar
     or a per-channel array; ``reference_bandwidth`` is in THz.
     """
+    _check_real(reference_bandwidth, "OSNR reference bandwidth", 0)
     g = np.broadcast_to(np.asarray(gain, dtype=float), (grid.n_channels,))
     return _injected(_photon_energy(grid), _noise_figure_linear(grid, noise_figure_db), g,
                      reference_bandwidth * 1e12)
@@ -118,7 +119,7 @@ def ase_accumulate(
     if len(span_inputs) != len(link.spans) or len(gains) != len(link.spans) - 1:
         raise ConfigurationError("gains/span_inputs inconsistent with the link")
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
-    _check_reference_bandwidth(b_ref)
+    _check_real(b_ref, "OSNR reference bandwidth", 0)
     nfs = [_noise_figure_linear(grid, amp.noise_figure_db) for amp in link.amplifiers]
     noise = _ase(_photon_energy(grid), nfs, b_ref * 1e12, gains, span_inputs, final.powers)
     return NoiseSpectrum(grid, noise, z=final.z, reference_bandwidth=b_ref)
@@ -200,7 +201,7 @@ def target_osnr(
     # what no iteration changes: the closed form's span constants, the ASE factors of
     # ase_accumulate and the normalized goal; the noise figures are checked where
     # ase_accumulate checks them, after the first run
-    _check_launch_total(total_launch_power)
+    _check_real(total_launch_power, "total_launch_power", 0)
     constants = _closed_form_constants(grid, link, order)
     b_ref = grid.spacing if reference_bandwidth is None else reference_bandwidth
     hf, b_hz = _photon_energy(grid), b_ref * 1e12
@@ -232,21 +233,11 @@ def target_osnr(
 
 def _check_iteration_settings(step: float, tolerance: float, max_iterations: int,
                               reference_bandwidth: float | None = None) -> None:
-    if not (0 < step < math.inf and 0 < tolerance < math.inf):
-        raise ConfigurationError(
-            f"step and tolerance must be positive and finite, got {step!r} and {tolerance!r}"
-        )
+    _check_real(step, "step", 0)
+    _check_real(tolerance, "tolerance", 0)
     _check_count(max_iterations, "max_iterations")
     if reference_bandwidth is not None:
-        _check_reference_bandwidth(reference_bandwidth)
-
-
-def _check_reference_bandwidth(reference_bandwidth: float) -> None:
-    if not 0 < reference_bandwidth < math.inf:
-        raise ConfigurationError(
-            "the OSNR reference bandwidth must be positive and finite, "
-            f"got {reference_bandwidth!r} THz"
-        )
+        _check_real(reference_bandwidth, "OSNR reference bandwidth", 0)
 
 
 def _normalize(values: np.ndarray, in_db: bool) -> np.ndarray:

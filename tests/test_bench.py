@@ -134,12 +134,13 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("field", ["raman_peak_range", "launch_power_dbm_range",
                                        "length_range_km"])
-    @pytest.mark.parametrize("bounds", [("a", 0.4), (None, 1.0), (True, 2.0), (1.0, np.False_)],
+    @pytest.mark.parametrize("bounds, bad", [(("a", 0.4), "a"), ((None, 1.0), None),
+                                             ((True, 2.0), True), ((1.0, np.False_), np.False_)],
                              ids=["str", "None", "True", "np.False_"])
-    def test_range_members_must_be_real_numbers(self, field, bounds):
+    def test_range_members_must_be_real_numbers(self, field, bounds, bad):
         # a string reached math.isfinite and failed with a bare TypeError
         with pytest.raises(ConfigurationError, match=(
-                f"^{re.escape(f'sweep {field} must be two real numbers, got {bounds!r}')}$")):
+                f"^{re.escape(f'sweep {field} must be a real number, got {bad!r}')}$")):
             SweepConfig(**{field: bounds})
 
 

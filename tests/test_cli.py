@@ -149,15 +149,15 @@ class TestValidateConfig:
         "edit,match",
         [
             ({"raman_peak_separation_thz": 0}, "peak separation"),
-            ({"raman_window_thz": 0}, "window > 0"),
-            ({"raman_peak_range": [-0.4, 0.4]}, "slope >= 0"),
+            ({"raman_window_thz": 0}, "triangular gain window must be > 0, got 0.0"),
+            ({"raman_peak_range": [-0.4, 0.4]}, "triangular gain peak must be >= 0, got -0.4"),
             ({"band_plans": ["C", 5]}, "sweep.band_plans: unknown band plan 5"),
             ({"band_plans": ["C", "X"]}, "sweep.band_plans: unknown band plan 'X'"),
             ({"band_plans": "CLU"}, "sweep.band_plans: expected a list"),
             ({"steps_per_span": 0}, "sweep steps_per_span must be an integer >= 1, got 0"),
             ({"orders": [3, 0]}, "sweep orders must be an integer >= 1, got 0"),
             ({"orders": [3, 3]}, "sweep orders must be distinct"),
-            ({"length_range_km": [-50.0, 100.0]}, "sweep span lengths must be finite and > 0"),
+            ({"length_range_km": [-50.0, 100.0]}, "sweep length_range_km must be > 0, got -50.0"),
         ],
         ids=["peak_separation-0", "window-0", "peak-negative", "plan-int", "plan-unknown",
              "plans-string", "steps-0", "order-0", "order-repeated", "length-negative"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestRamanGain:
         with pytest.raises(ValueError, match="order the frequencies"):
             raman_gain_at(RamanGainModel.triangular(peak=0.4), -1.0)
 
+    @pytest.mark.parametrize("model", [RamanGainModel.triangular(peak=0.4),
+                                       RamanGainModel.from_table([0.0, 10.0, 15.0], [0.0, 0.3, 0.0])],
+                             ids=["triangular", "tabulated"])
+    @pytest.mark.parametrize("df, message", [
+        (-1.0, "non-negative separations; order the frequencies, got -1.0 THz"),
+        ([0.0, 5.0, -0.5], "non-negative separations; order the frequencies, got -0.5 THz"),
+        (math.nan, "Raman gain separations must be finite, got nan"),
+        ([1.0, math.inf, -1.0], "Raman gain separations must be finite, got inf"),
+    ], ids=["negative", "negative-in-array", "nan", "inf"])
+    def test_bad_separations_are_configuration_errors(self, model, df, message):
+        # a negative separation raised a bare ValueError, and NaN gave 0 gain
+        with pytest.raises(ConfigurationError, match=f"{re.escape(message)}$"):
+            raman_gain_at(model, df)
+
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.1, max_value=15.5),
@@ -196,6 +211,19 @@ class TestRamanGain:
 
 
 class TestAttenuation:
+    @pytest.mark.parametrize("profile", [
+        AttenuationProfile.constant(0.046), default_attenuation(),
+        AttenuationProfile.from_table([185.0, 200.0], [0.2, 0.21])],
+        ids=["constant", "parabolic", "tabulated"])
+    @pytest.mark.parametrize("f, shown", [(math.nan, "nan"), ([193.0, math.inf], "inf"),
+                                          ([-math.inf, 193.0], "-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_frequencies_are_rejected(self, profile, f, shown):
+        # parabolic and tabulated profiles returned NaN loss for a NaN frequency
+        with pytest.raises(ConfigurationError,
+                           match=f"^attenuation frequencies must be finite, got {shown}$"):
+            attenuation_at(profile, f)
+
     def test_constant(self):
         profile = AttenuationProfile.constant(0.046052)
         assert attenuation_at(profile, 190.0) == pytest.approx(0.046052)
@@ -246,8 +274,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "build, match",
         [
-            (lambda: AmplifierSpec("fixed-gain", gain=np.nan), "linear gain"),
-            (lambda: AmplifierSpec("fixed-gain", gain=np.inf), "linear gain"),
+            (lambda: AmplifierSpec("fixed-gain", gain=np.nan), "^fixed-gain amplifier gain must be finite, got nan$"),
+            (lambda: AmplifierSpec("fixed-gain", gain=np.inf), "^fixed-gain amplifier gain must be finite, got inf$"),
             (lambda: AmplifierSpec(noise_figure_db={"C": np.nan}), "noise figure for band 'C'"),
             (lambda: TargetSpectrum.absolute_dbm(build_channel_grid("C"), np.nan),
              "target values"),
@@ -255,8 +283,8 @@ class TestNonFiniteInput:
              "target values"),
             (lambda: AttenuationProfile.constant(np.nan), "constant attenuation"),
             (lambda: AttenuationProfile.parabolic(np.nan, 193.5, 1e-5), "minimum attenuation"),
-            (lambda: AttenuationProfile.parabolic(0.04, np.nan, 1e-5), "vertex and curvature"),
-            (lambda: AttenuationProfile.parabolic(0.04, 193.5, np.nan), "vertex and curvature"),
+            (lambda: AttenuationProfile.parabolic(0.04, np.nan, 1e-5), "^parabolic vertex must be finite, got nan$"),
+            (lambda: AttenuationProfile.parabolic(0.04, 193.5, np.nan), "^parabolic curvature must be finite, got nan$"),
             (lambda: AttenuationProfile.from_table([190.0, 196.0], [0.2, np.nan]),
              "tabulated attenuation must"),
             (lambda: AttenuationProfile.from_table([190.0, np.nan], [0.2, 0.2]),
