@@ -4,18 +4,31 @@ Sweeps peak Raman gain, per-channel launch power and span length for a set
 of band plans, recording the total-power error ratio and the worst
 per-channel deviation at every approximation order.  Summaries follow the
 box-plot convention (median, quartiles, 1.5 IQR whiskers).
+
+The unit of work is a band batch: one band plan with S consecutive Raman
+peaks, S = ``_BATCH_ENTRIES // (B n)`` (at least one) for the band's B
+(power, length) cells of n channels.  A band builds its grid, alpha(f_i),
+launches, lengths and every closed-form term that depends on neither the
+peak nor the oracle once (:func:`_band`).  Each batch then integrates its
+B launches under its S slopes as one (S, B, n) stack, which numpy's matmul
+runs as one GEMM per slice with a one-peak batch's (B, n) shapes, and runs
+the slope-dependent rest of the closed form on the stack with the slope as
+an (S, 1, 1) column.  Every other operation is elementwise or along a row,
+so a row's bits depend only on its slice: each record has the bits of its
+(band, peak) batch run alone.  A stack in which any row fails the oracle's
+stability test is rerun one peak at a time, as that peak's batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .closedform import _profile, _span_constants, _span_params, _SpanModel
+from .closedform import _per_row, _profile, _row_scalars, _SpanModel, _stacked_ref
 from .errors import ConfigurationError, NumericalInstabilityError
-from .ode_oracle import SolverOptions, _integrate_batch, _span_operator
+from .ode_oracle import _integrate_batch, _integrate_stack, _triangular_coupling
 from .profiles import (
     AttenuationProfile,
     FiberSpec,
@@ -132,6 +145,13 @@ class SweepSummary:
     mean_abs_error: float
 
 
+# Entries (S peaks x B cells x n channels) of a band batch's oracle state: a band
+# plan runs its peaks S = _BATCH_ENTRIES // (B n) at a time (at least one).  The
+# fig3 sweep then stacks all five peaks on C, CL and CLU and three on SCLU; a
+# larger S saves little more time and holds S times a batch's arrays at once.
+_BATCH_ENTRIES = 42_000
+
+
 def _batch_or_rows(compute, count: int):
     """``compute(rows)`` for all ``count`` rows of a batch at once, or for each row alone.
 
@@ -154,88 +174,214 @@ def _batch_or_rows(compute, count: int):
     return np.array(done, dtype=int), (np.concatenate(results) if results else None), errors
 
 
-def _run_group(args) -> list[SweepRecord]:
-    """Records of every cell sharing one (band plan, Raman peak), in cell order.
+class _Band(NamedTuple):
+    """What every Raman peak of one band plan shares, for its B cells of n channels.
 
-    The cells share the grid and the fiber model, hence the oracle's span
-    operator, so the oracle integrates them as one batch; only the launch
-    power and the span length vary.  After the batch, outside its memory
-    peak, the closed form runs on the (B, n) rows the oracle finished: their
-    shaping values in one pass, then one pass per order with one span length
-    per row.  Both take alpha(f_i) from one span model, so it is evaluated
-    once per group.  A failure is recorded on every record it concerns (group,
-    cell or order): a pass that raises is run again row by row, so each
-    failing cell and order gets the error of its own spectrum.
+    The (power dBm, length km) cells, their launches, the launch totals and
+    the span lengths; alpha_i L per cell; the
+    shaping values, with ``errors`` naming each cell whose order-free terms
+    failed (its shaping row is then NaN and never read); and per order
+    alpha_i^n, a (B, 5) matrix of :func:`isrsprop.closedform._row_scalars`
+    columns (alpha0, growth, L_eff, alpha0^n P_T, L_eff again) and the cells
+    that order fails.  None of it depends on the slope or on the oracle.
     """
-    config, band, peak, cells = args
+
+    model: _SpanModel
+    cells: list[tuple[float, float]]
+    launches: np.ndarray
+    totals: np.ndarray
+    lengths: np.ndarray
+    alpha_length: np.ndarray
+    shaping: np.ndarray
+    errors: dict[int, str]
+    orders: dict[int, tuple[np.ndarray, np.ndarray, dict[int, str]]]
+
+
+def _band(config: SweepConfig, band: str, peak: float, cells) -> _Band:
+    """The band plan's :class:`_Band`; ``peak`` is any of its peaks (only the window is read)."""
     grid = build_channel_grid(band, config.spacing)
-    raman = RamanGainModel.triangular(
-        peak=peak, peak_separation=config.raman_peak_separation, window=config.raman_window
-    )
+    raman = RamanGainModel.triangular(peak=peak, peak_separation=config.raman_peak_separation,
+                                      window=config.raman_window)
     # the span length plays no part in the span model
     model = _SpanModel(grid, FiberSpec(config.attenuation, raman, length=cells[0][1]))
     # flat launches, each cell's watts from the scalar conversion PowerSpectrum.flat_dbm
     # makes (numpy's vector pow can differ from it in the last bit)
     watts = np.array([convert_units(power_dbm, "dBm", "W") for power_dbm, _ in cells])
-    launches = np.repeat(watts[:, None], grid.n_channels, axis=1)
+    p = np.repeat(watts[:, None], grid.n_channels, axis=1)
     lengths = np.array([length for _, length in cells])
-    options = SolverOptions(steps_per_span=config.steps_per_span)
-    results: dict[tuple[int, int], tuple[float, float] | str] = {}
-    try:
-        outputs, messages = _integrate_batch(
-            launches, lengths, _span_operator(model, options), options.steps_per_span)
-        errors = {b: repr(NumericalInstabilityError(m)) for b, m in enumerate(messages) if m}
-    except Exception as exc:  # failed cells are recorded, the sweep continues
-        errors = dict.fromkeys(range(len(cells)), repr(exc))
-    cell_rows = np.array([b for b in range(len(cells)) if b not in errors], dtype=int)
-    if cell_rows.size:
-        p, oracle, lengths = launches, outputs, lengths
-        if errors:
-            p, oracle, lengths = (x[cell_rows] for x in (p, oracle, lengths))
-        totals = p.sum(axis=1, keepdims=True)
-        # an order-free failure fails every order of its cell alike
-        done, shaping, failed = _batch_or_rows(lambda r: model.shaping(p[r], totals[r]),
-                                               len(cell_rows))
-        if failed:
-            errors.update((cell_rows[i], error) for i, error in failed.items())
-            cell_rows, p, oracle, totals, lengths = (
-                x[done] for x in (cell_rows, p, oracle, totals, lengths))
-        oracle_dbm = oracle / 1e-3
-        np.log10(oracle_dbm, out=oracle_dbm)
-        oracle_dbm *= 10.0
-        c = _span_constants(model, lengths[:, None], 1)
-        for n in config.orders:
-            cn = c._replace(order=n, alpha_n=model.alpha**n)
+    totals = p.sum(axis=1, keepdims=True)
+    count = len(cells)
+    done, shaping, failed = _batch_or_rows(lambda r: model.shaping(p[r], totals[r]), count)
+    if failed:
+        shaping, rows = np.full(p.shape, np.nan), shaping
+        shaping[done] = rows
+    shaped = done if failed else slice(None)
+    orders = {}
+    for n in config.orders:
+        alpha_n = model.alpha**n
+        weighted_sum = (alpha_n * p[shaped]).sum(axis=-1, keepdims=True)
+        total, length = totals[shaped], lengths[shaped, None]
+        rows, scalars, order_failed = _batch_or_rows(lambda r: np.hstack(_per_row(
+            _row_scalars, weighted_sum[r], total[r], length[r], n, 0.0)), len(done))
+        columns = np.full((count, 5), np.nan)
+        if scalars is not None:
+            columns[done[rows]] = scalars
+        orders[n] = alpha_n, columns, {int(done[i]): error for i, error in order_failed.items()}
+    return _Band(model, cells, p, totals, lengths, model.alpha * lengths[:, None], shaping, failed,
+                 orders)
 
-            def evaluate(r):
-                cr = cn._replace(length=cn.length[r], alpha_length=cn.alpha_length[r])
-                alpha0, ref, _, growth = _span_params(p[r], totals[r], shaping[r], cr)
-                closed = _profile(p[r], cr.alpha_length, shaping[r], ref, totals[r] * growth,
-                                  alpha0, model.fit.slope, cr.length)
-                PowerSpectrum._check(closed)
-                eps = _error_ratio(closed, oracle[r])
-                closed /= 1e-3
-                dev = np.log10(closed, out=closed)
-                dev *= 10.0
-                dev -= oracle_dbm[r]
-                np.abs(dev, out=dev)
-                return np.stack([eps, dev.max(axis=-1)], axis=-1)
 
-            done, values, failed = _batch_or_rows(evaluate, len(cell_rows))
-            results.update(((cell_rows[i], n), error) for i, error in failed.items())
-            if values is not None:
-                results.update(((cell_rows[i], n), tuple(v)) for i, v in
-                               zip(done, values.tolist()))
+def _closed_form_values(band: _Band, slopes: np.ndarray, rows: np.ndarray, oracle: np.ndarray,
+                        orders) -> dict[tuple[int, int, int], tuple[float, float] | str]:
+    """``{(slice, cell, order): (eps_p, max_deviation_db) or error}`` of one oracle stack.
+
+    ``oracle`` is the (S, R, n) output of the cells ``rows`` (ascending,
+    every one of them shaped) under the (S, 1, 1) column of ``slopes``.  Per
+    order only the slope-dependent part runs on the stack: the reference's
+    tilt and log-sum-exp (:func:`isrsprop.closedform._stacked_ref`), the
+    profile's tilt, eps_p and the dB deviation; the rest is the band's.
+    Each slice and row keeps the bits of its spectrum's one-slope closed
+    form.  A pass that raises runs again one (slice, cell) entry at a time.
+    """
+    oracle_dbm = oracle / 1e-3
+    np.log10(oracle_dbm, out=oracle_dbm)
+    oracle_dbm *= 10.0
+    alpha, values = band.model.alpha, {}
+    for n in orders:
+        alpha_n, columns, failed = band.orders[n]
+        live = ~np.isin(rows, list(failed)) if failed else slice(None)
+        kept = rows[live]
+        if not kept.size:
+            continue
+        # every cell of the band, in order: the band's arrays serve as they are
+        at = slice(None) if len(kept) == len(band.launches) else kept
+        p, total, shaping, att = (x[at] for x in (band.launches, band.totals, band.shaping,
+                                                   band.alpha_length))
+        alpha0, growth, leff, norm, leff_z = (columns[at, i:i + 1] for i in range(5))
+        length = band.lengths[at, None]
+        launch_total = total * growth
+        out, out_dbm = oracle[:, live], oracle_dbm[:, live]
+        width = len(kept)
+
+        def evaluate(k: slice) -> np.ndarray:
+            # k: the S x width (slice, cell) entries in row-major order, all or one
+            s = r = slice(None)
+            if k.start is not None:
+                i, j = divmod(k.start, width)
+                s, r = slice(i, i + 1), slice(j, j + 1)
+            slope = slopes[s]
+            # the weights and (alpha0 - alpha) z, slope-free, live only while the reference runs
+            weights = alpha_n * p[r]
+            weights /= norm[r]
+            base = np.subtract(alpha0[r], alpha)
+            base *= length[r]
+            ref = _stacked_ref(total[r], shaping[r], weights, base, leff_z[r], slope)
+            del weights, base
+            closed = _profile(p[r], att[r], shaping[r], ref, launch_total[r], slope, leff[r])
+            PowerSpectrum._check(closed)
+            eps = _error_ratio(closed, out[s, r])
+            closed /= 1e-3
+            dev = np.log10(closed, out=closed)
+            dev *= 10.0
+            dev -= out_dbm[s, r]
+            np.abs(dev, out=dev)
+            return np.stack([eps, dev.max(axis=-1)], axis=-1).reshape(-1, 2)
+
+        done, results, errors = _batch_or_rows(evaluate, len(slopes) * width)
+        values.update(((k // width, kept[k % width], n), error) for k, error in errors.items())
+        if results is not None:
+            values.update(((k // width, kept[k % width], n), tuple(v))
+                          for k, v in zip(done.tolist(), results.tolist()))
+    return values
+
+
+def _run_band(args) -> list[SweepRecord]:
+    """Records of every cell of one band plan, in (Raman peak, cell, order) order.
+
+    The band builds its grid, span model (so alpha(f_i)), launches, lengths
+    and every closed-form term that depends on neither the peak nor the
+    oracle once (:func:`_band`).  Its peaks then run in band batches of
+    S = ``_BATCH_ENTRIES // (B n)`` consecutive peaks (at least one) for B
+    cells of n channels.  A batch of S > 1 peaks integrates its cells as one
+    (S, B, n) stack under its S slopes, which gives every slice the bits of
+    its peak's own (B, n) batch (:func:`isrsprop.ode_oracle._integrate_stack`).
+    When a row of the stack fails, each peak reruns alone through
+    :func:`isrsprop.ode_oracle._integrate_batch`, which records the failed
+    cells and integrates the others as that peak's batch always does; a
+    batch of one peak runs that way from the start.  The closed form then
+    runs on each stack the oracle finished (:func:`_closed_form_values`).
+    A failure is recorded on every record it concerns: an oracle failure on
+    every order of its (peak, cell), an order-free one on every peak and
+    order of its cell, and one order's own on that order only.
+    """
+    config, band_plan, peaks, cells = args
+    slopes = [RamanGainModel.triangular(peak=peak, peak_separation=config.raman_peak_separation,
+                                        window=config.raman_window).slope for peak in peaks]
+    band = _band(config, band_plan, peaks[0], cells)
+    f, window, alpha = band.model.grid.frequencies, config.raman_window, band.model.alpha
+    steps, count = config.steps_per_span, len(cells)
+    size = max(1, _BATCH_ENTRIES // band.launches.size)
+    records = []
+    for start in range(0, len(peaks), size):
+        batch = slopes[start:start + size]
+        outputs = None
+        if len(batch) > 1:
+            try:
+                outputs = _integrate_stack(band.launches, band.lengths,
+                                           _triangular_coupling(f, batch, window, alpha), steps,
+                                           len(batch))
+            except Exception:  # each peak runs again alone below and records its error
+                pass
+        if outputs is not None:
+            records += _records(config, band_plan, peaks[start:start + len(batch)], band, batch,
+                                np.arange(count), outputs, {})
+            continue
+        for j, slope in enumerate(batch, start):
+            try:
+                # the operator is passed on, so it is freed before the closed form runs
+                outputs, messages = _integrate_batch(
+                    band.launches, band.lengths, _triangular_coupling(f, slope, window, alpha),
+                    steps)
+                failed = {b: repr(NumericalInstabilityError(m))
+                          for b, m in enumerate(messages) if m}
+            except Exception as exc:  # failed cells are recorded, the sweep continues
+                outputs, failed = None, dict.fromkeys(range(count), repr(exc))
+            rows = np.array([b for b in range(count) if b not in failed], dtype=int)
+            if outputs is not None:
+                outputs = (outputs[rows] if failed else outputs)[None]
+            records += _records(config, band_plan, peaks[j:j + 1], band, [slope], rows, outputs,
+                                failed)
+    return records
+
+
+def _records(config: SweepConfig, band_plan: str, peaks, band: _Band, slopes, rows: np.ndarray,
+             outputs: np.ndarray | None, failed: dict[int, str]) -> list[SweepRecord]:
+    """Records of one oracle stack, in (peak, cell, order) order.
+
+    ``peaks`` and ``slopes`` are the stack's S Raman peaks and their slopes.
+    ``outputs`` holds the (S, R, n) oracle outputs of the cells ``rows``, or
+    is None when the oracle failed every cell; ``failed`` names the cells
+    the oracle failed, which no slice of the stack finished.
+    """
+    values = {}
+    if outputs is not None and rows.size:
+        shaped = np.array([b not in band.errors for b in rows], dtype=bool)
+        values = _closed_form_values(band, np.array(slopes)[:, None, None], rows[shaped],
+                                     outputs if shaped.all() else outputs[:, shaped],
+                                     config.orders)
     records = []
     nan = float("nan")
-    for b, (power_dbm, length) in enumerate(cells):
-        for n in config.orders:
-            value = errors.get(b) or results[b, n]
-            if isinstance(value, str):
-                records.append(SweepRecord(band, peak, power_dbm, length, n, nan, nan,
-                                           error=value))
-            else:
-                records.append(SweepRecord(band, peak, power_dbm, length, n, *value))
+    for s in range(len(slopes)):
+        for b, (power_dbm, length) in enumerate(band.cells):
+            for n in config.orders:
+                value = (failed.get(b) or band.errors.get(b) or band.orders[n][2].get(b)
+                         or values[s, b, n])
+                if isinstance(value, str):
+                    records.append(SweepRecord(band_plan, peaks[s], power_dbm, length, n,
+                                               nan, nan, error=value))
+                else:
+                    records.append(SweepRecord(band_plan, peaks[s], power_dbm, length, n,
+                                               *value))
     return records
 
 
@@ -244,29 +390,26 @@ def run_order_sweep(
 ) -> tuple[list[SweepRecord], list[SweepSummary]]:
     """Run every cell of the sweep; cell order is fixed by the config axes.
 
-    Cells are integrated in (band plan, Raman peak) groups, contiguous in
-    cell order.  ``workers > 1`` fans the groups out to a process pool; the
-    batches are the same either way and results are collected in config
-    order, so output is deterministic.
+    Cells run band plan by band plan (:func:`_run_band`), contiguous in cell
+    order.  ``workers > 1`` fans the band plans out to a process pool; each
+    runs the same band batches either way and results are collected in
+    config order, so output is deterministic to the last bit.
     """
     _check_count(workers, "workers")
     powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
     lengths = config.axis(config.length_range_km, config.length_count)
-    groups = [
-        (config, band, float(peak),
-         [(float(power), float(length)) for power in powers for length in lengths])
-        for band in config.band_plans
-        for peak in config.axis(config.raman_peak_range, config.raman_peak_count)
-    ]
+    cells = [(float(power), float(length)) for power in powers for length in lengths]
+    peaks = [float(peak) for peak in config.axis(config.raman_peak_range, config.raman_peak_count)]
+    bands = [(config, band, peaks, cells) for band in config.band_plans]
     if workers > 1:
         # imported here: the pool's import costs every process, and only this uses it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(_run_group, groups))
+            per_band = list(pool.map(_run_band, bands))
     else:
-        per_group = [_run_group(g) for g in groups]
-    records = [r for group in per_group for r in group]
+        per_band = [_run_band(band) for band in bands]
+    records = [r for band in per_band for r in band]
     return records, summarize(records)
 
 

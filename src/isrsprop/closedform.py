@@ -26,6 +26,10 @@ and span length, or a (B, n) batch of spectra with a (B, 1) column of each,
 in one pass over the batch.  The per-row scalars (the power mean, expm1, exp and log) are
 evaluated with Python ``math`` row by row (:func:`_per_row`), so a row of a
 batch gets its own spectrum's scalars and a single spectrum keeps its bits.
+The fig3 sweep runs one batch under S Raman slopes at once: its slope-free
+terms once, then the reference's tilt and log-sum-exp (:func:`_stacked_ref`)
+and the profile (:func:`_profile`) on the (S, B, n) stack, with the slopes
+as an (S, 1, 1) column; each slice keeps the bits of its slope alone.
 """
 
 from __future__ import annotations
@@ -225,22 +229,23 @@ def _per_row(scalar, *values):
     """``scalar`` of each row's values, evaluated with Python ``math``.
 
     For one spectrum the ``values`` are scalars and this is ``scalar(*values)``.
-    For a batch they are (B, 1) columns, the first one always (the others may
-    be scalars shared by every row), and ``scalar`` runs once per row on
-    Python floats; its result, a float or a tuple of floats, comes back as
-    (B, 1) columns.  Row by row, not as numpy's vectorized exp, expm1, log
-    and power, which may round otherwise: a row of a batch then has the
-    scalars, and raises the errors (a float division by zero included), of
-    its spectrum alone.
+    For a batch they are (B, 1) columns, or (S, B, 1) for a stack, the first
+    one always (the others may be scalars shared by every row), and
+    ``scalar`` runs once per row on Python floats; its result, a float or a
+    tuple of floats, comes back as columns of the first value's shape.  Row
+    by row, not as numpy's vectorized exp, expm1, log and power, which may
+    round otherwise: a row of a batch then has the scalars, and raises the
+    errors (a float division by zero included), of its spectrum alone.
     """
-    if not isinstance(values[0], np.ndarray) or not values[0].ndim:
+    first = values[0]
+    if not isinstance(first, np.ndarray) or not first.ndim:
         return scalar(*values)
-    count = len(values[0])
+    count, shape = first.size, first.shape
     rows = list(map(scalar, *(v.ravel().tolist() if np.ndim(v) else [v] * count
                               for v in values)))
     if isinstance(rows[0], tuple):
-        return tuple(np.array(column)[:, None] for column in zip(*rows))
-    return np.array(rows)[:, None]
+        return tuple(np.array(column).reshape(shape) for column in zip(*rows))
+    return np.array(rows).reshape(shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -314,17 +319,53 @@ def _shaping_ref(
     and (B, 1) columns for a (B, n) batch, which gets a column.
     """
     scale = slope * total * leff_z
-    flat = scale == 0.0
-    if _all(flat):  # z -> 0 or slope -> 0: the balance reduces to the weighted mean shaping value
+    if _all(scale == 0.0):  # z -> 0 or slope -> 0: the balance is the weighted mean shaping value
         return (weighted / norm * shaping).sum(axis=-1, keepdims=shaping.ndim > 1)
     exponent = np.subtract(alpha0, alpha)
     exponent *= z
-    weights = slope * shaping  # the tilt term first, then the weights in its place
-    weights *= total
-    weights *= leff_z
-    exponent -= weights
-    np.divide(weighted, norm, out=weights)
+    tilt = _tilt(shaping, slope, total, leff_z)
+    exponent -= tilt
+    # the weights in the tilt's place
+    return _balance(np.divide(weighted, norm, out=tilt), exponent, shaping, scale)
+
+
+def _stacked_ref(total, shaping: np.ndarray, weights: np.ndarray, base: np.ndarray, leff_z,
+                 slopes: np.ndarray) -> np.ndarray:
+    """:func:`_shaping_ref` of one (B, n) batch under each of an (S, 1, 1) column of slopes.
+
+    ``weights`` is alpha^n times the powers over alpha0^n P_T and ``base``
+    is (alpha0 - alpha) z, the batch's slope-free terms, computed once for
+    every slope; ``total`` and ``leff_z`` are (B, 1) columns.  Gives an
+    (S, B, 1) stack whose slice s has the bits of :func:`_shaping_ref` of the
+    batch under slope s: only the tilt and the log-sum-exp run on the stack.
+    """
+    scale = slopes * total * leff_z
+    if _all(scale == 0.0):
+        return np.broadcast_to((weights * shaping).sum(axis=-1, keepdims=True), scale.shape)
+    tilt = _tilt(shaping, slopes, total, leff_z)
+    return _balance(weights, np.subtract(base, tilt, out=tilt), shaping, scale)
+
+
+def _tilt(shaping: np.ndarray, slope, total, leff_z) -> np.ndarray:
+    """slope G_i P_T L_eff(z), the tilt term of the balance, as a new array.
+
+    An (S, 1, 1) column of slopes over a (B, n) ``shaping`` gives (S, B, n).
+    """
+    tilt = slope * shaping
+    tilt *= total
+    tilt *= leff_z
+    return tilt
+
+
+def _balance(weights: np.ndarray, exponent: np.ndarray, shaping: np.ndarray, scale):
+    """-log(sum_j weights_j e^{exponent_j}) / scale, overwriting ``exponent``.
+
+    The reference shaping value of :func:`_shaping_ref` from its weights and
+    its exponent (alpha0 - alpha) z less the tilt; a row whose ``scale`` is 0
+    takes the weighted mean shaping value, the balance's limit there.
+    """
     log_sum = _log_sum_exp(weights, exponent)
+    flat = scale == 0.0
     if _any(flat):  # rows of a batch on both sides of the limit
         mean = (weights * shaping).sum(axis=-1, keepdims=True)
         return np.where(flat, mean, -log_sum / np.where(flat, 1.0, scale))
@@ -336,7 +377,8 @@ def _log_sum_exp(weights: np.ndarray, exponent: np.ndarray):
 
     Max-subtracted over the positive weights only: a channel without weight
     takes no part, not even as a zero term, so every row sums its terms as
-    its spectrum alone does.
+    its spectrum alone does.  (B, n) weights may serve an (S, B, n) stack of
+    exponents, which gives (S, B, 1).
     """
     positive = weights > 0
     batch = weights.ndim > 1  # a (B, 1) column per row, not a scalar
@@ -349,6 +391,7 @@ def _log_sum_exp(weights: np.ndarray, exponent: np.ndarray):
     else:
         if not positive.any(axis=-1).all():
             raise ConfigurationError("closed form needs at least one channel that carries power")
+        weights, positive = (np.broadcast_to(x, exponent.shape) for x in (weights, positive))
         shape = weights.shape[:-1] + (1,) * batch
         top, sums = np.empty(shape), np.empty(shape)
         for row in np.ndindex(weights.shape[:-1]):
@@ -433,21 +476,23 @@ def _row_scalars(weighted_sum: float, total: float, length: float, order: int,
 
 
 def _profile(powers: np.ndarray, attenuation: np.ndarray, shaping: np.ndarray, ref,
-             total_launch_power, alpha0, slope: float, z) -> np.ndarray:
+             total_launch_power, slope, leff_z) -> np.ndarray:
     """Closed-form powers at z from the launch ``powers``; ``attenuation`` is alpha_i z.
 
+    ``leff_z`` is the effective length of z, :func:`_decay` of alpha0 and z.
     The exponent is the tilt term minus ``attenuation``, which equals
     -alpha_i z plus the tilt term bit for bit.  A channel without power stays
     at 0 W: the reference does not balance its exponent, which may overflow.
-    Along the last axis: ``ref``, ``total_launch_power``, ``alpha0`` and ``z``
-    are scalars for one spectrum and (B, 1) columns for a (B, n) batch; one
-    (n,) spectrum at an (M, 1) column of z (``ref`` and ``alpha0`` columns
-    too) gives its (M, n) profile.
+    Along the last axis: ``ref``, ``total_launch_power`` and ``leff_z`` are
+    scalars for one spectrum and (B, 1) columns for a (B, n) batch; one (n,)
+    spectrum at an (M, 1) column of z (``ref`` and ``leff_z`` columns too)
+    gives its (M, n) profile.  An (S, 1, 1) column of slopes with an
+    (S, B, 1) ``ref`` gives a (B, n) batch's (S, B, n) stack of profiles.
     """
     exponent = np.subtract(ref, shaping)
     exponent *= slope
     exponent *= total_launch_power
-    exponent *= _per_row(_decay, alpha0, z)
+    exponent *= leff_z
     exponent -= attenuation
     if not powers.all():
         np.copyto(exponent, -np.inf, where=powers == 0)
@@ -496,11 +541,12 @@ def power_profiles(
     p, alpha = launch.powers, params.channel_attenuation
     z = np.array(z, dtype=float).reshape(-1, 1)
     alpha0 = np.full_like(z, params.alpha0)
+    leff_z = _per_row(_decay, alpha0, z)
     if refresh_reference:
         total, order = p.sum(), params.order
         shaping = np.broadcast_to(params.shaping, (len(z), p.size))
         ref = _shaping_ref(total, shaping, alpha**order * p, alpha, alpha0,
-                           params.alpha0**order * total, _per_row(_decay, alpha0, z), slope, z)
+                           params.alpha0**order * total, leff_z, slope, z)
     else:
         ref = np.full_like(z, params.shaping_ref)
-    return _profile(p, alpha * z, params.shaping, ref, params.total_launch_power, alpha0, slope, z)
+    return _profile(p, alpha * z, params.shaping, ref, params.total_launch_power, slope, leff_z)

@@ -100,6 +100,12 @@ class LinkSpec:
 
 def span_gain(span_output: PowerSpectrum, total_launch_power: float) -> float:
     """Scalar gain restoring the span-input total power (the span's total loss)."""
+    _check_real(total_launch_power, "total_launch_power", 0)
+    return _span_gain(span_output, total_launch_power)
+
+
+def _span_gain(span_output: PowerSpectrum, total_launch_power: float) -> float:
+    """:func:`span_gain` of a checked total: the per-span loop's own call."""
     out = span_output.total_power
     if out <= 0:
         raise ConfigurationError("span output power must be positive")
@@ -177,7 +183,7 @@ def _propagate_link(
         span_result, out = run_span(current, k)
         span_results.append(span_result)
         span_outputs.append(out)
-        restoring = span_gain(out, total_launch)
+        restoring = _span_gain(out, total_launch)
         if k < last:
             gain = boundary_gain(link.amplifiers[k], out, restoring, band_targets)
             gains.append(gain)
@@ -232,7 +238,7 @@ def _propagate_closed_form(launch: PowerSpectrum, link: LinkSpec, constants) -> 
         p = span_input.powers
         params = _closed_form_params(p, p.sum(), c)
         out = _profile(p, c.alpha_length, params.shaping, params.shaping_ref,
-                       params.total_launch_power, params.alpha0, c.model.fit.slope, c.length)
+                       params.total_launch_power, c.model.fit.slope, params.effective_length)
         return params, PowerSpectrum(grid, out, z=c.length)
 
     return _propagate_link(launch, link, closed_form_span)

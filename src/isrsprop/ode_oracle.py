@@ -37,6 +37,17 @@ batch is tested for stability at once, with one min and one max over the
 (B, n) state; only a step that fails that test looks for its failed rows
 (:func:`_rk4`).  A row's last bits depend on which rows share its batch;
 the same batch always gives the same bits.
+
+The fig3 sweep runs one batch of launches under several Raman peaks of one
+band plan at once: :func:`_triangular_coupling` takes a stack of S slopes
+that share the window and maps an (S, B, n) state, slice s under slope s,
+and :func:`_integrate_stack` steps it.  Only the slope-scaled arrays (the
+rank-2 weights and coefficients and the corner) gain a leading axis; the
+panels and the rank-2 vectors are built once.  numpy's matmul runs a stack
+as one GEMM per slice, each with the (B, n) shapes of a one-slope batch,
+and every other operation of a step is elementwise or along a row, so a
+row's bits depend only on its slice: each slice gets the bits of its
+slope's own (B, n) batch, whatever else is stacked with it.
 """
 
 from __future__ import annotations
@@ -53,7 +64,6 @@ from .profiles import (
     ChannelGrid,
     FiberSpec,
     PowerSpectrum,
-    RamanGainModel,
     _check_count,
     _check_flag,
     _freeze,
@@ -148,7 +158,7 @@ def _coupling_matrix(grid: ChannelGrid, fiber: FiberSpec, options: SolverOptions
     return k
 
 
-def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray) -> _Net:
+def _triangular_coupling(f: np.ndarray, slope, window: float, alpha: np.ndarray) -> _Net:
     """``p -> K p - alpha`` on the rows of ``p``: a triangular gain without the photon correction.
 
     Inside the window K[i, j] = slope (f_j - f_i), so with g = f - mean(f),
@@ -159,9 +169,9 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     the window, where K is 0, are then taken out again.  Since f ascends they
     all sit in the corner c of rows with f[-1] - f_i > window and columns with
     f_j - f[0] > window, and in its mirror -c.T (the two counts can differ by
-    one).  c is slope (f_j - f_i) less the gain K takes on those float
-    differences, so it keeps slope (f_j - f_i) where the model leaves a pair
-    out and is +0.0 elsewhere: K's pairs are coupled and no others.
+    one).  c is slope (f_j - f_i) where the pair is beyond the window and +0.0
+    elsewhere, by the float test ``f_j - f_i <= window`` that
+    :func:`_coupling_matrix`'s gain applies: K's pairs are coupled and no others.
 
     Applied whole as two products with c and c.T, a stage costs about
     12 B n + 4 B e e' flops for a (B, n) batch and an e x e' corner, against
@@ -174,20 +184,36 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
     Only the staircase tiles ``c[a:b, lo:hi]``, views of c, stay dense
     products in both directions, so a stage costs about 4 B n m + 4 B t flops
     for m vectors and t staircase entries.  The panels' small products cost
-    time of their own, so a batch of fewer than ``_PANEL_MIN_ENTRIES /
-    c.size`` rows (a 1-D ``p`` is one row) still takes c whole.  Nothing
-    n x n is held, and every array the operator keeps is read-only.
+    time of their own, so a batch of fewer than ``_PANEL_MIN_ENTRIES / (e e')``
+    rows (a 1-D ``p`` is one row) still takes c whole.
+
+    ``slope`` is one float, or a 1-D stack of S slopes that share the window:
+    the operator then maps an (S, B, n) state, slice s under slope s.  Only
+    the slope-scaled arrays (the rank-2 weights and coefficients and c) gain
+    a leading axis of S; the panels, ``vectors`` and ``swap`` do not depend
+    on the slope and are built once.  numpy's matmul runs one product per
+    slice with that slice's (B, n) shapes, so each slice gets the bits of the
+    one-slope operator on its (B, n) batch, and the small-batch switch counts
+    one slice's entries.  Nothing n x n is held, and every array the
+    operator keeps is read-only.
     """
-    slope, window = raman.slope, raman.window
+    if np.ndim(slope):
+        slope = np.asarray(slope, dtype=float)[:, None, None]
+    stack = np.size(slope)
     g = f - f.mean()
     rows = int(np.count_nonzero(f[-1] - f > window))
     cols = int(np.count_nonzero(f - f[0] > window))
     d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
-    corner = slope * d - _raman_gain_in_place(raman, d)
+    inside = d <= window
+    # one slope scales the differences in place; a stack makes its own (S, e, e')
+    corner = slope * d if np.ndim(slope) else np.multiply(d, slope, out=d)
+    np.copyto(corner, 0.0, where=inside)
     corner.flags.writeable = False
+    corner_t = np.swapaxes(corner, -1, -2)
     off = f.size - cols  # the corner's first column in K
-    panels = _corner_panels(corner) if rows >= 2 * _PANEL_ROWS else []
-    vectors, swap, coef = _rank_2_vectors(g, slope, alpha, off, panels)
+    panels = _corner_panels(~inside) if rows >= 2 * _PANEL_ROWS else []
+    vectors, swap, signs = _rank_2_vectors(g, alpha, off, panels)
+    coef = _freeze(slope * signs)
     weights = _freeze(slope * np.stack([g, np.ones_like(g), np.zeros_like(g)], axis=1))
     basis = vectors[:3]
 
@@ -196,13 +222,13 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
         s[..., 2] = 1.0
         kp = s @ basis
         if rows:
-            kp[..., :rows] -= p[..., -cols:] @ corner.T
+            kp[..., :rows] -= p[..., -cols:] @ corner_t
             kp[..., -cols:] += p[..., :rows] @ corner
         return kp
 
     if not panels:
         return whole
-    whole_below = _PANEL_MIN_ENTRIES / corner.size * f.size  # in entries of p
+    whole_below = _PANEL_MIN_ENTRIES / d.size * f.size * stack  # in entries of p
 
     def net(p: np.ndarray) -> np.ndarray:
         if p.size < whole_below:
@@ -212,40 +238,39 @@ def _triangular_coupling(f: np.ndarray, raman: RamanGainModel, alpha: np.ndarray
         s[..., 2] = 1.0
         kp = s @ vectors
         for a, b, lo, hi in panels:
-            tile = corner[a:b, lo:hi]
-            kp[..., a:b] -= p[..., off + lo:off + hi] @ tile.T
-            kp[..., off + lo:off + hi] += p[..., a:b] @ tile
+            kp[..., a:b] -= p[..., off + lo:off + hi] @ corner_t[..., lo:hi, a:b]
+            kp[..., off + lo:off + hi] += p[..., a:b] @ corner[..., a:b, lo:hi]
         return kp
 
     return net
 
 
-def _corner_panels(corner: np.ndarray) -> list[tuple[int, int, int, int]]:
+def _corner_panels(beyond: np.ndarray) -> list[tuple[int, int, int, int]]:
     """``(a, b, lo, hi)`` per row panel [a, b) of about ``_PANEL_ROWS`` rows of the corner.
 
-    ``rows // _PANEL_ROWS`` panels, two or more.  A row's pairs beyond the
-    window are a suffix of the corner's columns, from ``first[i]`` on, and
-    ``first`` does not fall down the rows: the float differences f_j - f_i
-    grow along a row and shrink down a column.  So in panel [a, b) the
-    columns below ``lo = first[a]`` are 0 for every row, those from
-    ``hi = first[b - 1]`` on are beyond the window for every row, and only
-    the staircase tile ``corner[a:b, lo:hi]`` mixes the two.
+    ``beyond`` marks the corner's pairs beyond the window.  ``rows //
+    _PANEL_ROWS`` panels, two or more.  A row's pairs beyond the window are
+    a suffix of the corner's columns, from ``first[i]`` on, and ``first``
+    does not fall down the rows: the float differences f_j - f_i grow along
+    a row and shrink down a column.  So in panel [a, b) the columns below
+    ``lo = first[a]`` are 0 for every row, those from ``hi = first[b - 1]``
+    on are beyond the window for every row, and only the staircase tile
+    ``corner[a:b, lo:hi]`` mixes the two.
     """
-    rows, cols = corner.shape
+    rows, cols = beyond.shape
     count = rows // _PANEL_ROWS
-    first = cols - np.count_nonzero(corner, axis=1)
+    first = cols - np.count_nonzero(beyond, axis=1)
     bounds = [rows * k // count for k in range(count + 1)]
     return [(a, b, int(first[a]), int(first[b - 1])) for a, b in zip(bounds, bounds[1:])]
 
 
 def _rank_2_vectors(
     g: np.ndarray,
-    slope: float,
     alpha: np.ndarray,
     off: int,
     panels: list[tuple[int, int, int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(vectors, swap, coef)``: K p - alpha's rank-2 terms as inner products with held vectors.
+    """``(vectors, swap, signs)``: K p - alpha's rank-2 terms as inner products with held vectors.
 
     K's rank-2 part takes slope (sum g p - g_i sum p) onto row i, and the
     loss -alpha_i.  In panel (a, b, lo, hi) every pair in K's columns J from
@@ -257,13 +282,14 @@ def _rank_2_vectors(
     inner product of p with one held vector, times a signed slope, times
     another held vector.  ``vectors`` holds 1, -g and -alpha (the first
     three, :func:`_triangular_coupling`'s basis), then four per panel: 1 and
-    g on J, then on R.  ``(p @ vectors.T)[..., swap] * coef`` moves each
-    inner product onto the vector it scales; the loss row's entry is then
-    set to 1.  m = 3 + 4 k vectors over k panels hold m n floats.
+    g on J, then on R.  ``(p @ vectors.T)[..., swap] * slope * signs`` moves
+    each inner product onto the vector it scales; the loss row's entry is
+    then set to 1.  m = 3 + 4 k vectors over k panels hold m n floats.  None
+    of the three depends on the slope.
     """
     vectors = np.zeros((3 + 4 * len(panels), g.size))
     vectors[:3] = np.ones_like(g), -g, -alpha
-    swap, coef = [1, 0, 2], [-slope, slope, 0.0]
+    swap, signs = [1, 0, 2], [-1.0, 1.0, 0.0]
     for k, (a, b, _, hi) in enumerate(panels):
         row = 3 + 4 * k
         vectors[row, off + hi:] = 1.0
@@ -271,9 +297,9 @@ def _rank_2_vectors(
         vectors[row + 2, a:b] = 1.0
         vectors[row + 3, a:b] = g[a:b]
         swap += [row + 3, row + 2, row + 1, row]
-        coef += [-slope, slope, -slope, slope]
+        signs += [-1.0, 1.0, -1.0, 1.0]
     vectors.flags.writeable = False
-    return vectors, _freeze(swap, int), _freeze(coef)
+    return vectors, _freeze(swap, int), _freeze(signs)
 
 
 def _span_operator(model: _SpanModel, options: SolverOptions) -> _Net:
@@ -289,7 +315,7 @@ def _span_operator(model: _SpanModel, options: SolverOptions) -> _Net:
     alpha = model.alpha
     raman = _effective_raman(model.fiber, options)
     if raman.kind == "triangular" and not options.photon_correction:
-        return _triangular_coupling(model.grid.frequencies, raman, alpha)
+        return _triangular_coupling(model.grid.frequencies, raman.slope, raman.window, alpha)
     k = _coupling_matrix(model.grid, model.fiber, options)
     k.flags.writeable = False
     kt = k.T
@@ -316,9 +342,13 @@ def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
     """Classic fixed-step RK4 on the rows of a (B, n) power matrix.
 
     Row b advances by ``h[b, 0]`` km per step, so ``h`` is a (B, 1) column.
+    A stacked (S, B, n) state under a stacked operator takes the same (B, 1)
+    ``h`` for every slice (see :func:`_integrate_stack`).
     Each stage is ``k = net(y); k *= y`` for every row at once (see
     :func:`_span_operator`).  A step sums k1 + 2 k2 + 2 k3 + k4 into k1's
-    array and forms each stage's input in one reused buffer.  A row's last
+    array and forms each stage's input in one reused buffer; a stage's k is
+    dropped once summed, so at most four states are held at a time, besides
+    ``p0`` while the caller holds it.  A row's last
     bits depend on the other rows of its batch; the same batch always gives
     the same bits.
     Yields ``(rows, p, unstable)`` after each step: the batch indices of the
@@ -328,12 +358,14 @@ def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
     A step tests the whole batch first, ``p.min() >= _NEGATIVE_FLOOR and
     p.max() < inf`` (NaN fails both); when that holds, ``unstable`` is one
     shared read-only all-False mask, the same object until a row leaves.
-    Only a step that fails it builds the per-row mask.
+    Only a step that fails it builds the per-row mask, over the last axis
+    (an (S, B) mask for a stack, whose caller stops there).
     """
     rows = np.arange(p0.shape[0])
     healthy = _freeze(np.zeros(len(rows), dtype=bool), bool)  # every healthy step's mask
     p = p0  # never written: every step makes a new state
-    y = np.empty_like(p)
+    del p0
+    y = np.empty(p.shape)
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(steps):
         total = net(p)
@@ -346,26 +378,29 @@ def _rk4(p0: np.ndarray, net: _Net, h: np.ndarray, steps: int):
         y += p
         k *= 2.0
         total += k
+        del k
         k = net(y)
         k *= y  # k3
         np.multiply(h, k, out=y)
         y += p
         k *= 2.0
         total += k
+        del k
         k = net(y)
         k *= y  # k4
         total += k
+        del k
         total *= sixth
         total += p
         p = total
         if not p.size or (p.min() >= _NEGATIVE_FLOOR and p.max() < np.inf):
             yield rows, p, healthy
             continue
-        unstable = ~((p.min(axis=1) >= _NEGATIVE_FLOOR) & (p.max(axis=1) < np.inf))
+        unstable = ~((p.min(axis=-1) >= _NEGATIVE_FLOOR) & (p.max(axis=-1) < np.inf))
         yield rows, p, unstable
         rows, p, h = rows[~unstable], p[~unstable], h[~unstable]
         healthy = _freeze(np.zeros(len(rows), dtype=bool), bool)
-        y = np.empty_like(p)
+        y = np.empty(p.shape)
         half, sixth = 0.5 * h, h / 6.0
 
 
@@ -431,6 +466,32 @@ def _integrate_batch(
             rows, p = rows[~unstable], p[~unstable]
     out[rows] = np.maximum(p, 0.0)  # the rows that finished
     return out, tuple(errors)
+
+
+def _integrate_stack(
+    launch_powers: np.ndarray, lengths: Sequence[float], net: _Net, steps: int, stack: int
+) -> np.ndarray | None:
+    """(S, B, n) output powers of B launches under each of S stacked slopes, or None.
+
+    ``net`` is a stacked operator of ``stack`` slopes
+    (:func:`_triangular_coupling`), and row b of the (B, n)
+    ``launch_powers`` goes through a span ``lengths[b]`` km long under each
+    of them.  The launches are copied into a C-contiguous (S, B, n) state,
+    freed once the first step replaces it.  Every slice gets the bits
+    :func:`_integrate_batch` gives the batch under its own slope: the
+    matmul runs one product per slice, and every other operation is
+    elementwise or along a row.  A stack with an unstable row stops at that
+    step and returns None; its caller reruns the slopes one by one through
+    :func:`_integrate_batch`, which drops and names the rows that fail.
+    """
+    h = np.asarray(lengths, dtype=float)[:, None] / steps
+    state = np.broadcast_to(launch_powers, (stack,) + launch_powers.shape).copy()
+    rk4 = _rk4(state, net, h, steps)
+    del state
+    for _, p, unstable in rk4:
+        if unstable.any():
+            return None
+    return np.maximum(p, 0.0, out=p)  # the last state, which no step writes again
 
 
 def propagate_link_numerical(

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .inverse import TargetSpectrum, _preemphasis_multispan
 from .multispan import LinkSpec, MultiSpanResult, _closed_form_constants, _propagate_closed_form
-from .profiles import (PLANCK, ChannelGrid, PowerSpectrum, _check_count, _check_flag, _check_real,
-                       _freeze, _same_grid)
+from .profiles import (PLANCK, ChannelGrid, PowerSpectrum, _check_count, _check_finite,
+                       _check_flag, _check_real, _freeze, _same_grid)
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
@@ -82,12 +82,35 @@ def ase_injection(
     """Per-channel ASE power (W) injected by one amplification stage.
 
     Single-stage convention h f NF (G - 1) B_ref.  ``gain`` may be a scalar
-    or a per-channel array; ``reference_bandwidth`` is in THz.
+    or a per-channel array, finite and >= 0; ``reference_bandwidth`` is in THz.
     """
     _check_real(reference_bandwidth, "OSNR reference bandwidth", 0)
-    g = np.broadcast_to(np.asarray(gain, dtype=float), (grid.n_channels,))
+    g = _gains(gain, grid.n_channels)
     return _injected(_photon_energy(grid), _noise_figure_linear(grid, noise_figure_db), g,
                      reference_bandwidth * 1e12)
+
+
+def _gains(gain, n: int) -> np.ndarray:
+    """``gain`` as n linear gains (a read-only view), checked finite and >= 0.
+
+    A scalar goes through the one real-number rule; an array must hold real
+    numbers, one or n of them, and names its first bad value.
+    """
+    try:
+        g = np.asarray(gain)
+    except ValueError:  # a ragged nest of sequences
+        g = np.asarray(None)
+    if not g.ndim and not isinstance(gain, np.ndarray):
+        _check_real(gain, "amplifier gain", 0, strict=False)
+    if g.dtype.kind not in "iuf":
+        raise ConfigurationError(f"amplifier gains must be real numbers, got {gain!r}")
+    g = g.astype(float, copy=False)
+    _check_finite(g, "amplifier gain")
+    if (g < 0).any():
+        raise ConfigurationError(f"amplifier gain must be >= 0, got {float(g[g < 0][0])!r}")
+    if g.size not in (1, n) or g.ndim > 1:
+        raise ConfigurationError(f"expected 1 or {n} amplifier gains, got shape {g.shape}")
+    return np.broadcast_to(g, (n,))
 
 
 def _photon_energy(grid: ChannelGrid) -> np.ndarray:

@@ -68,8 +68,12 @@ def convert_units(value, src: str, dst: str):
     libm round differently (about 5% of dBm values in [-60, 40], 10452 of
     201006 evenly spaced ones, -1.25 dBm among them), so a launch table of
     equal dBm values and a flat launch of that dBm need not share bits.
+    A value that is not a number, such as text, is a :class:`ConfigurationError`.
     """
-    value = np.asarray(value, dtype=float) if not np.isscalar(value) else float(value)
+    try:
+        value = np.asarray(value, dtype=float) if not np.isscalar(value) else float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"value must be a real number, got {value!r}") from None
     pair = (src, dst)
     if pair == ("dB/km", "1/km"):
         return value * (LN10 / 10.0)
@@ -257,6 +261,8 @@ class PowerSpectrum:
 
     @classmethod
     def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":
+        """Every channel at ``dbm_per_channel`` dBm, a finite real number."""
+        _check_real(dbm_per_channel, "dbm_per_channel")
         return cls(grid, np.full(grid.n_channels, convert_units(dbm_per_channel, "dBm", "W")), z)
 
 

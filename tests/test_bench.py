@@ -301,16 +301,16 @@ class TestBatchedSweep:
         assert len(records) == 24 and not any(e[-1] for e in expected)
         self.assert_records_match(records, expected)
 
-    def test_alpha_is_evaluated_once_per_group(self, alpha_calls):
-        # two (band, peak) groups of 25 cells and 6 orders: the oracle operator and
-        # the closed form of a group take alpha(f_i) from one span model
+    def test_alpha_is_evaluated_once_per_band(self, alpha_calls):
+        # two Raman peaks of 25 cells and 6 orders: the oracle operators and the
+        # closed form of every peak of a band take alpha(f_i) from one span model
         config = SweepConfig(
             band_plans=("C",), raman_peak_count=2, launch_power_count=5, length_count=5,
             steps_per_span=4,
         )
         records, _ = run_order_sweep(config)
         assert len(records) == 300
-        assert alpha_calls == ["isrsprop.closedform"] * 2
+        assert alpha_calls == ["isrsprop.closedform"]
         self.assert_records_match(records, per_cell_reference(config))
 
     def test_closed_form_rows_keep_the_bits_of_one_spectrum_each(self, monkeypatch):
@@ -394,6 +394,153 @@ class TestBatchedSweep:
         failed = repr(ConfigurationError("shaping function needs positive total power"))
         assert [e[-1] for e in expected] == [failed, failed, "", ""]
         self.assert_records_match(records, expected)
+
+
+def record_values(records):
+    return [(r.band, r.raman_peak, r.launch_power_dbm, r.length_km, r.order, r.eps_p,
+             r.max_deviation_db, r.error) for r in records]
+
+
+def per_peak_records(config):
+    """The sweep's records with each (band plan, Raman peak) run alone: one (B, n) batch each."""
+    out = []
+    for band in config.band_plans:
+        for peak in config.axis(config.raman_peak_range, config.raman_peak_count):
+            alone = dataclasses.replace(config, band_plans=(band,),
+                                        raman_peak_range=(float(peak), float(peak)),
+                                        raman_peak_count=1)
+            out += run_order_sweep(alone)[0]
+    return out
+
+
+def assert_same_records(records, expected):
+    # NaN == NaN only as the same object, so compare failed values by their error
+    got, want = record_values(records), record_values(expected)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if a[-1] or b[-1]:
+            assert a[:5] + a[-1:] == b[:5] + b[-1:]
+            assert math.isnan(a[5]) and math.isnan(a[6])
+        else:
+            assert a == b
+
+
+class BatchSpy:
+    """Counts the sweep's stacked and one-peak oracle calls, and what the stacks returned."""
+
+    def __init__(self, monkeypatch):
+        self.stacks, self.batches, self.nets = [], [], []
+        stack, batch, coupling = (bench._integrate_stack, bench._integrate_batch,
+                                  bench._triangular_coupling)
+
+        def spy_stack(powers, *args):
+            out = stack(powers, *args)
+            self.stacks.append(((args[-1],) + powers.shape, out is not None))
+            return out
+
+        def spy_batch(powers, *args):
+            self.batches.append(powers.shape)
+            return batch(powers, *args)
+
+        def spy_coupling(f, slope, *args):
+            net = coupling(f, slope, *args)
+            self.nets.append((np.size(slope), net))
+            return net
+
+        monkeypatch.setattr(bench, "_integrate_stack", spy_stack)
+        monkeypatch.setattr(bench, "_integrate_batch", spy_batch)
+        monkeypatch.setattr(bench, "_triangular_coupling", spy_coupling)
+
+
+class TestBandBatches:
+    """A band plan's peaks run as (S, B, n) stacks, each slice with its peak's own bits."""
+
+    @pytest.mark.parametrize("band", ["C", "CL", "CLU", "SCLU"])
+    def test_records_equal_one_batch_per_peak(self, band, monkeypatch):
+        # 3 x 2 cells: SCLU's 6 launches take the row panels (5 or more do at 50 GHz)
+        config = SweepConfig(band_plans=(band,), raman_peak_count=3, launch_power_count=3,
+                             length_count=2, orders=(1, 3, 6), steps_per_span=8)
+        expected = per_peak_records(config)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        n = build_channel_grid(band, config.spacing).n_channels
+        assert spy.stacks == [((3, 6, n), True)] and spy.batches == []
+        if band == "SCLU":
+            (_, net), = spy.nets
+            free = net.__code__.co_freevars
+            assert "panels" in free
+            whole_below = net.__closure__[free.index("whole_below")].cell_contents
+            assert 3 * 6 * n >= whole_below
+        assert not any(r.error for r in records)
+        assert_same_records(records, expected)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    def test_records_do_not_depend_on_the_batch_size(self, size, monkeypatch):
+        # five peaks in stacks of 1, 2 (2 + 2 + 1), 3 (3 + 2) and all five
+        config = SweepConfig(band_plans=("CLU",), launch_power_count=2, length_count=2,
+                             orders=(2, 5), steps_per_span=8)
+        expected = per_peak_records(config)
+        monkeypatch.setattr(bench, "_BATCH_ENTRIES", size * 4 * 333 + 4 * 333 - 1)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        sizes = [shape[0] for shape, _ in spy.stacks]
+        assert sizes == [min(size, 5 - start) for start in range(0, 5, size)
+                         if min(size, 5 - start) > 1]
+        assert len(spy.batches) == 5 - sum(sizes)
+        assert_same_records(records, expected)
+
+    def test_an_unstable_row_reruns_its_stack_one_peak_at_a_time(self, monkeypatch):
+        # the 12 dBm cells go unstable at 8 steps under every peak, the others do not
+        config = SweepConfig(band_plans=("CL",), raman_peak_count=3,
+                             launch_power_dbm_range=(-1.0, 12.0), launch_power_count=2,
+                             length_range_km=(60.0, 150.0), length_count=2,
+                             orders=(1, 4), steps_per_span=8)
+        expected = per_peak_records(config)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        assert spy.stacks == [((3, 4, 223), False)]
+        assert spy.batches == [(4, 223)] * 3
+        assert sum(1 for r in records if r.error) == 12
+        assert_same_records(records, expected)
+        TestBatchedSweep.assert_records_match(records, per_cell_reference(config))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_order_and_cell_failures_in_a_stack_match_one_batch_per_peak(self, monkeypatch):
+        # -4000 dBm fails the shaping of its cells under every peak, order 300
+        # fails alone on every other cell; the stack holds all three peaks
+        config = SweepConfig(band_plans=("C",), raman_peak_count=3,
+                             launch_power_dbm_range=(-4000.0, -1.0), launch_power_count=2,
+                             length_count=2, orders=(1, 300, 3), steps_per_span=8)
+        expected = per_peak_records(config)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        assert spy.stacks == [((3, 4, 81), True)]
+        shaping = repr(ConfigurationError("shaping function needs positive total power"))
+        assert sum(r.error == shaping for r in records) == 3 * 2 * 3
+        assert sum(bool(r.error) and r.error != shaping for r in records) == 3 * 2
+        assert_same_records(records, expected)
+
+    def test_a_stack_that_raises_reruns_one_peak_at_a_time(self, monkeypatch):
+        config = SweepConfig(band_plans=("CLU",), raman_peak_count=3, launch_power_count=2,
+                             length_count=2, orders=(1, 3), steps_per_span=8)
+        expected = per_peak_records(config)
+
+        def fail(*args):
+            raise MemoryError("no room for the stack")
+
+        monkeypatch.setattr(bench, "_integrate_stack", fail)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        assert spy.batches == [(4, 333)] * 3
+        assert_same_records(records, expected)
+
+    def test_parallel_band_batches_match_serial(self):
+        config = SweepConfig(band_plans=("C", "CLU"), raman_peak_count=3, launch_power_count=2,
+                             length_count=2, orders=(1, 3), steps_per_span=8)
+        serial, _ = run_order_sweep(config)
+        parallel, _ = run_order_sweep(config, workers=2)
+        assert record_values(parallel) == record_values(serial)
 
 
 class TestFailedCells:

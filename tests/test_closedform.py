@@ -27,6 +27,7 @@ from isrsprop import (
     total_attenuation_coefficient,
 )
 from isrsprop.closedform import (
+    _decay,
     _profile,
     _shaping_ref,
     _span_constants,
@@ -313,8 +314,8 @@ class TestPowerProfile:
     def test_a_channel_without_power_stays_at_zero_watts(self):
         # channel 0's exponent, about 900, overflows: 0 W times inf would be NaN
         powers = np.array([0.0, 1e-3])
-        out = _profile(powers, np.array([5.0, 5.0]), np.array([-20.0, 0.0]), 0.0, 3.0, 1.0,
-                       15.0, 50.0)
+        out = _profile(powers, np.array([5.0, 5.0]), np.array([-20.0, 0.0]), 0.0, 3.0, 15.0,
+                       _decay(1.0, 50.0))
         assert out[0] == 0.0 and not np.signbit(out[0])
         assert out[1] == 1e-3 * np.exp(-5.0)
 

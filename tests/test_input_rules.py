@@ -32,6 +32,7 @@ from isrsprop import (
     propagate_multispan_closedform,
     run_order_sweep,
     shaping_function,
+    span_gain,
     target_osnr,
 )
 from isrsprop.closedform import (
@@ -200,6 +201,10 @@ REALS = [
     Real("total_launch_power",
          lambda x: preemphasis_multispan(TargetSpectrum.flat_shape(GRID), OSNR_LINK, x), 0.064,
          (0.0, "> 0")),
+    # a string divided a float with a bare TypeError, and NaN gave a NaN gain
+    Real("total_launch_power", lambda x: span_gain(LAUNCH, x), 0.064, (0.0, "> 0")),
+    # text raised a bare ValueError, and None only "channel powers must be finite"
+    Real("dbm_per_channel", lambda x: PowerSpectrum.flat_dbm(GRID, x), -1.0),
     Real("slope", lambda x: power_profile(LAUNCH, PARAMS, x, 10.0), 0.03, (-1.0, ">= 0")),
     Real("slope", lambda x: power_profiles(LAUNCH, PARAMS, x, [0.0, 10.0]), 0.03, (-1.0, ">= 0")),
     # a z outside the span keeps its own message, naming the span
@@ -221,8 +226,8 @@ REAL_IDS = ["f_low", "f_high", "spacing", "grid-spacing", "sweep-spacing", "cons
             "peak-separation", "sweep-window", "sweep-peak-separation", "length", "fixed-gain",
             "noise-figure", "noise-bandwidth", "injection-bandwidth", "accumulate-bandwidth",
             "target-bandwidth", "step", "tolerance", "target-total", "single-span-total",
-            "multispan-total", "profile-slope", "profiles-slope", "profile-z", "profiles-z",
-            "shaping-window", "sweep-peaks", "sweep-launch", "sweep-lengths", "config-number"]
+            "multispan-total", "span-gain-total", "flat-dbm", "profile-slope", "profiles-slope",
+            "profile-z", "profiles-z", "shaping-window", "sweep-peaks", "sweep-launch", "sweep-lengths", "config-number"]
 
 
 def _raises_exactly(message: str):

@@ -3,7 +3,7 @@
 Measured with tracemalloc (numpy reports its buffers to it), never with
 timing, so the checks are deterministic: a change that brings back n x n
 temporaries in the K build, an n x n array in the triangular operator,
-out-of-place (B, n) temporaries in a sweep group's closed form, or a
+out-of-place (B, n) temporaries in a sweep band batch's closed form, or a
 whole-table row list at the write, fails here.
 """
 
@@ -68,26 +68,53 @@ def test_triangular_operator_holds_no_n_by_n_array():
     assert peak < 0.5 * k_bytes
 
 
-def test_sweep_group_closed_form_is_built_in_place(monkeypatch):
-    # one SCLU group, 25 cells of 528 channels and six orders, with the oracle's
-    # outputs handed in.  The group holds five (B, n) arrays (launches, oracle
-    # outputs and their dB values, shaping values, alpha_i L) and each order
-    # about three more at once, built in place: the peak is 9.3 of them.  Each
-    # out-of-place temporary of the exponent or the dB difference adds 1.
-    config = SweepConfig(band_plans=("SCLU",), raman_peak_count=1)
+def sweep_cells(config):
     powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
     lengths = config.axis(config.length_range_km, config.length_count)
-    group = (config, "SCLU", 0.35, [(float(p), float(km)) for p in powers for km in lengths])
+    return [(float(p), float(km)) for p in powers for km in lengths]
+
+
+def test_sweep_group_closed_form_is_built_in_place(monkeypatch):
+    # one SCLU peak, 25 cells of 528 channels and six orders, with the oracle's
+    # outputs handed in.  The band holds five (B, n) arrays (launches, oracle
+    # outputs and their dB values, shaping values, alpha_i L) and each order
+    # about four more at once, built in place: the peak is 9.4 of them.  Each
+    # out-of-place temporary of the exponent or the dB difference adds 1.
+    config = SweepConfig(band_plans=("SCLU",), raman_peak_count=1)
+    band = (config, "SCLU", [0.35], sweep_cells(config))
     integrate = bench._integrate_batch
     done = []
     monkeypatch.setattr(bench, "_integrate_batch",
                         lambda *args: done.append(integrate(*args)) or done[0])
-    bench._run_group(group)
+    bench._run_band(band)
     monkeypatch.setattr(bench, "_integrate_batch",
                         lambda *args: (done[0][0].copy(), done[0][1]))
-    peak, _, records = traced_memory(lambda: bench._run_group(group))
+    peak, _, records = traced_memory(lambda: bench._run_band(band))
     assert len(records) == 150 and not any(r.error for r in records)
     assert peak <= 10 * done[0][0].nbytes
+
+
+def test_sweep_band_batch_closed_form_is_built_in_place(monkeypatch):
+    # three SCLU peaks as one (3, 25, 528) stack, with the stack's outputs handed
+    # in.  Besides the stack's outputs, their dB values and two stacked
+    # temporaries per order, the band holds (B, n) arrays a third of the
+    # stack's size each, and the stacked operator's three 217 x 217 corners
+    # live until the closed form starts: the peak is 6.7 stacks.  An
+    # out-of-place stacked temporary adds 1.
+    config = SweepConfig(band_plans=("SCLU",), raman_peak_count=3)
+    band = (config, "SCLU", [0.3, 0.35, 0.4], sweep_cells(config))
+    monkeypatch.setattr(bench, "_BATCH_ENTRIES", 3 * 25 * 528)
+    integrate = bench._integrate_stack
+    done = []
+    monkeypatch.setattr(bench, "_integrate_stack",
+                        lambda *args: done.append(integrate(*args)) or done[0])
+    bench._run_band(band)
+    (outputs,) = done
+    assert outputs.shape == (3, 25, 528)
+    monkeypatch.setattr(bench, "_integrate_stack", lambda *args: outputs.copy())
+    peak, _, records = traced_memory(lambda: bench._run_band(band))
+    assert len(records) == 450 and not any(r.error for r in records)
+    assert peak <= 10 * outputs.nbytes
 
 
 def test_longitudinal_table_is_written_row_by_row(tmp_path):

@@ -30,6 +30,7 @@ from isrsprop.ode_oracle import (
     _coupling_matrix,
     _instability_message,
     _integrate_batch,
+    _integrate_stack,
     _rk4,
     _span_operator,
     _triangular_coupling,
@@ -229,10 +230,10 @@ class TestTriangularCorner:
     @pytest.mark.parametrize("raman", [default_raman(0.4), RamanGainModel.triangular(peak=0.25)],
                              ids=["peak-0.4", "peak-0.25"])
     def test_corner_takes_its_window_from_the_gain_model(self, plan, spacing, raman):
-        # the corner reads the gain model's window decision, which leaves every
-        # entry and signed zero as the corner's own float test did
+        # the corner takes the gain model's slope and window, and its float test
+        # leaves every entry and signed zero as the dense K's gain does
         f = build_channel_grid(plan, spacing).frequencies
-        net = _triangular_coupling(f, raman, np.zeros_like(f))
+        net = _triangular_coupling(f, raman.slope, raman.window, np.zeros_like(f))
         corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
         expected = windowed_corner(f, raman.slope, raman.window)
         assert corner.size > 0 and not corner.flags.writeable
@@ -271,13 +272,13 @@ class TestCornerPanels:
     )
     def test_tiles_and_rank_2_blocks_cover_each_pair_beyond_the_window_once(self, grid):
         f, raman = grid.frequencies, default_raman(0.4)
-        net = _triangular_coupling(f, raman, np.zeros_like(f))
+        net = _triangular_coupling(f, raman.slope, raman.window, np.zeros_like(f))
         corner = net.__closure__[net.__code__.co_freevars.index("corner")].cell_contents
         rows, cols = corner.shape
         panelled = rows >= 2 * _PANEL_ROWS
         assert panelled == ("panels" in net.__code__.co_freevars)
         # a short corner is one dense tile, applied whole
-        panels = _corner_panels(corner) if panelled else [(0, rows, 0, cols)]
+        panels = _corner_panels(corner != 0) if panelled else [(0, rows, 0, cols)]
         assert len(panels) == max(1, rows // _PANEL_ROWS)
         assert [a for a, _, _, _ in panels] == [0] + [b for _, b, _, _ in panels[:-1]]
         assert panels[-1][1] == rows
@@ -300,7 +301,8 @@ class TestCornerPanels:
     )
     def test_panel_count_and_read_only_arrays(self, plan, spacing, count):
         f = build_channel_grid(plan, spacing).frequencies
-        net = _triangular_coupling(f, default_raman(0.4), np.zeros_like(f))
+        raman = default_raman(0.4)
+        net = _triangular_coupling(f, raman.slope, raman.window, np.zeros_like(f))
         free = net.__code__.co_freevars
         panels = net.__closure__[free.index("panels")].cell_contents if "panels" in free else []
         assert len(panels) == count
@@ -340,6 +342,79 @@ class TestCornerPanels:
         for batch in (1, 25):
             powers = rng.uniform(1e-5, 2e-3, (batch, grid.n_channels))
             assert np.array_equal(net(powers), whole(powers))
+
+
+def closure(net, name):
+    return net.__closure__[net.__code__.co_freevars.index(name)].cell_contents
+
+
+STACK_SLOPES = [0.0, 0.3 / 14.0, 0.35 / 14.0, 0.4 / 14.0]
+
+
+class TestStackedOperator:
+    """An operator of S slopes maps (S, B, n) with each slice's one-slope bits."""
+
+    @pytest.mark.parametrize("plan, spacing", [("C", 0.05), ("CLU", 0.05), ("SCLU", 0.05),
+                                               ("SCLU", 0.025)])
+    @pytest.mark.parametrize("batch", [1, 4, 5, 25])
+    def test_each_slice_is_the_one_slope_operator(self, plan, spacing, batch):
+        # SCLU at 50 GHz takes the corner whole up to 4 launches a slice and the
+        # panels from 5; a switch counting the whole stack would move 4 to panels
+        f = build_channel_grid(plan, spacing).frequencies
+        alpha = attenuation_at(default_attenuation(), f)
+        net = _triangular_coupling(f, STACK_SLOPES, 15.5, alpha)
+        rng = np.random.default_rng(9)
+        p = np.empty((len(STACK_SLOPES), batch, f.size))
+        p[...] = rng.uniform(1e-5, 2e-3, (len(STACK_SLOPES), batch, f.size))
+        kp = net(p)
+        assert kp.shape == p.shape
+        for s, slope in enumerate(STACK_SLOPES):
+            assert np.array_equal(kp[s], _triangular_coupling(f, slope, 15.5, alpha)(p[s]))
+
+    def test_only_the_slope_scaled_arrays_are_stacked(self):
+        f = build_channel_grid("SCLU").frequencies
+        one = _triangular_coupling(f, 0.4 / 14.0, 15.5, np.zeros_like(f))
+        net = _triangular_coupling(f, STACK_SLOPES, 15.5, np.zeros_like(f))
+        size = len(STACK_SLOPES)
+        # (S, 1, m) coefficients, one row of them per slice's (B, m) inner products
+        assert closure(net, "coef").shape == (size, 1) + closure(one, "coef").shape
+        assert closure(net, "corner").shape == (size,) + closure(one, "corner").shape
+        weights = closure(closure(net, "whole"), "weights")
+        assert weights.shape == (size,) + closure(closure(one, "whole"), "weights").shape
+        for name in ("vectors", "swap", "panels"):
+            assert np.array_equal(closure(net, name), closure(one, name))
+        kept = [cell.cell_contents for f in (net, closure(net, "whole")) for cell in f.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert not any(array.flags.writeable for array in kept)
+
+
+class TestIntegrateStack:
+    @pytest.mark.parametrize("plan", ["CL", "SCLU"])
+    def test_each_slice_is_its_slope_batch(self, plan):
+        grid = build_channel_grid(plan)
+        alpha = attenuation_at(default_attenuation(), grid.frequencies)
+        powers, lengths = TestIntegrateBatch.mixed_launches(grid, 6)
+        slopes = STACK_SLOPES[1:]
+        net = _triangular_coupling(grid.frequencies, slopes, 15.5, alpha)
+        out = _integrate_stack(powers, lengths, net, 8, len(slopes))
+        assert out.shape == (len(slopes),) + powers.shape and out.flags.c_contiguous
+        for s, slope in enumerate(slopes):
+            one, errors = _integrate_batch(
+                powers, lengths, _triangular_coupling(grid.frequencies, slope, 15.5, alpha), 8)
+            assert errors == ("",) * 6
+            assert np.array_equal(out[s], one)
+
+    def test_an_unstable_row_stops_the_stack(self):
+        # under the steepest slope only the 0.5 W launch goes negative at 5 steps
+        grid = two_channel_grid(10.0)
+        f = grid.frequencies
+        powers = np.repeat(np.array([0.2, 0.5])[:, None], 2, axis=1)
+        alpha = np.full(2, 1e-12)
+        net = _triangular_coupling(f, [0.0, 0.03], 15.5, alpha)
+        assert _integrate_stack(powers, [100.0, 100.0], net, 5, 2) is None
+        _, errors = _integrate_batch(powers, [100.0, 100.0],
+                                     _triangular_coupling(f, 0.03, 15.5, alpha), 5)
+        assert errors[0] == "" and errors[1].startswith("negative")
 
 
 def clamped_rk4_rows(launch, fiber, options):

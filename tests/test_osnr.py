@@ -53,6 +53,44 @@ class TestAseInjection:
         with pytest.raises(ConfigurationError, match="band 'L'"):
             ase_injection(cl_grid, {"C": 5.5}, 10.0, 0.05)
 
+    @pytest.mark.parametrize("gain, message", [
+        (float("nan"), "amplifier gain must be finite, got nan"),
+        (float("inf"), "amplifier gain must be finite, got inf"),
+        (-1.0, "amplifier gain must be >= 0, got -1.0"),
+        ("a", "amplifier gain must be a real number, got 'a'"),
+        (None, "amplifier gain must be a real number, got None"),
+        (True, "amplifier gain must be a real number, got True"),
+    ])
+    def test_bad_scalar_gain_rejected(self, c_grid, gain, message):
+        # a NaN gain gave NaN noise on every channel
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ase_injection(c_grid, {"C": 5.5}, gain, 0.05)
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "amplifier gain must be finite, got nan"),
+        (-2.0, "amplifier gain must be >= 0, got -2.0"),
+    ])
+    def test_bad_channel_gain_rejected(self, c_grid, bad, message):
+        gains = np.full(c_grid.n_channels, 10.0)
+        gains[7] = bad
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ase_injection(c_grid, {"C": 5.5}, gains, 0.05)
+
+    @pytest.mark.parametrize("gains, message", [
+        (["a", "b"], "amplifier gains must be real numbers, got ['a', 'b']"),
+        ([True, False], "amplifier gains must be real numbers, got [True, False]"),
+        ([10.0, 10.0], "expected 1 or 81 amplifier gains, got shape (2,)"),
+    ])
+    def test_gain_array_of_other_things_rejected(self, c_grid, gains, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ase_injection(c_grid, {"C": 5.5}, gains, 0.05)
+
+    def test_zero_and_per_channel_gains_accepted(self, c_grid):
+        assert np.all(ase_injection(c_grid, {"C": 5.5}, 0.0, 0.05) == 0.0)
+        gains = np.arange(c_grid.n_channels) + 1  # integers, one per channel
+        out = ase_injection(c_grid, {"C": 5.5}, gains, 0.05)
+        assert out[0] == 0.0 and np.all(out[1:] > 0)
+
 
 class TestNoiseFigureLinear:
     @staticmethod

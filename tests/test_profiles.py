@@ -130,6 +130,13 @@ class TestConvertUnits:
         out = convert_units(np.array([0.0, 10.0]), "dB", "linear")
         assert np.allclose(out, [1.0, 10.0])
 
+    @pytest.mark.parametrize("value", ["a", ["a", "1.0"], b"x"])
+    def test_text_is_a_configuration_error(self, value):
+        # float("a") ended in a bare ValueError
+        with pytest.raises(ConfigurationError,
+                           match=f"^value must be a real number, got {re.escape(repr(value))}$"):
+            convert_units(value, "dBm", "W")
+
 
 class TestRamanGain:
     def test_peak_value_from_rounded_slope(self):
