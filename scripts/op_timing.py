@@ -12,10 +12,10 @@ peak's batch, 50 RK4 steps over 100 km (``group``).  The ``band`` column
 times, at B = 25, the oracle of one band batch as the sweep runs it: S of
 the sweep's Raman peaks (0.3 to 0.4 /W/km) at once, S = ``bench._BATCH_ENTRIES
 // (25 n)`` (at least one, at most the sweep's five), through
-``ode_oracle._integrate_stack`` under one stacked operator, or
-``_integrate_batch`` when S is 1; ``S`` gives S.  A ``sweep`` row
-gives, in ms, one ``bench.run_order_sweep`` of the default ``SweepConfig``
-(fig3's 500 cells and 6 orders) in this process, without the CLI's writing.
+``ode_oracle._integrate_stack`` under one stacked operator; ``S`` gives S.
+A ``sweep`` row gives, in ms, one ``bench.run_order_sweep`` of the default
+``SweepConfig`` (fig3's 500 cells and 6 orders) in this process, without
+the CLI's writing.
 A last ``osnr`` row gives, in ms, one ``osnr.target_osnr`` of fig7's flat
 target in this process: CLU, 5 x 50 km, restore-total-power amplifiers with
 noise figures C 5.5, L 6.0 and U 5.0 dB, a receiver boost and the total of
@@ -92,15 +92,10 @@ def main() -> int:
                                   GROUP_REPEATS))
         # the band batch of the last (B = 25) launches, as bench._run_band cuts it
         size = min(len(slopes), max(1, bench._BATCH_ENTRIES // launches.size))
-        f, window = grid.frequencies, fiber.raman.window
-        if size > 1:
-            stacked = _triangular_coupling(f, slopes[:size], window, model.alpha)
-            band = best_us(lambda: _integrate_stack(launches, lengths, stacked, STEPS, size),
-                           GROUP_REPEATS)
-        else:
-            one = _triangular_coupling(f, slopes[0], window, model.alpha)
-            band = best_us(lambda: _integrate_batch(launches, lengths, one, STEPS),
-                           GROUP_REPEATS)
+        stacked = _triangular_coupling(grid.frequencies, slopes[:size], fiber.raman.window,
+                                       model.alpha)
+        band = best_us(lambda: _integrate_stack(launches, lengths, stacked, STEPS, size),
+                       GROUP_REPEATS)
         print(f"{plan:<5} {spacing * 1e3:>5g} {grid.n_channels:>5}"
               + "".join(f" {us:>13.1f}" for us in ops + groups) + f" {band:>13.1f} {size:>2}")
     sweep_ms = best_us(lambda: run_order_sweep(sweep), SWEEP_REPEATS) / 1e3

@@ -7,16 +7,18 @@ box-plot convention (median, quartiles, 1.5 IQR whiskers).
 
 The unit of work is a band batch: one band plan with S consecutive Raman
 peaks, S = ``_BATCH_ENTRIES // (B n)`` (at least one) for the band's B
-(power, length) cells of n channels.  A band builds its grid, alpha(f_i),
-launches, lengths and every closed-form term that depends on neither the
-peak nor the oracle once (:func:`_band`).  Each batch then integrates its
-B launches under its S slopes as one (S, B, n) stack, which numpy's matmul
-runs as one GEMM per slice with a one-peak batch's (B, n) shapes, and runs
-the slope-dependent rest of the closed form on the stack with the slope as
-an (S, 1, 1) column.  Every other operation is elementwise or along a row,
-so a row's bits depend only on its slice: each record has the bits of its
-(band, peak) batch run alone.  A stack in which any row fails the oracle's
-stability test is rerun one peak at a time, as that peak's batch.
+(power, length) cells of n channels.  The band plans run one after the
+other in one process.  A band builds its grid, alpha(f_i), launches,
+lengths and every closed-form term that depends on neither the peak nor
+the oracle once (:func:`_band`).  Each batch then integrates its B launches
+under its S slopes as one (S, B, n) stack, one peak being a stack of one,
+which numpy's matmul runs as one GEMM per slice with a one-peak batch's
+(B, n) shapes, and runs the slope-dependent rest of the closed form on the
+stack with the slope as an (S, 1, 1) column.  Every other operation is
+elementwise or along a row, so a row's bits depend only on its slice: each
+record has the bits of its (band, peak) batch run alone.  A stack in which
+any row fails the oracle's stability test is rerun one peak at a time, as
+that peak's batch.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .closedform import _per_row, _profile, _row_scalars, _SpanModel, _stacked_ref
+from .closedform import _order_scalars, _profile, _reference_shaping, _SpanModel
 from .errors import ConfigurationError, NumericalInstabilityError
 from .ode_oracle import _integrate_batch, _integrate_stack, _triangular_coupling
 from .profiles import (
@@ -103,7 +105,7 @@ class SweepConfig:
             raise ConfigurationError("sweep needs at least one band plan")
         for plan in plans:
             # an unknown plan, or a band the spacing does not divide, would fail only
-            # when its groups run, after every earlier group and perhaps in a worker
+            # when its batches run, after every earlier band plan
             build_channel_grid(plan, self.spacing)
         # every cell builds this model at its own peak; building the lowest one
         # here rejects a bad peak, peak separation or window before any cell runs
@@ -181,9 +183,10 @@ class _Band(NamedTuple):
     the span lengths; alpha_i L per cell; the
     shaping values, with ``errors`` naming each cell whose order-free terms
     failed (its shaping row is then NaN and never read); and per order
-    alpha_i^n, a (B, 5) matrix of :func:`isrsprop.closedform._row_scalars`
-    columns (alpha0, growth, L_eff, alpha0^n P_T, L_eff again) and the cells
-    that order fails.  None of it depends on the slope or on the oracle.
+    alpha_i^n, a (B, 5) matrix of the columns
+    :func:`isrsprop.closedform._order_scalars` gives (alpha0, growth, L_eff,
+    alpha0^n P_T, L_eff again) and the cells that order fails.  None of it
+    depends on the slope or on the oracle.
     """
 
     model: _SpanModel
@@ -217,12 +220,11 @@ def _band(config: SweepConfig, band: str, peak: float, cells) -> _Band:
         shaping[done] = rows
     shaped = done if failed else slice(None)
     orders = {}
+    launches, total, length = p[shaped], totals[shaped], lengths[shaped, None]
     for n in config.orders:
         alpha_n = model.alpha**n
-        weighted_sum = (alpha_n * p[shaped]).sum(axis=-1, keepdims=True)
-        total, length = totals[shaped], lengths[shaped, None]
-        rows, scalars, order_failed = _batch_or_rows(lambda r: np.hstack(_per_row(
-            _row_scalars, weighted_sum[r], total[r], length[r], n, 0.0)), len(done))
+        rows, scalars, order_failed = _batch_or_rows(lambda r: np.hstack(_order_scalars(
+            alpha_n * launches[r], total[r], length[r], n, 0.0)), len(done))
         columns = np.full((count, 5), np.nan)
         if scalars is not None:
             columns[done[rows]] = scalars
@@ -238,8 +240,8 @@ def _closed_form_values(band: _Band, slopes: np.ndarray, rows: np.ndarray, oracl
     ``oracle`` is the (S, R, n) output of the cells ``rows`` (ascending,
     every one of them shaped) under the (S, 1, 1) column of ``slopes``.  Per
     order only the slope-dependent part runs on the stack: the reference's
-    tilt and log-sum-exp (:func:`isrsprop.closedform._stacked_ref`), the
-    profile's tilt, eps_p and the dB deviation; the rest is the band's.
+    tilt and log-sum-exp (:func:`isrsprop.closedform._reference_shaping`),
+    the profile's tilt, eps_p and the dB deviation; the rest is the band's.
     Each slice and row keeps the bits of its spectrum's one-slope closed
     form.  A pass that raises runs again one (slice, cell) entry at a time.
     """
@@ -275,7 +277,7 @@ def _closed_form_values(band: _Band, slopes: np.ndarray, rows: np.ndarray, oracl
             weights /= norm[r]
             base = np.subtract(alpha0[r], alpha)
             base *= length[r]
-            ref = _stacked_ref(total[r], shaping[r], weights, base, leff_z[r], slope)
+            ref = _reference_shaping(total[r], shaping[r], weights, base, leff_z[r], slope)
             del weights, base
             closed = _profile(p[r], att[r], shaping[r], ref, launch_total[r], slope, leff[r])
             PowerSpectrum._check(closed)
@@ -295,26 +297,26 @@ def _closed_form_values(band: _Band, slopes: np.ndarray, rows: np.ndarray, oracl
     return values
 
 
-def _run_band(args) -> list[SweepRecord]:
+def _run_band(config: SweepConfig, band_plan: str, peaks: list[float],
+              cells: list[tuple[float, float]]) -> list[SweepRecord]:
     """Records of every cell of one band plan, in (Raman peak, cell, order) order.
 
     The band builds its grid, span model (so alpha(f_i)), launches, lengths
     and every closed-form term that depends on neither the peak nor the
     oracle once (:func:`_band`).  Its peaks then run in band batches of
     S = ``_BATCH_ENTRIES // (B n)`` consecutive peaks (at least one) for B
-    cells of n channels.  A batch of S > 1 peaks integrates its cells as one
-    (S, B, n) stack under its S slopes, which gives every slice the bits of
-    its peak's own (B, n) batch (:func:`isrsprop.ode_oracle._integrate_stack`).
+    cells of n channels.  A batch integrates its cells as one (S, B, n)
+    stack under its S slopes, which gives every slice the bits of its
+    peak's own (B, n) batch (:func:`isrsprop.ode_oracle._integrate_stack`).
     When a row of the stack fails, each peak reruns alone through
     :func:`isrsprop.ode_oracle._integrate_batch`, which records the failed
-    cells and integrates the others as that peak's batch always does; a
-    batch of one peak runs that way from the start.  The closed form then
-    runs on each stack the oracle finished (:func:`_closed_form_values`).
-    A failure is recorded on every record it concerns: an oracle failure on
-    every order of its (peak, cell), an order-free one on every peak and
-    order of its cell, and one order's own on that order only.
+    cells and integrates the others as that peak's batch always does.  The
+    closed form then runs on each stack the oracle finished
+    (:func:`_closed_form_values`).  A failure is recorded on every record
+    it concerns: an oracle failure on every order of its (peak, cell), an
+    order-free one on every peak and order of its cell, and one order's own
+    on that order only.
     """
-    config, band_plan, peaks, cells = args
     slopes = [RamanGainModel.triangular(peak=peak, peak_separation=config.raman_peak_separation,
                                         window=config.raman_window).slope for peak in peaks]
     band = _band(config, band_plan, peaks[0], cells)
@@ -324,14 +326,12 @@ def _run_band(args) -> list[SweepRecord]:
     records = []
     for start in range(0, len(peaks), size):
         batch = slopes[start:start + size]
-        outputs = None
-        if len(batch) > 1:
-            try:
-                outputs = _integrate_stack(band.launches, band.lengths,
-                                           _triangular_coupling(f, batch, window, alpha), steps,
-                                           len(batch))
-            except Exception:  # each peak runs again alone below and records its error
-                pass
+        try:
+            outputs = _integrate_stack(band.launches, band.lengths,
+                                       _triangular_coupling(f, batch, window, alpha), steps,
+                                       len(batch))
+        except Exception:  # each peak runs again alone below and records its error
+            outputs = None
         if outputs is not None:
             records += _records(config, band_plan, peaks[start:start + len(batch)], band, batch,
                                 np.arange(count), outputs, {})
@@ -385,31 +385,17 @@ def _records(config: SweepConfig, band_plan: str, peaks, band: _Band, slopes, ro
     return records
 
 
-def run_order_sweep(
-    config: SweepConfig, workers: int = 1
-) -> tuple[list[SweepRecord], list[SweepSummary]]:
+def run_order_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[SweepSummary]]:
     """Run every cell of the sweep; cell order is fixed by the config axes.
 
     Cells run band plan by band plan (:func:`_run_band`), contiguous in cell
-    order.  ``workers > 1`` fans the band plans out to a process pool; each
-    runs the same band batches either way and results are collected in
-    config order, so output is deterministic to the last bit.
+    order, so the output is the same to the last bit on every run.
     """
-    _check_count(workers, "workers")
     powers = config.axis(config.launch_power_dbm_range, config.launch_power_count)
     lengths = config.axis(config.length_range_km, config.length_count)
     cells = [(float(power), float(length)) for power in powers for length in lengths]
     peaks = [float(peak) for peak in config.axis(config.raman_peak_range, config.raman_peak_count)]
-    bands = [(config, band, peaks, cells) for band in config.band_plans]
-    if workers > 1:
-        # imported here: the pool's import costs every process, and only this uses it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_band = list(pool.map(_run_band, bands))
-    else:
-        per_band = [_run_band(band) for band in bands]
-    records = [r for band in per_band for r in band]
+    records = [r for band in config.band_plans for r in _run_band(config, band, peaks, cells)]
     return records, summarize(records)
 
 

@@ -255,9 +255,9 @@ def cmd_multispan(cfg: RunConfig, out: Path, fmt: str) -> None:
     _closed_form_link(cfg, out, fmt, "multispan", launch, _require(cfg, "link", "a link section"))
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, fmt: str, workers: int) -> None:
+def cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
     sweep = _require(cfg, "sweep", "a sweep section")
-    records, summaries = run_order_sweep(sweep, workers=workers)
+    records, summaries = run_order_sweep(sweep)
     for kind, cls, items in (("records", SweepRecord, records),
                              ("summary", SweepSummary, summaries)):
         head, rows = _dataclass_table(cls, items)
@@ -287,17 +287,6 @@ def cmd_osnr_target(cfg: RunConfig, out: Path, fmt: str) -> None:
     _write_table(out / f"{cfg.name}_osnr_history.csv", ["iteration", "rmse"], hist_rows, fmt)
     head, rows = _channel_table(grid, "osnr_db", 10.0 * np.log10(run.osnr))
     _write_table(out / f"{cfg.name}_osnr_profile.csv", head, rows, fmt)
-
-
-def _worker_count(text: str) -> int:
-    """``--workers``: an int, at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
 
 
 def _subcommands() -> tuple:
@@ -338,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=None, help="override steps per span")
         p.add_argument("--order", type=int, default=None, help="override approximation order")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name == "sweep":
-            p.add_argument("--workers", type=_worker_count, default=1,
-                           help="parallel sweep processes")
     return parser
 
 
@@ -360,8 +346,7 @@ def main(argv=None) -> int:
             return 0
         out = Path(args.output)
         out.mkdir(parents=True, exist_ok=True)
-        extra = [args.workers] if args.command == "sweep" else []
-        run(cfg, out, args.format, *extra)
+        run(cfg, out, args.format)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

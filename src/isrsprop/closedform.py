@@ -26,10 +26,12 @@ and span length, or a (B, n) batch of spectra with a (B, 1) column of each,
 in one pass over the batch.  The per-row scalars (the power mean, expm1, exp and log) are
 evaluated with Python ``math`` row by row (:func:`_per_row`), so a row of a
 batch gets its own spectrum's scalars and a single spectrum keeps its bits.
-The fig3 sweep runs one batch under S Raman slopes at once: its slope-free
-terms once, then the reference's tilt and log-sum-exp (:func:`_stacked_ref`)
-and the profile (:func:`_profile`) on the (S, B, n) stack, with the slopes
-as an (S, 1, 1) column; each slice keeps the bits of its slope alone.
+One function balances the reference (:func:`_reference_shaping`) from a
+spectrum's weights and its slope-free exponent (alpha0 - alpha) z.  The fig3
+sweep builds those once per batch and runs the rest of the balance and the
+profile (:func:`_profile`) under S Raman slopes at once, on the (S, B, n)
+stack, with the slopes as an (S, 1, 1) column; each slice keeps the bits of
+its slope alone.
 """
 
 from __future__ import annotations
@@ -97,8 +99,16 @@ class ClosedFormParams:
             raise ConfigurationError("effective length must lie in (0, L]")
 
     def total_power_at(self, z: float) -> float:
-        """Modeled total power P_T(0) e^{-alpha0 z} in W."""
+        """Modeled total power P_T(0) e^{-alpha0 z} in W, at z in [0, L] km."""
+        _check_span_z(z, self.length)
         return self.total_launch_power * math.exp(-self.alpha0 * z)
+
+
+def _check_span_z(z, length: float) -> None:
+    """Reject a ``z`` that is not a finite real number in the span [0, ``length``] km."""
+    _check_real(z, "z")
+    if not 0.0 <= z <= length:
+        raise ConfigurationError(f"z = {z} km outside the span [0, {length}] km")
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,74 +308,35 @@ def _decay(alpha0: float, z: float) -> float:
     return -math.expm1(-alpha0 * z) / alpha0
 
 
-def _shaping_ref(
-    total,
-    shaping: np.ndarray,
-    weighted: np.ndarray,
-    alpha: np.ndarray,
-    alpha0,
-    norm,
-    leff_z,
-    slope: float,
-    z,
-):
+def _reference_shaping(total, shaping: np.ndarray, weights: np.ndarray, base: np.ndarray, leff_z,
+                       slope):
     """Reference shaping value (THz) that balances the modeled total power at z.
 
-    ``weighted`` is alpha^n times the spectrum's powers, which sum to ``total``,
-    ``norm`` is alpha0^n ``total`` and ``leff_z`` the effective length of z.
-    Computed with max-subtracted log-sum-exp so large slope * P_T * L_eff
-    products do not overflow; channels without power take no part in it.
-    Along the last axis: the scalar arguments are scalars for one spectrum
-    and (B, 1) columns for a (B, n) batch, which gets a column.
+    ``weights`` is alpha^n times the spectrum's powers, which sum to
+    ``total``, over alpha0^n ``total``; ``base`` is (alpha0 - alpha) z and
+    ``leff_z`` the effective length of z.  The balance is
+    -log(sum_j weights_j e^{base_j - tilt_j}) / (slope P_T L_eff(z)), the
+    tilt being slope G_j P_T L_eff(z), taken with a max-subtracted
+    log-sum-exp so large slope * P_T * L_eff products do not overflow;
+    channels without power take no part in it.  Where that scale is 0
+    (z -> 0 or slope -> 0) the balance's limit, the weighted mean shaping
+    value, takes its place.  Along the last axis: one (n,) spectrum with
+    scalars gives a float; a (B, n) batch with (B, 1) columns of ``total``
+    and ``leff_z``, or one spectrum at an (M, 1) column of z (``leff_z`` and
+    ``base`` per z), gives a column.  An (S, 1, 1) column of slopes over a
+    (B, n) batch gives an (S, B, 1) stack whose slice s has the bits of the
+    batch under slope s alone: only the tilt and the log-sum-exp run on the
+    stack.
     """
     scale = slope * total * leff_z
-    if _all(scale == 0.0):  # z -> 0 or slope -> 0: the balance is the weighted mean shaping value
-        return (weighted / norm * shaping).sum(axis=-1, keepdims=shaping.ndim > 1)
-    exponent = np.subtract(alpha0, alpha)
-    exponent *= z
-    tilt = _tilt(shaping, slope, total, leff_z)
-    exponent -= tilt
-    # the weights in the tilt's place
-    return _balance(np.divide(weighted, norm, out=tilt), exponent, shaping, scale)
-
-
-def _stacked_ref(total, shaping: np.ndarray, weights: np.ndarray, base: np.ndarray, leff_z,
-                 slopes: np.ndarray) -> np.ndarray:
-    """:func:`_shaping_ref` of one (B, n) batch under each of an (S, 1, 1) column of slopes.
-
-    ``weights`` is alpha^n times the powers over alpha0^n P_T and ``base``
-    is (alpha0 - alpha) z, the batch's slope-free terms, computed once for
-    every slope; ``total`` and ``leff_z`` are (B, 1) columns.  Gives an
-    (S, B, 1) stack whose slice s has the bits of :func:`_shaping_ref` of the
-    batch under slope s: only the tilt and the log-sum-exp run on the stack.
-    """
-    scale = slopes * total * leff_z
-    if _all(scale == 0.0):
-        return np.broadcast_to((weights * shaping).sum(axis=-1, keepdims=True), scale.shape)
-    tilt = _tilt(shaping, slopes, total, leff_z)
-    return _balance(weights, np.subtract(base, tilt, out=tilt), shaping, scale)
-
-
-def _tilt(shaping: np.ndarray, slope, total, leff_z) -> np.ndarray:
-    """slope G_i P_T L_eff(z), the tilt term of the balance, as a new array.
-
-    An (S, 1, 1) column of slopes over a (B, n) ``shaping`` gives (S, B, n).
-    """
+    flat = scale == 0.0
+    if _all(flat):
+        mean = (weights * shaping).sum(axis=-1, keepdims=shaping.ndim > 1)
+        return mean if np.ndim(mean) == np.ndim(scale) else np.broadcast_to(mean, scale.shape)
     tilt = slope * shaping
     tilt *= total
     tilt *= leff_z
-    return tilt
-
-
-def _balance(weights: np.ndarray, exponent: np.ndarray, shaping: np.ndarray, scale):
-    """-log(sum_j weights_j e^{exponent_j}) / scale, overwriting ``exponent``.
-
-    The reference shaping value of :func:`_shaping_ref` from its weights and
-    its exponent (alpha0 - alpha) z less the tilt; a row whose ``scale`` is 0
-    takes the weighted mean shaping value, the balance's limit there.
-    """
-    log_sum = _log_sum_exp(weights, exponent)
-    flat = scale == 0.0
+    log_sum = _log_sum_exp(weights, np.subtract(base, tilt, out=tilt))
     if _any(flat):  # rows of a batch on both sides of the limit
         mean = (weights * shaping).sum(axis=-1, keepdims=True)
         return np.where(flat, mean, -log_sum / np.where(flat, 1.0, scale))
@@ -377,11 +348,11 @@ def _log_sum_exp(weights: np.ndarray, exponent: np.ndarray):
 
     Max-subtracted over the positive weights only: a channel without weight
     takes no part, not even as a zero term, so every row sums its terms as
-    its spectrum alone does.  (B, n) weights may serve an (S, B, n) stack of
-    exponents, which gives (S, B, 1).
+    its spectrum alone does.  (n,) weights may serve (M, n) exponents and
+    (B, n) weights an (S, B, n) stack of them, which gives (M, 1) or (S, B, 1).
     """
     positive = weights > 0
-    batch = weights.ndim > 1  # a (B, 1) column per row, not a scalar
+    batch = exponent.ndim > 1  # a (B, 1) column per row, not a scalar
     if positive.all():
         top = exponent.max(axis=-1, keepdims=batch)
         exponent -= top
@@ -448,13 +419,23 @@ def _span_params(powers: np.ndarray, total, shaping: np.ndarray, constants: _Spa
     may hold one span length per row, gives (B, 1) columns.
     """
     c = constants
-    weighted = c.alpha_n * powers
-    weighted_sum = weighted.sum(axis=-1, keepdims=powers.ndim > 1)
-    alpha0, growth, leff, norm, leff_z = _per_row(_row_scalars, weighted_sum, total, c.length,
-                                                  c.order, at)
-    ref = _shaping_ref(total, shaping, weighted, c.model.alpha, alpha0, norm, leff_z,
-                       c.model.fit.slope, c.length - at)
+    weights = c.alpha_n * powers
+    alpha0, growth, leff, norm, leff_z = _order_scalars(weights, total, c.length, c.order, at)
+    weights /= norm
+    base = np.subtract(alpha0, c.model.alpha)
+    base *= c.length - at
+    ref = _reference_shaping(total, shaping, weights, base, leff_z, c.model.fit.slope)
     return alpha0, ref, leff, growth
+
+
+def _order_scalars(weighted: np.ndarray, total, length, order: int, at: float) -> tuple:
+    """:func:`_row_scalars` of the spectra whose powers times alpha_i^n are ``weighted``.
+
+    Floats for one (n,) spectrum; (B, 1) columns for a (B, n) batch, whose
+    ``total`` is a (B, 1) column and ``length`` a column or a scalar.
+    """
+    weighted_sum = weighted.sum(axis=-1, keepdims=weighted.ndim > 1)
+    return _per_row(_row_scalars, weighted_sum, total, length, order, at)
 
 
 def _row_scalars(weighted_sum: float, total: float, length: float, order: int,
@@ -535,9 +516,7 @@ def power_profiles(
     _check_flag(refresh_reference, "refresh_reference")
     _check_real(slope, "slope", 0, strict=False)
     for at in z:
-        _check_real(at, "z")
-        if not 0.0 <= at <= params.length:
-            raise ConfigurationError(f"z = {at} km outside the span [0, {params.length}] km")
+        _check_span_z(at, params.length)
     p, alpha = launch.powers, params.channel_attenuation
     z = np.array(z, dtype=float).reshape(-1, 1)
     alpha0 = np.full_like(z, params.alpha0)
@@ -545,8 +524,11 @@ def power_profiles(
     if refresh_reference:
         total, order = p.sum(), params.order
         shaping = np.broadcast_to(params.shaping, (len(z), p.size))
-        ref = _shaping_ref(total, shaping, alpha**order * p, alpha, alpha0,
-                           params.alpha0**order * total, leff_z, slope, z)
+        weights = alpha**order * p
+        weights /= params.alpha0**order * total
+        base = np.subtract(alpha0, alpha)
+        base *= z
+        ref = _reference_shaping(total, shaping, weights, base, leff_z, slope)
     else:
         ref = np.full_like(z, params.shaping_ref)
     return _profile(p, alpha * z, params.shaping, ref, params.total_launch_power, slope, leff_z)

@@ -205,8 +205,11 @@ def _triangular_coupling(f: np.ndarray, slope, window: float, alpha: np.ndarray)
     cols = int(np.count_nonzero(f - f[0] > window))
     d = np.subtract(f[None, f.size - cols:], f[:rows, None])  # f_j - f_i
     inside = d <= window
-    # one slope scales the differences in place; a stack makes its own (S, e, e')
-    corner = slope * d if np.ndim(slope) else np.multiply(d, slope, out=d)
+    if stack > 1:  # a stack makes its own (S, e, e')
+        corner = slope * d
+    else:  # one slope, alone or as a stack of one, scales the differences in place
+        corner = d[None] if np.ndim(slope) else d
+        corner *= slope
     np.copyto(corner, 0.0, where=inside)
     corner.flags.writeable = False
     corner_t = np.swapaxes(corner, -1, -2)

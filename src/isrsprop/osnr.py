@@ -69,7 +69,11 @@ def _noise_figure_linear(grid: ChannelGrid, noise_figure_db) -> np.ndarray:
         name = grid.bands[i].name
         if name not in noise_figure_db:
             raise ConfigurationError(f"no noise figure configured for band {name!r}")
-        per_band[i] = 10.0 ** (noise_figure_db[name] / 10.0)
+        try:
+            per_band[i] = 10.0 ** (noise_figure_db[name] / 10.0)
+        except OverflowError:
+            raise ConfigurationError(f"noise figure for band {name!r}: {noise_figure_db[name]!r} "
+                                     "dB is too large to convert to linear") from None
     return per_band[grid.band_index]
 
 

@@ -68,25 +68,34 @@ def convert_units(value, src: str, dst: str):
     libm round differently (about 5% of dBm values in [-60, 40], 10452 of
     201006 evenly spaced ones, -1.25 dBm among them), so a launch table of
     equal dBm values and a flat launch of that dBm need not share bits.
-    A value that is not a number, such as text, is a :class:`ConfigurationError`.
+    A value that is not a number, such as text, is a :class:`ConfigurationError`,
+    and so is a scalar whose linear value overflows (10 ** (x / 10) past the
+    float range) or a scalar power or ratio <= 0, which has no dB value; an
+    array gives inf or NaN there, as numpy does.
     """
     try:
         value = np.asarray(value, dtype=float) if not np.isscalar(value) else float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"value must be a real number, got {value!r}") from None
     pair = (src, dst)
-    if pair == ("dB/km", "1/km"):
-        return value * (LN10 / 10.0)
-    if pair == ("1/km", "dB/km"):
-        return value * (10.0 / LN10)
-    if pair == ("dBm", "W"):
-        return 10.0 ** (value / 10.0) * 1e-3
-    if pair == ("W", "dBm"):
-        return 10.0 * np.log10(value / 1e-3) if not np.isscalar(value) else 10.0 * math.log10(value / 1e-3)
-    if pair == ("dB", "linear"):
-        return 10.0 ** (value / 10.0)
-    if pair == ("linear", "dB"):
-        return 10.0 * np.log10(value) if not np.isscalar(value) else 10.0 * math.log10(value)
+    try:
+        if pair == ("dB/km", "1/km"):
+            return value * (LN10 / 10.0)
+        if pair == ("1/km", "dB/km"):
+            return value * (10.0 / LN10)
+        if pair == ("dBm", "W"):
+            return 10.0 ** (value / 10.0) * 1e-3
+        if pair == ("W", "dBm"):
+            return (10.0 * np.log10(value / 1e-3) if not np.isscalar(value)
+                    else 10.0 * math.log10(value / 1e-3))
+        if pair == ("dB", "linear"):
+            return 10.0 ** (value / 10.0)
+        if pair == ("linear", "dB"):
+            return 10.0 * np.log10(value) if not np.isscalar(value) else 10.0 * math.log10(value)
+    except OverflowError:  # only the scalar pow raises; numpy's gives inf
+        raise ConfigurationError(f"{value!r} {src} is too large to convert to {dst}") from None
+    except ValueError:  # math.log10 of a scalar <= 0
+        raise ConfigurationError(f"{value!r} {src} has no value in {dst}: it must be > 0") from None
     raise ConfigurationError(f"unsupported unit conversion {src!r} -> {dst!r}")
 
 
@@ -257,7 +266,11 @@ class PowerSpectrum:
 
     def scaled(self, gain, z: float | None = None) -> "PowerSpectrum":
         """New spectrum with powers multiplied by a scalar or per-channel gain."""
-        return PowerSpectrum(self.grid, self.powers * gain, self.z if z is None else z)
+        try:
+            powers = self.powers * gain
+        except TypeError:  # numpy's UFuncTypeError for text is one
+            raise ConfigurationError(f"gain must be a real number or array, got {gain!r}") from None
+        return PowerSpectrum(self.grid, powers, self.z if z is None else z)
 
     @classmethod
     def flat_dbm(cls, grid: ChannelGrid, dbm_per_channel: float, z: float = 0.0) -> "PowerSpectrum":

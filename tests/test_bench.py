@@ -172,17 +172,6 @@ class TestSweep:
             assert a.eps_p == b.eps_p
             assert a.max_deviation_db == b.max_deviation_db
 
-    def test_parallel_matches_serial(self):
-        serial, _ = run_order_sweep(SMALL)
-        parallel, _ = run_order_sweep(SMALL, workers=2)
-        # each group is the same batch either way, so even the last bits agree
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert (a.band, a.raman_peak, a.launch_power_dbm, a.length_km, a.order,
-                    a.eps_p, a.max_deviation_db, a.error) == (
-                b.band, b.raman_peak, b.launch_power_dbm, b.length_km, b.order,
-                b.eps_p, b.max_deviation_db, b.error)
-
     def test_summary_statistics(self):
         records, summaries = run_order_sweep(
             SweepConfig(
@@ -321,12 +310,12 @@ class TestBatchedSweep:
             band_plans=("CLU",), raman_peak_count=1, launch_power_count=3, length_count=3,
             orders=(1, 3, 6), steps_per_span=8,
         )
-        batches = []
-        integrate = bench._integrate_batch
-        monkeypatch.setattr(bench, "_integrate_batch",
-                            lambda *args: batches.append(integrate(*args)) or batches[-1])
+        stacks = []
+        integrate = bench._integrate_stack
+        monkeypatch.setattr(bench, "_integrate_stack",
+                            lambda *args: stacks.append(integrate(*args)) or stacks[-1])
         records, _ = run_order_sweep(config)
-        (outputs, _), = batches
+        (outputs,), = stacks
         grid = build_channel_grid("CLU", config.spacing)
         raman = RamanGainModel.triangular(peak=config.raman_peak_range[0],
                                           peak_separation=config.raman_peak_separation,
@@ -352,13 +341,13 @@ class TestBatchedSweep:
         config = SweepConfig(band_plans=("C",), raman_peak_count=1, length_count=2,
                              orders=(1,), steps_per_span=2)
         launches = []
-        integrate = bench._integrate_batch
+        integrate = bench._integrate_stack
 
         def record(powers, *args):
             launches.append(powers)
             return integrate(powers, *args)
 
-        monkeypatch.setattr(bench, "_integrate_batch", record)
+        monkeypatch.setattr(bench, "_integrate_stack", record)
         run_order_sweep(config)
         grid = build_channel_grid("C", config.spacing)
         expected = np.stack([PowerSpectrum.flat_dbm(grid, float(dbm)).powers
@@ -402,7 +391,7 @@ def record_values(records):
 
 
 def per_peak_records(config):
-    """The sweep's records with each (band plan, Raman peak) run alone: one (B, n) batch each."""
+    """The sweep's records with each (band plan, Raman peak) run alone: one stack of one each."""
     out = []
     for band in config.band_plans:
         for peak in config.axis(config.raman_peak_range, config.raman_peak_count):
@@ -411,6 +400,14 @@ def per_peak_records(config):
                                         raman_peak_count=1)
             out += run_order_sweep(alone)[0]
     return out
+
+
+def one_peak_batch_records(config):
+    """The sweep's records with every Raman peak's (B, n) batch integrated by ``_integrate_batch``
+    under its own one-slope operator: no stack finishes, so each peak takes the rerun path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "_integrate_stack", lambda *args: None)
+        return run_order_sweep(config)[0]
 
 
 def assert_same_records(records, expected):
@@ -484,9 +481,39 @@ class TestBandBatches:
         spy = BatchSpy(monkeypatch)
         records, _ = run_order_sweep(config)
         sizes = [shape[0] for shape, _ in spy.stacks]
-        assert sizes == [min(size, 5 - start) for start in range(0, 5, size)
-                         if min(size, 5 - start) > 1]
-        assert len(spy.batches) == 5 - sum(sizes)
+        assert sizes == [min(size, 5 - start) for start in range(0, 5, size)]
+        assert spy.batches == []
+        assert_same_records(records, expected)
+
+    @pytest.mark.parametrize("band", ["C", "CL", "CLU", "SCLU"])
+    def test_stacks_of_one_peak_equal_the_one_peak_batches(self, band, monkeypatch):
+        # every peak a stack of one: each gives the bits _integrate_batch gives its
+        # (B, n) batch under its own one-slope operator
+        config = SweepConfig(band_plans=(band,), raman_peak_count=2, launch_power_count=3,
+                             length_count=2, orders=(1, 3, 6), steps_per_span=8)
+        expected = one_peak_batch_records(config)
+        monkeypatch.setattr(bench, "_BATCH_ENTRIES", 1)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        n = build_channel_grid(band, config.spacing).n_channels
+        assert spy.stacks == [((1, 6, n), True)] * 2 and spy.batches == []
+        assert [size for size, _ in spy.nets] == [1, 1]
+        assert not any(r.error for r in records)
+        assert_same_records(records, expected)
+
+    def test_an_unstable_stack_of_one_peak_reruns_as_its_batch(self, monkeypatch):
+        # the 12 dBm cells go unstable at 8 steps under both peaks, the others do not
+        config = SweepConfig(band_plans=("CL",), raman_peak_count=2,
+                             launch_power_dbm_range=(-1.0, 12.0), launch_power_count=2,
+                             length_range_km=(60.0, 150.0), length_count=2,
+                             orders=(1, 4), steps_per_span=8)
+        expected = one_peak_batch_records(config)
+        monkeypatch.setattr(bench, "_BATCH_ENTRIES", 1)
+        spy = BatchSpy(monkeypatch)
+        records, _ = run_order_sweep(config)
+        assert spy.stacks == [((1, 4, 223), False)] * 2
+        assert spy.batches == [(4, 223)] * 2
+        assert sum(1 for r in records if r.error) == 8
         assert_same_records(records, expected)
 
     def test_an_unstable_row_reruns_its_stack_one_peak_at_a_time(self, monkeypatch):
@@ -534,13 +561,6 @@ class TestBandBatches:
         records, _ = run_order_sweep(config)
         assert spy.batches == [(4, 333)] * 3
         assert_same_records(records, expected)
-
-    def test_parallel_band_batches_match_serial(self):
-        config = SweepConfig(band_plans=("C", "CLU"), raman_peak_count=3, launch_power_count=2,
-                             length_count=2, orders=(1, 3), steps_per_span=8)
-        serial, _ = run_order_sweep(config)
-        parallel, _ = run_order_sweep(config, workers=2)
-        assert record_values(parallel) == record_values(serial)
 
 
 class TestFailedCells:

@@ -525,10 +525,10 @@ class TestCommands:
     def test_sweep_writes_the_same_bytes_on_every_run(self, tmp_path, fmt):
         path = small_config(tmp_path, name="sw", sweep=TWO_BAND_SWEEP)
         written = []
-        for run, workers in enumerate(("1", "1", "2", "2")):
+        for run in range(4):
             out = tmp_path / f"run{run}"
             assert main(["sweep", "--config", str(path), "--output", str(out),
-                         "--format", fmt, "--workers", workers]) == 0
+                         "--format", fmt]) == 0
             written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert sorted(written[0]) == [f"sw_sweep_records.{fmt}", f"sw_sweep_summary.{fmt}"]
         assert all(files == written[0] for files in written[1:])
@@ -545,14 +545,13 @@ class TestCommands:
         recs = (tmp_path / "sw_sweep_records.csv").read_text().splitlines()
         assert len(recs) == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_sweep_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+    def test_sweep_has_no_workers_option(self, tmp_path, capsys):
+        # the sweep runs in one process; the option is gone, not ignored
         path = small_config(tmp_path, name="sw", sweep={"band_plans": ["C"]})
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(path), "--output", str(tmp_path),
-                  f"--workers={workers}"])
+            main(["sweep", "--config", str(path), "--output", str(tmp_path), "--workers", "2"])
         assert exc.value.code == 2
-        assert "argument --workers: must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
         assert not (tmp_path / "sw_sweep_records.csv").exists()
 
     def test_osnr_target_outputs(self, tmp_path):
@@ -606,6 +605,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: span loss of ") and err.count("\n") == 1
         assert "dB over 20000 km is too large to invert" in err
+
+    @pytest.mark.parametrize(
+        "command,name,edit,message",
+        [
+            ("osnr-target", "fig7_osnr_flat_clu",
+             lambda d: d["osnr_target"].update(total_launch_power_dbm=1e308),
+             "1e+308 dBm is too large to convert to W"),
+            ("solve", "fig4_single_span_clu",
+             lambda d: d["launch"].update(power_dbm_per_channel=5000),
+             "5000.0 dBm is too large to convert to W"),
+            ("osnr-target", "fig7_osnr_flat_clu",
+             lambda d: d["link"]["amplifier"]["noise_figure_db"].update(C=1e308),
+             "noise figure for band 'C': 1e+308 dB is too large to convert to linear"),
+        ],
+        ids=["osnr-total", "solve-launch", "noise-figure"],
+    )
+    def test_a_db_value_past_the_float_range_is_config_error(self, tmp_path, capsys, command,
+                                                             name, edit, message):
+        # 10 ** (x / 10) of one such value raised a bare OverflowError with a traceback
+        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        edit(data)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_receiver_boost_of_a_vanished_output_is_config_error(self, tmp_path, capsys):
         # the output of a 20000 km span underflows to 0 W, which no gain restores

@@ -28,14 +28,16 @@ from isrsprop import (
 )
 from isrsprop.closedform import (
     _decay,
+    _order_scalars,
+    _per_row,
     _profile,
-    _shaping_ref,
+    _reference_shaping,
     _span_constants,
     _span_params,
     _SpanModel,
     power_profiles,
 )
-from isrsprop.profiles import attenuation_at, default_attenuation
+from isrsprop.profiles import attenuation_at, default_attenuation, default_raman
 
 from conftest import constant_alpha_fiber, to_db
 
@@ -297,16 +299,94 @@ class TestGammaRef:
         # channel 0 has the largest exponent (900) but no power; the others' terms
         # are e^-900 and e^-945 of it, so a maximum taken over it ends in log(0)
         shaping, weighted = np.array([-20.0, 0.0, 1.0]), np.array([0.0, 2.0, 1.0])
-        ref = _shaping_ref(3.0, shaping, weighted, np.ones(3), 1.0, 3.0, -math.expm1(-50.0),
-                           15.0, 50.0)
+        # weights alpha^n P over alpha0^n P_T = 3, base (alpha0 - alpha) z at alpha = alpha0 = 1
+        ref = _reference_shaping(3.0, shaping, weighted / 3.0, (1.0 - np.ones(3)) * 50.0,
+                                 -math.expm1(-50.0), 15.0)
         scale = 15.0 * 3.0 * -math.expm1(-50.0)
         expected = -math.log(2.0 / 3.0 + math.exp(-scale) / 3.0) / scale
         assert ref == pytest.approx(expected, rel=1e-14)
 
     def test_no_channel_with_power_is_config_error(self):
         with pytest.raises(ConfigurationError, match="at least one channel that carries power"):
-            _shaping_ref(3.0, np.array([-20.0, 0.0]), np.zeros(2), np.ones(2), 1.0, 3.0,
-                         -math.expm1(-50.0), 15.0, 50.0)
+            _reference_shaping(3.0, np.array([-20.0, 0.0]), np.zeros(2) / 3.0,
+                               (1.0 - np.ones(2)) * 50.0, -math.expm1(-50.0), 15.0)
+
+
+class TestReferenceShaping:
+    """One balance for one spectrum, a (B, n) batch, an (M, 1) column of z and an (S, 1, 1)
+    stack of slopes: every row has the bits of its own one-spectrum call."""
+
+    SLOPES = (0.0, 0.4 / 14.0)  # Raman-free (the weighted-mean limit) and fig4's gain
+
+    @staticmethod
+    def batch(dark: bool, order: int = 3):
+        """Four CLU spectra on spans of four lengths, as :func:`_span_params` balances them."""
+        model = _SpanModel(build_channel_grid("CLU"),
+                           FiberSpec(default_attenuation(), default_raman(0.4), 80.0))
+        p = 10 ** np.random.default_rng(7).uniform(-4.0, -3.0, (4, model.grid.n_channels))
+        if dark:  # channels without power: the log-sum-exp runs row by row
+            p[1, :7] = 0.0
+        total = p.sum(axis=1, keepdims=True)
+        lengths = np.array([[50.0], [80.0], [100.0], [150.0]])
+        weights = model.alpha**order * p
+        alpha0, _, _, norm, leff_z = _order_scalars(weights, total, lengths, order, 0.0)
+        weights /= norm
+        base = np.subtract(alpha0, model.alpha)
+        base *= lengths
+        return model, total, model.shaping(p, total), weights, base, leff_z, alpha0
+
+    @pytest.mark.parametrize("dark", [False, True])
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_a_batch_row_has_the_bits_of_its_spectrum(self, dark, slope):
+        _, total, shaping, weights, base, leff_z, _ = self.batch(dark)
+        ref = _reference_shaping(total, shaping, weights, base, leff_z, slope)
+        rows = [_reference_shaping(total[b, 0], shaping[b], weights[b], base[b], leff_z[b, 0],
+                                   slope) for b in range(len(total))]
+        assert ref.shape == (4, 1) and all(np.ndim(row) == 0 for row in rows)
+        assert np.array_equal(ref[:, 0], rows)
+
+    @pytest.mark.parametrize("dark", [False, True])
+    @pytest.mark.parametrize("slope", SLOPES)
+    def test_a_z_column_row_has_the_bits_of_its_z(self, dark, slope):
+        # one spectrum at an (M, 1) column of z, as power_profiles refreshes it; z = 0
+        # takes the limit while the other rows balance
+        model, total, shaping, weights, _, _, alpha0 = self.batch(dark)
+        b = 1
+        a0 = np.full((5, 1), alpha0[b, 0])
+        z = np.array([[0.0], [13.7], [50.0], [80.0], [150.0]])
+        leff_z = _per_row(_decay, a0, z)
+        base = np.subtract(a0, model.alpha)
+        base *= z
+        column = _reference_shaping(total[b, 0], np.broadcast_to(shaping[b], base.shape),
+                                    weights[b], base, leff_z, slope)
+        rows = []
+        for m in range(len(z)):
+            one = np.subtract(alpha0[b, 0], model.alpha)
+            one *= z[m, 0]
+            rows.append(_reference_shaping(total[b, 0], shaping[b], weights[b], one,
+                                           leff_z[m, 0], slope))
+        assert column.shape == (5, 1)
+        assert np.array_equal(column[:, 0], rows)
+
+    @pytest.mark.parametrize("dark", [False, True])
+    def test_a_stack_slice_has_the_bits_of_its_slope(self, dark):
+        _, total, shaping, weights, base, leff_z, _ = self.batch(dark)
+        slopes = np.array([0.0, 0.3 / 14.0, 0.4 / 14.0])
+        stack = _reference_shaping(total, shaping, weights, base, leff_z, slopes[:, None, None])
+        assert stack.shape == (3, 4, 1)
+        for s, slope in enumerate(slopes.tolist()):
+            rows = [_reference_shaping(total[b, 0], shaping[b], weights[b], base[b],
+                                       leff_z[b, 0], slope) for b in range(len(total))]
+            assert np.array_equal(stack[s, :, 0], rows)
+            assert np.array_equal(stack[s],
+                                  _reference_shaping(total, shaping, weights, base, leff_z, slope))
+
+    def test_a_stack_of_raman_free_slopes_takes_the_limit(self):
+        _, total, shaping, weights, base, leff_z, _ = self.batch(False)
+        stack = _reference_shaping(total, shaping, weights, base, leff_z, np.zeros((2, 1, 1)))
+        mean = (weights * shaping).sum(axis=-1, keepdims=True)
+        assert stack.shape == (2, 4, 1)
+        assert np.array_equal(stack[0], mean) and np.array_equal(stack[1], mean)
 
 
 class TestPowerProfile:

@@ -1,6 +1,7 @@
 """Every integer count, on/off flag and real-valued scalar the library takes goes through one rule."""
 
 import dataclasses
+import math
 import re
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,6 @@ from isrsprop import (
     preemphasis_multispan,
     preemphasis_single_span,
     propagate_multispan_closedform,
-    run_order_sweep,
     shaping_function,
     span_gain,
     target_osnr,
@@ -42,12 +42,11 @@ from isrsprop.closedform import (
     total_attenuation_coefficient,
 )
 from isrsprop.config import parse_config
+from isrsprop.profiles import convert_units
 
 GRID = build_channel_grid("C")
 FIBER = FiberSpec(default_attenuation(), default_raman(0.4), 50.0)
 LAUNCH = PowerSpectrum.flat_dbm(GRID, -1.0)
-ONE_CELL_SWEEP = SweepConfig(band_plans=("C",), raman_peak_count=1, launch_power_count=1,
-                             length_count=1, orders=(1,), steps_per_span=2)
 OSNR_LINK = LinkSpec.uniform(FIBER, 2, amplifier=AmplifierSpec(noise_figure_db={"C": 5.5}))
 PARAMS = derive_params(LAUNCH, FIBER)
 OSNR_RESULT = propagate_multispan_closedform(LAUNCH, OSNR_LINK, 3)
@@ -74,7 +73,6 @@ COUNTS = [
     ("max_iterations", _target_osnr),
     ("order", lambda n: dataclasses.replace(parse_config({}), order=n)),
     ("n_spans", lambda n: LinkSpec.uniform(FIBER, n)),
-    ("workers", lambda n: run_order_sweep(ONE_CELL_SWEEP, workers=n)),
 ]
 COUNT_IDS = [name.replace(" ", "-") for name, _ in COUNTS]
 
@@ -210,6 +208,8 @@ REALS = [
     # a z outside the span keeps its own message, naming the span
     Real("z", lambda x: power_profile(LAUNCH, PARAMS, FIBER.raman.slope, x), 10.0),
     Real("z", lambda x: power_profiles(LAUNCH, PARAMS, FIBER.raman.slope, [0.0, x]), 10.0),
+    # NaN gave NaN, and text a bare TypeError
+    Real("z", PARAMS.total_power_at, 10.0),
     Real("window", lambda x: shaping_function(LAUNCH, x), 15.5, (0.0, "> 0")),
     # the peaks' range is the triangular gain peak's, checked at the lowest peak
     Real("sweep raman_peak_range", lambda x: SweepConfig(raman_peak_range=(x, 0.4)), 0.3,
@@ -227,7 +227,7 @@ REAL_IDS = ["f_low", "f_high", "spacing", "grid-spacing", "sweep-spacing", "cons
             "noise-figure", "noise-bandwidth", "injection-bandwidth", "accumulate-bandwidth",
             "target-bandwidth", "step", "tolerance", "target-total", "single-span-total",
             "multispan-total", "span-gain-total", "flat-dbm", "profile-slope", "profiles-slope",
-            "profile-z", "profiles-z", "shaping-window", "sweep-peaks", "sweep-launch", "sweep-lengths", "config-number"]
+            "profile-z", "profiles-z", "total-power-z", "shaping-window", "sweep-peaks", "sweep-launch", "sweep-lengths", "config-number"]
 
 
 def _raises_exactly(message: str):
@@ -289,3 +289,58 @@ def test_every_real_field_of_the_value_types_has_a_row():
     covered = {real.field for real in REALS}
     assert fields - covered == set()
     assert covered - fields == {None}
+
+
+@pytest.mark.parametrize("z", [-5, -1e-9, 50.0 + 1e-9, 60.0])
+def test_total_power_at_rejects_a_z_outside_the_span(z):
+    # -5 km gave a value extrapolated before the launch
+    with _raises_exactly(f"z = {z} km outside the span [0, 50.0] km"):
+        PARAMS.total_power_at(z)
+
+
+def test_total_power_at_takes_either_end_of_the_span():
+    assert PARAMS.total_power_at(0) == PARAMS.total_launch_power
+    assert PARAMS.total_power_at(50.0) == PARAMS.total_launch_power * math.exp(-PARAMS.alpha0 * 50.0)
+
+
+# 10 ** (x / 10) past the float range raised a bare OverflowError, and the log of a
+# scalar <= 0 a bare ValueError ("math domain error")
+DB_SCALARS = [
+    (lambda: convert_units(1e308, "dBm", "W"), "1e+308 dBm is too large to convert to W"),
+    (lambda: convert_units(5000, "dB", "linear"), "5000.0 dB is too large to convert to linear"),
+    (lambda: PowerSpectrum.flat_dbm(GRID, 5000.0), "5000.0 dBm is too large to convert to W"),
+    (lambda: convert_units(0.0, "W", "dBm"), "0.0 W has no value in dBm: it must be > 0"),
+    (lambda: convert_units(-1e-3, "W", "dBm"), "-0.001 W has no value in dBm: it must be > 0"),
+    (lambda: convert_units(0.0, "linear", "dB"), "0.0 linear has no value in dB: it must be > 0"),
+    (lambda: ase_injection(GRID, {"C": 1e308}, 100.0, 0.0125),
+     "noise figure for band 'C': 1e+308 dB is too large to convert to linear"),
+]
+
+
+@pytest.mark.parametrize("call, message", DB_SCALARS,
+                         ids=["dbm-to-w", "db-to-linear", "flat-dbm", "zero-w", "negative-w",
+                              "zero-linear", "noise-figure"])
+def test_a_scalar_db_conversion_out_of_range_is_a_config_error(call, message):
+    with _raises_exactly(message):
+        call()
+
+
+def test_an_array_db_conversion_keeps_numpy_results():
+    # only the scalar path raises: an array overflows to inf and takes -inf dB at 0, as numpy does
+    x = np.array([1e308, -1.25, 0.0])
+    with np.errstate(over="ignore", divide="ignore"):
+        assert np.array_equal(convert_units(x, "dBm", "W"), 10.0 ** (x / 10.0) * 1e-3)
+        assert np.array_equal(convert_units(x, "dB", "linear"), 10.0 ** (x / 10.0))
+        assert np.array_equal(convert_units(np.array([0.0, 1e-3]), "W", "dBm"), [-np.inf, 0.0])
+
+
+@pytest.mark.parametrize("gain, message", [
+    # text raised a bare UFuncTypeError, None a bare TypeError
+    ("a", "gain must be a real number or array, got 'a'"),
+    (None, "gain must be a real number or array, got None"),
+    (np.nan, "channel powers must be finite"),
+    (-1.0, "channel powers must be non-negative"),
+], ids=["str", "None", "nan", "negative"])
+def test_scaled_rejects_a_bad_gain(gain, message):
+    with _raises_exactly(message):
+        LAUNCH.scaled(gain)

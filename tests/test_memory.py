@@ -75,23 +75,25 @@ def sweep_cells(config):
 
 
 def test_sweep_group_closed_form_is_built_in_place(monkeypatch):
-    # one SCLU peak, 25 cells of 528 channels and six orders, with the oracle's
-    # outputs handed in.  The band holds five (B, n) arrays (launches, oracle
-    # outputs and their dB values, shaping values, alpha_i L) and each order
-    # about four more at once, built in place: the peak is 9.4 of them.  Each
-    # out-of-place temporary of the exponent or the dB difference adds 1.
+    # one SCLU peak, a stack of one, 25 cells of 528 channels and six orders,
+    # with the oracle's outputs handed in.  The band holds five (B, n) arrays
+    # (launches, oracle outputs and their dB values, shaping values, alpha_i L)
+    # and each order about four more at once, built in place: the peak is 9.4
+    # of them.  Each out-of-place temporary of the exponent or the dB
+    # difference adds 1.
     config = SweepConfig(band_plans=("SCLU",), raman_peak_count=1)
     band = (config, "SCLU", [0.35], sweep_cells(config))
-    integrate = bench._integrate_batch
+    integrate = bench._integrate_stack
     done = []
-    monkeypatch.setattr(bench, "_integrate_batch",
+    monkeypatch.setattr(bench, "_integrate_stack",
                         lambda *args: done.append(integrate(*args)) or done[0])
-    bench._run_band(band)
-    monkeypatch.setattr(bench, "_integrate_batch",
-                        lambda *args: (done[0][0].copy(), done[0][1]))
-    peak, _, records = traced_memory(lambda: bench._run_band(band))
+    bench._run_band(*band)
+    (outputs,) = done
+    assert outputs.shape == (1, 25, 528)
+    monkeypatch.setattr(bench, "_integrate_stack", lambda *args: outputs.copy())
+    peak, _, records = traced_memory(lambda: bench._run_band(*band))
     assert len(records) == 150 and not any(r.error for r in records)
-    assert peak <= 10 * done[0][0].nbytes
+    assert peak <= 10 * outputs.nbytes
 
 
 def test_sweep_band_batch_closed_form_is_built_in_place(monkeypatch):
@@ -108,11 +110,11 @@ def test_sweep_band_batch_closed_form_is_built_in_place(monkeypatch):
     done = []
     monkeypatch.setattr(bench, "_integrate_stack",
                         lambda *args: done.append(integrate(*args)) or done[0])
-    bench._run_band(band)
+    bench._run_band(*band)
     (outputs,) = done
     assert outputs.shape == (3, 25, 528)
     monkeypatch.setattr(bench, "_integrate_stack", lambda *args: outputs.copy())
-    peak, _, records = traced_memory(lambda: bench._run_band(band))
+    peak, _, records = traced_memory(lambda: bench._run_band(*band))
     assert len(records) == 450 and not any(r.error for r in records)
     assert peak <= 10 * outputs.nbytes
 
